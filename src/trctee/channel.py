@@ -105,10 +105,6 @@ class ConfirmFailure(ChannelError):
     pass
 
 
-class CrpUnavailable(ChannelError):
-    pass
-
-
 class Role(Enum):
     VTPM = "vtpm"
     TMM = "tmm"
@@ -280,9 +276,9 @@ def _wrap_key(shared: bytes) -> bytes:
 class VtpmHandshake:
     """Initiator side.  Call start(), then feed every reply to on_message().
 
-    Inputs: the vTPM identity (signing seed, certificate, the TTP public
-    key), the provisioned device id and the user-held CRP slice.  One CRP
-    is consumed per handshake.
+    Inputs: the vTPM identity (signing seed and certificate), the
+    provisioned device id and the user-held CRP slice.  One CRP is consumed
+    per handshake.
     """
 
     def __init__(
@@ -290,7 +286,6 @@ class VtpmHandshake:
         *,
         sk_tpm: bytes,
         cert: Certificate,
-        pk_ttp: bytes,
         device_id: str,
         crp_store: CrpStore,
         rng: Rng,
@@ -298,7 +293,6 @@ class VtpmHandshake:
     ):
         self._sk = Ed25519PrivateKey.from_private_bytes(sk_tpm)
         self._cert = cert
-        self._pk_ttp = pk_ttp
         self._device_id = device_id
         self._crps = crp_store
         self._rng = rng

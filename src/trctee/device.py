@@ -9,12 +9,17 @@ a session exists.
 Only the TMM can touch configuration memory.  Bitstreams arrive AEAD
 encrypted under the per-session deployment key; the REE file store and
 the TPM-Agent hold no keys and expose no deploy or invoke capability.
+
+Deploy and invoke reach the TMM as the vTPM's own TPM command bytes inside
+the sealed channel and are answered with TPM response bytes (see
+:mod:`trctee.wire`); everything else on the channel is a one-byte-typed
+:mod:`trctee.messages` payload.  A payload that fails to decode, and any
+TPM command other than deploy or invoke, is dropped unanswered.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import struct
 import threading
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import channel, messages
+from . import channel, messages, wire
 from .crypto import Rng, sha384, sha3_384
 from .puf import PufDevice
 
@@ -40,6 +45,7 @@ BOOT_COMPONENTS = (
 IP_MAGIC = b"TRIP"
 BITSTREAM_MAGIC = b"TB01"
 NONCE_LEN = 12
+TPM_TAG_BYTE = wire.TAG_NO_SESSIONS >> 8  # 0x80, first byte of every TPM tag
 
 
 class DeviceError(Exception):
@@ -211,9 +217,6 @@ def blob_name(ip_num: int) -> str:
     return f"ip_{ip_num}.bin"
 
 
-_SAFE_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
-
-
 class FileStore:
     """REE-side blob store, untrusted by design; optionally directory backed."""
 
@@ -224,13 +227,13 @@ class FileStore:
             os.makedirs(root, exist_ok=True)
 
     def _path(self, name: str) -> str:
-        if not _SAFE_NAME.match(name):
+        if not messages.BLOB_NAME.fullmatch(name):
             raise ValueError(f"unsafe blob name {name!r}")
         return os.path.join(self._root, name)
 
     def put(self, name: str, blob: bytes) -> None:
         if self._root is None:
-            if not _SAFE_NAME.match(name):
+            if not messages.BLOB_NAME.fullmatch(name):
                 raise ValueError(f"unsafe blob name {name!r}")
             self._blobs[name] = blob
             return
@@ -274,11 +277,9 @@ class ConfigMemory:
 class Tmm:
     """Trusted management module: the only holder of deploy/invoke privilege."""
 
-    def __init__(self, puf: PufDevice, file_store: FileStore, rng: Rng):
-        self.puf = puf
+    def __init__(self, file_store: FileStore):
         self.file_store = file_store
         self.config_memory = ConfigMemory()
-        self._rng = rng
         self.endpoint: channel.ChannelEndpoint | None = None
         self._deploy_key: bytes | None = None
 
@@ -317,19 +318,23 @@ class Tmm:
 
 
 class TpmAgent:
-    """REE forwarder: relays opaque records in both directions, holds no keys."""
+    """REE forwarder: relays opaque records in both directions, holds no keys.
+
+    It is the device's transport: every record the TMM sends or receives
+    passes through it unchanged.
+    """
 
     def __init__(self, transport):
         self._transport = transport
 
-    def forward(self, record: bytes) -> bytes:
-        return record
+    def send_record(self, record: bytes) -> None:
+        self._transport.send_record(record)
 
-    def pass_out(self, record: bytes) -> None:
-        self._transport.send_record(self.forward(record))
+    def recv_record(self, timeout: float | None = None) -> bytes:
+        return self._transport.recv_record(timeout)
 
-    def pass_in(self, timeout: float | None = None) -> bytes:
-        return self.forward(self._transport.recv_record(timeout))
+    def close(self) -> None:
+        self._transport.close()
 
 
 class FpgaSocDevice:
@@ -352,7 +357,7 @@ class FpgaSocDevice:
         self.file_store = file_store or FileStore()
         self.rekey_threshold = rekey_threshold
         self.recv_timeout = recv_timeout
-        self.tmm = Tmm(puf, self.file_store, self.rng)
+        self.tmm = Tmm(self.file_store)
         self.booted = False
         self._pending_measurements: list[tuple[int, str, bytes]] = []
         self.last_error: Exception | None = None
@@ -391,18 +396,20 @@ class FpgaSocDevice:
         )
         while handshake.session is None:
             try:
-                record = agent.pass_in(self.recv_timeout)
+                record = agent.recv_record(self.recv_timeout)
             except _transport.TransportClosed:
                 return
             try:
                 reply = handshake.on_message(record)
             except channel.ChannelError as exc:
+                # Close so the vTPM learns of the abort at once, not by timeout.
                 self.last_error = exc
+                agent.close()
                 return
             if reply is not None:
-                agent.pass_out(reply)
+                agent.send_record(reply)
         endpoint = channel.ChannelEndpoint(
-            handshake.session, _AgentTransport(agent), recv_timeout=self.recv_timeout
+            handshake.session, agent, recv_timeout=self.recv_timeout
         )
         self.tmm.attach_session(endpoint)
         if self.booted:
@@ -425,12 +432,15 @@ class FpgaSocDevice:
                 continue
             try:
                 self._handle(endpoint, payload)
-            except (channel.ChannelError, messages.MessageError) as exc:
+            except (channel.ChannelError, messages.MessageError, wire.WireError) as exc:
                 self.last_error = exc
                 continue
 
     def _handle(self, endpoint: channel.ChannelEndpoint, payload: bytes) -> None:
         kind = messages.kind_of(payload)
+        if kind == TPM_TAG_BYTE:
+            endpoint.send(wire.encode(self._execute(wire.decode(payload))))
+            return
         if kind == messages.UPDATE_REQ:
             channel.respond_update(endpoint, payload, self.puf)
             return
@@ -439,41 +449,23 @@ class FpgaSocDevice:
             self.file_store.put(name, blob)
             endpoint.send(messages.encode_store_ok())
             return
-        if kind == messages.DEPLOY_REQ:
-            ip_num = messages.decode_deploy_req(payload)
-            try:
-                bin_hash = self.tmm.deploy(ip_num)
-                endpoint.send(messages.encode_deploy_resp(0, bin_hash))
-            except (DeviceError, channel.AuthFailure) as exc:
-                self.last_error = exc
-                endpoint.send(messages.encode_deploy_resp(1, bytes(48)))
-            return
-        if kind == messages.INVOKE_REQ:
-            ip_num, data, flag = messages.decode_invoke_req(payload)
-            try:
-                output = self.tmm.invoke(ip_num, data, flag)
-                endpoint.send(messages.encode_invoke_resp(0, output))
-            except DeviceError as exc:
-                self.last_error = exc
-                endpoint.send(messages.encode_invoke_resp(1, b""))
-            return
         raise messages.MessageError(f"unexpected channel message type {kind}")
 
-
-class _AgentTransport:
-    """Adapter running endpoint IO through the agent's forwarding path."""
-
-    def __init__(self, agent: TpmAgent):
-        self._agent = agent
-
-    def send_record(self, payload: bytes) -> None:
-        self._agent.pass_out(payload)
-
-    def recv_record(self, timeout: float | None = None) -> bytes:
-        return self._agent.pass_in(timeout)
-
-    def close(self) -> None:
-        pass
+    def _execute(self, command) -> wire.DeployResp | wire.InvokeResp:
+        """Run one Deploy_CMD or Invoke_CMD on the TMM; a failure answers rc 1."""
+        try:
+            if isinstance(command, wire.DeployCmd):
+                return wire.DeployResp(bin_hash=self.tmm.deploy(command.ip_num))
+            if isinstance(command, wire.InvokeCmd):
+                return wire.InvokeResp(
+                    output=self.tmm.invoke(command.ip_num, command.input, command.flag)
+                )
+        except (DeviceError, channel.AuthFailure) as exc:
+            self.last_error = exc
+            return wire.failure_response(command)
+        raise messages.MessageError(
+            f"the TMM does not execute {type(command).__name__} commands"
+        )
 
 
 def serve_in_thread(device: FpgaSocDevice, transport) -> threading.Thread:

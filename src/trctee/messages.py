@@ -1,12 +1,17 @@
-"""Payload vocabulary carried inside sealed channel frames.
+"""Channel payloads that have no TPM form.
 
-One byte of message type, then type-specific fields (big-endian lengths).
-This is the private protocol between the vTPM and the device-side TMM;
-the TPM-Agent in between forwards the sealed frames without parsing them.
+A sealed frame carries either TPM command/response bytes (deploy and
+invoke, in the :mod:`trctee.wire` format, first byte 0x80) or one of the
+messages below: one byte of message type (0x01-0x06), then type-specific
+fields (big-endian lengths).  These cover the boot report, the bitstream
+upload and the key-update exchange between the vTPM and the device-side
+TMM; the TPM-Agent in between forwards the sealed frames without parsing
+them.  Every decoder raises :class:`MessageError` on malformed input.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 
 BOOT_REPORT = 0x01
@@ -15,13 +20,12 @@ UPDATE_CONFIRM_D = 0x03
 UPDATE_CONFIRM_V = 0x04
 STORE_BLOB = 0x05
 STORE_OK = 0x06
-DEPLOY_REQ = 0x07
-DEPLOY_RESP = 0x08
-INVOKE_REQ = 0x09
-INVOKE_RESP = 0x0A
 
 DIGEST_LEN = 48
 MAC_LEN = 48
+
+# Names a stored blob may have: one flat file name, never "." or "..".
+BLOB_NAME = re.compile(r"(?!\.+$)[A-Za-z0-9._-]+")
 
 
 class MessageError(Exception):
@@ -38,6 +42,13 @@ def _expect(payload: bytes, kind: int) -> bytes:
     if kind_of(payload) != kind:
         raise MessageError(f"expected message type {kind}, got {payload[0]}")
     return payload[1:]
+
+
+def _text(data: bytes) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError:
+        raise MessageError("name is not UTF-8") from None
 
 
 # -- boot report ---------------------------------------------------------------
@@ -68,7 +79,7 @@ def decode_boot_report(payload: bytes) -> list[tuple[int, str, bytes]]:
         offset += 3
         if len(body) < offset + name_len + DIGEST_LEN:
             raise MessageError("boot report truncated")
-        name = body[offset : offset + name_len].decode()
+        name = _text(body[offset : offset + name_len])
         offset += name_len
         digest = body[offset : offset + DIGEST_LEN]
         offset += DIGEST_LEN
@@ -127,63 +138,11 @@ def decode_store_blob(payload: bytes) -> tuple[str, bytes]:
     (name_len,) = struct.unpack_from(">H", body)
     if len(body) < 2 + name_len:
         raise MessageError("store request truncated")
-    return body[2 : 2 + name_len].decode(), body[2 + name_len :]
+    name = _text(body[2 : 2 + name_len])
+    if not BLOB_NAME.fullmatch(name):
+        raise MessageError(f"unsafe blob name {name!r}")
+    return name, body[2 + name_len :]
 
 
 def encode_store_ok() -> bytes:
     return bytes([STORE_OK])
-
-
-# -- deploy / invoke -------------------------------------------------------------
-
-
-def encode_deploy_req(ip_num: int) -> bytes:
-    return bytes([DEPLOY_REQ]) + struct.pack(">H", ip_num)
-
-
-def decode_deploy_req(payload: bytes) -> int:
-    body = _expect(payload, DEPLOY_REQ)
-    if len(body) != 2:
-        raise MessageError("deploy request length mismatch")
-    return struct.unpack(">H", body)[0]
-
-
-def encode_deploy_resp(rc: int, bin_hash: bytes) -> bytes:
-    if len(bin_hash) != DIGEST_LEN:
-        raise MessageError("deploy hash must be 48 bytes")
-    return bytes([DEPLOY_RESP]) + struct.pack(">H", rc) + bin_hash
-
-
-def decode_deploy_resp(payload: bytes) -> tuple[int, bytes]:
-    body = _expect(payload, DEPLOY_RESP)
-    if len(body) != 2 + DIGEST_LEN:
-        raise MessageError("deploy response length mismatch")
-    return struct.unpack(">H", body[:2])[0], body[2:]
-
-
-def encode_invoke_req(ip_num: int, data: bytes, flag: int) -> bytes:
-    return bytes([INVOKE_REQ]) + struct.pack(">HII", ip_num, flag, len(data)) + data
-
-
-def decode_invoke_req(payload: bytes) -> tuple[int, bytes, int]:
-    body = _expect(payload, INVOKE_REQ)
-    if len(body) < 10:
-        raise MessageError("invoke request truncated")
-    ip_num, flag, length = struct.unpack_from(">HII", body)
-    if len(body) != 10 + length:
-        raise MessageError("invoke request length mismatch")
-    return ip_num, body[10:], flag
-
-
-def encode_invoke_resp(rc: int, output: bytes) -> bytes:
-    return bytes([INVOKE_RESP]) + struct.pack(">HI", rc, len(output)) + output
-
-
-def decode_invoke_resp(payload: bytes) -> tuple[int, bytes]:
-    body = _expect(payload, INVOKE_RESP)
-    if len(body) < 6:
-        raise MessageError("invoke response truncated")
-    rc, length = struct.unpack_from(">HI", body)
-    if len(body) != 6 + length:
-        raise MessageError("invoke response length mismatch")
-    return rc, body[6:]

@@ -1,8 +1,9 @@
 """End-to-end orchestration of deployment and invocation, plus the
 offline attestation verifier.
 
-The user talks TPM commands to their local vTPM; the vTPM talks sealed
-frames to the device TMM.  Register usage during runtime:
+The user talks TPM commands to their local vTPM; the vTPM forwards the
+Deploy_CMD and Invoke_CMD bytes in sealed frames to the device TMM, which
+answers with TPM response bytes.  Register usage during runtime:
 
     PCR 0..7   boot components, one per register
     PCR 8      deployment records, SHA-384(ip_num || Hash(Bin))
@@ -192,10 +193,9 @@ class UserNode:
         self.rekey_threshold = rekey_threshold
         self.auto_rekey = auto_rekey
         self.recv_timeout = recv_timeout
-        self.vtpm = vtpm.Vtpm(identity=bundle, rng=self.rng.child("vtpm-drbg"))
+        self.vtpm = vtpm.Vtpm(rng=self.rng.child("vtpm-drbg"))
         self.vtpm.update_handler = self._handle_update
-        self.vtpm.deploy_handler = self._handle_deploy
-        self.vtpm.invoke_handler = self._handle_invoke
+        self.vtpm.forward_handler = self._forward_to_tmm
         self.endpoint: channel.ChannelEndpoint | None = None
         self.deploy_key: bytes | None = None
         self.history = ExpectedHistory()
@@ -210,7 +210,6 @@ class UserNode:
         handshake = channel.VtpmHandshake(
             sk_tpm=self.bundle.sk_tpm,
             cert=self.bundle.cert,
-            pk_ttp=self.bundle.pk_ttp,
             device_id=self.device_id,
             crp_store=self.crp_store,
             rng=self.rng.child("handshake"),
@@ -275,24 +274,45 @@ class UserNode:
         self._maybe_rekey()
         return response, verdict
 
-    def _handle_deploy(self, ip_num: int) -> tuple[int, bytes]:
-        """vTPM-side Deploy_CMD handler: forward, then measure the record."""
+    def _forward_to_tmm(self, command: wire.DeployCmd | wire.InvokeCmd, raw: bytes) -> bytes:
+        """vTPM-side Deploy_CMD/Invoke_CMD hook: measure the input, forward the
+        command bytes to the TMM, measure its result, return its response bytes."""
         try:
             endpoint = self._require_session()
-            reply = endpoint.request(messages.encode_deploy_req(ip_num))
-            rc, bin_hash = messages.decode_deploy_resp(reply)
-        except (channel.ChannelError, messages.MessageError, NoSession) as exc:
+        except NoSession as exc:
             self.last_error = exc
-            return 1, bytes(48)
-        if rc == 0:
+            return wire.encode(wire.failure_response(command))
+        ip_num = command.ip_num
+        invoke = isinstance(command, wire.InvokeCmd)
+        if invoke:
+            input_digest = sha384(command.input)
+            self.vtpm.pcr_extend(
+                INPUT_PCR, input_digest, vtpm.EventKind.IP_INPUT, f"invoke-ip{ip_num}-input"
+            )
+            self.history.inputs.append(input_digest)
+        try:
+            reply = endpoint.request(raw)
+            response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
+        except (channel.ChannelError, wire.WireError) as exc:
+            self.last_error = exc
+            return wire.encode(wire.failure_response(command))
+        if response.response_code != 0:
+            return reply
+        if invoke:
+            output_digest = sha384(response.output)
+            self.vtpm.pcr_extend(
+                OUTPUT_PCR, output_digest, vtpm.EventKind.IP_OUTPUT, f"invoke-ip{ip_num}-output"
+            )
+            self.history.outputs.append(output_digest)
+        else:
             self.vtpm.pcr_extend(
                 DEPLOY_PCR,
-                deployment_record_digest(ip_num, bin_hash),
+                deployment_record_digest(ip_num, response.bin_hash),
                 vtpm.EventKind.IP_DEPLOY,
                 f"deploy-ip{ip_num}",
             )
-            self.history.deployments.append((ip_num, bin_hash))
-        return rc, bin_hash
+            self.history.deployments.append((ip_num, response.bin_hash))
+        return reply
 
     # -- invocation ----------------------------------------------------------------
 
@@ -329,32 +349,6 @@ class UserNode:
             and inputs[-1].digest == input_digest
             and outputs[-1].digest == output_digest
         )
-
-    def _handle_invoke(self, ip_num: int, data: bytes, flag: int) -> tuple[int, bytes]:
-        """vTPM-side Invoke_CMD handler: measure input, forward, measure output."""
-        try:
-            endpoint = self._require_session()
-        except NoSession as exc:
-            self.last_error = exc
-            return 1, b""
-        input_digest = sha384(data)
-        self.vtpm.pcr_extend(
-            INPUT_PCR, input_digest, vtpm.EventKind.IP_INPUT, f"invoke-ip{ip_num}-input"
-        )
-        self.history.inputs.append(input_digest)
-        try:
-            reply = endpoint.request(messages.encode_invoke_req(ip_num, data, flag))
-            rc, output = messages.decode_invoke_resp(reply)
-        except (channel.ChannelError, messages.MessageError) as exc:
-            self.last_error = exc
-            return 1, b""
-        if rc == 0:
-            output_digest = sha384(output)
-            self.vtpm.pcr_extend(
-                OUTPUT_PCR, output_digest, vtpm.EventKind.IP_OUTPUT, f"invoke-ip{ip_num}-output"
-            )
-            self.history.outputs.append(output_digest)
-        return rc, output
 
     # -- key update -------------------------------------------------------------
 

@@ -33,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from . import channel, device, messages, puf, runtime, transport, ttp
+from . import channel, device, puf, runtime, transport, ttp, wire
 from .crypto import Rng
 
 SCENARIO_HEADER = "trctee-scenario v1"
@@ -363,9 +363,9 @@ class ScenarioRunner:
         self._device_thread = device.serve_in_thread(dev, device_transport)
         try:
             user.connect(user_transport)
-        except channel.Timeout:
-            # The device aborts silently on handshake failure; surface its
-            # typed error instead of the resulting stall.
+        except (channel.Timeout, transport.TransportClosed):
+            # The device closes its end on handshake failure; surface its
+            # typed error instead of the bare closed transport.
             self._device_thread.join(timeout=5.0)
             if dev.last_error is not None:
                 raise dev.last_error from None
@@ -456,7 +456,7 @@ class ScenarioRunner:
         before = dev.tmm.config_memory.snapshot()
         # Best effort without keys: inject a forged plaintext request framed
         # as if it were sealed.  The TMM must reject it unopened.
-        forged = messages.encode_deploy_req(int(step.args.get("ip", "1")))
+        forged = wire.encode(wire.DeployCmd(int(step.args.get("ip", "1"))))
         fake_frame = struct.pack(">IQ", user.endpoint.session.epoch, 1 << 40) + bytes(12) + forged + bytes(16)
         dev.last_error = None
         user.endpoint.transport.send_record(fake_frame)

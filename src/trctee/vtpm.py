@@ -11,8 +11,11 @@ Simplified parameter layouts for the standard subset, all big-endian:
     PCR_Extend  cmd body = u32 index || digest  resp body = empty
     Hash        cmd body = u16 alg id || data   resp body = u16 size || digest
 
-Extended commands are delegated to pluggable handlers wired up by the
-runtime orchestration; without a handler they answer as failures.
+Extended commands are delegated to two hooks wired up by the runtime
+orchestration: ``update_handler`` runs a key update, and
+``forward_handler`` carries a Deploy_CMD or Invoke_CMD to the TMM as its
+command bytes and returns the TMM's response bytes.  Without a hook they
+answer as failures.
 """
 
 from __future__ import annotations
@@ -172,16 +175,16 @@ class Vtpm:
     instance from several threads must serialize dispatch externally.
     """
 
-    def __init__(self, identity=None, rng: Rng | None = None):
+    def __init__(self, rng: Rng | None = None):
         self.pcrs = PcrBank()
         self.log: list[MeasurementEvent] = []
-        self.identity = identity
         self.msg_counter = 0
         self._rng = rng or Rng()
-        # Extended-command handlers, wired by the runtime layer.
+        # Extended-command hooks, wired by the runtime layer.
         self.update_handler: Callable[[bytes], int] | None = None
-        self.deploy_handler: Callable[[int], tuple[int, bytes]] | None = None
-        self.invoke_handler: Callable[[int, bytes, int], tuple[int, bytes]] | None = None
+        self.forward_handler: (
+            Callable[[wire.DeployCmd | wire.InvokeCmd, bytes], bytes] | None
+        ) = None
 
     # -- core TPM operations ------------------------------------------------
 
@@ -233,16 +236,10 @@ class Vtpm:
             if self.update_handler is not None:
                 rc = self.update_handler(message.challenge)
             return wire.encode(wire.UpdateResp(return_code=rc))
-        if isinstance(message, wire.DeployCmd):
-            rc, bin_hash = 1, bytes(DIGEST_LEN)
-            if self.deploy_handler is not None:
-                rc, bin_hash = self.deploy_handler(message.ip_num)
-            return wire.encode(wire.DeployResp(bin_hash=bin_hash, response_code=rc))
-        if isinstance(message, wire.InvokeCmd):
-            rc, output = 1, b""
-            if self.invoke_handler is not None:
-                rc, output = self.invoke_handler(message.ip_num, message.input, message.flag)
-            return wire.encode(wire.InvokeResp(output=output, response_code=rc))
+        if isinstance(message, (wire.DeployCmd, wire.InvokeCmd)):
+            if self.forward_handler is None:
+                return wire.encode(wire.failure_response(message))
+            return self.forward_handler(message, command)
         return self._dispatch_standard(message)
 
     def _dispatch_standard(self, message: wire.StandardCmd) -> bytes:

@@ -208,6 +208,13 @@ TpmMessage = (
 )
 
 
+def failure_response(command: DeployCmd | InvokeCmd) -> DeployResp | InvokeResp:
+    """The response code 1 answer to a deploy or invoke command."""
+    if isinstance(command, DeployCmd):
+        return DeployResp(bin_hash=bytes(BIN_HASH_LEN), response_code=1)
+    return InvokeResp(output=b"", response_code=1)
+
+
 def _frame(tag: int, code: int, body: bytes) -> bytes:
     total = HEADER_LEN + len(body)
     if total > MAX_TOTAL_LEN:

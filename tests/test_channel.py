@@ -125,7 +125,6 @@ def run_handshake(bundle, crps, device_puf, pk_ttp, rng, device_id="dev1"):
     initiator = channel.VtpmHandshake(
         sk_tpm=bundle.sk_tpm,
         cert=bundle.cert,
-        pk_ttp=pk_ttp,
         device_id=device_id,
         crp_store=crps,
         rng=rng.child("hs-user"),
@@ -170,7 +169,6 @@ class TestHandshake:
         initiator = channel.VtpmHandshake(
             sk_tpm=bundle.sk_tpm,
             cert=bad_cert,
-            pk_ttp=service.pk_ttp,
             device_id="dev1",
             crp_store=crps,
             rng=rng.child("hs-user"),
@@ -189,7 +187,6 @@ class TestHandshake:
         initiator = channel.VtpmHandshake(
             sk_tpm=bundle.sk_tpm,  # honest key, mallory's cert
             cert=other.cert,
-            pk_ttp=service.pk_ttp,
             device_id="dev1",
             crp_store=crps,
             rng=rng.child("hs-user"),
@@ -208,7 +205,6 @@ class TestHandshake:
         initiator = channel.VtpmHandshake(
             sk_tpm=bundle.sk_tpm,
             cert=bundle.cert,
-            pk_ttp=service.pk_ttp,
             device_id="dev1",
             crp_store=crps,
             rng=rng.child("hs-user"),
@@ -228,7 +224,6 @@ class TestHandshake:
         initiator = channel.VtpmHandshake(
             sk_tpm=bundle.sk_tpm,
             cert=bundle.cert,
-            pk_ttp=service.pk_ttp,
             device_id="dev1",
             crp_store=crps,
             rng=rng.child("hs-user"),
@@ -246,7 +241,6 @@ class TestHandshake:
         initiator = channel.VtpmHandshake(
             sk_tpm=bundle.sk_tpm,
             cert=bundle.cert,
-            pk_ttp=service.pk_ttp,
             device_id="dev1",
             crp_store=crps,
             rng=rng.child("hs-user"),

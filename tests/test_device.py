@@ -1,10 +1,11 @@
 import hashlib
 import random
+import struct
 
 import pytest
 
 from oracles import brute_matmul8, pcr_chain
-from trctee import channel, device, puf
+from trctee import channel, device, messages, transport, wire
 from trctee.crypto import Rng
 
 
@@ -149,14 +150,14 @@ class TestFileStore:
 
     def test_unsafe_names_rejected(self, tmp_path):
         store = device.FileStore(root=str(tmp_path / "blobs"))
-        with pytest.raises(ValueError):
-            store.put("../escape", b"x")
+        for name in ("../escape", ".", ".."):
+            with pytest.raises(ValueError):
+                store.put(name, b"x")
 
 
 def make_tmm_with_session():
     rng = Rng(80)
-    puf_device = puf.PufDevice(rng.child("puf").bytes(32))
-    tmm = device.Tmm(puf_device, device.FileStore(), rng.child("tmm"))
+    tmm = device.Tmm(device.FileStore())
     key = rng.child("sess").bytes(32)
     session = channel.SessionState(sess_key=key, peer_role=channel.Role.VTPM, enforce_rekey=False)
 
@@ -273,9 +274,16 @@ class TestPrivilegeIsolation:
         assert all(not isinstance(v, (bytes, bytearray)) for v in state.values())
 
     def test_agent_forward_is_identity(self):
-        agent = device.TpmAgent(None)
-        record = Rng(90).bytes(100)
-        assert agent.forward(record) == record
+        device_side, peer = transport.pipe_pair()
+        agent = device.TpmAgent(device_side)
+        outbound, inbound = Rng(90).bytes(100), Rng(91).bytes(100)
+        agent.send_record(outbound)
+        assert peer.recv_record(timeout=1.0) == outbound
+        peer.send_record(inbound)
+        assert agent.recv_record(timeout=1.0) == inbound
+        agent.close()
+        with pytest.raises(transport.TransportClosed):
+            peer.recv_record(timeout=1.0)
 
     def test_file_store_surface_has_no_privileged_capability(self):
         store = device.FileStore()
@@ -295,3 +303,26 @@ class TestPrivilegeIsolation:
         for obj in (agent, store):
             for value in vars(obj).values():
                 assert not isinstance(value, (device.ConfigMemory, device.Tmm))
+
+
+class TestSessionSurvivesBadPayloads:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            bytes([messages.STORE_BLOB]) + struct.pack(">H", 1) + b"\xff" + b"blob",
+            messages.encode_store_blob("../x", b"blob"),
+            wire.encode(wire.UpdateCmd(challenge=bytes(4))),
+            b"\x80\x01",
+        ],
+        ids=["non-utf8-name", "traversal-name", "tpm-update-cmd", "truncated-tpm"],
+    )
+    def test_invoke_after_rejected_payload(self, connected, payload):
+        user, dev = connected.user, connected.device
+        params = bytes(range(16))
+        ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=params))
+        user.user_deploy(ticket)
+        user.endpoint.send(payload)  # dropped unanswered
+        output, _ = user.user_invoke(1, bytes(16))
+        assert output == params
+        assert isinstance(dev.last_error, (messages.MessageError, wire.WireError))
+        assert connected.thread.is_alive()

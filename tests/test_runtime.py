@@ -4,7 +4,7 @@ import pytest
 
 from conftest import build_world, connect_world
 from oracles import pcr_chain
-from trctee import channel, device, runtime, vtpm, wire
+from trctee import channel, device, runtime, transport, vtpm, wire
 from trctee.crypto import Rng
 
 
@@ -261,3 +261,51 @@ class TestHistoryPersistence:
         user.history.save(path)
         loaded = runtime.ExpectedHistory.load(path)
         assert loaded == user.history
+
+
+class TestTmmSeesCommandBytes:
+    """Deploy and invoke cross the channel as the vTPM's own TPM bytes."""
+
+    @pytest.fixture
+    def traced(self, world, monkeypatch):
+        opened, sealed = [], []
+        real_open, real_seal = channel.open_frame, channel.seal
+
+        def open_frame(session, frame):
+            plaintext = real_open(session, frame)
+            if session.my_role is channel.Role.TMM:
+                opened.append(plaintext)
+            return plaintext
+
+        def seal(session, plaintext, **kwargs):
+            if session.my_role is channel.Role.TMM:
+                sealed.append(plaintext)
+            return real_seal(session, plaintext, **kwargs)
+
+        monkeypatch.setattr(channel, "open_frame", open_frame)
+        monkeypatch.setattr(channel, "seal", seal)
+        world.device.boot()
+        user_side, device_side = transport.pipe_pair()
+        records = []
+        world.thread = device.serve_in_thread(world.device, device_side)
+        world.user.connect(transport.RecordingTransport(user_side, records))
+        return world.user, opened, sealed, records
+
+    def _check(self, user, opened, sealed, records, command):
+        response = user.vtpm.dispatch(command)
+        assert opened[-1] == command
+        assert response == sealed[-1]
+        request = [record for label, record in records if label == "sent"][-1]
+        assert len(request) == len(command) + channel.FRAME_OVERHEAD
+        return response
+
+    def test_deploy_and_invoke_forwarded_verbatim(self, traced):
+        user, opened, sealed, records = traced
+        params = bytes(range(16))
+        user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=params))
+        deploy = wire.encode(wire.DeployCmd(ip_num=1))
+        response = self._check(user, opened, sealed, records, deploy)
+        assert len(response) == wire.DEPLOY_RESP_LEN
+        invoke = wire.encode(wire.InvokeCmd(ip_num=1, input=bytes(16)))
+        response = self._check(user, opened, sealed, records, invoke)
+        assert wire.decode_response(response, wire.CC_INVOKE).output == params

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,23 @@ class TestAdversaries:
         assert report.exit_code == 0, report.text()
         assert report.results[-1].outcome == last_outcome
 
+    @pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
+    def test_swapped_cert_aborts_handshake_at_once(self, tcp):
+        class TimedRunner(scenario.ScenarioRunner):
+            def _step_handshake(self, step):
+                start = time.perf_counter()
+                try:
+                    return super()._step_handshake(step)
+                finally:
+                    self.handshake_s = time.perf_counter() - start
+
+        scn = scenario.load_scenario(str(SCENARIOS / "adversary_swap_cert.txt"))
+        runner = TimedRunner(scn, seed=5, tcp=tcp, recv_timeout=2.0)
+        report = runner.run()
+        assert report.exit_code == 0, report.text()
+        assert report.results[-1].outcome == "bad-cert"
+        assert runner.handshake_s < 0.5
+
     def test_tamper_component_leaves_other_registers_verified(self):
         report = run_file("adversary_tamper_component.txt")
         assert report.verifier_report.mismatched_indices() == [4]
@@ -125,10 +143,12 @@ class TestDeterminismAndTransport:
         second = run_file("baseline.txt", seed=6, timeout=2.0)
         assert first.frame_transcript != second.frame_transcript
 
-    def test_tcp_loopback_matches_in_process(self):
-        inproc = run_file("baseline.txt", timeout=2.0)
-        over_tcp = run_file("baseline.txt", tcp=True, timeout=2.0)
-        assert over_tcp.exit_code == 0
+    @pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.txt")))
+    def test_tcp_loopback_matches_in_process(self, name):
+        inproc = run_file(name)
+        over_tcp = run_file(name, tcp=True)
+        assert inproc.exit_code == 0, inproc.text()
+        assert over_tcp.exit_code == 0, over_tcp.text()
         assert inproc.frame_transcript == over_tcp.frame_transcript
 
     def test_no_plaintext_on_the_wire(self):

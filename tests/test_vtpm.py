@@ -205,14 +205,15 @@ class TestDispatch:
 
     def test_deploy_handler_wiring(self, engine):
         calls = []
+        answer = wire.encode(wire.DeployResp(bin_hash=bytes(range(48))))
 
-        def handler(ip_num):
-            calls.append(ip_num)
-            return 0, bytes(range(48))
+        def handler(message, raw):
+            calls.append((message, raw))
+            return answer
 
-        engine.deploy_handler = handler
-        resp = wire.decode_response(
-            engine.dispatch(wire.encode(wire.DeployCmd(5))), wire.CC_DEPLOY
-        )
-        assert calls == [5]
-        assert resp.bin_hash == bytes(range(48)) and resp.response_code == 0
+        engine.forward_handler = handler
+        deploy = wire.encode(wire.DeployCmd(5))
+        invoke = wire.encode(wire.InvokeCmd(ip_num=2, input=b"abc", flag=0))
+        assert engine.dispatch(deploy) == answer
+        assert engine.dispatch(invoke) == answer
+        assert calls == [(wire.DeployCmd(5), deploy), (wire.InvokeCmd(2, b"abc", 0), invoke)]
