@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import device, puf, runtime, scenario, transport, ttp
+from . import channel, device, puf, runtime, scenario, transport, ttp, wire
 from .crypto import Rng
 
 USER_HEADER = "trctee-user v1"
@@ -213,8 +213,9 @@ def cmd_serve(args) -> int:
         dev.serve(conn)
     finally:
         server.close()
-    if dev.last_error is not None:
-        print(f"session ended with {type(dev.last_error).__name__}: {dev.last_error}")
+    error = dev.trace.first_error()
+    if error is not None:
+        print(f"session ended with {type(error).__name__}: {error}")
         return 1
     print("session ended")
     return 0
@@ -223,6 +224,17 @@ def cmd_serve(args) -> int:
 def cmd_connect(args) -> int:
     root = _store_dir(args)
     user = _load_user_node(root, args.user, args)
+    try:
+        return _baseline_flow(user, root, args)
+    except (channel.ChannelError, transport.TransportError, wire.WireError,
+            runtime.OrchestrationError, puf.CrpExhausted) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        user.close()
+
+
+def _baseline_flow(user: runtime.UserNode, root: str, args) -> int:
     host, port = _parse_addr(args.addr)
     conn = transport.connect(host, port)
     user.connect(conn)
@@ -249,7 +261,6 @@ def cmd_connect(args) -> int:
     user.history.save(os.path.join(root, f"history_{args.user}.txt"))
     print(f"event log exported to {log_path}")
     print(report.text(), end="")
-    user.close()
     return 0 if report.all_verified and verdict == "Verified" and roundtrip == "ok" else 1
 
 

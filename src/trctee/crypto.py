@@ -69,12 +69,6 @@ class Rng:
             out.extend(block)
         return bytes(out[:n])
 
-    def randint(self, upper: int) -> int:
-        """Uniform-ish integer in [0, upper); fine for simulation choices."""
-        if upper <= 0:
-            raise ValueError("upper bound must be positive")
-        return int.from_bytes(self.bytes(8), "big") % upper
-
     def child(self, label: str) -> "Rng":
         """Derive an independent generator, e.g. one per protocol endpoint."""
         rng = Rng(b"")

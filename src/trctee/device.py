@@ -30,6 +30,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from . import channel, messages, wire
 from .crypto import Rng, sha384, sha3_384
 from .puf import PufDevice
+from .trace import Trace
 
 BOOT_COMPONENTS = (
     "fsbl",
@@ -349,6 +350,7 @@ class FpgaSocDevice:
         file_store: FileStore | None = None,
         rekey_threshold: int = channel.DEFAULT_REKEY_THRESHOLD,
         recv_timeout: float | None = 5.0,
+        trace: Trace | None = None,
     ):
         self.device_id = device_id
         self.puf = puf
@@ -357,10 +359,10 @@ class FpgaSocDevice:
         self.file_store = file_store or FileStore()
         self.rekey_threshold = rekey_threshold
         self.recv_timeout = recv_timeout
+        self.trace = trace or Trace()
         self.tmm = Tmm(self.file_store)
         self.booted = False
         self._pending_measurements: list[tuple[int, str, bytes]] = []
-        self.last_error: Exception | None = None
         self.agent: TpmAgent | None = None
 
     @property
@@ -379,10 +381,8 @@ class FpgaSocDevice:
         self.agent = TpmAgent(transport)
         try:
             self._serve(self.agent)
-        except channel.Timeout:
-            self.last_error = channel.Timeout("session receive timed out")
         except Exception as exc:  # endpoint loop must not kill the thread silently
-            self.last_error = exc
+            self.trace.emit("device", "error", exc)
 
     def _serve(self, agent: TpmAgent) -> None:
         from . import transport as _transport
@@ -403,7 +403,7 @@ class FpgaSocDevice:
                 reply = handshake.on_message(record)
             except channel.ChannelError as exc:
                 # Close so the vTPM learns of the abort at once, not by timeout.
-                self.last_error = exc
+                self.trace.emit("device", "error", exc)
                 agent.close()
                 return
             if reply is not None:
@@ -428,13 +428,12 @@ class FpgaSocDevice:
                 payload = channel.open_frame(endpoint.session, record)
             except channel.ChannelError as exc:
                 # Unauthenticated traffic is dropped, never answered.
-                self.last_error = exc
+                self.trace.emit("device", "error", exc)
                 continue
             try:
                 self._handle(endpoint, payload)
             except (channel.ChannelError, messages.MessageError, wire.WireError) as exc:
-                self.last_error = exc
-                continue
+                self.trace.emit("device", "error", exc)
 
     def _handle(self, endpoint: channel.ChannelEndpoint, payload: bytes) -> None:
         kind = messages.kind_of(payload)
@@ -443,6 +442,7 @@ class FpgaSocDevice:
             return
         if kind == messages.UPDATE_REQ:
             channel.respond_update(endpoint, payload, self.puf)
+            self.trace.emit("device", "rekey")
             return
         if kind == messages.STORE_BLOB:
             name, blob = messages.decode_store_blob(payload)
@@ -461,7 +461,7 @@ class FpgaSocDevice:
                     output=self.tmm.invoke(command.ip_num, command.input, command.flag)
                 )
         except (DeviceError, channel.AuthFailure) as exc:
-            self.last_error = exc
+            self.trace.emit("device", "error", exc)
             return wire.failure_response(command)
         raise messages.MessageError(
             f"the TMM does not execute {type(command).__name__} commands"

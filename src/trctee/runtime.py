@@ -21,6 +21,7 @@ import struct
 from dataclasses import dataclass, field
 
 from . import channel, device, messages, vtpm, wire
+from .trace import Trace
 from . import transport as _transport
 from .crypto import Rng, sha384, sha3_384
 from .puf import CrpExhausted, CrpStore
@@ -184,6 +185,7 @@ class UserNode:
         rekey_threshold: int = channel.DEFAULT_REKEY_THRESHOLD,
         auto_rekey: bool = True,
         recv_timeout: float | None = 5.0,
+        trace: Trace | None = None,
     ):
         self.bundle = bundle
         self.device_id = device_id
@@ -193,6 +195,7 @@ class UserNode:
         self.rekey_threshold = rekey_threshold
         self.auto_rekey = auto_rekey
         self.recv_timeout = recv_timeout
+        self.trace = trace or Trace()
         self.vtpm = vtpm.Vtpm(rng=self.rng.child("vtpm-drbg"))
         self.vtpm.update_handler = self._handle_update
         self.vtpm.forward_handler = self._forward_to_tmm
@@ -201,7 +204,6 @@ class UserNode:
         self.history = ExpectedHistory()
         self.handshakes_done = 0
         self.updates_done = 0
-        self.last_error: Exception | None = None
 
     # -- session establishment -------------------------------------------------
 
@@ -280,7 +282,7 @@ class UserNode:
         try:
             endpoint = self._require_session()
         except NoSession as exc:
-            self.last_error = exc
+            self.trace.emit("user", "error", exc)
             return wire.encode(wire.failure_response(command))
         ip_num = command.ip_num
         invoke = isinstance(command, wire.InvokeCmd)
@@ -294,7 +296,7 @@ class UserNode:
             reply = endpoint.request(raw)
             response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
         except (channel.ChannelError, wire.WireError) as exc:
-            self.last_error = exc
+            self.trace.emit("user", "error", exc)
             return wire.encode(wire.failure_response(command))
         if response.response_code != 0:
             return reply
@@ -321,11 +323,12 @@ class UserNode:
     ) -> tuple[bytes, InvocationRecord]:
         """Issue Invoke_CMD and build the verification record from the log."""
         command = wire.encode(wire.InvokeCmd(ip_num=ip_num, input=data, flag=flag))
+        mark = len(self.trace.events)
         response = wire.decode_response(self.vtpm.dispatch(command), wire.CC_INVOKE)
         if response.response_code != 0:
+            cause = self.trace.first_error(mark)
             raise OrchestrationError(
-                f"invocation of IP {ip_num} failed"
-                + (f": {self.last_error}" if self.last_error else "")
+                f"invocation of IP {ip_num} failed" + (f": {cause}" if cause else "")
             )
         input_digest = sha384(data)
         output_digest = sha384(response.output)
@@ -365,14 +368,14 @@ class UserNode:
             endpoint = self._require_session()
             record = self.crp_store.take(challenge)
         except (NoSession, CrpExhausted) as exc:
-            self.last_error = exc
+            self.trace.emit("user", "error", exc)
             return 1
         try:
             channel.initiate_update(
                 endpoint, record.challenge, record.response, self.vtpm.pcrs.state_hash()
             )
         except channel.ChannelError as exc:
-            self.last_error = exc
+            self.trace.emit("user", "error", exc)
             return 1
         self.updates_done += 1
         return 0

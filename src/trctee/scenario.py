@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import struct
 import threading
-import time
 from dataclasses import dataclass, field
 
 from . import channel, device, puf, runtime, transport, ttp, wire
 from .crypto import Rng
+from .trace import Trace
 
 SCENARIO_HEADER = "trctee-scenario v1"
 
@@ -82,6 +82,10 @@ class ParseError(Exception):
 
 class ExpectationFailed(Exception):
     pass
+
+
+class OperationFailed(Exception):
+    """An operation answered failure; its cause is the step's first traced error."""
 
 
 @dataclass(frozen=True)
@@ -222,6 +226,7 @@ class ScenarioRunner:
         self.user: runtime.UserNode | None = None
         self.tap: transport.AdversaryTap | None = None
         self.report = RunReport()
+        self.trace = Trace()
         self._device_thread = None
         self._server_socket = None
 
@@ -282,13 +287,16 @@ class ScenarioRunner:
 
     def _run_step(self, step: Step) -> tuple[str, str]:
         handler = getattr(self, "_step_" + step.name.replace("-", "_"))
+        mark = len(self.trace.events)
         try:
-            detail = handler(step) or ""
-            return "ok", detail
+            return "ok", handler(step) or ""
         except ExpectationFailed as exc:
             return "expectation-failed", str(exc)
         except Exception as exc:
-            return _token_for(exc), str(exc)
+            cause = self.trace.first_error(mark) or exc
+            if isinstance(cause, OperationFailed):
+                return "expectation-failed", f"{cause} without a typed cause"
+            return _token_for(cause), str(cause)
 
     def _step_enroll_device(self, step: Step) -> str:
         device_id = step.args.get("id", "dev1")
@@ -304,6 +312,7 @@ class ScenarioRunner:
             rng=self.master.child(f"device-{device_id}"),
             rekey_threshold=self.rekey_threshold,
             recv_timeout=self.recv_timeout,
+            trace=self.trace,
         )
         return f"device {device_id} enrolled"
 
@@ -330,6 +339,7 @@ class ScenarioRunner:
             rng=self.master.child("user"),
             rekey_threshold=self.rekey_threshold,
             recv_timeout=self.recv_timeout,
+            trace=self.trace,
         )
         return f"user {user_id} provisioned for {dev_id} with {len(crp_slice)} CRPs"
 
@@ -361,15 +371,9 @@ class ScenarioRunner:
             )
         user_transport, device_transport = self._make_transports()
         self._device_thread = device.serve_in_thread(dev, device_transport)
-        try:
-            user.connect(user_transport)
-        except (channel.Timeout, transport.TransportClosed):
-            # The device closes its end on handshake failure; surface its
-            # typed error instead of the bare closed transport.
-            self._device_thread.join(timeout=5.0)
-            if dev.last_error is not None:
-                raise dev.last_error from None
-            raise
+        # On a failed handshake the device traces its typed error before it
+        # closes its end, so the step reports that error, not TransportClosed.
+        user.connect(user_transport)
         return f"session established, epoch {user.endpoint.session.epoch}"
 
     def _step_deploy(self, step: Step) -> str:
@@ -394,10 +398,7 @@ class ScenarioRunner:
                 after = dev.tmm.config_memory.snapshot()
                 if after != before:
                     raise ExpectationFailed("config memory changed on a failed deploy")
-            cause = user.last_error or dev.last_error
-            if cause is not None:
-                raise cause
-            raise ExpectationFailed("deploy failed without a typed cause")
+            raise OperationFailed("deploy failed")
         self._ticket = ticket
         return f"ip {ip_num} deployed, hash {response.bin_hash.hex()[:16]}..., {verdict}"
 
@@ -408,15 +409,7 @@ class ScenarioRunner:
         flag = int(step.args.get("flag", "0"))
         if step.adversary in ("tamper-frame", "replay-frame", "drop-frame"):
             self.tap.arm(step.adversary.split("-")[0])
-        try:
-            output, record = user.user_invoke(ip_num, data, flag)
-        except runtime.OrchestrationError:
-            if user.last_error is not None:
-                raise user.last_error from None
-            dev = self._require(self.device, "device")
-            if dev.last_error is not None:
-                raise dev.last_error from None
-            raise
+        output, record = user.user_invoke(ip_num, data, flag)
         expected = step.args.get("expect-output")
         if expected is not None and output != _decode_bytes(expected):
             raise ExpectationFailed(
@@ -437,10 +430,7 @@ class ScenarioRunner:
         if rc != 0:
             if user.endpoint.session.epoch != epoch_before:
                 raise ExpectationFailed("epoch changed on a failed key update")
-            cause = user.last_error
-            if cause is not None:
-                raise cause
-            raise ExpectationFailed("key update failed without a typed cause")
+            raise OperationFailed("key update failed")
         return f"key updated, epoch {user.endpoint.session.epoch}"
 
     def _step_agent_deploy(self, step: Step) -> str:
@@ -458,17 +448,12 @@ class ScenarioRunner:
         # as if it were sealed.  The TMM must reject it unopened.
         forged = wire.encode(wire.DeployCmd(int(step.args.get("ip", "1"))))
         fake_frame = struct.pack(">IQ", user.endpoint.session.epoch, 1 << 40) + bytes(12) + forged + bytes(16)
-        dev.last_error = None
+        mark = len(self.trace.events)
         user.endpoint.transport.send_record(fake_frame)
-        deadline = 20
-        while dev.last_error is None and deadline > 0:
-            time.sleep(0.05)
-            deadline -= 1
+        self.trace.first_error(mark, timeout=1.0)
         if dev.tmm.config_memory.snapshot() != before:
             raise ExpectationFailed("config memory changed from an agent-forged request")
-        if dev.last_error is not None:
-            raise dev.last_error
-        raise ExpectationFailed("forged request produced no typed failure")
+        raise OperationFailed("forged request")
 
     def _step_verify(self, step: Step) -> str:
         user = self._require(self.user, "user node")

@@ -178,7 +178,6 @@ class Vtpm:
     def __init__(self, rng: Rng | None = None):
         self.pcrs = PcrBank()
         self.log: list[MeasurementEvent] = []
-        self.msg_counter = 0
         self._rng = rng or Rng()
         # Extended-command hooks, wired by the runtime layer.
         self.update_handler: Callable[[bytes], int] | None = None
@@ -214,10 +213,6 @@ class Vtpm:
     def hash(self, data: bytes, alg: str) -> bytes:
         return hash_data(data, alg)
 
-    def measure(self, data: bytes, pcr_index: int, kind: EventKind, label: str) -> bytes:
-        """Measure = SHA-384 the data, then extend the digest."""
-        return self.pcr_extend(pcr_index, sha384(data), kind, label)
-
     def export_log(self) -> str:
         return export_log(self.log)
 
@@ -225,7 +220,6 @@ class Vtpm:
 
     def dispatch(self, command: bytes) -> bytes:
         """Decode, execute, and answer one command; never raises on bad input."""
-        self.msg_counter += 1
         try:
             message = wire.decode(command)
         except wire.WireError:

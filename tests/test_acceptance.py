@@ -150,12 +150,8 @@ class TestAcceptance:
         assert user.update_key(challenge) == 0
 
         # The device applies the final confirmation in its service thread;
-        # wait for its switch before comparing endpoints byte-for-byte.
-        import time
-
-        deadline = time.time() + 2.0
-        while dev.tmm.endpoint.session.epoch == 0 and time.time() < deadline:
-            time.sleep(0.01)
+        # wait for its traced switch before comparing endpoints byte-for-byte.
+        assert dev.trace.first("rekey", timeout=2.0) is not None
         assert user.endpoint.session.sess_key == dev.tmm.endpoint.session.sess_key
         # The derived key equals an independent extract-then-expand run.
         expected = reference_hkdf(

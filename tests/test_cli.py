@@ -96,20 +96,21 @@ class TestServeConnectVerify:
 
         import time
 
+        # Retry while the server is not yet listening.
         deadline = time.time() + 5
-        rc = None
+        rc, out = None, ""
         while time.time() < deadline:
-            try:
-                rc = run_cli(
-                    "--store", store, "--seed", "4",
-                    "connect", "--addr", f"127.0.0.1:{port}", "--user", "alice",
-                )
+            rc = run_cli(
+                "--store", store, "--seed", "4",
+                "connect", "--addr", f"127.0.0.1:{port}", "--user", "alice",
+            )
+            captured = capsys.readouterr()
+            out += captured.out
+            if "ConnectError" not in captured.err:
                 break
-            except Exception:
-                time.sleep(0.1)
+            time.sleep(0.1)
         server.join(timeout=10)
         assert rc == 0
-        out = capsys.readouterr().out
         assert "xor round-trip ok" in out
         assert "overall: VERIFIED" in out
 
@@ -117,6 +118,19 @@ class TestServeConnectVerify:
         log_path = Path(store) / "eventlog_alice.txt"
         assert log_path.exists()
         assert run_cli("--store", store, "verify", str(log_path), "--user", "alice") == 0
+
+    def test_connect_without_listener_is_a_typed_error(self, store, capsys):
+        run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1")
+        run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice")
+        run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1")
+        capsys.readouterr()
+        rc = run_cli(
+            "--store", store, "connect", "--addr", f"127.0.0.1:{free_port()}", "--user", "alice"
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ConnectError: ")
+        assert "Traceback" not in err
 
     def test_verify_detects_forged_log(self, store, capsys):
         run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1")

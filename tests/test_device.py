@@ -324,5 +324,5 @@ class TestSessionSurvivesBadPayloads:
         user.endpoint.send(payload)  # dropped unanswered
         output, _ = user.user_invoke(1, bytes(16))
         assert output == params
-        assert isinstance(dev.last_error, (messages.MessageError, wire.WireError))
+        assert isinstance(dev.trace.first_error(), (messages.MessageError, wire.WireError))
         assert connected.thread.is_alive()

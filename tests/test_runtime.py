@@ -66,7 +66,7 @@ class TestDeploy:
         dev.file_store.put(ticket.blob_name, blob[:-1] + bytes([blob[-1] ^ 1]))
         response, verdict = user.user_deploy(ticket)
         assert response.response_code == 1 and verdict == "Mismatch"
-        assert isinstance(dev.last_error, channel.AuthFailure)
+        assert isinstance(dev.trace.first_error(), channel.AuthFailure)
         assert dev.tmm.config_memory.snapshot() == {}
         assert user.vtpm.pcr_read(8) == bytes(48)
 
@@ -130,7 +130,7 @@ class TestInvoke:
     def test_invoke_undeployed_surfaces_failure(self, connected):
         with pytest.raises(runtime.OrchestrationError):
             connected.user.user_invoke(7, b"x" * 16)
-        assert isinstance(connected.device.last_error, device.NotDeployed)
+        assert isinstance(connected.device.trace.first_error(), device.NotDeployed)
         # Input was measured, output was not: an honest partial state.
         kinds = [e.kind for e in connected.user.vtpm.log]
         assert vtpm.EventKind.IP_INPUT in kinds

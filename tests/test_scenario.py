@@ -112,6 +112,23 @@ class TestAdversaries:
         assert report.results[-1].outcome == "bad-cert"
         assert runner.handshake_s < 0.5
 
+    @pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
+    def test_failed_step_is_not_blamed_on_an_earlier_error(self, tcp):
+        # The reuse-crp step leaves a traced crp-exhausted behind; the deploy
+        # that follows must report its own cause.
+        text = (
+            "trctee-scenario v1\nenroll-device id=dev1\nenroll-vtpm user=alice\n"
+            "provision user=alice device=dev1\nboot\nhandshake\n"
+            "update-key adversary=reuse-crp expect=crp-exhausted\n"
+            "deploy ip=1 kernel=xor params=hex:000102030405060708090a0b0c0d0e0f"
+            " adversary=tamper-bitstream expect=auth-failure\n"
+        )
+        report = scenario.ScenarioRunner(
+            scenario.parse_scenario(text), seed=5, tcp=tcp, recv_timeout=0.6
+        ).run()
+        assert report.exit_code == 0, report.text()
+        assert [r.outcome for r in report.results[-2:]] == ["crp-exhausted", "auth-failure"]
+
     def test_tamper_component_leaves_other_registers_verified(self):
         report = run_file("adversary_tamper_component.txt")
         assert report.verifier_report.mismatched_indices() == [4]

@@ -192,11 +192,6 @@ class TestDispatch:
         assert deploy.response_code == 1 and deploy.bin_hash == bytes(48)
         assert len(wire.encode(deploy)) == 58
 
-    def test_msg_counter_increments(self, engine):
-        engine.dispatch(_standard(wire.CC_GET_RANDOM, struct.pack(">H", 8)))
-        engine.dispatch(b"junk")
-        assert engine.msg_counter == 2
-
     @given(data=st.binary(max_size=64))
     def test_dispatch_totality(self, data):
         engine = vtpm.Vtpm(rng=Rng(1))
