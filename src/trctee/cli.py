@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import channel, device, puf, runtime, scenario, transport, ttp, wire
+from . import channel, device, puf, runtime, scenario, transport, ttp, vtpm, wire
 from .crypto import Rng
 
 USER_HEADER = "trctee-user v1"
@@ -254,10 +254,12 @@ def _baseline_flow(user: runtime.UserNode, root: str, args) -> int:
     print(f"invoke ip=1 again -> xor round-trip {roundtrip} ({record2.verdict})")
     rc = user.update_key()
     print(f"update-key rc={rc}, epoch {user.endpoint.session.epoch}")
-    report = user.verify()
+    # Export once: the file written is exactly the text that was verified.
+    log_text = user.export_log()
+    report = runtime.verify_attestation(log_text, user.golden_manifest, user.history)
     log_path = os.path.join(root, f"eventlog_{args.user}.txt")
-    with open(log_path, "w", encoding="ascii") as fh:
-        fh.write(user.export_log())
+    with open(log_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(log_text)
     user.history.save(os.path.join(root, f"history_{args.user}.txt"))
     print(f"event log exported to {log_path}")
     print(report.text(), end="")
@@ -279,9 +281,13 @@ def cmd_verify(args) -> int:
         if os.path.exists(history_path)
         else runtime.ExpectedHistory()
     )
-    with open(args.log, encoding="ascii") as fh:
-        log_text = fh.read()
-    report = runtime.verify_attestation(log_text, manifest, history)
+    try:
+        with open(args.log, encoding="utf-8", newline="") as fh:
+            log_text = fh.read()
+        report = runtime.verify_attestation(log_text, manifest, history)
+    except (UnicodeDecodeError, vtpm.LogFormatError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print(report.machine_lines(), end="")
     print(report.text(), end="")
     return 0 if report.all_verified else 1

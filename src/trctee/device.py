@@ -75,14 +75,15 @@ class KernelFault(DeviceError):
 def _kernel_xor(params: bytes, data: bytes) -> bytes:
     if len(data) != len(params):
         raise KernelFault(f"xor kernel needs input of {len(params)} bytes, got {len(data)}")
-    return bytes(a ^ b for a, b in zip(data, params))
+    xored = int.from_bytes(data, "big") ^ int.from_bytes(params, "big")
+    return xored.to_bytes(len(data), "big")
 
 
 def _kernel_add_const(params: bytes, data: bytes) -> bytes:
     if len(params) < 1:
         raise KernelFault("add-constant kernel needs a 1-byte constant parameter")
     constant = params[0]
-    return bytes((b + constant) & 0xFF for b in data)
+    return data.translate(bytes(range(constant, 256)) + bytes(range(constant)))
 
 
 def _kernel_matmul8(params: bytes, data: bytes) -> bytes:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -64,6 +65,10 @@ class UnsupportedAlg(VtpmError):
     pass
 
 
+class LogFormatError(VtpmError):
+    """An exported event log that does not parse into a contiguous event list."""
+
+
 class EventKind(Enum):
     BOOT_COMPONENT = "BootComponent"
     IP_DEPLOY = "IpDeploy"
@@ -72,7 +77,7 @@ class EventKind(Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementEvent:
     seq: int
     pcr_index: int
@@ -141,31 +146,62 @@ def replay_log(events: Iterable[MeasurementEvent]) -> PcrBank:
 
 
 def export_log(events: Iterable[MeasurementEvent]) -> str:
-    """Line format: ``seq, pcr_index, kind, label, hex(digest)``."""
-    lines = []
-    for e in events:
-        lines.append(f"{e.seq}, {e.pcr_index}, {e.kind.value}, {e.label}, {e.digest.hex()}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Line format: ``seq, pcr_index, kind, label, hex(digest)``, one per line."""
+    return "".join(
+        f"{e.seq}, {e.pcr_index}, {e.kind.value}, {e.label}, {e.digest.hex()}\n" for e in events
+    )
+
+
+_KINDS = {kind.value: kind for kind in EventKind}
+_PCR_INDICES = {str(index): index for index in range(PCR_COUNT)}
 
 
 def parse_log(text: str) -> list[MeasurementEvent]:
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        seq_s, idx_s, kind_s, rest = line.split(", ", 3)
-        label, digest_hex = rest.rsplit(", ", 1)
-        events.append(
-            MeasurementEvent(
-                seq=int(seq_s),
-                pcr_index=int(idx_s),
-                digest=bytes.fromhex(digest_hex),
-                kind=EventKind(kind_s),
-                label=label,
-            )
-        )
+    r"""Inverse of :func:`export_log`; raises :class:`LogFormatError` on any bad line.
+
+    Lines end at ``"\n"`` only, so a label may hold any other line-break
+    character.  Blank lines are skipped; ``seq`` must count up from 0.
+    """
+    events: list[MeasurementEvent] = []
+    start, line_no = 0, 0
+    while start < len(text):
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        line = text[start:stop].strip()
+        start, line_no = stop + 1, line_no + 1
+        if line:
+            try:
+                events.append(_parse_event(line, len(events)))
+            except LogFormatError as exc:
+                raise LogFormatError(f"line {line_no}: {exc}") from None
     return events
+
+
+def _parse_event(line: str, seq: int) -> MeasurementEvent:
+    fields = line.split(", ", 3)
+    label, sep, digest_hex = fields[-1].rpartition(", ")
+    if len(fields) != 4 or not sep:
+        raise LogFormatError("expected 'seq, pcr_index, kind, label, digest'")
+    seq_s, index_s, kind_s, _ = fields
+    if seq_s != str(seq):
+        raise LogFormatError(f"seq {seq_s!r} where {seq} was expected")
+    pcr_index = _PCR_INDICES.get(index_s)
+    if pcr_index is None:
+        raise LogFormatError(f"PCR index {index_s!r} outside 0..{PCR_COUNT - 1}")
+    kind = _KINDS.get(kind_s)
+    if kind is None:
+        raise LogFormatError(f"unknown event kind {kind_s!r}")
+    try:
+        digest = bytes.fromhex(digest_hex)
+    except ValueError:
+        digest = b""
+    if len(digest) != DIGEST_LEN or len(digest_hex) != 2 * DIGEST_LEN:
+        raise LogFormatError(f"digest must be {2 * DIGEST_LEN} hex digits")
+    try:
+        return MeasurementEvent(seq, pcr_index, digest, kind, sys.intern(label))
+    except ValueError as exc:
+        raise LogFormatError(str(exc)) from None
 
 
 class Vtpm:
@@ -197,7 +233,11 @@ class Vtpm:
         value = self.pcrs.extend(index, digest)
         self.log.append(
             MeasurementEvent(
-                seq=len(self.log), pcr_index=index, digest=digest, kind=kind, label=label
+                seq=len(self.log),
+                pcr_index=index,
+                digest=digest,
+                kind=kind,
+                label=sys.intern(label),
             )
         )
         return value

@@ -44,3 +44,14 @@ def brute_matmul8(a: bytes, b: bytes) -> bytes:
                 total = (total + a[i * 8 + k] * b[k * 8 + j]) % 256
             out.append(total)
     return bytes(out)
+
+
+def bytewise_xor(params: bytes, data: bytes) -> bytes:
+    """XOR of two equal-length strings, one byte at a time."""
+    assert len(params) == len(data)
+    return bytes(a ^ b for a, b in zip(data, params))
+
+
+def bytewise_add_const(params: bytes, data: bytes) -> bytes:
+    """Add ``params[0]`` to every byte mod 256, one byte at a time."""
+    return bytes((b + params[0]) % 256 for b in data)

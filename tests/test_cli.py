@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from trctee import cli
+from trctee import cli, vtpm
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -76,7 +76,15 @@ class TestTransportErrors:
 
 
 class TestServeConnectVerify:
-    def test_two_endpoint_session_over_tcp(self, store, capsys):
+    def test_two_endpoint_session_over_tcp(self, store, capsys, monkeypatch):
+        exported = []
+        real_export = vtpm.export_log
+
+        def export_log(events):
+            exported.append(real_export(events))
+            return exported[-1]
+
+        monkeypatch.setattr(vtpm, "export_log", export_log)
         run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1")
         run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice")
         run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1")
@@ -117,6 +125,9 @@ class TestServeConnectVerify:
         # The exported log verifies offline through the verify subcommand.
         log_path = Path(store) / "eventlog_alice.txt"
         assert log_path.exists()
+        # Exported once; the file holds exactly the text that was verified.
+        assert len(exported) == 1
+        assert log_path.read_text(encoding="utf-8") == exported[0]
         assert run_cli("--store", store, "verify", str(log_path), "--user", "alice") == 0
 
     def test_connect_without_listener_is_a_typed_error(self, store, capsys):
@@ -142,3 +153,27 @@ class TestServeConnectVerify:
         rc = run_cli("--store", store, "verify", str(log_path), "--user", "alice")
         assert rc == 1
         assert "Mismatch" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"garbage\n",
+            b"0, 30, Other, x, " + b"ab" * 48 + b"\n",
+            b"0, 0, Other, x, ab\n",
+            b"1, 0, Other, x, " + b"ab" * 48 + b"\n",
+            b"0, 0, Other, \xff, " + b"ab" * 48 + b"\n",
+        ],
+    )
+    def test_verify_malformed_log_is_one_error_line(self, store, capsys, content):
+        run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1")
+        run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice")
+        run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1")
+        capsys.readouterr()
+        log_path = Path(store) / "bad.txt"
+        log_path.write_bytes(content)
+        rc = run_cli("--store", store, "verify", str(log_path), "--user", "alice")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

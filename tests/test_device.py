@@ -3,8 +3,10 @@ import random
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import brute_matmul8, pcr_chain
+from oracles import brute_matmul8, bytewise_add_const, bytewise_xor, pcr_chain
 from trctee import channel, device, messages, transport, wire
 from trctee.crypto import Rng
 
@@ -72,6 +74,31 @@ class TestKernels:
     def test_add_const(self):
         out = device.KERNELS["add_const"](b"\x05", bytes([0, 250, 255]))
         assert out == bytes([5, 255, 4])
+
+    def test_add_const_needs_a_constant(self):
+        with pytest.raises(device.KernelFault):
+            device.KERNELS["add_const"](b"", bytes(4))
+
+    @given(st.binary(max_size=4096), st.integers(0, 2**32 - 1))
+    def test_xor_matches_bytewise_reference(self, data, seed):
+        params = random.Random(seed).randbytes(len(data))
+        assert device.KERNELS["xor"](params, data) == bytewise_xor(params, data)
+
+    @given(st.binary(min_size=1, max_size=4), st.binary(max_size=4096))
+    def test_add_const_matches_bytewise_reference(self, params, data):
+        assert device.KERNELS["add_const"](params, data) == bytewise_add_const(params, data)
+
+    def test_add_const_every_constant_every_byte(self):
+        data = bytes(range(256))
+        for constant in range(256):
+            params = bytes([constant])
+            assert device.KERNELS["add_const"](params, data) == bytewise_add_const(params, data)
+
+    def test_256_kib_matches_bytewise_reference(self):
+        rng = Rng(64)
+        params, data = rng.bytes(256 * 1024), rng.bytes(256 * 1024)
+        assert device.KERNELS["xor"](params, data) == bytewise_xor(params, data)
+        assert device.KERNELS["add_const"](params, data) == bytewise_add_const(params, data)
 
     def test_matmul8_against_brute_force(self):
         rng = random.Random(61)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -250,6 +251,37 @@ class TestVerifier:
             user.export_log(), user.golden_manifest, runtime.ExpectedHistory()
         )
         assert report.mismatched_indices() == [8]
+
+    def test_long_log_verifies_in_bounded_memory(self, connected):
+        # A synthetic 8,000-event session: boot measurements, then input and
+        # output events of one IP, as a long run of invokes leaves them.
+        engine, history = vtpm.Vtpm(rng=Rng(11)), runtime.ExpectedHistory()
+        manifest, ip_num = connected.user.golden_manifest, 1
+        for index, (name, digest) in enumerate(manifest):
+            engine.pcr_extend(index, digest, vtpm.EventKind.BOOT_COMPONENT, name)
+        for n in range((8000 - len(manifest)) // 2):
+            digest = hashlib.sha384(n.to_bytes(4, "big")).digest()
+            engine.pcr_extend(9, digest, vtpm.EventKind.IP_INPUT, f"invoke-ip{ip_num}-input")
+            engine.pcr_extend(10, digest, vtpm.EventKind.IP_OUTPUT, f"invoke-ip{ip_num}-output")
+            history.inputs.append(digest)
+            history.outputs.append(digest)
+        assert len(engine.log) == 8000
+        tracemalloc.start()
+        try:
+            report = runtime.verify_attestation(engine.export_log(), manifest, history)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_verified
+        assert peak < 3.5e6
+        assert not hasattr(engine.log[0], "__dict__")
+
+        user = connected.user
+        deploy_xor(user)
+        user.user_invoke(1, b"G" * 16)
+        user.user_invoke(1, b"H" * 16)
+        inputs = [e for e in user.vtpm.log if e.kind is vtpm.EventKind.IP_INPUT]
+        assert inputs[0].label is inputs[1].label
 
 
 class TestHistoryPersistence:

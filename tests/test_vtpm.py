@@ -3,7 +3,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pcr_chain
@@ -92,6 +92,88 @@ class TestLog:
         engine.pcr_extend(0, digest, vtpm.EventKind.BOOT_COMPONENT, "fsbl")
         line = engine.export_log().strip()
         assert line == f"0, 0, BootComponent, fsbl, {digest.hex()}"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 23),
+                st.sampled_from(vtpm.EventKind),
+                st.text(st.characters(exclude_characters="\n\r", exclude_categories=())),
+                st.binary(min_size=48, max_size=48),
+            ),
+            max_size=8,
+        )
+    )
+    @example([(0, vtpm.EventKind.BOOT_COMPONENT, c, bytes(48)) for c in "\x0b\x1c\x85\u2028"])
+    @example([(5, vtpm.EventKind.OTHER, label, bytes(48)) for label in (" , , ", "")])
+    def test_round_trip_any_accepted_label(self, events):
+        engine = vtpm.Vtpm(rng=Rng(3))
+        for index, kind, label, digest in events:
+            engine.pcr_extend(index, digest, kind, label)
+        assert vtpm.parse_log(engine.export_log()) == engine.log
+
+
+DIGEST_HEX = "ab" * 48
+
+
+class TestParseLogIsTotal:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "garbage\n",
+            "0, 0, BootComponent\n",
+            f"0, 0, Boot, fsbl, {DIGEST_HEX}\n",
+            f"0, 24, Other, x, {DIGEST_HEX}\n",
+            f"0, 30, Other, x, {DIGEST_HEX}\n",
+            f"0, -1, Other, x, {DIGEST_HEX}\n",
+            "0, 0, Other, x, ab\n",
+            f"0, 0, Other, x, {DIGEST_HEX}ab\n",
+            f"0, 0, Other, x, {'zz' * 48}\n",
+            f"0, 0, Other, x, {'ab ' * 32}\n",
+            f"1, 0, Other, x, {DIGEST_HEX}\n",
+            f"0, 0, Other, x, {DIGEST_HEX}\n2, 0, Other, x, {DIGEST_HEX}\n",
+            f"0, 0, Other, x, {DIGEST_HEX}\n0, 0, Other, x, {DIGEST_HEX}\n",
+            f"0, 0, Other, a\rb, {DIGEST_HEX}\n",
+        ],
+    )
+    def test_bad_line_is_a_log_format_error(self, text):
+        with pytest.raises(vtpm.LogFormatError):
+            vtpm.parse_log(text)
+
+    def test_error_names_the_line(self):
+        text = f"0, 0, Other, x, {DIGEST_HEX}\n\n1, 0, Other, x, ab\n"
+        with pytest.raises(vtpm.LogFormatError, match="^line 3: "):
+            vtpm.parse_log(text)
+
+    def test_blank_lines_and_crlf_tolerated(self):
+        text = f"\n0, 0, Other, x, {DIGEST_HEX}\r\n  \n1, 3, IpInput, y, {DIGEST_HEX}"
+        assert [(e.seq, e.pcr_index, e.label) for e in vtpm.parse_log(text)] == [
+            (0, 0, "x"),
+            (1, 3, "y"),
+        ]
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.text(),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["0", "1", "00", "+0", " 0", "-1", "x", ""]),
+                    st.sampled_from(["0", "23", "24", "\u0663", "07", "-0", ""]),
+                    st.sampled_from([k.value for k in vtpm.EventKind] + ["Bogus", ""]),
+                    st.text(max_size=12),
+                    st.text(alphabet="0123456789abcdefABCDEF g,\r", max_size=100),
+                ),
+                max_size=4,
+            ).map(lambda rows: "\n".join(", ".join(row) for row in rows)),
+        )
+    )
+    def test_fuzz_raises_only_log_format_error(self, text):
+        try:
+            events = vtpm.parse_log(text)
+        except vtpm.LogFormatError:
+            return
+        assert [e.seq for e in events] == list(range(len(events)))
 
 
 class TestGetRandom:
