@@ -139,36 +139,37 @@ class SessionState:
         self.recv_counter = 0
 
 
+_HEAD = struct.Struct(">IQ")  # epoch, counter: the first 12 bytes of a frame
+_CIPHERTEXT_AT = _HEAD.size + NONCE_LEN  # 24
+
+
 @dataclass(frozen=True)
 class Frame:
+    """One sealed record: epoch, counter, nonce, then ciphertext and tag.
+
+    The record is built in one buffer; ``encode`` hands that buffer out.
+    """
+
     epoch: int
     counter: int
-    nonce: bytes
-    ciphertext: bytes  # includes the 16-byte GCM tag
+    record: bytearray
 
-    def encode(self) -> bytes:
-        return struct.pack(">IQ", self.epoch, self.counter) + self.nonce + self.ciphertext
+    @property
+    def nonce(self) -> bytes:
+        return bytes(self.record[_HEAD.size : _CIPHERTEXT_AT])
 
-    @classmethod
-    def decode(cls, data: bytes) -> "Frame":
-        if len(data) < 4 + 8 + NONCE_LEN + TAG_LEN:
-            raise AuthFailure("frame shorter than its fixed fields")
-        epoch, counter = struct.unpack_from(">IQ", data)
-        return cls(
-            epoch=epoch,
-            counter=counter,
-            nonce=data[12 : 12 + NONCE_LEN],
-            ciphertext=data[12 + NONCE_LEN :],
-        )
+    @property
+    def ciphertext(self) -> bytes:
+        """The ciphertext followed by the 16-byte GCM tag."""
+        return bytes(self.record[_CIPHERTEXT_AT:])
+
+    def encode(self) -> bytearray:
+        return self.record
 
 
 def _nonce(direction: Role, epoch: int, counter: int) -> bytes:
     lead = 0 if direction is Role.VTPM else 1
     return bytes([lead]) + (epoch & 0xFFFFFF).to_bytes(3, "big") + counter.to_bytes(8, "big")
-
-
-def _aad(epoch: int, counter: int) -> bytes:
-    return struct.pack(">IQ", epoch, counter)
 
 
 def seal(session: SessionState, plaintext: bytes, *, _rekey_bypass: bool = False) -> Frame:
@@ -183,32 +184,40 @@ def seal(session: SessionState, plaintext: bytes, *, _rekey_bypass: bool = False
         )
     counter = session.send_counter + 1
     nonce = _nonce(session.my_role, session.epoch, counter)
-    ciphertext = AESGCM(session.sess_key).encrypt(
-        nonce, plaintext, _aad(session.epoch, counter)
-    )
+    head = _HEAD.pack(session.epoch, counter)
+    record = bytearray(FRAME_OVERHEAD + len(plaintext))
+    record[: _HEAD.size] = head
+    record[_HEAD.size : _CIPHERTEXT_AT] = nonce
+    with memoryview(record) as view:
+        AESGCM(session.sess_key).encrypt_into(nonce, plaintext, head, view[_CIPHERTEXT_AT:])
     session.send_counter = counter
-    return Frame(epoch=session.epoch, counter=counter, nonce=nonce, ciphertext=ciphertext)
+    return Frame(epoch=session.epoch, counter=counter, record=record)
 
 
-def open_frame(session: SessionState, frame: Frame | bytes) -> bytes:
-    """Authenticate and decrypt one frame, enforcing epoch and anti-replay."""
-    if isinstance(frame, bytes):
-        frame = Frame.decode(frame)
-    if frame.epoch != session.epoch:
-        raise WrongEpoch(f"frame epoch {frame.epoch}, session epoch {session.epoch}")
-    if frame.counter <= session.recv_counter:
+def open_frame(session: SessionState, record: bytes | bytearray) -> bytes:
+    """Authenticate and decrypt one record, enforcing epoch and anti-replay.
+
+    The ciphertext is decrypted where it sits in ``record``."""
+    if len(record) < FRAME_OVERHEAD:
+        raise AuthFailure("frame shorter than its fixed fields")
+    epoch, counter = _HEAD.unpack_from(record)
+    if epoch != session.epoch:
+        raise WrongEpoch(f"frame epoch {epoch}, session epoch {session.epoch}")
+    if counter <= session.recv_counter:
         raise ReplayDetected(
-            f"counter {frame.counter} not above last accepted {session.recv_counter}"
+            f"counter {counter} not above last accepted {session.recv_counter}"
         )
-    if frame.nonce != _nonce(session.peer_role, frame.epoch, frame.counter):
-        raise AuthFailure("frame nonce does not match its header fields")
-    try:
-        plaintext = AESGCM(session.sess_key).decrypt(
-            frame.nonce, frame.ciphertext, _aad(frame.epoch, frame.counter)
-        )
-    except InvalidTag:
-        raise AuthFailure("frame failed authentication") from None
-    session.recv_counter = frame.counter
+    nonce = _nonce(session.peer_role, epoch, counter)
+    with memoryview(record) as view:
+        if view[_HEAD.size : _CIPHERTEXT_AT] != nonce:
+            raise AuthFailure("frame nonce does not match its header fields")
+        try:
+            plaintext = AESGCM(session.sess_key).decrypt(
+                nonce, view[_CIPHERTEXT_AT:], view[: _HEAD.size]
+            )
+        except InvalidTag:
+            raise AuthFailure("frame failed authentication") from None
+    session.recv_counter = counter
     return plaintext
 
 
@@ -317,9 +326,10 @@ class VtpmHandshake:
         self._state = "sent-hello"
         return msg
 
-    def on_message(self, data: bytes) -> bytes | None:
+    def on_message(self, data: bytes | bytearray) -> bytes | None:
         if not data:
             raise StaleNonce("empty handshake message")
+        data = bytes(data)  # the key decoders below take bytes only
         kind = data[0]
         if self._state == "sent-hello" and kind == _HS2:
             return self._handle_hs2(data)
@@ -427,9 +437,10 @@ class DeviceHandshake:
         self._pending_key = b""
         self.session: SessionState | None = None
 
-    def on_message(self, data: bytes) -> bytes | None:
+    def on_message(self, data: bytes | bytearray) -> bytes | None:
         if not data:
             raise StaleNonce("empty handshake message")
+        data = bytes(data)  # the key decoders below take bytes only
         kind = data[0]
         if self._state == "idle" and kind == _HS1:
             return self._handle_hs1(data)

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import channel, device, puf, runtime, scenario, transport, ttp, vtpm, wire
+from . import channel, device, messages, puf, runtime, scenario, transport, ttp, vtpm, wire
 from .crypto import Rng
 
 USER_HEADER = "trctee-user v1"
@@ -227,7 +227,7 @@ def cmd_connect(args) -> int:
     try:
         return _baseline_flow(user, root, args)
     except (channel.ChannelError, transport.TransportError, wire.WireError,
-            runtime.OrchestrationError, puf.CrpExhausted) as exc:
+            messages.MessageError, runtime.OrchestrationError, puf.CrpExhausted) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -276,16 +276,16 @@ def cmd_verify(args) -> int:
         name, digest_hex = entry.split("=")
         manifest.append((name, bytes.fromhex(digest_hex)))
     history_path = args.history or os.path.join(root, f"history_{args.user}.txt")
-    history = (
-        runtime.ExpectedHistory.load(history_path)
-        if os.path.exists(history_path)
-        else runtime.ExpectedHistory()
-    )
     try:
+        history = (
+            runtime.ExpectedHistory.load(history_path)
+            if os.path.exists(history_path)
+            else runtime.ExpectedHistory()
+        )
         with open(args.log, encoding="utf-8", newline="") as fh:
             log_text = fh.read()
         report = runtime.verify_attestation(log_text, manifest, history)
-    except (UnicodeDecodeError, vtpm.LogFormatError) as exc:
+    except (UnicodeDecodeError, runtime.HistoryFormatError, vtpm.LogFormatError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(report.machine_lines(), end="")

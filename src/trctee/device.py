@@ -72,11 +72,21 @@ class KernelFault(DeviceError):
 # -- IP kernels -----------------------------------------------------------------
 
 
+class XorKey(bytes):
+    """``xor`` parameters that carry their big-endian integer, so the
+    conversion runs once, when the IP is deployed, not on every invoke."""
+
+    def __new__(cls, params: bytes) -> "XorKey":
+        key = super().__new__(cls, params)
+        key.word = int.from_bytes(params, "big")
+        return key
+
+
 def _kernel_xor(params: bytes, data: bytes) -> bytes:
     if len(data) != len(params):
         raise KernelFault(f"xor kernel needs input of {len(params)} bytes, got {len(data)}")
-    xored = int.from_bytes(data, "big") ^ int.from_bytes(params, "big")
-    return xored.to_bytes(len(data), "big")
+    word = params.word if isinstance(params, XorKey) else int.from_bytes(params, "big")
+    return (int.from_bytes(data, "big") ^ word).to_bytes(len(data), "big")
 
 
 def _kernel_add_const(params: bytes, data: bytes) -> bytes:
@@ -306,6 +316,8 @@ class Tmm:
         except InvalidTag:
             raise channel.AuthFailure("bitstream failed authentication") from None
         image = IpImage.decode(plaintext)
+        if image.kernel_id == "xor":
+            image = IpImage(kernel_id="xor", params=XorKey(image.params))
         bin_hash = sha3_384(plaintext)
         # Simulated PCAP load: installation happens only after every check.
         self.config_memory.install(ip_num, image, bin_hash)

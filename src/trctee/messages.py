@@ -23,6 +23,7 @@ STORE_OK = 0x06
 
 DIGEST_LEN = 48
 MAC_LEN = 48
+BOOT_PCR_COUNT = 8  # boot components are measured into PCR 0..7
 
 # Names a stored blob may have: one flat file name, never "." or "..".
 BLOB_NAME = re.compile(r"(?!\.+$)[A-Za-z0-9._-]+")
@@ -77,9 +78,13 @@ def decode_boot_report(payload: bytes) -> list[tuple[int, str, bytes]]:
             raise MessageError("boot report truncated")
         index, name_len = struct.unpack_from(">BH", body, offset)
         offset += 3
+        if index >= BOOT_PCR_COUNT:
+            raise MessageError(f"boot measurement index {index} outside 0..{BOOT_PCR_COUNT - 1}")
         if len(body) < offset + name_len + DIGEST_LEN:
             raise MessageError("boot report truncated")
         name = _text(body[offset : offset + name_len])
+        if "\n" in name or "\r" in name:
+            raise MessageError("boot component name must be a single line")
         offset += name_len
         digest = body[offset : offset + DIGEST_LEN]
         offset += DIGEST_LEN

@@ -58,6 +58,20 @@ class InvocationRecord:
     verdict: str  # "Verified" | "Mismatch"
 
 
+class HistoryFormatError(ValueError):
+    """A history file that does not parse into deployments, inputs and outputs."""
+
+
+def _history_digest(text: str) -> bytes:
+    try:
+        digest = bytes.fromhex(text)
+    except ValueError:
+        digest = b""
+    if len(digest) != vtpm.DIGEST_LEN or len(text) != 2 * vtpm.DIGEST_LEN:
+        raise HistoryFormatError(f"digest must be {2 * vtpm.DIGEST_LEN} hex digits")
+    return digest
+
+
 @dataclass
 class ExpectedHistory:
     """The user's own view of what should have been measured."""
@@ -79,23 +93,32 @@ class ExpectedHistory:
 
     @classmethod
     def load(cls, path: str) -> "ExpectedHistory":
+        """Inverse of :meth:`save`; raises :class:`HistoryFormatError` on any bad line."""
         history = cls()
         with open(path, encoding="ascii") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-        if not lines or lines[0] != "trctee-history v1":
-            raise ValueError(f"not a history file: {path}")
-        for line in lines[1:]:
-            kind, _, rest = line.partition(" ")
-            if kind == "deploy":
-                num_s, hash_hex = rest.split()
-                history.deployments.append((int(num_s), bytes.fromhex(hash_hex)))
-            elif kind == "input":
-                history.inputs.append(bytes.fromhex(rest))
-            elif kind == "output":
-                history.outputs.append(bytes.fromhex(rest))
-            else:
-                raise ValueError(f"unknown history line kind {kind!r}")
+            lines = [(no, line.strip()) for no, line in enumerate(fh, 1) if line.strip()]
+        if not lines or lines[0][1] != "trctee-history v1":
+            raise HistoryFormatError(f"{path}: not a history file")
+        for line_no, line in lines[1:]:
+            try:
+                history._load_line(line)
+            except HistoryFormatError as exc:
+                raise HistoryFormatError(f"{path} line {line_no}: {exc}") from None
         return history
+
+    def _load_line(self, line: str) -> None:
+        kind, _, rest = line.partition(" ")
+        if kind == "deploy":
+            num_s, _, hash_hex = rest.partition(" ")
+            if not num_s.isdigit() or int(num_s) > 0xFFFF:
+                raise HistoryFormatError(f"IP serial {num_s!r} outside 0..65535")
+            self.deployments.append((int(num_s), _history_digest(hash_hex)))
+        elif kind == "input":
+            self.inputs.append(_history_digest(rest))
+        elif kind == "output":
+            self.outputs.append(_history_digest(rest))
+        else:
+            raise HistoryFormatError(f"unknown history line kind {kind!r}")
 
 
 def deployment_record_digest(ip_num: int, bin_hash: bytes) -> bytes:
@@ -330,8 +353,8 @@ class UserNode:
             raise OrchestrationError(
                 f"invocation of IP {ip_num} failed" + (f": {cause}" if cause else "")
             )
-        input_digest = sha384(data)
-        output_digest = sha384(response.output)
+        # _forward_to_tmm measured both into PCR9/PCR10 a moment ago.
+        input_digest, output_digest = self.history.inputs[-1], self.history.outputs[-1]
         verdict = "Verified" if self._replays_against_log(input_digest, output_digest) else "Mismatch"
         record = InvocationRecord(
             ip_num=ip_num,

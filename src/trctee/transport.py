@@ -1,8 +1,10 @@
 """Record transport: 4-byte big-endian length prefix, then the payload.
 
 The same framing runs over in-process queue pairs and TCP sockets, so
-protocol code above this layer cannot tell the difference.  Wrappers add
-traffic recording and the adversary taps used by attack scenarios.
+protocol code above this layer cannot tell the difference.  A received
+record may be a ``bytearray`` (TCP reads into one; a sealed frame is built
+in one); receivers only read it.  Wrappers add traffic recording and the
+adversary taps used by attack scenarios.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import socket
 import struct
 
 MAX_RECORD = 16 * 1024 * 1024  # sanity bound on the length prefix
+_LENGTH = struct.Struct(">I")
 
 
 class TransportError(Exception):
@@ -69,35 +72,53 @@ def pipe_pair() -> tuple[InProcTransport, InProcTransport]:
 
 
 class TcpTransport:
+    """One end of a TCP connection, one length-prefixed record at a time.
+
+    A record goes out in one gather write of prefix and payload, and comes
+    in through one buffer allocated for it; that buffer is what
+    ``recv_record`` returns.
+    """
+
     def __init__(self, sock: socket.socket):
         self._sock = sock
 
-    def send_record(self, payload: bytes) -> None:
+    def send_record(self, payload: bytes | bytearray) -> None:
+        # One write per record; more only if the kernel takes part of it.
+        pending = [memoryview(_LENGTH.pack(len(payload))), memoryview(payload)]
         try:
-            self._sock.sendall(struct.pack(">I", len(payload)) + payload)
+            while pending:
+                sent = self._sock.sendmsg(pending)
+                while pending and sent >= len(pending[0]):
+                    sent -= len(pending.pop(0))
+                if pending:
+                    pending[0] = pending[0][sent:]
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
 
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < n:
-            try:
-                chunk = self._sock.recv(n - len(chunks))
-            except socket.timeout:
-                raise ReceiveTimeout("socket receive timed out") from None
-            except OSError as exc:
-                raise TransportClosed(str(exc)) from exc
-            if not chunk:
-                raise TransportClosed("peer closed the connection")
-            chunks.extend(chunk)
-        return bytes(chunks)
+    def _recv_into(self, buffer: bytearray) -> None:
+        with memoryview(buffer) as view:
+            got = 0
+            while got < len(view):
+                try:
+                    n = self._sock.recv_into(view[got:])
+                except socket.timeout:
+                    raise ReceiveTimeout("socket receive timed out") from None
+                except OSError as exc:
+                    raise TransportClosed(str(exc)) from exc
+                if not n:
+                    raise TransportClosed("peer closed the connection")
+                got += n
 
-    def recv_record(self, timeout: float | None = None) -> bytes:
+    def recv_record(self, timeout: float | None = None) -> bytearray:
         self._sock.settimeout(timeout)
-        (length,) = struct.unpack(">I", self._recv_exact(4))
+        prefix = bytearray(_LENGTH.size)
+        self._recv_into(prefix)
+        (length,) = _LENGTH.unpack(prefix)
         if length > MAX_RECORD:
             raise TransportError(f"record of {length} bytes exceeds the {MAX_RECORD} cap")
-        return self._recv_exact(length)
+        record = bytearray(length)
+        self._recv_into(record)
+        return record
 
     def close(self) -> None:
         try:

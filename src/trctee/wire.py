@@ -25,6 +25,11 @@ from enum import Enum
 
 HEADER = struct.Struct(">HII")
 HEADER_LEN = HEADER.size  # 10
+# Header plus the fixed fields in front of an invoke payload, packed in one go
+# so that a large payload is copied once, by one join.
+_INVOKE_CMD_HEAD = struct.Struct(">HIIHI")  # ... ip_num, input_length
+_INVOKE_RESP_HEAD = struct.Struct(">HIII")  # ... output_length
+_U32 = struct.Struct(">I")
 MAX_TOTAL_LEN = 0xFFFFFFFF
 
 TAG_NO_SESSIONS = 0x8001
@@ -234,16 +239,21 @@ def encode(message: TpmMessage) -> bytes:
     if isinstance(message, DeployResp):
         return _frame(TAG_NO_SESSIONS, message.response_code, message.bin_hash)
     if isinstance(message, InvokeCmd):
-        if len(message.input) > MAX_TOTAL_LEN - HEADER_LEN - 10:
+        size = len(message.input)
+        if size > MAX_TOTAL_LEN - _INVOKE_CMD_HEAD.size - 4:
             raise BodyTooLarge("invoke input overflows the 4-byte length field")
-        body = struct.pack(">HI", message.ip_num, len(message.input)) + message.input
-        body += struct.pack(">I", message.flag)
-        return _frame(TAG_NO_SESSIONS, CC_INVOKE, body)
+        head = _INVOKE_CMD_HEAD.pack(
+            TAG_NO_SESSIONS, _INVOKE_CMD_HEAD.size + size + 4, CC_INVOKE, message.ip_num, size
+        )
+        return b"".join((head, message.input, _U32.pack(message.flag)))
     if isinstance(message, InvokeResp):
-        if len(message.output) > MAX_TOTAL_LEN - HEADER_LEN - 4:
+        size = len(message.output)
+        if size > MAX_TOTAL_LEN - _INVOKE_RESP_HEAD.size:
             raise BodyTooLarge("invoke output overflows the 4-byte length field")
-        body = struct.pack(">I", len(message.output)) + message.output
-        return _frame(TAG_NO_SESSIONS, message.response_code, body)
+        head = _INVOKE_RESP_HEAD.pack(
+            TAG_NO_SESSIONS, _INVOKE_RESP_HEAD.size + size, message.response_code, size
+        )
+        return b"".join((head, message.output))
     if isinstance(message, StandardCmd):
         return _frame(message.tag, message.command_code, message.body)
     if isinstance(message, StandardResp):
@@ -251,7 +261,9 @@ def encode(message: TpmMessage) -> bytes:
     raise TypeError(f"not a TPM message: {type(message).__name__}")
 
 
-def _split(data: bytes) -> tuple[int, int, bytes]:
+def _split(data: bytes) -> tuple[int, int, memoryview]:
+    """Check the header; the body comes back as a view, so each decoded field
+    is copied out of ``data`` exactly once."""
     if len(data) < HEADER_LEN:
         raise Truncated(f"{len(data)} bytes is shorter than the 10-byte header")
     tag, total, code = HEADER.unpack_from(data)
@@ -263,7 +275,7 @@ def _split(data: bytes) -> tuple[int, int, bytes]:
         raise Truncated(f"declared length {total}, got {len(data)} bytes")
     if len(data) > total:
         raise LengthMismatch(f"declared length {total}, got {len(data)} bytes")
-    return tag, code, data[HEADER_LEN:]
+    return tag, code, memoryview(data)[HEADER_LEN:]
 
 
 def decode(data: bytes) -> TpmMessage:
@@ -273,7 +285,7 @@ def decode(data: bytes) -> TpmMessage:
     if kind is MessageClass.UPDATE_EXT:
         if len(body) != CHALLENGE_LEN:
             raise LengthMismatch(f"update command body must be 4 bytes, got {len(body)}")
-        return UpdateCmd(challenge=body)
+        return UpdateCmd(challenge=bytes(body))
     if kind is MessageClass.DEPLOY_EXT:
         if len(body) != 2:
             raise LengthMismatch(f"deploy command body must be 2 bytes, got {len(body)}")
@@ -284,11 +296,10 @@ def decode(data: bytes) -> TpmMessage:
         ip_num, input_length = struct.unpack_from(">HI", body)
         if len(body) != 2 + 4 + input_length + 4:
             raise LengthMismatch("invoke body length disagrees with the input-length field")
-        payload = body[6 : 6 + input_length]
-        flag = struct.unpack_from(">I", body, 6 + input_length)[0]
-        return InvokeCmd(ip_num=ip_num, input=payload, flag=flag)
+        (flag,) = _U32.unpack_from(body, 6 + input_length)
+        return InvokeCmd(ip_num=ip_num, input=bytes(body[6 : 6 + input_length]), flag=flag)
     if TPM_CC_FIRST <= code <= TPM_CC_LAST:
-        return StandardCmd(command_code=code, body=body, tag=tag)
+        return StandardCmd(command_code=code, body=bytes(body), tag=tag)
     raise UnknownCode(code)
 
 
@@ -306,14 +317,14 @@ def decode_response(data: bytes, command_code: int) -> TpmMessage:
     if kind is MessageClass.DEPLOY_EXT:
         if len(body) != BIN_HASH_LEN:
             raise LengthMismatch(f"deploy response body must be 48 bytes, got {len(body)}")
-        return DeployResp(bin_hash=body, response_code=rc)
+        return DeployResp(bin_hash=bytes(body), response_code=rc)
     if kind is MessageClass.INVOKE_EXT:
         if len(body) < 4:
             raise LengthMismatch("invoke response body shorter than its length field")
-        output_length = struct.unpack_from(">I", body)[0]
+        (output_length,) = _U32.unpack_from(body)
         if len(body) != 4 + output_length:
             raise LengthMismatch("invoke response length disagrees with the output-length field")
-        return InvokeResp(output=body[4:], response_code=rc)
+        return InvokeResp(output=bytes(body[4:]), response_code=rc)
     if TPM_CC_FIRST <= command_code <= TPM_CC_LAST:
-        return StandardResp(response_code=rc, body=body, tag=tag)
+        return StandardResp(response_code=rc, body=bytes(body), tag=tag)
     raise UnknownCode(command_code)

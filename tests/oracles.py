@@ -2,11 +2,13 @@
 
 These deliberately avoid the production code paths: the HKDF is spelled
 out as raw HMAC extract-then-expand, the PCR chain is recomputed from
-scratch, and the matrix multiply is the naive triple loop.
+scratch, the matrix multiply is the naive triple loop, and the invoke
+encoders concatenate one field at a time.
 """
 
 import hashlib
 import hmac
+import struct
 
 
 def reference_hkdf(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
@@ -55,3 +57,20 @@ def bytewise_xor(params: bytes, data: bytes) -> bytes:
 def bytewise_add_const(params: bytes, data: bytes) -> bytes:
     """Add ``params[0]`` to every byte mod 256, one byte at a time."""
     return bytes((b + params[0]) % 256 for b in data)
+
+
+def concat_invoke_cmd(ip_num: int, data: bytes, flag: int) -> bytes:
+    """Invoke_CMD built field by field: tag, length, code, serial, input
+    length, input, flag."""
+    body = struct.pack(">H", ip_num) + struct.pack(">I", len(data))
+    body = body + data + struct.pack(">I", flag)
+    header = struct.pack(">H", 0x8001) + struct.pack(">I", 10 + len(body))
+    return header + b"\x3f\x00\x00\x00" + body
+
+
+def concat_invoke_resp(output: bytes, response_code: int) -> bytes:
+    """Invoke response built field by field: tag, length, response code,
+    output length, output."""
+    body = struct.pack(">I", len(output)) + output
+    header = struct.pack(">H", 0x8001) + struct.pack(">I", 10 + len(body))
+    return header + struct.pack(">I", response_code) + body

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from trctee import cli, vtpm
+from trctee import cli, device, vtpm
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -130,6 +130,39 @@ class TestServeConnectVerify:
         assert log_path.read_text(encoding="utf-8") == exported[0]
         assert run_cli("--store", store, "verify", str(log_path), "--user", "alice") == 0
 
+    def test_malicious_boot_report_is_one_error_line(self, store, capsys, monkeypatch):
+        # The device reports a boot measurement into PCR 30, outside 0..7.
+        monkeypatch.setattr(
+            device, "measure_boot_image", lambda image: [(30, "fsbl", bytes(48))]
+        )
+        run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1")
+        run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice")
+        run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1")
+        port = free_port()
+        server = threading.Thread(
+            target=run_cli,
+            args=("--store", store, "serve", "--listen", f"127.0.0.1:{port}",
+                  "--device", "dev1", "--timeout", "10"),
+            daemon=True,
+        )
+        server.start()
+        import time
+
+        deadline = time.time() + 5
+        while time.time() < deadline:
+            capsys.readouterr()
+            rc = run_cli("--store", store, "connect", "--addr", f"127.0.0.1:{port}",
+                         "--user", "alice")
+            err = capsys.readouterr().err
+            if "ConnectError" not in err:
+                break
+            time.sleep(0.1)
+        server.join(timeout=10)
+        assert not server.is_alive()
+        assert rc == 1
+        assert err.startswith("error: MessageError: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_connect_without_listener_is_a_typed_error(self, store, capsys):
         run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1")
         run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice")
@@ -177,3 +210,23 @@ class TestServeConnectVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "line", ["input zz", "output " + "ab" * 47, "deploy 1", "replay " + "ab" * 48]
+    )
+    def test_verify_malformed_history_is_one_error_line(self, store, capsys, line):
+        run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1")
+        run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice")
+        run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1")
+        capsys.readouterr()
+        log_path = Path(store) / "log.txt"
+        log_path.write_text("0, 0, BootComponent, fsbl, " + "ab" * 48 + "\n")
+        history_path = Path(store) / "h.txt"
+        history_path.write_text(f"trctee-history v1\n{line}\n")
+        rc = run_cli("--store", store, "verify", str(log_path), "--user", "alice",
+                     "--history", str(history_path))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: HistoryFormatError: ")
+        assert "line 2" in captured.err and captured.err.count("\n") == 1

@@ -94,6 +94,13 @@ class TestKernels:
             params = bytes([constant])
             assert device.KERNELS["add_const"](params, data) == bytewise_add_const(params, data)
 
+    @given(st.binary(max_size=4096), st.integers(0, 2**32 - 1))
+    def test_xor_key_matches_bytewise_reference(self, data, seed):
+        params = random.Random(seed).randbytes(len(data))
+        key = device.XorKey(params)
+        assert key == params and key.word == int.from_bytes(params, "big")
+        assert device.KERNELS["xor"](key, data) == bytewise_xor(params, data)
+
     def test_256_kib_matches_bytewise_reference(self):
         rng = Rng(64)
         params, data = rng.bytes(256 * 1024), rng.bytes(256 * 1024)
@@ -211,6 +218,21 @@ class TestTmmDeploy:
         tmm.file_store.put(device.blob_name(1), encrypted.encode())
         bin_hash = tmm.deploy(1)
         assert bin_hash == hashlib.sha3_384(image.encode()).digest()
+
+    def test_xor_key_converted_once_at_deploy(self):
+        tmm, deploy_key, rng = make_tmm_with_session()
+        params = rng.child("p").bytes(64)
+        image = device.IpImage(kernel_id="xor", params=params)
+        encrypted = device.encrypt_bitstream(image, 1, deploy_key, rng.child("bs"))
+        tmm.file_store.put(device.blob_name(1), encrypted.encode())
+        tmm.deploy(1)
+        installed = tmm.config_memory.lookup(1)[0]
+        assert installed == image and isinstance(installed.params, device.XorKey)
+        assert installed.params.word == int.from_bytes(params, "big")
+        # Invoke uses the word cached at deploy: zeroed, the input comes back unchanged.
+        installed.params.word = 0
+        data = rng.child("d").bytes(64)
+        assert tmm.invoke(1, data, 0) == data
 
     def test_missing_blob(self):
         tmm, _, _ = make_tmm_with_session()

@@ -53,6 +53,19 @@ class TestNames:
         with pytest.raises(messages.MessageError):
             messages.decode_boot_report(payload + bytes(messages.DIGEST_LEN))
 
+    @pytest.mark.parametrize(
+        "index, name", [(30, "fsbl"), (8, "fsbl"), (255, "fsbl"), (0, "fs\nbl"), (7, "\r")]
+    )
+    def test_boot_report_index_and_name_checked(self, index, name):
+        payload = messages.encode_boot_report([(0, "ok", bytes(48)), (index, name, bytes(48))])
+        with pytest.raises(messages.MessageError):
+            messages.decode_boot_report(payload)
+
+    def test_boot_report_accepts_pcr_0_to_7(self):
+        measurements = [(i, f"c{i}\x0b\u2028", bytes([i]) * 48) for i in range(8)]
+        payload = messages.encode_boot_report(measurements)
+        assert messages.decode_boot_report(payload) == measurements
+
     @pytest.mark.parametrize("name", [b"\xff", b"../x", b"..", b".", b"a/b", b""])
     def test_bad_blob_names_rejected(self, name):
         payload = bytes([messages.STORE_BLOB]) + struct.pack(">H", len(name)) + name + b"blob"

@@ -2,10 +2,12 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_world, connect_world
 from oracles import pcr_chain
-from trctee import channel, device, runtime, transport, vtpm, wire
+from trctee import channel, device, messages, runtime, transport, vtpm, wire
 from trctee.crypto import Rng
 
 
@@ -36,6 +38,18 @@ class TestBootReport:
             else:
                 assert actual == expected
         world.user.close()
+
+    @pytest.mark.parametrize(
+        "index, name", [(30, "fsbl"), (8, "fsbl"), (0, "fs\nbl"), (0, "fsbl\r")]
+    )
+    def test_malicious_boot_report_is_a_message_error(self, world, monkeypatch, index, name):
+        # Before the check: vtpm.IndexOutOfRange or ValueError out of pcr_extend.
+        monkeypatch.setattr(
+            device, "measure_boot_image", lambda image: [(index, name, bytes(48))]
+        )
+        with pytest.raises(messages.MessageError):
+            connect_world(world)
+        assert world.user.vtpm.log == []
 
 
 class TestDeploy:
@@ -99,6 +113,16 @@ class TestInvoke:
         assert record.verdict == "Verified"
         output2, _ = user.user_invoke(1, output)
         assert output2 == data
+
+    def test_record_digests_are_the_measured_ones(self, connected):
+        user = connected.user
+        deploy_xor(user)
+        data = Rng(34).bytes(16)
+        output, record = user.user_invoke(1, data)
+        assert record.input_digest == hashlib.sha384(data).digest()
+        assert record.output_digest == hashlib.sha384(output).digest()
+        logged = [e.digest for e in user.vtpm.log[-2:]]
+        assert logged == [record.input_digest, record.output_digest]
 
     def test_pcr9_pcr10_chain_in_order(self, connected):
         user = connected.user
@@ -293,6 +317,98 @@ class TestHistoryPersistence:
         user.history.save(path)
         loaded = runtime.ExpectedHistory.load(path)
         assert loaded == user.history
+
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "input zz",
+            "input " + "ab" * 47,
+            "output " + "ab" * 49,
+            "output " + "ab " * 47 + "ab",
+            "deploy 1",
+            "deploy x " + "ab" * 48,
+            "deploy 70000 " + "ab" * 48,
+            "deploy -1 " + "ab" * 48,
+            "inputs " + "ab" * 48,
+        ],
+    )
+    def test_malformed_line_is_a_history_format_error(self, tmp_path, line):
+        path = tmp_path / "history.txt"
+        path.write_text("trctee-history v1\ninput " + "cd" * 48 + "\n" + line + "\n")
+        with pytest.raises(runtime.HistoryFormatError, match="line 3"):
+            runtime.ExpectedHistory.load(str(path))
+
+    def test_missing_header_is_a_history_format_error(self, tmp_path):
+        path = tmp_path / "history.txt"
+        path.write_text("input " + "cd" * 48 + "\n")
+        with pytest.raises(runtime.HistoryFormatError):
+            runtime.ExpectedHistory.load(str(path))
+
+    @settings(max_examples=300)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.text(alphabet=" 0123456789abcdefxyz-", max_size=110),
+                st.sampled_from(["deploy ", "input ", "output "]).flatmap(
+                    lambda kind: st.text(alphabet=" 0123456789abcdef", max_size=110).map(
+                        lambda rest: kind + rest
+                    )
+                ),
+            ),
+            max_size=6,
+        )
+    )
+    def test_load_is_total(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("history") / "h.txt"
+        path.write_text("\n".join(["trctee-history v1", *lines]) + "\n")
+        try:
+            history = runtime.ExpectedHistory.load(str(path))
+        except runtime.HistoryFormatError:
+            return
+        for digest in history.inputs + history.outputs:
+            assert len(digest) == 48
+        for ip_num, bin_hash in history.deployments:
+            assert 0 <= ip_num <= 0xFFFF and len(bin_hash) == 48
+
+
+def tcp_connect_world(world):
+    """Like ``connect_world``, over TCP loopback; returns the listening socket."""
+    world.device.boot()
+    server = transport.listen("127.0.0.1", 0)
+    user_side = transport.connect("127.0.0.1", server.getsockname()[1])
+    world.thread = device.serve_in_thread(world.device, transport.accept_one(server, 5))
+    world.user.connect(user_side)
+    return server
+
+
+class TestLargeInvokeOverTcp:
+    def test_1_mib_xor_invoke_peak_allocation(self, world):
+        # Each hop holds one buffer per payload: the bound is 9.5x the
+        # payload, where copying it at every hop peaked above 11x.
+        size = 1 << 20
+        server = tcp_connect_world(world)
+        try:
+            params, data = Rng(35).bytes(size), Rng(36).bytes(size)
+            deploy_xor(world.user, params=params)
+            world.user.user_invoke(1, data)  # warm
+            tracemalloc.start()
+            try:
+                output, record = world.user.user_invoke(1, data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            world.user.close()
+            world.thread.join(timeout=5)
+            world.device.agent.close()  # the device leaves its end open
+            server.close()
+        assert not world.thread.is_alive()
+        assert output == (int.from_bytes(params, "big") ^ int.from_bytes(data, "big")).to_bytes(
+            size, "big"
+        )
+        assert record.verdict == "Verified"
+        assert peak <= 9.5 * size, f"peak {peak / size:.2f}x the payload"
 
 
 class TestTmmSeesCommandBytes:

@@ -2,9 +2,10 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import concat_invoke_cmd, concat_invoke_resp
 from trctee import wire
 
 
@@ -197,6 +198,46 @@ class TestRoundTrip:
     def test_invoke_cmd_property(self, ip_num, payload, flag):
         msg = wire.InvokeCmd(ip_num=ip_num, input=payload, flag=flag)
         assert wire.decode(wire.encode(msg)) == msg
+
+
+class TestInvokeMatchesConcatenation:
+    """The one-join encoder and the view-slicing decoder against a
+    field-by-field reference, for payloads up to 1 MiB."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.integers(0, 1 << 20),
+        seed=st.integers(0, 2**32 - 1),
+        ip_num=st.integers(0, 0xFFFF),
+        code=st.integers(0, 0xFFFFFFFF),
+    )
+    @example(size=0, seed=0, ip_num=0, code=0)
+    @example(size=1 << 20, seed=1, ip_num=0xFFFF, code=0xFFFFFFFF)
+    def test_invoke_cmd_and_resp(self, size, seed, ip_num, code):
+        payload = random.Random(seed).randbytes(size)
+        command = wire.InvokeCmd(ip_num=ip_num, input=payload, flag=code)
+        encoded = wire.encode(command)
+        assert encoded == concat_invoke_cmd(ip_num, payload, code)
+        decoded = wire.decode(encoded)
+        assert decoded == command and type(decoded.input) is bytes
+
+        response = wire.InvokeResp(output=payload, response_code=code)
+        encoded = wire.encode(response)
+        assert encoded == concat_invoke_resp(payload, code)
+        decoded = wire.decode_response(encoded, wire.CC_INVOKE)
+        assert decoded == response and type(decoded.output) is bytes
+
+    def test_decoded_fields_are_bytes_from_a_bytearray(self):
+        for message, code in [
+            (wire.UpdateCmd(challenge=b"abcd"), None),
+            (wire.StandardCmd(wire.CC_HASH, b"\x00\x0cdata"), None),
+            (wire.DeployResp(bin_hash=bytes(range(48))), wire.CC_DEPLOY),
+            (wire.StandardResp(response_code=0, body=b"xyz"), wire.CC_HASH),
+        ]:
+            data = bytearray(wire.encode(message))
+            decoded = wire.decode(data) if code is None else wire.decode_response(data, code)
+            assert decoded == message
+            assert all(type(v) is bytes for v in vars(decoded).values() if not isinstance(v, int))
 
 
 class TestFuzz:
