@@ -9,14 +9,28 @@ can run in separate processes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
-from . import channel, device, messages, puf, runtime, scenario, transport, ttp, vtpm, wire
+from . import (
+    channel, device, messages, puf, runtime, scenario, statefile, transport, ttp, vtpm, wire,
+)
 from .crypto import Rng
 
 USER_HEADER = "trctee-user v1"
 DEVICE_HEADER = "trctee-device v1"
+
+_key = functools.partial(statefile.hex_bytes, length=32)
+DEVICE_FIELDS = {"id": ttp.check_identifier, "seed": _key, "pkttp": _key}
+USER_FIELDS = {
+    "id": ttp.check_identifier,
+    "sk": _key,
+    "pk": _key,
+    "cert": lambda text: ttp.Certificate.decode(statefile.hex_bytes(text)),
+    "pkttp": _key,
+}
+PROVISIONED_FIELDS = {"device": ttp.check_identifier, "manifest": statefile.decode_manifest}
 
 
 def _store_dir(args) -> str:
@@ -29,6 +43,10 @@ def _registry_path(root: str) -> str:
     return os.path.join(root, "registry.txt")
 
 
+def _user_path(root: str, user_id: str) -> str:
+    return os.path.join(root, f"user_{user_id}.txt")
+
+
 def _load_or_new_ttp(root: str, rng: Rng) -> ttp.TtpService:
     path = _registry_path(root)
     if os.path.exists(path):
@@ -36,23 +54,32 @@ def _load_or_new_ttp(root: str, rng: Rng) -> ttp.TtpService:
     return ttp.TtpService(rng=rng)
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+def _save_user(path: str, bundle: ttp.VtpmBundle, device_id=None, manifest=None) -> None:
+    lines = [
+        f"id {bundle.user_id}",
+        f"sk {bundle.sk_tpm.hex()}",
+        f"pk {bundle.pk_tpm.hex()}",
+        f"cert {bundle.cert.encode().hex()}",
+        f"pkttp {bundle.pk_ttp.hex()}",
+    ]
+    if device_id is not None:
+        lines += [f"device {device_id}", f"manifest {statefile.encode_manifest(manifest)}"]
+    statefile.write(path, USER_HEADER, lines)
 
 
-def _read_kv(path: str, header: str) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != header:
-        raise SystemExit(f"error: {path} is not a {header!r} file")
-    out = {}
-    for line in lines[1:]:
-        key, _, value = line.partition(" ")
-        out[key] = value
-    return out
+def _load_user(path: str):
+    """The user's vTPM bundle, then the device id and golden manifest once provisioned."""
+    f = statefile.read_keys(path, USER_HEADER, USER_FIELDS, PROVISIONED_FIELDS)
+    bundle = ttp.VtpmBundle(f["id"], f["sk"], f["pk"], f["cert"], f["pkttp"])
+    return bundle, f.get("device"), f.get("manifest")
+
+
+def _load_provisioned_user(root: str, user_id: str):
+    path = _user_path(root, user_id)
+    bundle, device_id, manifest = _load_user(path)
+    if device_id is None:
+        raise statefile.StateFileError(path, None, f"user {user_id} is not provisioned yet")
+    return bundle, device_id, manifest
 
 
 # -- enrollment subcommands -------------------------------------------------------
@@ -67,14 +94,10 @@ def cmd_enroll_device(args) -> int:
     image = device.BootImage.synthetic(args.id, ttp_service.pk_ttp)
     ttp_service.enroll_device(args.id, puf_device, image)
     ttp_service.save(_registry_path(root))
-    _write_lines(
+    statefile.write(
         os.path.join(root, f"device_{args.id}.txt"),
-        [
-            DEVICE_HEADER,
-            f"id {args.id}",
-            f"seed {seed.hex()}",
-            f"pkttp {ttp_service.pk_ttp.hex()}",
-        ],
+        DEVICE_HEADER,
+        [f"id {args.id}", f"seed {seed.hex()}", f"pkttp {ttp_service.pk_ttp.hex()}"],
     )
     print(f"device {args.id} enrolled; registry at {_registry_path(root)}")
     return 0
@@ -86,17 +109,7 @@ def cmd_enroll_vtpm(args) -> int:
     ttp_service.register_user(args.user)
     bundle = ttp_service.enroll_vtpm(args.user)
     ttp_service.save(_registry_path(root))
-    _write_lines(
-        os.path.join(root, f"user_{args.user}.txt"),
-        [
-            USER_HEADER,
-            f"id {args.user}",
-            f"sk {bundle.sk_tpm.hex()}",
-            f"pk {bundle.pk_tpm.hex()}",
-            f"cert {bundle.cert.encode().hex()}",
-            f"pkttp {bundle.pk_ttp.hex()}",
-        ],
-    )
+    _save_user(_user_path(root, args.user), bundle)
     print(f"vTPM enrolled for {args.user}")
     return 0
 
@@ -104,52 +117,25 @@ def cmd_enroll_vtpm(args) -> int:
 def cmd_provision(args) -> int:
     root = _store_dir(args)
     ttp_service = ttp.TtpService.load(_registry_path(root))
+    bundle, _, _ = _load_user(_user_path(root, args.user))
     device_id, manifest, crp_slice = ttp_service.provision_user(
         args.user, args.device, slice_size=args.crp_pool
     )
     ttp_service.save(_registry_path(root))
-    user_path = os.path.join(root, f"user_{args.user}.txt")
-    fields = _read_kv(user_path, USER_HEADER)
-    manifest_s = ",".join(f"{name}={digest.hex()}" for name, digest in manifest)
-    _write_lines(
-        user_path,
-        [
-            USER_HEADER,
-            f"id {fields['id']}",
-            f"sk {fields['sk']}",
-            f"pk {fields['pk']}",
-            f"cert {fields['cert']}",
-            f"pkttp {fields['pkttp']}",
-            f"device {device_id}",
-            f"manifest {manifest_s}",
-        ],
-    )
+    _save_user(_user_path(root, args.user), bundle, device_id, manifest)
     crp_slice.save(os.path.join(root, f"crps_user_{args.user}.txt"))
     print(f"user {args.user} provisioned for {device_id} with {len(crp_slice)} CRPs")
     return 0
 
 
 def _load_user_node(root: str, user_id: str, args) -> runtime.UserNode:
-    fields = _read_kv(os.path.join(root, f"user_{user_id}.txt"), USER_HEADER)
-    if "device" not in fields:
-        raise SystemExit(f"error: user {user_id} is not provisioned yet")
-    manifest = []
-    for entry in fields["manifest"].split(","):
-        name, digest_hex = entry.split("=")
-        manifest.append((name, bytes.fromhex(digest_hex)))
-    bundle = ttp.VtpmBundle(
-        user_id=fields["id"],
-        sk_tpm=bytes.fromhex(fields["sk"]),
-        pk_tpm=bytes.fromhex(fields["pk"]),
-        cert=ttp.Certificate.decode(bytes.fromhex(fields["cert"])),
-        pk_ttp=bytes.fromhex(fields["pkttp"]),
-    )
+    bundle, device_id, manifest = _load_provisioned_user(root, user_id)
     crp_store = puf.CrpStore.load(
         os.path.join(root, f"crps_user_{user_id}.txt"), owner="user"
     )
     return runtime.UserNode(
         bundle=bundle,
-        device_id=fields["device"],
+        device_id=device_id,
         golden_manifest=manifest,
         crp_store=crp_store,
         rng=Rng(args.seed).child("user"),
@@ -192,12 +178,13 @@ def _parse_addr(value: str) -> tuple[str, int]:
 
 def cmd_serve(args) -> int:
     root = _store_dir(args)
-    fields = _read_kv(os.path.join(root, f"device_{args.device}.txt"), DEVICE_HEADER)
-    puf_device = puf.PufDevice(bytes.fromhex(fields["seed"]))
-    image = device.BootImage.synthetic(fields["id"], bytes.fromhex(fields["pkttp"]))
+    fields = statefile.read_keys(
+        os.path.join(root, f"device_{args.device}.txt"), DEVICE_HEADER, DEVICE_FIELDS
+    )
+    image = device.BootImage.synthetic(fields["id"], fields["pkttp"])
     dev = device.FpgaSocDevice(
         device_id=fields["id"],
-        puf=puf_device,
+        puf=puf.PufDevice(fields["seed"]),
         boot_image=image,
         rng=Rng(args.seed).child(f"device-{fields['id']}"),
         file_store=device.FileStore(os.path.join(root, "filestore")),
@@ -210,7 +197,10 @@ def cmd_serve(args) -> int:
     print(f"device {fields['id']} booted, listening on {host}:{port}")
     try:
         conn = transport.accept_one(server, timeout=args.timeout)
-        dev.serve(conn)
+        try:
+            dev.serve(conn)
+        finally:
+            conn.close()
     finally:
         server.close()
     error = dev.trace.first_error()
@@ -224,19 +214,20 @@ def cmd_serve(args) -> int:
 def cmd_connect(args) -> int:
     root = _store_dir(args)
     user = _load_user_node(root, args.user, args)
+    host, port = _parse_addr(args.addr)
     try:
-        return _baseline_flow(user, root, args)
+        conn = transport.connect(host, port)
+        try:
+            return _baseline_flow(user, conn, root, args)
+        finally:
+            conn.close()
     except (channel.ChannelError, transport.TransportError, wire.WireError,
             messages.MessageError, runtime.OrchestrationError, puf.CrpExhausted) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        user.close()
 
 
-def _baseline_flow(user: runtime.UserNode, root: str, args) -> int:
-    host, port = _parse_addr(args.addr)
-    conn = transport.connect(host, port)
+def _baseline_flow(user: runtime.UserNode, conn, root: str, args) -> int:
     user.connect(conn)
     print(f"session established with {user.device_id}, epoch {user.endpoint.session.epoch}")
 
@@ -268,13 +259,7 @@ def _baseline_flow(user: runtime.UserNode, root: str, args) -> int:
 
 def cmd_verify(args) -> int:
     root = _store_dir(args)
-    fields = _read_kv(os.path.join(root, f"user_{args.user}.txt"), USER_HEADER)
-    if "manifest" not in fields:
-        raise SystemExit(f"error: user {args.user} has no provisioned manifest")
-    manifest = []
-    for entry in fields["manifest"].split(","):
-        name, digest_hex = entry.split("=")
-        manifest.append((name, bytes.fromhex(digest_hex)))
+    _, _, manifest = _load_provisioned_user(root, args.user)
     history_path = args.history or os.path.join(root, f"history_{args.user}.txt")
     try:
         history = (
@@ -285,7 +270,7 @@ def cmd_verify(args) -> int:
         with open(args.log, encoding="utf-8", newline="") as fh:
             log_text = fh.read()
         report = runtime.verify_attestation(log_text, manifest, history)
-    except (UnicodeDecodeError, runtime.HistoryFormatError, vtpm.LogFormatError) as exc:
+    except (UnicodeDecodeError, vtpm.LogFormatError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(report.machine_lines(), end="")
@@ -354,7 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except statefile.StateFileError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -396,6 +396,8 @@ class FpgaSocDevice:
             self._serve(self.agent)
         except Exception as exc:  # endpoint loop must not kill the thread silently
             self.trace.emit("device", "error", exc)
+        finally:
+            self.agent.close()
 
     def _serve(self, agent: TpmAgent) -> None:
         from . import transport as _transport
@@ -415,9 +417,8 @@ class FpgaSocDevice:
             try:
                 reply = handshake.on_message(record)
             except channel.ChannelError as exc:
-                # Close so the vTPM learns of the abort at once, not by timeout.
+                # serve() closes, so the vTPM learns of the abort at once.
                 self.trace.emit("device", "error", exc)
-                agent.close()
                 return
             if reply is not None:
                 agent.send_record(reply)

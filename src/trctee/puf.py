@@ -2,20 +2,23 @@
 
 The physical PUF is modeled as a keyed PRF over the challenge (noiseless:
 no fuzzy extraction).  Challenge-response pairs are enrolled into stores
-that enforce the single-use rule and can be persisted to disk.
+that enforce the single-use rule and can be persisted to disk.  A store
+loaded from disk writes itself back before any CRP it hands out leaves
+the process, so a CRP is used once even across processes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import os
 from dataclasses import dataclass
 
+from . import statefile
 from .crypto import Rng
 
 CHALLENGE_LEN = 4
 RESPONSE_LEN = 32
+CRP_HEADER = "trctee-crps v1"
 
 
 class CrpExhausted(Exception):
@@ -48,6 +51,7 @@ class CrpStore:
 
     def __init__(self, owner: str = "ttp"):
         self.owner = owner
+        self.path: str | None = None  # set by load(): every take is written here
         self._records: dict[bytes, CrpRecord] = {}
 
     def __len__(self) -> int:
@@ -71,8 +75,7 @@ class CrpStore:
         """Return the next unused record, atomically marking it used."""
         for record in self._records.values():
             if not record.used:
-                record.used = True
-                return record
+                return self._consume(record)
         raise CrpExhausted(f"no unused CRP left in {self.owner} store")
 
     def take(self, challenge: bytes) -> CrpRecord:
@@ -80,7 +83,14 @@ class CrpStore:
         record = self._records.get(challenge)
         if record is None or record.used:
             raise CrpExhausted(f"challenge {challenge.hex()} unknown or already used")
+        return self._consume(record)
+
+    def _consume(self, record: CrpRecord) -> CrpRecord:
+        """Mark ``record`` used; a store loaded from disk is written back
+        before the caller can send the challenge (write-ahead)."""
         record.used = True
+        if self.path is not None:
+            self.save(self.path)
         return record
 
     def peek_unused_challenge(self) -> bytes:
@@ -102,30 +112,27 @@ class CrpStore:
         return out
 
     def save(self, path: str) -> None:
-        """Persist as `hex(challenge) hex(response) used_flag` lines, atomically."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            for record in self._records.values():
-                flag = 1 if record.used else 0
-                fh.write(f"{record.challenge.hex()} {record.response.hex()} {flag}\n")
-        os.replace(tmp, path)
+        """Persist as `hex(challenge) hex(response) used_flag` records."""
+        lines = (f"{r.challenge.hex()} {r.response.hex()} {int(r.used)}" for r in self.records())
+        statefile.write(path, CRP_HEADER, lines)
 
     @classmethod
     def load(cls, path: str, owner: str = "ttp") -> "CrpStore":
         store = cls(owner=owner)
-        with open(path, encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                challenge_hex, response_hex, flag = line.split()
+        records, _ = statefile.read(path, CRP_HEADER)
+        for no, fields in records:
+            with statefile.located(path, no):
+                challenge, response, used = fields
+                if used not in ("0", "1"):
+                    raise ValueError(f"used flag must be 0 or 1, got {used!r}")
                 store.add(
                     CrpRecord(
-                        challenge=bytes.fromhex(challenge_hex),
-                        response=bytes.fromhex(response_hex),
-                        used=flag == "1",
+                        challenge=statefile.hex_bytes(challenge, CHALLENGE_LEN),
+                        response=statefile.hex_bytes(response, RESPONSE_LEN),
+                        used=used == "1",
                     )
                 )
+        store.path = path
         return store
 
 

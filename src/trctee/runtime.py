@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from . import channel, device, messages, vtpm, wire
+from . import channel, device, messages, statefile, vtpm, wire
 from .trace import Trace
 from . import transport as _transport
 from .crypto import Rng, sha384, sha3_384
@@ -58,18 +58,11 @@ class InvocationRecord:
     verdict: str  # "Verified" | "Mismatch"
 
 
-class HistoryFormatError(ValueError):
+HISTORY_HEADER = "trctee-history v1"
+
+
+class HistoryFormatError(statefile.StateFileError):
     """A history file that does not parse into deployments, inputs and outputs."""
-
-
-def _history_digest(text: str) -> bytes:
-    try:
-        digest = bytes.fromhex(text)
-    except ValueError:
-        digest = b""
-    if len(digest) != vtpm.DIGEST_LEN or len(text) != 2 * vtpm.DIGEST_LEN:
-        raise HistoryFormatError(f"digest must be {2 * vtpm.DIGEST_LEN} hex digits")
-    return digest
 
 
 @dataclass
@@ -81,44 +74,31 @@ class ExpectedHistory:
     outputs: list[bytes] = field(default_factory=list)
 
     def save(self, path: str) -> None:
-        lines = ["trctee-history v1"]
-        for ip_num, bin_hash in self.deployments:
-            lines.append(f"deploy {ip_num} {bin_hash.hex()}")
-        for digest in self.inputs:
-            lines.append(f"input {digest.hex()}")
-        for digest in self.outputs:
-            lines.append(f"output {digest.hex()}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        lines = [f"deploy {ip_num} {bin_hash.hex()}" for ip_num, bin_hash in self.deployments]
+        lines += [f"input {digest.hex()}" for digest in self.inputs]
+        lines += [f"output {digest.hex()}" for digest in self.outputs]
+        statefile.write(path, HISTORY_HEADER, lines)
 
     @classmethod
     def load(cls, path: str) -> "ExpectedHistory":
         """Inverse of :meth:`save`; raises :class:`HistoryFormatError` on any bad line."""
         history = cls()
-        with open(path, encoding="ascii") as fh:
-            lines = [(no, line.strip()) for no, line in enumerate(fh, 1) if line.strip()]
-        if not lines or lines[0][1] != "trctee-history v1":
-            raise HistoryFormatError(f"{path}: not a history file")
-        for line_no, line in lines[1:]:
-            try:
-                history._load_line(line)
-            except HistoryFormatError as exc:
-                raise HistoryFormatError(f"{path} line {line_no}: {exc}") from None
+        records, _ = statefile.read(path, HISTORY_HEADER, HistoryFormatError)
+        for no, (kind, *values) in records:
+            with statefile.located(path, no, HistoryFormatError):
+                if kind == "deploy":
+                    num_s, hash_hex = values
+                    if not num_s.isdecimal() or int(num_s) > 0xFFFF:
+                        raise ValueError(f"IP serial {num_s!r} outside 0..65535")
+                    digest = statefile.hex_bytes(hash_hex, vtpm.DIGEST_LEN)
+                    history.deployments.append((int(num_s), digest))
+                elif kind in ("input", "output"):
+                    (digest_hex,) = values
+                    digests = history.inputs if kind == "input" else history.outputs
+                    digests.append(statefile.hex_bytes(digest_hex, vtpm.DIGEST_LEN))
+                else:
+                    raise ValueError(f"unknown history record {kind!r}")
         return history
-
-    def _load_line(self, line: str) -> None:
-        kind, _, rest = line.partition(" ")
-        if kind == "deploy":
-            num_s, _, hash_hex = rest.partition(" ")
-            if not num_s.isdigit() or int(num_s) > 0xFFFF:
-                raise HistoryFormatError(f"IP serial {num_s!r} outside 0..65535")
-            self.deployments.append((int(num_s), _history_digest(hash_hex)))
-        elif kind == "input":
-            self.inputs.append(_history_digest(rest))
-        elif kind == "output":
-            self.outputs.append(_history_digest(rest))
-        else:
-            raise HistoryFormatError(f"unknown history line kind {kind!r}")
 
 
 def deployment_record_digest(ip_num: int, bin_hash: bytes) -> bytes:

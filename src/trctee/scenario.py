@@ -278,8 +278,8 @@ class ScenarioRunner:
         return self.report
 
     def _teardown(self) -> None:
-        if self.user is not None and self.user.endpoint is not None:
-            self.user.close()
+        if self.tap is not None:
+            self.tap.close()
         if self._device_thread is not None:
             self._device_thread.join(timeout=5.0)
         if self._server_socket is not None:
@@ -311,7 +311,10 @@ class ScenarioRunner:
             boot_image=image,
             rng=self.master.child(f"device-{device_id}"),
             rekey_threshold=self.rekey_threshold,
-            recv_timeout=self.recv_timeout,
+            # The device waits until teardown closes the user's end: a device
+            # that timed out first would close the session under a user still
+            # waiting for a dropped frame, which must see its own timeout.
+            recv_timeout=None,
             trace=self.trace,
         )
         return f"device {device_id} enrolled"

@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from . import puf
+from . import puf, statefile
 from .crypto import Rng, sha384
 
 if TYPE_CHECKING:
@@ -95,6 +95,13 @@ class Certificate:
             return False
 
 
+def check_identifier(name: str) -> str:
+    """``name`` if it can name a user or device, and so a file in the store."""
+    if not name or not name.isprintable() or any(c.isspace() or c in "/\\" for c in name):
+        raise ValueError(f"identifier must be non-empty, without whitespace or '/': {name!r}")
+    return name
+
+
 @dataclass
 class DeviceRecord:
     device_id: str
@@ -113,12 +120,6 @@ class VtpmBundle:
     pk_ttp: bytes
 
 
-def _check_identifier(name: str) -> str:
-    if not name or any(c.isspace() for c in name):
-        raise ValueError(f"identifier must be non-empty without whitespace: {name!r}")
-    return name
-
-
 class TtpService:
     """Enrollment and certification authority backed by one registry."""
 
@@ -135,13 +136,13 @@ class TtpService:
         return self._sk.public_key().public_bytes_raw()
 
     def register_user(self, user_id: str) -> None:
-        self._users.add(_check_identifier(user_id))
+        self._users.add(check_identifier(user_id))
 
     def enroll_device(
         self, device_id: str, device: puf.PufDevice, boot_image: "BootImage"
     ) -> DeviceRecord:
         """Register a device: measure its golden boot chain, collect CRPs."""
-        _check_identifier(device_id)
+        check_identifier(device_id)
         if device_id in self._devices:
             raise DuplicateDevice(f"device {device_id} already enrolled")
         manifest = [(name, sha384(blob)) for name, blob in boot_image.items()]
@@ -195,54 +196,48 @@ class TtpService:
     def save(self, path: str) -> None:
         """Write the registry; per-device CRP stores land in sibling files."""
         directory = os.path.dirname(os.path.abspath(path))
-        lines = [REGISTRY_HEADER, f"ttpkey {self._sk.private_bytes_raw().hex()}"]
-        for user in sorted(self._users):
-            lines.append(f"user {user}")
+        lines = [f"ttpkey {self._sk.private_bytes_raw().hex()}"]
+        lines += [f"user {user}" for user in sorted(self._users)]
         for device_id, record in self._devices.items():
-            manifest = ",".join(f"{n}={d.hex()}" for n, d in record.golden_manifest)
-            lines.append(f"device {device_id} {manifest}")
+            lines.append(f"device {device_id} {statefile.encode_manifest(record.golden_manifest)}")
             record.crp_store.save(os.path.join(directory, f"crps_ttp_{device_id}.txt"))
-        for cert in self._certs.values():
-            lines.append(f"cert {cert.encode().hex()}")
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        lines += [f"cert {cert.encode().hex()}" for cert in self._certs.values()]
+        statefile.write(path, REGISTRY_HEADER, lines)
 
     @classmethod
     def load(cls, path: str) -> "TtpService":
+        """Inverse of :meth:`save`; exactly one ``ttpkey`` record."""
         directory = os.path.dirname(os.path.abspath(path))
-        with open(path, encoding="ascii") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-        if not lines or lines[0] != REGISTRY_HEADER:
-            raise ValueError(f"not a registry file: {path}")
+        records, end = statefile.read(path, REGISTRY_HEADER)
         ttp = cls.__new__(cls)
         ttp._rng = Rng()
         ttp._enroll_crps = DEFAULT_ENROLL_CRPS
-        ttp._users = set()
-        ttp._devices = {}
-        ttp._certs = {}
-        for line in lines[1:]:
-            kind, _, rest = line.partition(" ")
-            if kind == "ttpkey":
-                ttp._sk = Ed25519PrivateKey.from_private_bytes(bytes.fromhex(rest))
-            elif kind == "user":
-                ttp._users.add(rest)
-            elif kind == "device":
-                device_id, manifest_s = rest.split(" ", 1)
-                manifest = []
-                for entry in manifest_s.split(","):
-                    name, digest_hex = entry.split("=")
-                    manifest.append((name, bytes.fromhex(digest_hex)))
-                store = puf.CrpStore.load(
-                    os.path.join(directory, f"crps_ttp_{device_id}.txt"), owner="ttp"
-                )
-                ttp._devices[device_id] = DeviceRecord(
-                    device_id=device_id, crp_store=store, golden_manifest=manifest
-                )
-            elif kind == "cert":
-                cert = Certificate.decode(bytes.fromhex(rest))
-                ttp._certs[cert.pk_tpm] = cert
-            else:
-                raise ValueError(f"unknown registry line kind {kind!r}")
+        ttp._sk, ttp._users, ttp._devices, ttp._certs = None, set(), {}, {}
+        for no, (kind, *values) in records:
+            with statefile.located(path, no):
+                if kind == "ttpkey" and ttp._sk is None:
+                    (key,) = values
+                    ttp._sk = Ed25519PrivateKey.from_private_bytes(statefile.hex_bytes(key, 32))
+                elif kind == "user":
+                    (user,) = values
+                    ttp._users.add(check_identifier(user))
+                elif kind == "device":
+                    device_id, manifest = values
+                    if device_id in ttp._devices:
+                        raise ValueError(f"second record for device {device_id}")
+                    ttp._devices[device_id] = DeviceRecord(
+                        device_id=check_identifier(device_id),
+                        golden_manifest=statefile.decode_manifest(manifest),
+                        crp_store=puf.CrpStore.load(
+                            os.path.join(directory, f"crps_ttp_{device_id}.txt"), owner="ttp"
+                        ),
+                    )
+                elif kind == "cert":
+                    (cert_hex,) = values
+                    cert = Certificate.decode(statefile.hex_bytes(cert_hex))
+                    ttp._certs[cert.pk_tpm] = cert
+                else:
+                    raise ValueError(f"unexpected registry record {kind!r}")
+        if ttp._sk is None:
+            raise statefile.StateFileError(path, end, "no ttpkey record")
         return ttp

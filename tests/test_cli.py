@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from trctee import cli, device, vtpm
+from trctee import cli, device, puf, vtpm
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -230,3 +230,98 @@ class TestServeConnectVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: HistoryFormatError: ")
         assert "line 2" in captured.err and captured.err.count("\n") == 1
+
+
+def enroll_and_provision(store):
+    assert run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1") == 0
+    assert run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice") == 0
+    assert run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1") == 0
+
+
+def serve_and_connect(store, capsys):
+    """One `serve` in a thread and one `connect` against it; connect's exit code."""
+    import time
+
+    port = free_port()
+    server = threading.Thread(
+        target=run_cli,
+        args=("--store", store, "serve", "--listen", f"127.0.0.1:{port}",
+              "--device", "dev1", "--timeout", "10"),
+        daemon=True,
+    )
+    server.start()
+    deadline = time.time() + 5
+    while True:  # retry while the server is not yet listening
+        rc = run_cli("--store", store, "connect", "--addr", f"127.0.0.1:{port}", "--user", "alice")
+        if "ConnectError" not in capsys.readouterr().err or time.time() > deadline:
+            break
+        time.sleep(0.1)
+    server.join(timeout=10)
+    assert not server.is_alive()
+    return rc
+
+
+class TestCrpsAcrossRuns:
+    def test_two_connect_runs_send_disjoint_challenges(self, store, capsys, monkeypatch):
+        enroll_and_provision(store)
+        sent = []
+        respond = puf.PufDevice.respond
+        monkeypatch.setattr(
+            puf.PufDevice, "respond", lambda self, c: sent.append(c) or respond(self, c)
+        )
+        runs = []
+        for _ in range(2):
+            start = len(sent)
+            assert serve_and_connect(store, capsys) == 0
+            runs.append(set(sent[start:]))
+        # Each run sends the handshake's challenge and the key update's.
+        assert len(runs[0]) == len(runs[1]) == 2
+        assert not runs[0] & runs[1]
+        crps = puf.CrpStore.load(str(Path(store) / "crps_user_alice.txt"))
+        assert {r.challenge for r in crps.records() if r.used} == runs[0] | runs[1]
+
+
+def drop_provisioning(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:6]))
+
+
+# (subcommand, state file it reads, how the file is broken)
+BROKEN_STATE = [
+    (["enroll-device", "--id", "dev2"], "registry.txt", "garbage"),
+    (["enroll-vtpm", "--user", "bob"], "registry.txt", "garbage"),
+    (["provision", "--user", "alice", "--device", "dev1"], "registry.txt", "garbage"),
+    (["provision", "--user", "alice", "--device", "dev1"], "registry.txt", "missing"),
+    (["provision", "--user", "alice", "--device", "dev1"], "crps_ttp_dev1.txt", "garbage"),
+    (["provision", "--user", "alice", "--device", "dev1"], "user_alice.txt", "garbage"),
+    (["serve", "--listen", "127.0.0.1:0", "--device", "dev1"], "device_dev1.txt", "garbage"),
+    (["serve", "--listen", "127.0.0.1:0", "--device", "dev1"], "device_dev1.txt", "missing"),
+    (["connect", "--addr", "127.0.0.1:9", "--user", "alice"], "user_alice.txt", "garbage"),
+    (["connect", "--addr", "127.0.0.1:9", "--user", "alice"], "user_alice.txt", "unprovisioned"),
+    (["connect", "--addr", "127.0.0.1:9", "--user", "alice"], "crps_user_alice.txt", "garbage"),
+    (["connect", "--addr", "127.0.0.1:9", "--user", "alice"], "crps_user_alice.txt", "missing"),
+    (["verify", "log.txt", "--user", "alice"], "user_alice.txt", "garbage"),
+    (["verify", "log.txt", "--user", "alice"], "user_alice.txt", "unprovisioned"),
+]
+
+
+class TestMalformedStateFiles:
+    @pytest.mark.parametrize(
+        "argv,name,how", BROKEN_STATE, ids=[f"{c[0][0]}-{c[1]}-{c[2]}" for c in BROKEN_STATE]
+    )
+    def test_exit_2_with_one_error_line(self, store, capsys, argv, name, how):
+        enroll_and_provision(store)
+        path = Path(store) / name
+        if how == "garbage":
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text(lines[0] + "garbage\n" + "".join(lines[1:]))
+        elif how == "missing":
+            path.unlink()
+        else:
+            drop_provisioning(path)
+        capsys.readouterr()
+        rc = run_cli("--store", store, *argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: StateFileError: {path}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

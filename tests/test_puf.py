@@ -128,3 +128,28 @@ class TestStore:
             r.challenge: (r.response, r.used) for r in store.records()
         }
         assert loaded.unused_count() == 5
+
+
+class TestWriteAhead:
+    def test_take_unused_is_on_disk_when_it_returns(self, device, tmp_path):
+        path = str(tmp_path / "crps.txt")
+        puf.enroll(device, 4, Rng(5)).save(path)
+        store = puf.CrpStore.load(path, owner="user")
+        first = store.take_unused()
+        assert [r.challenge for r in puf.CrpStore.load(path).records() if r.used] == [
+            first.challenge
+        ]
+        second = store.take(store.peek_unused_challenge())
+        on_disk = puf.CrpStore.load(path)
+        assert {r.challenge for r in on_disk.records() if r.used} == {
+            first.challenge, second.challenge
+        }
+
+    def test_store_built_in_memory_does_no_io(self, device, monkeypatch):
+        def no_write(*args):
+            raise AssertionError("an in-memory store wrote a file")
+
+        monkeypatch.setattr(puf.statefile, "write", no_write)
+        store = puf.enroll(device, 4, Rng(5))
+        store.take_unused()
+        store.split(2, owner="user").take_unused()

@@ -1,4 +1,6 @@
+import gc
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -180,3 +182,14 @@ class TestDeterminismAndTransport:
         wire_bytes = b"".join(record for _, record in report.frame_transcript)
         for marker in markers:
             assert marker not in wire_bytes
+
+
+class TestNoLeakedSockets:
+    @pytest.mark.parametrize("name", ["baseline.txt", "adversary_swap_cert.txt"])
+    def test_tcp_session_closes_both_ends(self, name):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = run_file(name, tcp=True)
+            gc.collect()
+        assert report.exit_code == 0, report.text()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
