@@ -194,10 +194,12 @@ def seal(session: SessionState, plaintext: bytes, *, _rekey_bypass: bool = False
     return Frame(epoch=session.epoch, counter=counter, record=record)
 
 
-def open_frame(session: SessionState, record: bytes | bytearray) -> bytes:
+def open_frame(session: SessionState, record: bytes | bytearray) -> memoryview:
     """Authenticate and decrypt one record, enforcing epoch and anti-replay.
 
-    The ciphertext is decrypted where it sits in ``record``."""
+    The record is consumed: a ``bytearray`` is decrypted where it sits and
+    the plaintext comes back as a view of it, so the caller must not use the
+    record again.  A ``bytes`` record is decrypted into one fresh buffer."""
     if len(record) < FRAME_OVERHEAD:
         raise AuthFailure("frame shorter than its fixed fields")
     epoch, counter = _HEAD.unpack_from(record)
@@ -208,15 +210,19 @@ def open_frame(session: SessionState, record: bytes | bytearray) -> bytes:
             f"counter {counter} not above last accepted {session.recv_counter}"
         )
     nonce = _nonce(session.peer_role, epoch, counter)
-    with memoryview(record) as view:
-        if view[_HEAD.size : _CIPHERTEXT_AT] != nonce:
-            raise AuthFailure("frame nonce does not match its header fields")
-        try:
-            plaintext = AESGCM(session.sess_key).decrypt(
-                nonce, view[_CIPHERTEXT_AT:], view[: _HEAD.size]
-            )
-        except InvalidTag:
-            raise AuthFailure("frame failed authentication") from None
+    view = memoryview(record)
+    if view[_HEAD.size : _CIPHERTEXT_AT] != nonce:
+        raise AuthFailure("frame nonce does not match its header fields")
+    if view.readonly:
+        plaintext = memoryview(bytearray(len(view) - FRAME_OVERHEAD))
+    else:
+        plaintext = view[_CIPHERTEXT_AT:-TAG_LEN]
+    try:
+        AESGCM(session.sess_key).decrypt_into(
+            nonce, view[_CIPHERTEXT_AT:], view[: _HEAD.size], plaintext
+        )
+    except InvalidTag:
+        raise AuthFailure("frame failed authentication") from None
     session.recv_counter = counter
     return plaintext
 
@@ -536,14 +542,14 @@ class ChannelEndpoint:
         frame = seal(self.session, payload, _rekey_bypass=_rekey_bypass)
         self.transport.send_record(frame.encode())
 
-    def recv(self) -> bytes:
+    def recv(self) -> memoryview:
         try:
             record = self.transport.recv_record(self.recv_timeout)
         except _transport.ReceiveTimeout as exc:
             raise Timeout(str(exc)) from None
         return open_frame(self.session, record)
 
-    def request(self, payload: bytes, *, _rekey_bypass: bool = False) -> bytes:
+    def request(self, payload: bytes, *, _rekey_bypass: bool = False) -> memoryview:
         self.send(payload, _rekey_bypass=_rekey_bypass)
         return self.recv()
 

@@ -50,7 +50,7 @@ def _user_path(root: str, user_id: str) -> str:
 def _load_or_new_ttp(root: str, rng: Rng) -> ttp.TtpService:
     path = _registry_path(root)
     if os.path.exists(path):
-        return ttp.TtpService.load(path)
+        return ttp.TtpService.load(path, rng)
     return ttp.TtpService(rng=rng)
 
 
@@ -118,12 +118,18 @@ def cmd_provision(args) -> int:
     root = _store_dir(args)
     ttp_service = ttp.TtpService.load(_registry_path(root))
     bundle, _, _ = _load_user(_user_path(root, args.user))
+    crps_path = os.path.join(root, f"crps_user_{args.user}.txt")
+    if os.path.exists(crps_path):
+        # A second slice would orphan the CRPs the first one handed out.
+        print(f"error: user {args.user} is already provisioned ({crps_path} exists)",
+              file=sys.stderr)
+        return 1
     device_id, manifest, crp_slice = ttp_service.provision_user(
         args.user, args.device, slice_size=args.crp_pool
     )
     ttp_service.save(_registry_path(root))
     _save_user(_user_path(root, args.user), bundle, device_id, manifest)
-    crp_slice.save(os.path.join(root, f"crps_user_{args.user}.txt"))
+    crp_slice.save(crps_path)
     print(f"user {args.user} provisioned for {device_id} with {len(crp_slice)} CRPs")
     return 0
 

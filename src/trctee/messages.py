@@ -6,7 +6,9 @@ messages below: one byte of message type (0x01-0x06), then type-specific
 fields (big-endian lengths).  These cover the boot report, the bitstream
 upload and the key-update exchange between the vTPM and the device-side
 TMM; the TPM-Agent in between forwards the sealed frames without parsing
-them.  Every decoder raises :class:`MessageError` on malformed input.
+them.  Every decoder raises :class:`MessageError` on malformed input, takes
+any bytes-like payload (an opened frame is a view of its record) and
+returns the fields it keeps as ``bytes``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _expect(payload: bytes, kind: int) -> bytes:
 
 def _text(data: bytes) -> str:
     try:
-        return data.decode()
+        return str(data, "utf-8")
     except UnicodeDecodeError:
         raise MessageError("name is not UTF-8") from None
 
@@ -86,7 +88,7 @@ def decode_boot_report(payload: bytes) -> list[tuple[int, str, bytes]]:
         if "\n" in name or "\r" in name:
             raise MessageError("boot component name must be a single line")
         offset += name_len
-        digest = body[offset : offset + DIGEST_LEN]
+        digest = bytes(body[offset : offset + DIGEST_LEN])
         offset += DIGEST_LEN
         measurements.append((index, name, digest))
     if offset != len(body):
@@ -107,8 +109,8 @@ def decode_update_req(payload: bytes) -> tuple[bytes, bytes, int]:
     body = _expect(payload, UPDATE_REQ)
     if len(body) != 4 + DIGEST_LEN + 4:
         raise MessageError("update request length mismatch")
-    challenge = body[:4]
-    state_hash = body[4 : 4 + DIGEST_LEN]
+    challenge = bytes(body[:4])
+    state_hash = bytes(body[4 : 4 + DIGEST_LEN])
     (new_epoch,) = struct.unpack_from(">I", body, 4 + DIGEST_LEN)
     return challenge, state_hash, new_epoch
 
@@ -125,7 +127,7 @@ def decode_update_confirm(payload: bytes, kind: int) -> bytes:
     mac = _expect(payload, kind)
     if len(mac) != MAC_LEN:
         raise MessageError("confirmation MAC must be 48 bytes")
-    return mac
+    return bytes(mac)
 
 
 # -- file-store upload -----------------------------------------------------------
@@ -146,7 +148,7 @@ def decode_store_blob(payload: bytes) -> tuple[str, bytes]:
     name = _text(body[2 : 2 + name_len])
     if not BLOB_NAME.fullmatch(name):
         raise MessageError(f"unsafe blob name {name!r}")
-    return name, body[2 + name_len :]
+    return name, bytes(body[2 + name_len :])
 
 
 def encode_store_ok() -> bytes:

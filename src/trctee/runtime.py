@@ -205,6 +205,7 @@ class UserNode:
         self.endpoint: channel.ChannelEndpoint | None = None
         self.deploy_key: bytes | None = None
         self.history = ExpectedHistory()
+        self._forwarded: wire.DeployResp | wire.InvokeResp | None = None
         self.handshakes_done = 0
         self.updates_done = 0
 
@@ -253,6 +254,7 @@ class UserNode:
     def prepare_deploy(self, ip_num: int, image: device.IpImage) -> DeployTicket:
         """Encrypt a bitstream, upload it, and keep the local reference hash."""
         endpoint = self._require_session()
+        self._check_rekey_budget()
         plaintext = image.encode()
         encrypted = device.encrypt_bitstream(
             image, ip_num, self.deploy_key, self.rng.child(f"bitstream-{ip_num}")
@@ -268,8 +270,8 @@ class UserNode:
 
     def user_deploy(self, ticket: DeployTicket) -> tuple[wire.DeployResp, str]:
         """Issue Deploy_CMD; verdict compares the returned and local hashes."""
-        response_bytes = self.vtpm.dispatch(wire.encode(wire.DeployCmd(ip_num=ticket.ip_num)))
-        response = wire.decode_response(response_bytes, wire.CC_DEPLOY)
+        command = wire.DeployCmd(ip_num=ticket.ip_num)
+        response = self._forward(wire.encode(command)) or wire.failure_response(command)
         verdict = (
             "Verified"
             if response.response_code == 0
@@ -279,9 +281,20 @@ class UserNode:
         self._maybe_rekey()
         return response, verdict
 
+    def _forward(self, command: bytes) -> wire.DeployResp | wire.InvokeResp | None:
+        """Dispatch one Deploy_CMD or Invoke_CMD through the vTPM; the response
+        :meth:`_forward_to_tmm` decoded, or None if none came back."""
+        self._check_rekey_budget()
+        self.vtpm.dispatch(command)
+        response, self._forwarded = self._forwarded, None
+        return response
+
     def _forward_to_tmm(self, command: wire.DeployCmd | wire.InvokeCmd, raw: bytes) -> bytes:
         """vTPM-side Deploy_CMD/Invoke_CMD hook: measure the input, forward the
-        command bytes to the TMM, measure its result, return its response bytes."""
+        command bytes to the TMM, measure its result, return its response bytes.
+
+        The decoded response is left for :meth:`_forward`, so that each
+        payload is decoded once on this hop."""
         try:
             endpoint = self._require_session()
         except NoSession as exc:
@@ -301,6 +314,7 @@ class UserNode:
         except (channel.ChannelError, wire.WireError) as exc:
             self.trace.emit("user", "error", exc)
             return wire.encode(wire.failure_response(command))
+        self._forwarded = response
         if response.response_code != 0:
             return reply
         if invoke:
@@ -327,8 +341,8 @@ class UserNode:
         """Issue Invoke_CMD and build the verification record from the log."""
         command = wire.encode(wire.InvokeCmd(ip_num=ip_num, input=data, flag=flag))
         mark = len(self.trace.events)
-        response = wire.decode_response(self.vtpm.dispatch(command), wire.CC_INVOKE)
-        if response.response_code != 0:
+        response = self._forward(command)
+        if response is None or response.response_code != 0:
             cause = self.trace.first_error(mark)
             raise OrchestrationError(
                 f"invocation of IP {ip_num} failed" + (f": {cause}" if cause else "")
@@ -382,6 +396,19 @@ class UserNode:
             return 1
         self.updates_done += 1
         return 0
+
+    def _check_rekey_budget(self) -> None:
+        """Refuse, before anything is sent or measured, an operation whose frame
+        makes an automatic key update due when no unused CRP is left for it."""
+        if not self.auto_rekey or self.endpoint is None:
+            return
+        session = self.endpoint.session
+        due = session.send_counter + 1 >= session.rekey_threshold
+        if due and not self.crp_store.unused_count():
+            raise CrpExhausted(
+                "the key update due after this operation needs a CRP; "
+                f"0 of {len(self.crp_store)} remain unused"
+            )
 
     def _maybe_rekey(self) -> None:
         if (

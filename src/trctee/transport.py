@@ -1,10 +1,12 @@
 """Record transport: 4-byte big-endian length prefix, then the payload.
 
 The same framing runs over in-process queue pairs and TCP sockets, so
-protocol code above this layer cannot tell the difference.  A received
-record may be a ``bytearray`` (TCP reads into one; a sealed frame is built
-in one); receivers only read it.  Wrappers add traffic recording and the
-adversary taps used by attack scenarios.
+protocol code above this layer cannot tell the difference.  A record
+belongs to its receiver: it may be a ``bytearray`` (TCP reads into one; a
+sealed frame is built in one, and the in-process pipe hands that very
+object over), which ``channel.open_frame`` decrypts in place.  Wrappers add
+traffic recording and the adversary taps used by attack scenarios; both
+keep ``bytes`` copies, so what they hold stays the ciphertext.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def connect(host: str, port: int, timeout: float = 5.0) -> TcpTransport:
 
 
 class RecordingTransport:
-    """Passthrough wrapper appending (direction, payload) to a shared list."""
+    """Passthrough wrapper appending (direction, copy of payload) to a shared list."""
 
     def __init__(self, inner, log: list[tuple[str, bytes]], sent_label: str = "sent",
                  received_label: str = "received"):
@@ -165,12 +167,12 @@ class RecordingTransport:
         self._received = received_label
 
     def send_record(self, payload: bytes) -> None:
-        self.log.append((self._sent, payload))
+        self.log.append((self._sent, bytes(payload)))
         self._inner.send_record(payload)
 
     def recv_record(self, timeout: float | None = None) -> bytes:
         record = self._inner.recv_record(timeout)
-        self.log.append((self._received, record))
+        self.log.append((self._received, bytes(record)))
         return record
 
     def close(self) -> None:
@@ -210,7 +212,7 @@ class AdversaryTap:
         elif self._armed == "tamper":
             self._armed = None
             record = record[:-1] + bytes([record[-1] ^ 0x01])
-        self._last_received = record
+        self._last_received = bytes(record)  # the receiver decrypts ``record`` in place
         return record
 
     def close(self) -> None:

@@ -121,7 +121,12 @@ class VtpmBundle:
 
 
 class TtpService:
-    """Enrollment and certification authority backed by one registry."""
+    """Enrollment and certification authority backed by one registry.
+
+    Each draw is derived from the ``rng`` seed and the identity it is for,
+    so a service loaded from its registry with the same seed never repeats
+    a key or challenge that an earlier run drew.
+    """
 
     def __init__(self, rng: Rng | None = None, enroll_crps: int = DEFAULT_ENROLL_CRPS):
         self._rng = rng or Rng()
@@ -146,9 +151,10 @@ class TtpService:
         if device_id in self._devices:
             raise DuplicateDevice(f"device {device_id} already enrolled")
         manifest = [(name, sha384(blob)) for name, blob in boot_image.items()]
+        crps = puf.enroll(device, self._enroll_crps, self._rng.child(f"crps/{device_id}"))
         record = DeviceRecord(
             device_id=device_id,
-            crp_store=puf.enroll(device, self._enroll_crps, self._rng),
+            crp_store=crps,
             golden_manifest=manifest,
         )
         self._devices[device_id] = record
@@ -158,7 +164,8 @@ class TtpService:
         """Generate the vTPM keypair and certificate for a registered user."""
         if user_id not in self._users:
             raise UnknownUser(f"user {user_id} is not registered")
-        seed = self._rng.bytes(32)
+        # The serial tells apart two enrollments of one user.
+        seed = self._rng.child(f"vtpm/{len(self._certs)}/{user_id}").bytes(32)
         pk = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
         signature = self._sk.sign(Certificate.signed_payload(user_id, pk))
         cert = Certificate(user_id=user_id, pk_tpm=pk, signature=signature)
@@ -205,12 +212,12 @@ class TtpService:
         statefile.write(path, REGISTRY_HEADER, lines)
 
     @classmethod
-    def load(cls, path: str) -> "TtpService":
+    def load(cls, path: str, rng: Rng | None = None) -> "TtpService":
         """Inverse of :meth:`save`; exactly one ``ttpkey`` record."""
         directory = os.path.dirname(os.path.abspath(path))
         records, end = statefile.read(path, REGISTRY_HEADER)
         ttp = cls.__new__(cls)
-        ttp._rng = Rng()
+        ttp._rng = rng or Rng()
         ttp._enroll_crps = DEFAULT_ENROLL_CRPS
         ttp._sk, ttp._users, ttp._devices, ttp._certs = None, set(), {}, {}
         for no, (kind, *values) in records:

@@ -15,7 +15,8 @@ Extended commands are delegated to two hooks wired up by the runtime
 orchestration: ``update_handler`` runs a key update, and
 ``forward_handler`` carries a Deploy_CMD or Invoke_CMD to the TMM as its
 command bytes and returns the TMM's response bytes.  Without a hook they
-answer as failures.
+answer as failures.  An Invoke_CMD reaches the hook with its input as a
+view of the command bytes: the engine routes it without copying it out.
 """
 
 from __future__ import annotations
@@ -75,6 +76,23 @@ class EventKind(Enum):
     IP_INPUT = "IpInput"
     IP_OUTPUT = "IpOutput"
     OTHER = "Other"
+
+
+# The registers each kind of event may extend (the runtime's PCR table).
+KIND_PCRS = {
+    EventKind.BOOT_COMPONENT: range(0, 8),
+    EventKind.IP_DEPLOY: range(8, 9),
+    EventKind.IP_INPUT: range(9, 10),
+    EventKind.IP_OUTPUT: range(10, 11),
+    EventKind.OTHER: range(PCR_COUNT),
+}
+
+
+def _check_kind(index: int, kind: EventKind, error: type[VtpmError]) -> None:
+    allowed = KIND_PCRS[kind]
+    if index not in allowed:
+        span = f"{allowed.start}..{allowed.stop - 1}"
+        raise error(f"{kind.value} event on PCR {index}, outside {span}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,6 +210,7 @@ def _parse_event(line: str, seq: int) -> MeasurementEvent:
     kind = _KINDS.get(kind_s)
     if kind is None:
         raise LogFormatError(f"unknown event kind {kind_s!r}")
+    _check_kind(pcr_index, kind, LogFormatError)
     try:
         digest = bytes.fromhex(digest_hex)
     except ValueError:
@@ -230,6 +249,9 @@ class Vtpm:
         kind: EventKind = EventKind.OTHER,
         label: str = "",
     ) -> bytes:
+        """Extend PCR ``index`` and log the event; ``kind`` must be allowed
+        on that register (:data:`KIND_PCRS`), so the exported log parses."""
+        _check_kind(index, kind, IndexOutOfRange)
         value = self.pcrs.extend(index, digest)
         self.log.append(
             MeasurementEvent(
@@ -259,9 +281,12 @@ class Vtpm:
     # -- command dispatch ---------------------------------------------------
 
     def dispatch(self, command: bytes) -> bytes:
-        """Decode, execute, and answer one command; never raises on bad input."""
+        """Decode, execute, and answer one command; never raises on bad input.
+
+        A forwarded command is answered with what the hook returns, which may
+        be a view of the record the answer arrived in."""
         try:
-            message = wire.decode(command)
+            message = wire.decode(command, borrow_input=True)
         except wire.WireError:
             return wire.encode(wire.StandardResp(response_code=RC_BAD_TAG))
 

@@ -278,8 +278,11 @@ def _split(data: bytes) -> tuple[int, int, memoryview]:
     return tag, code, memoryview(data)[HEADER_LEN:]
 
 
-def decode(data: bytes) -> TpmMessage:
-    """Decode a command, dispatching extended codes to their typed forms."""
+def decode(data: bytes, *, borrow_input: bool = False) -> TpmMessage:
+    """Decode a command, dispatching extended codes to their typed forms.
+
+    With ``borrow_input`` an Invoke_CMD's input is a view of ``data`` rather
+    than a copy, valid for as long as ``data`` is left unchanged."""
     tag, code, body = _split(data)
     kind = classify(code)
     if kind is MessageClass.UPDATE_EXT:
@@ -297,7 +300,10 @@ def decode(data: bytes) -> TpmMessage:
         if len(body) != 2 + 4 + input_length + 4:
             raise LengthMismatch("invoke body length disagrees with the input-length field")
         (flag,) = _U32.unpack_from(body, 6 + input_length)
-        return InvokeCmd(ip_num=ip_num, input=bytes(body[6 : 6 + input_length]), flag=flag)
+        data_in = body[6 : 6 + input_length]
+        if not borrow_input:
+            data_in = bytes(data_in)
+        return InvokeCmd(ip_num=ip_num, input=data_in, flag=flag)
     if TPM_CC_FIRST <= code <= TPM_CC_LAST:
         return StandardCmd(command_code=code, body=bytes(body), tag=tag)
     raise UnknownCode(code)

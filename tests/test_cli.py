@@ -325,3 +325,36 @@ class TestMalformedStateFiles:
         assert captured.out == ""
         assert captured.err.startswith(f"error: StateFileError: {path}")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+class TestSeededRegistry:
+    def test_seeded_runs_write_identical_stores(self, tmp_path):
+        stores = [tmp_path / "a", tmp_path / "b"]
+        for root in stores:
+            for argv in (
+                ("enroll-device", "--id", "dev1"),
+                ("enroll-vtpm", "--user", "alice"),
+                ("enroll-vtpm", "--user", "bob"),
+                ("provision", "--user", "alice", "--device", "dev1"),
+            ):
+                assert run_cli("--store", str(root), "--seed", "3", *argv) == 0
+        files = sorted(path.name for path in stores[0].iterdir())
+        assert files == sorted(path.name for path in stores[1].iterdir())
+        for name in files:
+            assert (stores[0] / name).read_bytes() == (stores[1] / name).read_bytes(), name
+        alice, _, _ = cli._load_user(str(stores[0] / "user_alice.txt"))
+        bob, _, _ = cli._load_user(str(stores[0] / "user_bob.txt"))
+        assert alice.sk_tpm != bob.sk_tpm
+
+
+class TestProvisionOnce:
+    def test_second_provision_is_refused(self, store, capsys):
+        enroll_and_provision(store)
+        root = Path(store)
+        before = {path.name: path.read_bytes() for path in root.iterdir()}
+        capsys.readouterr()
+        assert run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in root.iterdir()} == before

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from trctee import transport
+from trctee import channel, transport
 
 
 @pytest.fixture
@@ -118,3 +118,35 @@ class TestPartialWrites:
 
         with pytest.raises(transport.TransportClosed):
             transport.TcpTransport(Broken()).send_record(b"x")
+
+
+class TestCopiesOutliveInPlaceOpen:
+    """The receiver decrypts a record where it sits; the recorder and the
+    adversary tap must still hold the sealed bytes."""
+
+    @pytest.mark.parametrize("kind", ["inproc", "tcp"])
+    def test_recorded_and_tapped_records_stay_sealed(self, loopback, kind):
+        if kind == "inproc":
+            near, far = transport.pipe_pair()
+        else:
+            raw, far = loopback()
+            near = transport.TcpTransport(raw)
+        log = []
+        sender = transport.RecordingTransport(near, log)
+        tap = transport.AdversaryTap(far)
+        receiver = transport.RecordingTransport(tap, log)
+        key = bytes(range(32))
+        vtpm_end = channel.SessionState(sess_key=key, peer_role=channel.Role.TMM)
+        tmm_end = channel.SessionState(sess_key=key, peer_role=channel.Role.VTPM)
+        payload = bytes(range(256)) * 64
+        frame = channel.seal(vtpm_end, payload)
+        sealed = bytes(frame.encode())
+        sender.send_record(frame.encode())
+        record = receiver.recv_record(5)
+        assert channel.open_frame(tmm_end, record) == payload
+        assert record != sealed  # opened in place
+        assert log == [("sent", sealed), ("received", sealed)]
+        tap.arm("replay")
+        assert receiver.recv_record(5) == sealed
+        with pytest.raises(channel.ReplayDetected):
+            channel.open_frame(tmm_end, sealed)

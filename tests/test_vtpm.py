@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -100,7 +101,7 @@ class TestLog:
                 st.sampled_from(vtpm.EventKind),
                 st.text(st.characters(exclude_characters="\n\r", exclude_categories=())),
                 st.binary(min_size=48, max_size=48),
-            ),
+            ).filter(lambda event: event[0] in vtpm.KIND_PCRS[event[1]]),
             max_size=8,
         )
     )
@@ -146,11 +147,32 @@ class TestParseLogIsTotal:
             vtpm.parse_log(text)
 
     def test_blank_lines_and_crlf_tolerated(self):
-        text = f"\n0, 0, Other, x, {DIGEST_HEX}\r\n  \n1, 3, IpInput, y, {DIGEST_HEX}"
+        text = f"\n0, 0, Other, x, {DIGEST_HEX}\r\n  \n1, 9, IpInput, y, {DIGEST_HEX}"
         assert [(e.seq, e.pcr_index, e.label) for e in vtpm.parse_log(text)] == [
             (0, 0, "x"),
-            (1, 3, "y"),
+            (1, 9, "y"),
         ]
+
+    @pytest.mark.parametrize(
+        "index, kind",
+        [(8, "BootComponent"), (23, "BootComponent"), (0, "IpDeploy"), (9, "IpDeploy"),
+         (8, "IpInput"), (10, "IpInput"), (9, "IpOutput"), (11, "IpOutput")],
+    )
+    def test_kind_outside_its_registers_is_a_log_format_error(self, index, kind):
+        good = f"0, 0, BootComponent, fsbl, {DIGEST_HEX}\n"
+        with pytest.raises(vtpm.LogFormatError, match=f"^line 2: {kind} event on PCR {index}"):
+            vtpm.parse_log(good + f"1, {index}, {kind}, x, {DIGEST_HEX}\n")
+        with pytest.raises(vtpm.IndexOutOfRange):
+            vtpm.Vtpm(rng=Rng(3)).pcr_extend(index, bytes(48), vtpm.EventKind(kind), "x")
+
+    def test_every_allowed_pair_parses(self):
+        pairs = [(index, kind) for kind, pcrs in vtpm.KIND_PCRS.items() for index in pcrs]
+        assert len(pairs) == 8 + 1 + 1 + 1 + 24  # Other goes anywhere
+        text = "".join(
+            f"{seq}, {index}, {kind.value}, x, {DIGEST_HEX}\n"
+            for seq, (index, kind) in enumerate(pairs)
+        )
+        assert [(e.pcr_index, e.kind) for e in vtpm.parse_log(text)] == pairs
 
     @settings(max_examples=300)
     @given(
@@ -279,6 +301,26 @@ class TestDispatch:
         engine = vtpm.Vtpm(rng=Rng(1))
         response = engine.dispatch(data)
         assert isinstance(response, bytes) and len(response) >= 10
+
+    def test_invoke_routed_without_copying_its_input(self, engine):
+        size = 256 * 1024
+        command = wire.encode(wire.InvokeCmd(ip_num=1, input=Rng(4).bytes(size)))
+        answer = wire.encode(wire.InvokeResp(output=b""))
+        digests = []
+
+        def handler(message, raw):
+            digests.append(hashlib.sha384(message.input).digest())
+            return answer
+
+        engine.forward_handler = handler
+        tracemalloc.start()
+        try:
+            assert engine.dispatch(command) == answer
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digests == [hashlib.sha384(command[16:-4]).digest()]
+        assert peak < size // 8, f"dispatch allocated {peak} bytes"
 
     def test_deploy_handler_wiring(self, engine):
         calls = []
