@@ -47,6 +47,10 @@ def _user_path(root: str, user_id: str) -> str:
     return os.path.join(root, f"user_{user_id}.txt")
 
 
+def _user_crps_path(root: str, user_id: str) -> str:
+    return os.path.join(root, f"crps_user_{user_id}.txt")
+
+
 def _load_or_new_ttp(root: str, rng: Rng) -> ttp.TtpService:
     path = _registry_path(root)
     if os.path.exists(path):
@@ -106,10 +110,16 @@ def cmd_enroll_device(args) -> int:
 def cmd_enroll_vtpm(args) -> int:
     root = _store_dir(args)
     ttp_service = _load_or_new_ttp(root, Rng(args.seed).child("ttp"))
+    user_path = _user_path(root, args.user)
+    device_id = _load_user(user_path)[1] if os.path.exists(user_path) else None
+    if device_id is not None or os.path.exists(_user_crps_path(root, args.user)):
+        # A new key would drop the device and manifest while the CRP slice stays.
+        print(f"error: user {args.user} is already provisioned", file=sys.stderr)
+        return 1
     ttp_service.register_user(args.user)
     bundle = ttp_service.enroll_vtpm(args.user)
     ttp_service.save(_registry_path(root))
-    _save_user(_user_path(root, args.user), bundle)
+    _save_user(user_path, bundle)
     print(f"vTPM enrolled for {args.user}")
     return 0
 
@@ -118,7 +128,7 @@ def cmd_provision(args) -> int:
     root = _store_dir(args)
     ttp_service = ttp.TtpService.load(_registry_path(root))
     bundle, _, _ = _load_user(_user_path(root, args.user))
-    crps_path = os.path.join(root, f"crps_user_{args.user}.txt")
+    crps_path = _user_crps_path(root, args.user)
     if os.path.exists(crps_path):
         # A second slice would orphan the CRPs the first one handed out.
         print(f"error: user {args.user} is already provisioned ({crps_path} exists)",
@@ -136,9 +146,7 @@ def cmd_provision(args) -> int:
 
 def _load_user_node(root: str, user_id: str, args) -> runtime.UserNode:
     bundle, device_id, manifest = _load_provisioned_user(root, user_id)
-    crp_store = puf.CrpStore.load(
-        os.path.join(root, f"crps_user_{user_id}.txt"), owner="user"
-    )
+    crp_store = puf.CrpStore.load(_user_crps_path(root, user_id), owner="user")
     return runtime.UserNode(
         bundle=bundle,
         device_id=device_id,

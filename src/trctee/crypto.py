@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import itertools
 import os
+from collections.abc import Iterator
 
 from cryptography.hazmat.primitives.hashes import SHA384
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -59,15 +61,19 @@ class Rng:
         self._state = state
         self._counter = 0
 
+    def blocks(self) -> Iterator[bytes]:
+        """The 48-byte counter blocks, in order; each one advances the counter
+        as it is handed out, so a caller that stops early consumed no more."""
+        while True:
+            block = hashlib.sha384(self._state + self._counter.to_bytes(8, "big")).digest()
+            self._counter += 1
+            yield block
+
     def bytes(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("byte count must be non-negative")
-        out = bytearray()
-        while len(out) < n:
-            block = sha384(self._state + self._counter.to_bytes(8, "big"))
-            self._counter += 1
-            out.extend(block)
-        return bytes(out[:n])
+        count = -(-n // DIGEST_LEN)
+        return b"".join(itertools.islice(self.blocks(), count))[:n]
 
     def child(self, label: str) -> "Rng":
         """Derive an independent generator, e.g. one per protocol endpoint."""

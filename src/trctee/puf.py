@@ -26,17 +26,25 @@ class CrpExhausted(Exception):
 
 
 class PufDevice:
-    """A device's PUF: a fixed 32-byte fabrication secret keying the PRF."""
+    """A device's PUF: a fixed 32-byte fabrication secret keying the PRF,
+    HMAC-SHA256.  The pad states are hashed once; each response resumes
+    copies of them."""
 
     def __init__(self, device_seed: bytes):
         if len(device_seed) != 32:
             raise ValueError("device seed must be 32 bytes")
-        self._seed = device_seed
+        key = device_seed.ljust(hashlib.sha256().block_size, b"\0")
+        self._inner = hashlib.sha256(key.translate(hmac.trans_36))
+        self._outer = hashlib.sha256(key.translate(hmac.trans_5C))
 
     def respond(self, challenge: bytes) -> bytes:
         if len(challenge) != CHALLENGE_LEN:
             raise ValueError("challenge must be exactly 4 bytes")
-        return hmac.new(self._seed, challenge, hashlib.sha256).digest()
+        inner = self._inner.copy()
+        inner.update(challenge)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 @dataclass
@@ -137,18 +145,20 @@ class CrpStore:
 
 
 def enroll(device: PufDevice, n: int, rng: Rng | None = None) -> CrpStore:
-    """Collect ``n`` CRPs with distinct challenges drawn without replacement."""
+    """Collect ``n`` CRPs with distinct challenges drawn without replacement.
+
+    Each draw is the head of one DRBG block; a draw that repeats an enrolled
+    challenge is skipped.
+    """
     if n < 1:
         raise ValueError("enrollment count must be at least 1")
     if n > 2 ** (8 * CHALLENGE_LEN):
         raise ValueError("challenge space exhausted")
-    rng = rng or Rng()
     store = CrpStore(owner="ttp")
-    seen: set[bytes] = set()
-    while len(seen) < n:
-        challenge = rng.bytes(CHALLENGE_LEN)
-        if challenge in seen:
-            continue
-        seen.add(challenge)
-        store.add(CrpRecord(challenge=challenge, response=device.respond(challenge)))
-    return store
+    records = store._records
+    for block in (rng or Rng()).blocks():
+        challenge = block[:CHALLENGE_LEN]
+        if challenge not in records:
+            records[challenge] = CrpRecord(challenge, device.respond(challenge))
+            if len(records) == n:
+                return store

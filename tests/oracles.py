@@ -74,3 +74,18 @@ def concat_invoke_resp(output: bytes, response_code: int) -> bytes:
     body = struct.pack(">I", len(output)) + output
     header = struct.pack(">H", 0x8001) + struct.pack(">I", 10 + len(body))
     return header + struct.pack(">I", response_code) + body
+
+
+def enroll_reference(seed: bytes, n: int, rng) -> list[tuple[bytes, bytes, bool]]:
+    """CRP enrollment as one ``rng.bytes(4)`` draw per challenge and a fresh
+    ``hmac.new`` per response; colliding draws are skipped.  Returns
+    ``(challenge, response, used)`` in enrollment order."""
+    seen = set()
+    out = []
+    while len(seen) < n:
+        challenge = rng.bytes(4)
+        if challenge in seen:
+            continue
+        seen.add(challenge)
+        out.append((challenge, hmac.new(seed, challenge, hashlib.sha256).digest(), False))
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import threading
 from pathlib import Path
@@ -289,6 +290,7 @@ def drop_provisioning(path):
 BROKEN_STATE = [
     (["enroll-device", "--id", "dev2"], "registry.txt", "garbage"),
     (["enroll-vtpm", "--user", "bob"], "registry.txt", "garbage"),
+    (["enroll-vtpm", "--user", "alice"], "user_alice.txt", "garbage"),
     (["provision", "--user", "alice", "--device", "dev1"], "registry.txt", "garbage"),
     (["provision", "--user", "alice", "--device", "dev1"], "registry.txt", "missing"),
     (["provision", "--user", "alice", "--device", "dev1"], "crps_ttp_dev1.txt", "garbage"),
@@ -347,14 +349,49 @@ class TestSeededRegistry:
         assert alice.sk_tpm != bob.sk_tpm
 
 
+def assert_refused_writing_nothing(store, capsys, *argv):
+    """After enroll_and_provision, ``argv`` exits 1 with one error line and
+    leaves every file in the store byte-identical."""
+    enroll_and_provision(store)
+    root = Path(store)
+    before = {path.name: path.read_bytes() for path in root.iterdir()}
+    capsys.readouterr()
+    assert run_cli("--store", store, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in root.iterdir()} == before
+
+
 class TestProvisionOnce:
     def test_second_provision_is_refused(self, store, capsys):
-        enroll_and_provision(store)
-        root = Path(store)
-        before = {path.name: path.read_bytes() for path in root.iterdir()}
-        capsys.readouterr()
-        assert run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert {path.name: path.read_bytes() for path in root.iterdir()} == before
+        assert_refused_writing_nothing(
+            store, capsys, "provision", "--user", "alice", "--device", "dev1"
+        )
+
+
+class TestEnrollVtpmOnceProvisioned:
+    def test_re_enrolling_a_provisioned_user_is_refused(self, store, capsys):
+        assert_refused_writing_nothing(
+            store, capsys, "--seed", "3", "enroll-vtpm", "--user", "alice"
+        )
+
+    def test_unprovisioned_user_may_re_enroll(self, store):
+        assert run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1") == 0
+        assert run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice") == 0
+        first = (Path(store) / "user_alice.txt").read_bytes()
+        assert run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice") == 0
+        assert (Path(store) / "user_alice.txt").read_bytes() != first
+
+
+class TestEnrollmentFilesPinned:
+    def test_seed_3_device_enrollment_bytes(self, store):
+        assert run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1") == 0
+        digests = {
+            name: hashlib.sha256((Path(store) / name).read_bytes()).hexdigest()
+            for name in ("crps_ttp_dev1.txt", "registry.txt")
+        }
+        assert digests == {
+            "crps_ttp_dev1.txt": "fd42e312a8a561673b4e1781c55fb73d4df93b4b7746b8e33560111b297da091",
+            "registry.txt": "81c1c888da2431e6433095fbf4d6ea42e116b4d36c10c720e569bc96a4aaab5e",
+        }

@@ -1,7 +1,15 @@
+import hashlib
+import hmac
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trctee import puf
 from trctee.crypto import Rng
+
+from oracles import enroll_reference
 
 
 @pytest.fixture
@@ -46,6 +54,47 @@ class TestRespond:
         with pytest.raises(ValueError):
             puf.PufDevice(b"short")
 
+    @given(seed=st.binary(min_size=32, max_size=32), challenge=st.binary(min_size=4, max_size=4))
+    def test_equals_hmac_sha256(self, seed, challenge):
+        device = puf.PufDevice(seed)
+        assert device.respond(challenge) == hmac.new(seed, challenge, hashlib.sha256).digest()
+        # Pad states are copied, never advanced: a second call agrees.
+        assert device.respond(challenge) == device.respond(challenge)
+
+    @given(seed=st.binary(min_size=32, max_size=32),
+           challenge=st.binary(max_size=8).filter(lambda c: len(c) != 4))
+    def test_wrong_challenge_length_raises(self, seed, challenge):
+        with pytest.raises(ValueError):
+            puf.PufDevice(seed).respond(challenge)
+
+    @given(seed=st.binary(max_size=80).filter(lambda s: len(s) != 32))
+    def test_wrong_seed_length_raises(self, seed):
+        with pytest.raises(ValueError):
+            puf.PufDevice(seed)
+
+
+def counter_blocks(seed: int):
+    """SHA-384 in counter mode over the hashed seed, written out by hand."""
+    state = hashlib.sha384(seed.to_bytes(16, "big")).digest()
+    for counter in itertools.count():
+        yield hashlib.sha384(state + counter.to_bytes(8, "big")).digest()
+
+
+class TestRngBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 4, 47, 48, 49, 100])
+    def test_bytes_is_the_counter_stream(self, n):
+        expected = b"".join(itertools.islice(counter_blocks(7), 3))[:n]
+        assert Rng(7).bytes(n) == expected
+
+    def test_blocks_and_bytes_share_one_counter(self):
+        rng, reference = Rng(7), counter_blocks(7)
+        blocks = rng.blocks()
+        assert next(blocks) == next(reference)
+        assert rng.bytes(4) == next(reference)[:4]
+        assert next(blocks) == next(reference)
+        assert rng.bytes(49) == (next(reference) + next(reference))[:49]
+        assert next(rng.blocks()) == next(reference)
+
 
 class TestEnroll:
     def test_single_record(self, device):
@@ -65,6 +114,50 @@ class TestEnroll:
     def test_zero_count_rejected(self, device):
         with pytest.raises(ValueError):
             puf.enroll(device, 0, Rng(5))
+
+
+def enrolled(store):
+    return [(r.challenge, r.response, r.used) for r in store.records()]
+
+
+class ScriptedRng(Rng):
+    """An Rng whose blocks come from a list, so draws can be made to collide."""
+
+    def __init__(self, blocks):
+        super().__init__(0)
+        self._script = list(blocks)
+
+    def blocks(self):
+        while True:
+            block = self._script[self._counter]
+            self._counter += 1
+            yield block
+
+
+class TestEnrollMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 255, 256, 1024])
+    def test_same_crps_order_and_counter(self, seed, n):
+        device_seed = Rng(seed).bytes(32)
+        rng, reference_rng = Rng(1000 + seed), Rng(1000 + seed)
+        store = puf.enroll(puf.PufDevice(device_seed), n, rng)
+        assert enrolled(store) == enroll_reference(device_seed, n, reference_rng)
+        assert len(store) == n
+        # The DRBG is left where one ``bytes(4)`` per draw leaves it.
+        assert rng.bytes(48) == reference_rng.bytes(48)
+
+    def test_colliding_draws_are_skipped_alike(self):
+        heads = [i.to_bytes(4, "big") for i in (1, 2, 1, 3, 2, 3, 4, 5)]
+        # Blocks 2, 4 and 5 repeat an earlier 4-byte head with a different tail.
+        script = [head + bytes([j]) * 44 for j, head in enumerate(heads)]
+        script += [bytes([0xEE]) * 48] * 4
+        device_seed = Rng(9).bytes(32)
+        rng, reference_rng = ScriptedRng(script), ScriptedRng(script)
+        store = puf.enroll(puf.PufDevice(device_seed), 5, rng)
+        reference = enroll_reference(device_seed, 5, reference_rng)
+        assert enrolled(store) == reference
+        assert [c for c, _, _ in reference] == [i.to_bytes(4, "big") for i in (1, 2, 3, 4, 5)]
+        assert rng._counter == reference_rng._counter == 8
 
 
 class TestStore:
