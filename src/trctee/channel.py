@@ -105,6 +105,10 @@ class ConfirmFailure(ChannelError):
     pass
 
 
+class PeerAborted(ChannelError):
+    """The device sent an abort record naming the error it hit."""
+
+
 class Role(Enum):
     VTPM = "vtpm"
     TMM = "tmm"
@@ -256,6 +260,25 @@ _HS3 = 0x13
 _HS5 = 0x15
 _HS8 = 0x18
 _HS9 = 0x19
+_HS_ABORT = 0x1F
+
+# The errors an abort record may name, by reason code; 0 stands for any other.
+ABORT_REASONS = (ChannelError, BadCert, StaleNonce, ConfirmFailure)
+
+
+def abort_record(exc: ChannelError) -> bytes:
+    """The unsealed record a device sends before it closes on a failed
+    handshake.  It is unauthenticated, so it only names the cause to report."""
+    code = ABORT_REASONS.index(type(exc)) if type(exc) in ABORT_REASONS else 0
+    return bytes([_HS_ABORT, code])
+
+
+def _peer_aborted(data: bytes) -> ChannelError:
+    if len(data) != 2:
+        return StaleNonce(f"abort record of {len(data)} bytes, expected 2")
+    if data[1] >= len(ABORT_REASONS):
+        return PeerAborted(f"device aborted the handshake: unknown reason code {data[1]}")
+    return PeerAborted(f"device aborted the handshake: {ABORT_REASONS[data[1]].__name__}")
 
 
 class _Transcript:
@@ -337,6 +360,8 @@ class VtpmHandshake:
             raise StaleNonce("empty handshake message")
         data = bytes(data)  # the key decoders below take bytes only
         kind = data[0]
+        if kind == _HS_ABORT:
+            raise _peer_aborted(data)
         if self._state == "sent-hello" and kind == _HS2:
             return self._handle_hs2(data)
         if self._state == "sent-challenge" and kind == _HS5:

@@ -417,8 +417,13 @@ class FpgaSocDevice:
             try:
                 reply = handshake.on_message(record)
             except channel.ChannelError as exc:
-                # serve() closes, so the vTPM learns of the abort at once.
+                # Name the cause, then serve() closes: the vTPM learns of the
+                # abort at once and why.
                 self.trace.emit("device", "error", exc)
+                try:
+                    agent.send_record(channel.abort_record(exc))
+                except _transport.TransportError:
+                    pass
                 return
             if reply is not None:
                 agent.send_record(reply)

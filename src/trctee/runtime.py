@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import channel, device, messages, statefile, vtpm, wire
 from .trace import Trace
@@ -143,13 +144,14 @@ class VerifierReport:
 
 
 def verify_attestation(
-    log_text: str,
+    log: str | Iterable[str],
     golden_manifest: list[tuple[str, bytes]],
     history: ExpectedHistory,
 ) -> VerifierReport:
-    """Replay the exported log and compare all 24 registers to expectations."""
-    events = vtpm.parse_log(log_text)
-    actual = vtpm.replay_log(events)
+    """Replay the exported log, its text or its lines, and compare all 24
+    registers to expectations.  Events are parsed and replayed one at a time,
+    so the log is never held as a list."""
+    actual = vtpm.replay_log(vtpm.iter_log(log))
 
     expected = vtpm.PcrBank()
     for index, (_, digest) in enumerate(golden_manifest):
@@ -428,7 +430,10 @@ class UserNode:
         return self.vtpm.export_log()
 
     def verify(self) -> VerifierReport:
-        return verify_attestation(self.export_log(), self.golden_manifest, self.history)
+        # Streamed from the live log: this thread is its only writer.
+        return verify_attestation(
+            vtpm.export_lines(self.vtpm.log), self.golden_manifest, self.history
+        )
 
     def close(self) -> None:
         if self.endpoint is not None:

@@ -375,7 +375,7 @@ class ScenarioRunner:
         user_transport, device_transport = self._make_transports()
         self._device_thread = device.serve_in_thread(dev, device_transport)
         # On a failed handshake the device traces its typed error before it
-        # closes its end, so the step reports that error, not TransportClosed.
+        # sends its abort record and closes, so the step reports that error.
         user.connect(user_transport)
         return f"session established, epoch {user.endpoint.session.epoch}"
 

@@ -26,7 +26,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import wire
 from .crypto import Rng, sha384
@@ -163,37 +163,56 @@ def replay_log(events: Iterable[MeasurementEvent]) -> PcrBank:
     return bank
 
 
+def export_lines(events: Iterable[MeasurementEvent]) -> Iterator[str]:
+    r"""Line format: ``seq, pcr_index, kind, label, hex(digest)``, each ending in ``"\n"``."""
+    for e in events:
+        yield f"{e.seq}, {e.pcr_index}, {e.kind.value}, {e.label}, {e.digest.hex()}\n"
+
+
 def export_log(events: Iterable[MeasurementEvent]) -> str:
-    """Line format: ``seq, pcr_index, kind, label, hex(digest)``, one per line."""
-    return "".join(
-        f"{e.seq}, {e.pcr_index}, {e.kind.value}, {e.label}, {e.digest.hex()}\n" for e in events
-    )
+    """The whole log as one text: every :func:`export_lines` line, joined."""
+    return "".join(export_lines(events))
 
 
 _KINDS = {kind.value: kind for kind in EventKind}
 _PCR_INDICES = {str(index): index for index in range(PCR_COUNT)}
 
 
-def parse_log(text: str) -> list[MeasurementEvent]:
-    r"""Inverse of :func:`export_log`; raises :class:`LogFormatError` on any bad line.
-
-    Lines end at ``"\n"`` only, so a label may hold any other line-break
-    character.  Blank lines are skipped; ``seq`` must count up from 0.
-    """
-    events: list[MeasurementEvent] = []
-    start, line_no = 0, 0
+def _split_lines(text: str) -> Iterator[str]:
+    start = 0
     while start < len(text):
         stop = text.find("\n", start)
         if stop < 0:
             stop = len(text)
-        line = text[start:stop].strip()
-        start, line_no = stop + 1, line_no + 1
+        yield text[start:stop]
+        start = stop + 1
+
+
+def iter_log(log: str | Iterable[str]) -> Iterator[MeasurementEvent]:
+    r"""Inverse of :func:`export_lines`, one event at a time; raises
+    :class:`LogFormatError` on the first bad line.
+
+    ``log`` is the exported text, or its lines (a file opened with
+    ``newline="\n"`` yields them).  Lines end at ``"\n"`` only, so a label
+    may hold any other line-break character.  Blank lines are skipped;
+    ``seq`` must count up from 0.
+    """
+    lines = _split_lines(log) if isinstance(log, str) else log
+    seq = 0
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
         if line:
             try:
-                events.append(_parse_event(line, len(events)))
+                event = _parse_event(line, seq)
             except LogFormatError as exc:
                 raise LogFormatError(f"line {line_no}: {exc}") from None
-    return events
+            yield event
+            seq += 1
+
+
+def parse_log(text: str) -> list[MeasurementEvent]:
+    """The whole log as a list: :func:`iter_log` run to its end."""
+    return list(iter_log(text))
 
 
 def _parse_event(line: str, seq: int) -> MeasurementEvent:

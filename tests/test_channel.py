@@ -3,7 +3,7 @@ import struct
 import pytest
 
 from oracles import reference_hkdf
-from trctee import channel, puf, transport, ttp, vtpm
+from trctee import channel, device, puf, transport, ttp, vtpm
 from trctee.crypto import Rng
 
 
@@ -251,6 +251,73 @@ class TestHandshake:
         hs2 = responder.on_message(initiator.start())
         with pytest.raises(channel.ChannelError):
             initiator.on_message(hs2)
+
+
+def started_initiator():
+    service, bundle, device_puf, crps, rng = handshake_fixtures()
+    initiator = channel.VtpmHandshake(
+        sk_tpm=bundle.sk_tpm, cert=bundle.cert, device_id="dev1", crp_store=crps, rng=rng
+    )
+    initiator.start()
+    return initiator
+
+
+class TestAbortRecord:
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (channel.BadCert, "BadCert"),
+            (channel.StaleNonce, "StaleNonce"),
+            (channel.ConfirmFailure, "ConfirmFailure"),
+            (channel.ChannelError, "ChannelError"),
+            (channel.PufMismatch, "ChannelError"),  # outside the table: code 0
+        ],
+    )
+    def test_reason_reaches_the_vtpm(self, error, reason):
+        record = channel.abort_record(error("detail"))
+        assert len(record) == 2
+        with pytest.raises(channel.PeerAborted, match=f"^device aborted the handshake: {reason}$"):
+            started_initiator().on_message(record)
+
+    @pytest.mark.parametrize(
+        "record, error, message",
+        [
+            (b"\x1f", channel.StaleNonce, "abort record of 1 bytes"),
+            (b"\x1f\x01\x00", channel.StaleNonce, "abort record of 3 bytes"),
+            (b"\x1f\x04", channel.PeerAborted, "unknown reason code 4$"),
+            (b"\x1f\xff", channel.PeerAborted, "unknown reason code 255$"),
+        ],
+    )
+    def test_malformed_abort_is_a_typed_error(self, record, error, message):
+        with pytest.raises(error, match=message):
+            started_initiator().on_message(record)
+
+    def test_device_aborts_with_the_cause_before_closing(self):
+        service, bundle, device_puf, crps, rng = handshake_fixtures()
+        service.register_user("mallory")
+        initiator = channel.VtpmHandshake(
+            sk_tpm=bundle.sk_tpm,  # honest key, mallory's cert
+            cert=service.enroll_vtpm("mallory").cert,
+            device_id="dev1",
+            crp_store=crps,
+            rng=rng.child("hs-user"),
+        )
+        user_side, device_side = transport.pipe_pair()
+        dev = device.FpgaSocDevice(
+            device_id="dev1",
+            puf=device_puf,
+            boot_image=device.BootImage.synthetic("dev1", service.pk_ttp),
+            rng=rng.child("dev"),
+        )
+        thread = device.serve_in_thread(dev, device_side)
+        user_side.send_record(initiator.start())
+        user_side.send_record(initiator.on_message(user_side.recv_record(timeout=2.0)))
+        with pytest.raises(channel.PeerAborted, match="BadCert"):
+            initiator.on_message(user_side.recv_record(timeout=2.0))
+        thread.join(timeout=2.0)
+        with pytest.raises(transport.TransportClosed):
+            user_side.recv_record(timeout=2.0)
+        assert isinstance(dev.trace.first_error(), channel.BadCert)
 
 
 def connected_endpoints(threshold=1024):

@@ -196,6 +196,13 @@ class TestServeConnectVerify:
             b"0, 0, Other, x, ab\n",
             b"1, 0, Other, x, " + b"ab" * 48 + b"\n",
             b"0, 0, Other, \xff, " + b"ab" * 48 + b"\n",
+            # Not UTF-8 far past the first read buffer: the verifier streams
+            # the file, so a thousand events are replayed before it fails.
+            pytest.param(
+                b"".join(b"%d, 11, Other, x, %s\n" % (seq, b"ab" * 48) for seq in range(1000))
+                + b"1000, 11, Other, \xff, " + b"ab" * 48 + b"\n",
+                id="not-utf8-midway",
+            ),
         ],
     )
     def test_verify_malformed_log_is_one_error_line(self, store, capsys, content):
@@ -211,6 +218,36 @@ class TestServeConnectVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_verify_streams_its_file_with_lines_ending_at_lf_only(self, store, capsys):
+        enroll_and_provision(store)
+        capsys.readouterr()
+        log_path = Path(store) / "log.txt"
+        digest = "ab" * 48
+        # CRLF line ends, and a label holding a file separator, which
+        # str.splitlines would take for a line break.
+        log_path.write_bytes(
+            f"0, 0, BootComponent, fsbl, {digest}\r\n1, 1, Other, a\x1cb, {digest}\r\n"
+            .encode()
+        )
+        assert run_cli("--store", store, "verify", str(log_path), "--user", "alice") == 1
+        # Both events replayed: the actual column of PCR 1 holds the second.
+        pcr1 = capsys.readouterr().out.splitlines()[1].split(" ")
+        assert pcr1[0] == "1"
+        assert pcr1[3] == hashlib.sha384(bytes(48) + bytes.fromhex(digest)).hexdigest()
+
+    def test_verify_error_names_its_line(self, store, capsys):
+        enroll_and_provision(store)
+        capsys.readouterr()
+        log_path = Path(store) / "log.txt"
+        log_path.write_text(
+            f"0, 0, BootComponent, fsbl, {'ab' * 48}\n\n1, 0, Other, x, ab\n", encoding="utf-8"
+        )
+        assert run_cli("--store", store, "verify", str(log_path), "--user", "alice") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: LogFormatError: line 3: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "line", ["input zz", "output " + "ab" * 47, "deploy 1", "replay " + "ab" * 48]
@@ -240,7 +277,8 @@ def enroll_and_provision(store):
 
 
 def serve_and_connect(store, capsys):
-    """One `serve` in a thread and one `connect` against it; connect's exit code."""
+    """One `serve` in a thread and one `connect` against it; connect's exit
+    code and what it wrote to stderr."""
     import time
 
     port = free_port()
@@ -254,12 +292,13 @@ def serve_and_connect(store, capsys):
     deadline = time.time() + 5
     while True:  # retry while the server is not yet listening
         rc = run_cli("--store", store, "connect", "--addr", f"127.0.0.1:{port}", "--user", "alice")
-        if "ConnectError" not in capsys.readouterr().err or time.time() > deadline:
+        err = capsys.readouterr().err
+        if "ConnectError" not in err or time.time() > deadline:
             break
         time.sleep(0.1)
     server.join(timeout=10)
     assert not server.is_alive()
-    return rc
+    return rc, err
 
 
 class TestCrpsAcrossRuns:
@@ -273,13 +312,33 @@ class TestCrpsAcrossRuns:
         runs = []
         for _ in range(2):
             start = len(sent)
-            assert serve_and_connect(store, capsys) == 0
+            assert serve_and_connect(store, capsys)[0] == 0
             runs.append(set(sent[start:]))
         # Each run sends the handshake's challenge and the key update's.
         assert len(runs[0]) == len(runs[1]) == 2
         assert not runs[0] & runs[1]
         crps = puf.CrpStore.load(str(Path(store) / "crps_user_alice.txt"))
         assert {r.challenge for r in crps.records() if r.used} == runs[0] | runs[1]
+
+
+class TestRejectedHandshake:
+    def test_connect_names_the_device_side_cause(self, store, capsys):
+        # alice's user file carries mallory's certificate: valid under the
+        # TTP key, but not for alice's signing key, so the device rejects it.
+        enroll_and_provision(store)
+        assert run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "mallory") == 0
+        root = Path(store)
+        (cert,) = [line for line in (root / "user_mallory.txt").read_text().splitlines()
+                   if line.startswith("cert ")]
+        alice = root / "user_alice.txt"
+        alice.write_text(
+            "".join(cert + "\n" if line.startswith("cert ") else line
+                    for line in alice.read_text().splitlines(keepends=True))
+        )
+        rc, err = serve_and_connect(store, capsys)
+        assert rc == 1
+        assert err.startswith("error: PeerAborted: ") and err.count("\n") == 1
+        assert "BadCert" in err and "Traceback" not in err
 
 
 def drop_provisioning(path):

@@ -333,6 +333,49 @@ class TestVerifier:
         assert inputs[0].label is inputs[1].label
 
 
+    def test_streamed_verify_matches_text_verify(self, connected):
+        user = connected.user
+        deploy_xor(user)
+        user.user_invoke(1, b"S" * 16)
+        user.update_key()
+        tampered = build_world(seed=10)
+        tampered.boot_image.tamper("linux")
+        connect_world(tampered)
+        try:
+            for node in (user, tampered.user):
+                report = runtime.verify_attestation(
+                    node.export_log(), node.golden_manifest, node.history
+                )
+                assert node.verify() == report
+            assert report.mismatched_indices() == [6]
+        finally:
+            tampered.user.close()
+
+    def test_streamed_verify_of_a_long_log_allocates_no_log_copy(self, connected):
+        engine, history = vtpm.Vtpm(rng=Rng(11)), runtime.ExpectedHistory()
+        manifest = connected.user.golden_manifest
+        for index, (name, digest) in enumerate(manifest):
+            engine.pcr_extend(index, digest, vtpm.EventKind.BOOT_COMPONENT, name)
+        for n in range((8000 - len(manifest)) // 2):
+            digest = hashlib.sha384(n.to_bytes(4, "big")).digest()
+            engine.pcr_extend(9, digest, vtpm.EventKind.IP_INPUT, "invoke-ip1-input")
+            engine.pcr_extend(10, digest, vtpm.EventKind.IP_OUTPUT, "invoke-ip1-output")
+            history.inputs.append(digest)
+            history.outputs.append(digest)
+        text = engine.export_log()  # built before tracing starts
+        # Whole-log copies of 8,000 events cost megabytes: a list of lines,
+        # the joined text, a list of parsed events.
+        for log in (vtpm.export_lines(engine.log), text):
+            tracemalloc.start()
+            try:
+                report = runtime.verify_attestation(log, manifest, history)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.all_verified
+            assert peak < 256 * 1024
+
+
 class TestHistoryPersistence:
     def test_save_load_round_trip(self, connected, tmp_path):
         user = connected.user

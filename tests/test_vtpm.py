@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 import struct
 import tracemalloc
@@ -196,6 +197,72 @@ class TestParseLogIsTotal:
         except vtpm.LogFormatError:
             return
         assert [e.seq for e in events] == list(range(len(events)))
+
+
+EVENTS = st.tuples(
+    st.integers(0, 23),
+    st.sampled_from(vtpm.EventKind),
+    st.text(st.characters(exclude_characters="\n\r", exclude_categories=()), max_size=8),
+    st.binary(min_size=48, max_size=48),
+).filter(lambda event: event[0] in vtpm.KIND_PCRS[event[1]])
+
+
+@st.composite
+def log_texts(draw):
+    """Exported lines and junk, joined by LF, CRLF or blank lines."""
+    parts, seq = [], 0
+    for row in draw(st.lists(st.one_of(EVENTS, st.text(max_size=16)), max_size=6)):
+        if isinstance(row, str):
+            parts.append(row)
+        else:
+            index, kind, label, digest = row
+            parts.append(f"{seq}, {index}, {kind.value}, {label}, {digest.hex()}")
+            seq += 1
+        parts.append(draw(st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n"])))
+    if parts and draw(st.booleans()):
+        parts.pop()
+    return "".join(parts)
+
+
+def outcome(log):
+    """The events :func:`vtpm.iter_log` yields, or the message it raises."""
+    try:
+        return list(vtpm.iter_log(log))
+    except vtpm.LogFormatError as exc:
+        return f"LogFormatError: {exc}"
+
+
+class TestOneParser:
+    @settings(max_examples=300)
+    @given(log_texts())
+    @example(f"0, 0, Other, a\x1cb, {DIGEST_HEX}\r\n1, 1, Other, \u2028, {DIGEST_HEX}\n")
+    @example(f"0, 0, Other, x, {DIGEST_HEX}\r\n\r\n1, 0, Other, x, ab\r\n")
+    def test_text_lines_and_list_agree(self, text):
+        expected = outcome(text)
+        assert outcome(io.StringIO(text, newline="\n")) == expected
+        lines = text.splitlines(keepends=True)
+        if all(line.endswith("\n") for line in lines[:-1]):  # split at "\n" only
+            assert outcome(lines) == expected
+        try:
+            assert vtpm.parse_log(text) == expected
+        except vtpm.LogFormatError as exc:
+            assert f"LogFormatError: {exc}" == expected
+
+    def test_label_with_other_line_breaks_is_one_line(self):
+        text = f"0, 0, Other, a\x1cb\u2028c, {DIGEST_HEX}\n"
+        assert [e.label for e in vtpm.iter_log(text)] == ["a\x1cb\u2028c"]
+        with pytest.raises(vtpm.LogFormatError, match="^line 1: "):
+            list(vtpm.iter_log(text.splitlines(keepends=True)))
+
+    @given(st.lists(EVENTS, max_size=8))
+    def test_export_log_joins_export_lines(self, events):
+        engine = vtpm.Vtpm(rng=Rng(3))
+        for index, kind, label, digest in events:
+            engine.pcr_extend(index, digest, kind, label)
+        lines = list(vtpm.export_lines(engine.log))
+        assert engine.export_log() == vtpm.export_log(engine.log) == "".join(lines)
+        assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+        assert list(vtpm.iter_log(lines)) == engine.log
 
 
 class TestGetRandom:
