@@ -106,7 +106,7 @@ class ConfirmFailure(ChannelError):
 
 
 class PeerAborted(ChannelError):
-    """The device sent an abort record naming the error it hit."""
+    """The peer sent an abort record naming the error it hit."""
 
 
 class Role(Enum):
@@ -263,22 +263,34 @@ _HS9 = 0x19
 _HS_ABORT = 0x1F
 
 # The errors an abort record may name, by reason code; 0 stands for any other.
-ABORT_REASONS = (ChannelError, BadCert, StaleNonce, ConfirmFailure)
+ABORT_REASONS = (ChannelError, BadCert, StaleNonce, ConfirmFailure, PufMismatch)
 
 
 def abort_record(exc: ChannelError) -> bytes:
-    """The unsealed record a device sends before it closes on a failed
+    """The unsealed record either end sends before it closes on a failed
     handshake.  It is unauthenticated, so it only names the cause to report."""
     code = ABORT_REASONS.index(type(exc)) if type(exc) in ABORT_REASONS else 0
     return bytes([_HS_ABORT, code])
 
 
-def _peer_aborted(data: bytes) -> ChannelError:
+def send_abort(transport, exc: ChannelError) -> None:
+    """Name ``exc`` to the peer in an abort record, unless it is the peer's own
+    abort, which is never answered.  A failed send is ignored: the peer may
+    already be gone."""
+    if isinstance(exc, PeerAborted):
+        return
+    try:
+        transport.send_record(abort_record(exc))
+    except _transport.TransportError:
+        pass
+
+
+def _peer_aborted(data: bytes, peer: str) -> ChannelError:
     if len(data) != 2:
         return StaleNonce(f"abort record of {len(data)} bytes, expected 2")
     if data[1] >= len(ABORT_REASONS):
-        return PeerAborted(f"device aborted the handshake: unknown reason code {data[1]}")
-    return PeerAborted(f"device aborted the handshake: {ABORT_REASONS[data[1]].__name__}")
+        return PeerAborted(f"{peer} aborted the handshake: unknown reason code {data[1]}")
+    return PeerAborted(f"{peer} aborted the handshake: {ABORT_REASONS[data[1]].__name__}")
 
 
 class _Transcript:
@@ -361,7 +373,7 @@ class VtpmHandshake:
         data = bytes(data)  # the key decoders below take bytes only
         kind = data[0]
         if kind == _HS_ABORT:
-            raise _peer_aborted(data)
+            raise _peer_aborted(data, "device")
         if self._state == "sent-hello" and kind == _HS2:
             return self._handle_hs2(data)
         if self._state == "sent-challenge" and kind == _HS5:
@@ -473,6 +485,8 @@ class DeviceHandshake:
             raise StaleNonce("empty handshake message")
         data = bytes(data)  # the key decoders below take bytes only
         kind = data[0]
+        if kind == _HS_ABORT:
+            raise _peer_aborted(data, "vTPM")
         if self._state == "idle" and kind == _HS1:
             return self._handle_hs1(data)
         if self._state == "sent-hello" and kind == _HS3:

@@ -412,18 +412,13 @@ class FpgaSocDevice:
         while handshake.session is None:
             try:
                 record = agent.recv_record(self.recv_timeout)
-            except _transport.TransportClosed:
-                return
-            try:
                 reply = handshake.on_message(record)
-            except channel.ChannelError as exc:
-                # Name the cause, then serve() closes: the vTPM learns of the
-                # abort at once and why.
+            except (_transport.TransportClosed, channel.ChannelError) as exc:
+                # The session never came up: trace why, name the cause to the
+                # vTPM, and serve() closes, so the vTPM learns of it at once.
                 self.trace.emit("device", "error", exc)
-                try:
-                    agent.send_record(channel.abort_record(exc))
-                except _transport.TransportError:
-                    pass
+                if isinstance(exc, channel.ChannelError):
+                    channel.send_abort(agent, exc)
                 return
             if reply is not None:
                 agent.send_record(reply)

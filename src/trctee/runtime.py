@@ -188,7 +188,6 @@ class UserNode:
         crp_store: CrpStore,
         rng: Rng | None = None,
         rekey_threshold: int = channel.DEFAULT_REKEY_THRESHOLD,
-        auto_rekey: bool = True,
         recv_timeout: float | None = 5.0,
         trace: Trace | None = None,
     ):
@@ -198,7 +197,6 @@ class UserNode:
         self.crp_store = crp_store
         self.rng = rng or Rng()
         self.rekey_threshold = rekey_threshold
-        self.auto_rekey = auto_rekey
         self.recv_timeout = recv_timeout
         self.trace = trace or Trace()
         self.vtpm = vtpm.Vtpm(rng=self.rng.child("vtpm-drbg"))
@@ -213,8 +211,11 @@ class UserNode:
 
     # -- session establishment -------------------------------------------------
 
-    def connect(self, transport, expect_boot_report: bool = True) -> None:
-        """Run the handshake over ``transport`` and absorb the boot report."""
+    def connect(self, transport) -> None:
+        """Run the handshake over ``transport`` and absorb the boot report.
+
+        A handshake message the vTPM rejects is traced, and named to the
+        device in an abort record, before the error is raised."""
         handshake = channel.VtpmHandshake(
             sk_tpm=self.bundle.sk_tpm,
             cert=self.bundle.cert,
@@ -229,7 +230,12 @@ class UserNode:
                 record = transport.recv_record(self.recv_timeout)
             except _transport.ReceiveTimeout:
                 raise channel.Timeout("handshake stalled") from None
-            reply = handshake.on_message(record)
+            try:
+                reply = handshake.on_message(record)
+            except channel.ChannelError as exc:
+                self.trace.emit("user", "error", exc)
+                channel.send_abort(transport, exc)
+                raise
             if reply is not None:
                 transport.send_record(reply)
         self.endpoint = channel.ChannelEndpoint(
@@ -237,8 +243,7 @@ class UserNode:
         )
         self.deploy_key = channel.derive_deploy_key(handshake.session.sess_key)
         self.handshakes_done += 1
-        if expect_boot_report:
-            self._absorb_boot_report()
+        self._absorb_boot_report()
 
     def _absorb_boot_report(self) -> None:
         payload = self.endpoint.recv()
@@ -402,7 +407,7 @@ class UserNode:
     def _check_rekey_budget(self) -> None:
         """Refuse, before anything is sent or measured, an operation whose frame
         makes an automatic key update due when no unused CRP is left for it."""
-        if not self.auto_rekey or self.endpoint is None:
+        if self.endpoint is None:
             return
         session = self.endpoint.session
         due = session.send_counter + 1 >= session.rekey_threshold
@@ -413,11 +418,7 @@ class UserNode:
             )
 
     def _maybe_rekey(self) -> None:
-        if (
-            self.auto_rekey
-            and self.endpoint is not None
-            and channel.counter_tick(self.endpoint.session)
-        ):
+        if self.endpoint is not None and channel.counter_tick(self.endpoint.session):
             record = self.crp_store.take_unused()
             channel.initiate_update(
                 self.endpoint, record.challenge, record.response, self.vtpm.pcrs.state_hash()

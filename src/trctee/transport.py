@@ -1,11 +1,18 @@
 """Record transport: 4-byte big-endian length prefix, then the payload.
 
 The same framing runs over in-process queue pairs and TCP sockets, so
-protocol code above this layer cannot tell the difference.  A record
-belongs to its receiver: it may be a ``bytearray`` (TCP reads into one; a
-sealed frame is built in one, and the in-process pipe hands that very
-object over), which ``channel.open_frame`` decrypts in place.  Wrappers add
-traffic recording and the adversary taps used by attack scenarios; both
+protocol code above this layer cannot tell the difference.  Who owns a
+received record depends on the transport:
+
+* TCP receives every record into the connection's one receive buffer, a
+  ``bytearray`` of exactly the record, and returns it.  The record is valid
+  until the next ``recv_record`` on the same transport; a consumer that
+  keeps any of its bytes must copy them.
+* The in-process pipe hands over the sender's object unchanged (a sealed
+  frame is built in a ``bytearray``), and it then belongs to its receiver.
+
+Either way ``channel.open_frame`` may decrypt the record in place.  Wrappers
+add traffic recording and the adversary taps used by attack scenarios; both
 keep ``bytes`` copies, so what they hold stays the ciphertext.
 """
 
@@ -77,12 +84,14 @@ class TcpTransport:
     """One end of a TCP connection, one length-prefixed record at a time.
 
     A record goes out in one gather write of prefix and payload, and comes
-    in through one buffer allocated for it; that buffer is what
-    ``recv_record`` returns.
+    in through the connection's one receive buffer (see the module
+    docstring).  A record of another length than the last gets a new buffer,
+    so records of one size, as in a stream of equal invokes, allocate none.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._buffer = bytearray()
 
     def send_record(self, payload: bytes | bytearray) -> None:
         # One write per record; more only if the kernel takes part of it.
@@ -118,9 +127,11 @@ class TcpTransport:
         (length,) = _LENGTH.unpack(prefix)
         if length > MAX_RECORD:
             raise TransportError(f"record of {length} bytes exceeds the {MAX_RECORD} cap")
-        record = bytearray(length)
-        self._recv_into(record)
-        return record
+        if length != len(self._buffer):
+            # Rebound, never resized: a caller may still hold a view of the old one.
+            self._buffer = bytearray(length)
+        self._recv_into(self._buffer)
+        return self._buffer
 
     def close(self) -> None:
         try:

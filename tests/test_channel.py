@@ -269,8 +269,9 @@ class TestAbortRecord:
             (channel.BadCert, "BadCert"),
             (channel.StaleNonce, "StaleNonce"),
             (channel.ConfirmFailure, "ConfirmFailure"),
+            (channel.PufMismatch, "PufMismatch"),
             (channel.ChannelError, "ChannelError"),
-            (channel.PufMismatch, "ChannelError"),  # outside the table: code 0
+            (channel.AuthFailure, "ChannelError"),  # outside the table: code 0
         ],
     )
     def test_reason_reaches_the_vtpm(self, error, reason):
@@ -284,13 +285,54 @@ class TestAbortRecord:
         [
             (b"\x1f", channel.StaleNonce, "abort record of 1 bytes"),
             (b"\x1f\x01\x00", channel.StaleNonce, "abort record of 3 bytes"),
-            (b"\x1f\x04", channel.PeerAborted, "unknown reason code 4$"),
+            (b"\x1f\x05", channel.PeerAborted, "unknown reason code 5$"),
             (b"\x1f\xff", channel.PeerAborted, "unknown reason code 255$"),
         ],
     )
     def test_malformed_abort_is_a_typed_error(self, record, error, message):
         with pytest.raises(error, match=message):
             started_initiator().on_message(record)
+
+    def test_reason_codes_are_fixed(self):
+        assert channel.ABORT_REASONS == (
+            channel.ChannelError,
+            channel.BadCert,
+            channel.StaleNonce,
+            channel.ConfirmFailure,
+            channel.PufMismatch,
+        )
+        assert channel.abort_record(channel.PufMismatch("detail")) == b"\x1f\x04"
+
+    @pytest.mark.parametrize("reason", [cls.__name__ for cls in channel.ABORT_REASONS])
+    @pytest.mark.parametrize("state", ["idle", "sent-share"])
+    def test_reason_reaches_the_device(self, reason, state):
+        # The responder takes an abort record in any state, like the initiator.
+        service, bundle, device_puf, crps, rng = handshake_fixtures()
+        initiator = channel.VtpmHandshake(
+            sk_tpm=bundle.sk_tpm, cert=bundle.cert, device_id="dev1", crp_store=crps, rng=rng
+        )
+        responder = channel.DeviceHandshake(
+            pk_ttp=service.pk_ttp, device_id="dev1", puf=device_puf, rng=rng.child("dev")
+        )
+        message = initiator.start()
+        if state == "sent-share":
+            message = initiator.on_message(responder.on_message(message))  # HS2, then HS3
+            initiator.on_message(responder.on_message(message))  # HS5, then HS8
+        error = getattr(channel, reason)("detail")
+        with pytest.raises(channel.PeerAborted, match=f"^vTPM aborted the handshake: {reason}$"):
+            responder.on_message(channel.abort_record(error))
+        assert responder.session is None
+
+    def test_an_abort_is_never_answered(self):
+        sent = []
+
+        class Recorder:
+            def send_record(self, record):
+                sent.append(bytes(record))
+
+        channel.send_abort(Recorder(), channel.PeerAborted("vTPM aborted the handshake"))
+        channel.send_abort(Recorder(), channel.PufMismatch("detail"))
+        assert sent == [b"\x1f\x04"]
 
     def test_device_aborts_with_the_cause_before_closing(self):
         service, bundle, device_puf, crps, rng = handshake_fixtures()

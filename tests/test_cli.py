@@ -277,28 +277,33 @@ def enroll_and_provision(store):
 
 
 def serve_and_connect(store, capsys):
-    """One `serve` in a thread and one `connect` against it; connect's exit
-    code and what it wrote to stderr."""
+    """One `serve` in a thread and one `connect` against it: connect's exit
+    code and what it wrote to stderr, serve's exit code, and what both wrote
+    to stdout."""
     import time
 
     port = free_port()
+    served = []
     server = threading.Thread(
-        target=run_cli,
-        args=("--store", store, "serve", "--listen", f"127.0.0.1:{port}",
-              "--device", "dev1", "--timeout", "10"),
+        target=lambda: served.append(run_cli(
+            "--store", store, "serve", "--listen", f"127.0.0.1:{port}",
+            "--device", "dev1", "--timeout", "10",
+        )),
         daemon=True,
     )
     server.start()
     deadline = time.time() + 5
+    out = ""
     while True:  # retry while the server is not yet listening
         rc = run_cli("--store", store, "connect", "--addr", f"127.0.0.1:{port}", "--user", "alice")
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err, out = captured.err, out + captured.out
         if "ConnectError" not in err or time.time() > deadline:
             break
         time.sleep(0.1)
     server.join(timeout=10)
     assert not server.is_alive()
-    return rc, err
+    return rc, err, served[0], out + capsys.readouterr().out
 
 
 class TestCrpsAcrossRuns:
@@ -335,10 +340,27 @@ class TestRejectedHandshake:
             "".join(cert + "\n" if line.startswith("cert ") else line
                     for line in alice.read_text().splitlines(keepends=True))
         )
-        rc, err = serve_and_connect(store, capsys)
+        rc, err, _, _ = serve_and_connect(store, capsys)
         assert rc == 1
         assert err.startswith("error: PeerAborted: ") and err.count("\n") == 1
         assert "BadCert" in err and "Traceback" not in err
+
+    def test_serve_names_the_vtpm_side_cause(self, store, capsys):
+        # A device whose PUF seed is zeroed answers with the wrong PUF, so the
+        # vTPM rejects it; serve reports that, not a clean session end.
+        enroll_and_provision(store)
+        path = Path(store) / "device_dev1.txt"
+        path.write_text(
+            "".join("seed " + "00" * 32 + "\n" if line.startswith("seed ") else line
+                    for line in path.read_text().splitlines(keepends=True))
+        )
+        rc, err, serve_rc, out = serve_and_connect(store, capsys)
+        assert rc == 1
+        assert err == "error: PufMismatch: device PUF response does not match the enrolled CRP\n"
+        assert serve_rc == 1
+        assert out.endswith(
+            "session ended with PeerAborted: vTPM aborted the handshake: PufMismatch\n"
+        )
 
 
 def drop_provisioning(path):

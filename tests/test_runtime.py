@@ -1,6 +1,15 @@
 import copy
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +17,8 @@ from hypothesis import strategies as st
 
 from conftest import build_world, connect_world
 from oracles import pcr_chain
-from trctee import channel, device, messages, runtime, transport, vtpm, wire
+import trctee
+from trctee import channel, device, messages, puf, runtime, transport, vtpm, wire
 from trctee.crypto import Rng
 from trctee.puf import CrpExhausted
 
@@ -52,6 +62,48 @@ class TestBootReport:
         with pytest.raises(messages.MessageError):
             connect_world(world)
         assert world.user.vtpm.log == []
+
+
+class TestRejectedDevice:
+    """The vTPM's side of a failed handshake reaches the device, typed."""
+
+    def _serve(self, world):
+        world.device.boot()
+        user_side, device_side = transport.pipe_pair()
+        world.thread = device.serve_in_thread(world.device, device_side)
+        return user_side
+
+    def test_puf_mismatch_is_named_to_the_device(self, world):
+        world.device.puf = puf.PufDevice(bytes(32))  # not the PUF the CRPs came from
+        user_side = self._serve(world)
+        with pytest.raises(channel.PufMismatch):
+            world.user.connect(user_side)
+        world.thread.join(timeout=2.0)
+        assert not world.thread.is_alive()
+        assert isinstance(world.user.trace.first_error(), channel.PufMismatch)
+        error = world.device.trace.first_error()
+        assert isinstance(error, channel.PeerAborted)
+        assert str(error) == "vTPM aborted the handshake: PufMismatch"
+        # The device closed without answering the abort with one of its own.
+        with pytest.raises(transport.TransportClosed):
+            user_side.recv_record(timeout=2.0)
+        user_side.close()
+
+    def test_vtpm_hanging_up_mid_handshake_is_traced(self, world):
+        user_side = self._serve(world)
+        handshake = channel.VtpmHandshake(
+            sk_tpm=world.user.bundle.sk_tpm,
+            cert=world.user.bundle.cert,
+            device_id="dev1",
+            crp_store=world.user.crp_store,
+            rng=Rng(1),
+        )
+        user_side.send_record(handshake.start())
+        user_side.recv_record(timeout=2.0)  # the device's hello
+        user_side.close()
+        world.thread.join(timeout=2.0)
+        assert not world.thread.is_alive()
+        assert isinstance(world.device.trace.first_error(), transport.TransportClosed)
 
 
 class TestDeploy:
@@ -478,6 +530,58 @@ class TestLargeInvokeOverTcp:
         )
         assert record.verdict == "Verified"
         assert peak <= 7 * size, f"peak {peak / size:.2f}x the payload"
+
+
+# Minor page faults of the invoking thread per warm 256 KiB invoke over TCP,
+# xor and add_const alternating, results dropped at once.
+_FAULT_PROBE = """
+import resource
+
+from conftest import build_world
+from trctee import device, transport
+from trctee.crypto import Rng
+
+size = 256 * 1024
+world = build_world()
+world.device.boot()
+server = transport.listen("127.0.0.1", 0)
+user_side = transport.connect("127.0.0.1", server.getsockname()[1])
+world.thread = device.serve_in_thread(world.device, transport.accept_one(server, 5))
+user = world.user
+user.connect(user_side)
+for ip_num, image in ((1, device.IpImage("xor", Rng(1).bytes(size))),
+                      (2, device.IpImage("add_const", bytes([5])))):
+    user.user_deploy(user.prepare_deploy(ip_num, image))
+data = Rng(2).bytes(size)
+for i in range(50):
+    user.user_invoke(1 + i % 2, data)
+before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+for i in range(100):
+    user.user_invoke(1 + i % 2, data)
+print((resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before) / 100)
+user.close()
+world.thread.join(5)
+world.device.agent.close()
+server.close()
+"""
+
+
+class TestWarmInvokeFaults:
+    @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs RUSAGE_THREAD")
+    def test_warm_256_kib_invoke_does_not_page_fault(self):
+        # In a fresh interpreter: whether freed buffers go back to the kernel
+        # depends on the heap's history (glibc raises its trim threshold when
+        # a large mapped block is freed), and this process's history hides
+        # the faults a fresh process takes.  A receive buffer allocated per
+        # record made each warm invoke fault about 160 pages back in.
+        path = [str(Path(trctee.__file__).parent.parent), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        probe = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        faults = float(probe.stdout)
+        assert faults < 8, f"{faults} minor faults per warm invoke"
 
 
 class TestTmmSeesCommandBytes:

@@ -84,6 +84,72 @@ class TestTcpRecords:
         assert peak < 64 * 1024
 
 
+class TestOneReceiveBuffer:
+    """A TCP record is the connection's one receive buffer, valid until the
+    next receive on that transport."""
+
+    def test_warm_receive_allocates_no_record_buffer(self, loopback):
+        raw, server_end = loopback()
+        client_end = transport.TcpTransport(raw)
+        record = bytes(range(256)) * 1024  # 256 KiB
+        peaks = []
+        for _ in range(2):
+            thread, _ = _in_thread(client_end.send_record, record)
+            tracemalloc.start()
+            try:
+                received = server_end.recv_record(timeout=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            thread.join(timeout=5)
+            assert received == record
+        assert peaks[0] > len(record)  # the first record sizes the buffer
+        assert peaks[1] < 4096
+
+    def test_live_views_of_earlier_records_never_block_a_receive(self, loopback):
+        raw, server_end = loopback()
+        client_end = transport.TcpTransport(raw)
+        big = bytes(range(256)) * (16 * 1024)  # 4 MiB
+        records = [big, big[::-1], b"sixteen bytes..!", big]
+        received, views = [], []
+        for record in records:
+            thread, _ = _in_thread(client_end.send_record, record)
+            received.append(server_end.recv_record(timeout=10))  # no BufferError
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert received[-1] == record
+            views.append(memoryview(received[-1]))
+            views[-1][:1] = b"\xff"  # what an in-place open does
+        # Two records of one size share the buffer, so the first view now
+        # shows the second record; each change of size got a new buffer.
+        assert received[0] is received[1]
+        assert len({id(r) for r in received[1:]}) == 3
+        assert bytes(views[0]) == b"\xff" + big[::-1][1:]
+        assert bytes(views[2]) == b"\xffixteen bytes..!"
+
+    def test_recorded_tampered_and_replayed_bytes_outlive_later_receives(self, loopback):
+        raw, far = loopback()
+        near = transport.TcpTransport(raw)
+        log = []
+        tap = transport.AdversaryTap(far)
+        receiver = transport.RecordingTransport(tap, log)
+        records = [bytes([n]) * 64 for n in range(1, 6)]
+        for record in records:
+            near.send_record(record)
+        first = receiver.recv_record(5)
+        first[:] = bytes(64)  # what an in-place open does to the record
+        tap.arm("tamper")
+        tampered = receiver.recv_record(5)
+        tap.arm("replay")
+        replayed = receiver.recv_record(5)
+        later = [bytes(receiver.recv_record(5)) for _ in range(3)]
+        flipped = records[1][:-1] + bytes([records[1][-1] ^ 0x01])
+        assert tampered == replayed == flipped
+        assert later == records[2:]
+        assert log == [("received", r) for r in [records[0], flipped, flipped, *records[2:]]]
+        assert all(type(r) is bytes for _, r in log)
+
+
 class TrickleSocket:
     """Stub socket whose kernel takes at most ``limit`` bytes per write."""
 
