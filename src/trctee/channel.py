@@ -47,6 +47,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from . import messages
 from . import transport as _transport
 from .crypto import Rng, constant_time_eq, hkdf_sha384, hmac_sha384, sha384
+from .errors import TrcteeError
 from .puf import CrpStore, PufDevice
 from .ttp import Certificate
 
@@ -65,16 +66,16 @@ _REKEY_INFO = b"trctee-rekey"
 _DEPLOY_INFO = b"trctee-deploy"
 
 
-class ChannelError(Exception):
+class ChannelError(TrcteeError):
     pass
 
 
 class BadCert(ChannelError):
-    pass
+    token = "bad-cert"
 
 
 class PufMismatch(ChannelError):
-    pass
+    token = "puf-mismatch"
 
 
 class StaleNonce(ChannelError):
@@ -82,7 +83,7 @@ class StaleNonce(ChannelError):
 
 
 class Timeout(ChannelError):
-    pass
+    token = "timeout"
 
 
 class RekeyRequired(ChannelError):
@@ -90,19 +91,19 @@ class RekeyRequired(ChannelError):
 
 
 class AuthFailure(ChannelError):
-    pass
+    token = "auth-failure"
 
 
 class ReplayDetected(ChannelError):
-    pass
+    token = "replay-detected"
 
 
 class WrongEpoch(ChannelError):
-    pass
+    token = "wrong-epoch"
 
 
 class ConfirmFailure(ChannelError):
-    pass
+    token = "confirm-failure"
 
 
 class PeerAborted(ChannelError):

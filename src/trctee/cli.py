@@ -13,10 +13,9 @@ import functools
 import os
 import sys
 
-from . import (
-    channel, device, messages, puf, runtime, scenario, statefile, transport, ttp, vtpm, wire,
-)
+from . import device, puf, runtime, scenario, statefile, transport, ttp
 from .crypto import Rng
+from .errors import TrcteeError
 
 USER_HEADER = "trctee-user v1"
 DEVICE_HEADER = "trctee-device v1"
@@ -114,8 +113,7 @@ def cmd_enroll_vtpm(args) -> int:
     device_id = _load_user(user_path)[1] if os.path.exists(user_path) else None
     if device_id is not None or os.path.exists(_user_crps_path(root, args.user)):
         # A new key would drop the device and manifest while the CRP slice stays.
-        print(f"error: user {args.user} is already provisioned", file=sys.stderr)
-        return 1
+        raise ttp.TtpError(f"user {args.user} is already provisioned")
     ttp_service.register_user(args.user)
     bundle = ttp_service.enroll_vtpm(args.user)
     ttp_service.save(_registry_path(root))
@@ -131,9 +129,7 @@ def cmd_provision(args) -> int:
     crps_path = _user_crps_path(root, args.user)
     if os.path.exists(crps_path):
         # A second slice would orphan the CRPs the first one handed out.
-        print(f"error: user {args.user} is already provisioned ({crps_path} exists)",
-              file=sys.stderr)
-        return 1
+        raise ttp.TtpError(f"user {args.user} is already provisioned ({crps_path} exists)")
     device_id, manifest, crp_slice = ttp_service.provision_user(
         args.user, args.device, slice_size=args.crp_pool
     )
@@ -161,13 +157,8 @@ def _load_user_node(root: str, user_id: str, args) -> runtime.UserNode:
 
 
 def cmd_run(args) -> int:
-    try:
-        scn = scenario.load_scenario(args.scenario)
-    except scenario.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     runner = scenario.ScenarioRunner(
-        scn,
+        scenario.load_scenario(args.scenario),
         seed=args.seed,
         tcp=args.transport == "tcp",
         rekey_threshold=args.rekey_threshold,
@@ -185,7 +176,7 @@ def cmd_run(args) -> int:
 
 def _parse_addr(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdecimal() or int(port) > 65535:
         raise SystemExit(f"error: address must be HOST:PORT, got {value!r}")
     return host, int(port)
 
@@ -229,16 +220,11 @@ def cmd_connect(args) -> int:
     root = _store_dir(args)
     user = _load_user_node(root, args.user, args)
     host, port = _parse_addr(args.addr)
+    conn = transport.connect(host, port)
     try:
-        conn = transport.connect(host, port)
-        try:
-            return _baseline_flow(user, conn, root, args)
-        finally:
-            conn.close()
-    except (channel.ChannelError, transport.TransportError, wire.WireError,
-            messages.MessageError, runtime.OrchestrationError, puf.CrpExhausted) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _baseline_flow(user, conn, root, args)
+    finally:
+        conn.close()
 
 
 def _baseline_flow(user: runtime.UserNode, conn, root: str, args) -> int:
@@ -275,22 +261,24 @@ def cmd_verify(args) -> int:
     root = _store_dir(args)
     _, _, manifest = _load_provisioned_user(root, args.user)
     history_path = args.history or os.path.join(root, f"history_{args.user}.txt")
-    try:
-        history = (
-            runtime.ExpectedHistory.load(history_path)
-            if os.path.exists(history_path)
-            else runtime.ExpectedHistory()
-        )
-        # Lines end at "\n" only, as in the exported text; they stream into
-        # the verifier, so a log of any length verifies in flat memory.
-        with open(args.log, encoding="utf-8", newline="\n") as fh:
-            report = runtime.verify_attestation(fh, manifest, history)
-    except (UnicodeDecodeError, vtpm.LogFormatError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    history = (
+        runtime.ExpectedHistory.load(history_path)
+        if os.path.exists(history_path)
+        else runtime.ExpectedHistory()
+    )
+    # Lines end at "\n" only, as in the exported text; they stream into
+    # the verifier, so a log of any length verifies in flat memory.
+    with open(args.log, encoding="utf-8", newline="\n") as fh:
+        report = runtime.verify_attestation(fh, manifest, history)
     print(report.machine_lines(), end="")
     print(report.text(), end="")
     return 0 if report.all_verified else 1
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="deterministic RNG seed")
     parser.add_argument(
         "--rekey-threshold",
-        type=int,
+        type=_positive_int,
         default=1024,
         help="frames per epoch before an automatic key update (default 1024)",
     )
     parser.add_argument(
         "--crp-pool",
-        type=int,
+        type=_positive_int,
         default=64,
         help="CRPs provisioned to a user (default 64)",
     )
@@ -356,9 +344,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except statefile.StateFileError as exc:
+    except (TrcteeError, OSError, UnicodeDecodeError) as exc:
+        # A file that cannot be read or decoded is operator input, as a state file is.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import channel, messages, wire
 from .crypto import Rng, sha384, sha3_384
+from .errors import TrcteeError
 from .puf import PufDevice
 from .trace import Trace
 
@@ -49,24 +50,24 @@ NONCE_LEN = 12
 TPM_TAG_BYTE = wire.TAG_NO_SESSIONS >> 8  # 0x80, first byte of every TPM tag
 
 
-class DeviceError(Exception):
+class DeviceError(TrcteeError):
     pass
 
 
 class NotFound(DeviceError):
-    pass
+    token = "not-found"
 
 
 class BadImage(DeviceError):
-    pass
+    token = "bad-image"
 
 
 class NotDeployed(DeviceError):
-    pass
+    token = "not-deployed"
 
 
 class KernelFault(DeviceError):
-    pass
+    token = "kernel-fault"
 
 
 # -- IP kernels -----------------------------------------------------------------

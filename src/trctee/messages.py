@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 import struct
 
+from .errors import TrcteeError
+
 BOOT_REPORT = 0x01
 UPDATE_REQ = 0x02
 UPDATE_CONFIRM_D = 0x03
@@ -31,7 +33,7 @@ BOOT_PCR_COUNT = 8  # boot components are measured into PCR 0..7
 BLOB_NAME = re.compile(r"(?!\.+$)[A-Za-z0-9._-]+")
 
 
-class MessageError(Exception):
+class MessageError(TrcteeError):
     pass
 
 

@@ -15,14 +15,17 @@ from dataclasses import dataclass
 
 from . import statefile
 from .crypto import Rng
+from .errors import TrcteeError
 
 CHALLENGE_LEN = 4
 RESPONSE_LEN = 32
 CRP_HEADER = "trctee-crps v1"
 
 
-class CrpExhausted(Exception):
+class CrpExhausted(TrcteeError):
     """No unused challenge-response pair is available."""
+
+    token = "crp-exhausted"
 
 
 class PufDevice:
@@ -110,6 +113,8 @@ class CrpStore:
 
     def split(self, n: int, owner: str) -> "CrpStore":
         """Move ``n`` unused records out into a new store (provisioning)."""
+        if n < 1:
+            raise ValueError("slice size must be at least 1")
         unused = [r for r in self._records.values() if not r.used]
         if len(unused) < n:
             raise CrpExhausted(f"need {n} unused CRPs, have {len(unused)}")

@@ -25,6 +25,7 @@ from . import channel, device, messages, statefile, vtpm, wire
 from .trace import Trace
 from . import transport as _transport
 from .crypto import Rng, sha384, sha3_384
+from .errors import TrcteeError
 from .puf import CrpExhausted, CrpStore
 from .ttp import VtpmBundle
 
@@ -33,7 +34,7 @@ INPUT_PCR = 9
 OUTPUT_PCR = 10
 
 
-class OrchestrationError(Exception):
+class OrchestrationError(TrcteeError):
     pass
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from . import channel, device, puf, runtime, transport, ttp, wire
 from .crypto import Rng
+from .errors import TrcteeError
 from .trace import Trace
 
 SCENARIO_HEADER = "trctee-scenario v1"
@@ -76,15 +77,15 @@ _REQUIRES = {
 }
 
 
-class ParseError(Exception):
+class ParseError(TrcteeError):
+    exit_code = 2
+
+
+class ExpectationFailed(TrcteeError):
     pass
 
 
-class ExpectationFailed(Exception):
-    pass
-
-
-class OperationFailed(Exception):
+class OperationFailed(TrcteeError):
     """An operation answered failure; its cause is the step's first traced error."""
 
 
@@ -175,30 +176,6 @@ class RunReport:
             expected = f" (expected {r.step.expect})" if r.step.expect != "ok" else ""
             lines.append(f"{status:6} {r.step.name:14} -> {r.outcome}{expected} {r.detail}".rstrip())
         return "\n".join(lines) + "\n"
-
-
-# Failure tokens assigned to typed errors observed during a step.
-_ERROR_TOKENS = {
-    channel.BadCert: "bad-cert",
-    channel.PufMismatch: "puf-mismatch",
-    channel.AuthFailure: "auth-failure",
-    channel.ReplayDetected: "replay-detected",
-    channel.WrongEpoch: "wrong-epoch",
-    channel.Timeout: "timeout",
-    channel.ConfirmFailure: "confirm-failure",
-    puf.CrpExhausted: "crp-exhausted",
-    device.NotDeployed: "not-deployed",
-    device.KernelFault: "kernel-fault",
-    device.BadImage: "bad-image",
-    device.NotFound: "not-found",
-}
-
-
-def _token_for(exc: Exception) -> str:
-    for cls, token in _ERROR_TOKENS.items():
-        if isinstance(exc, cls):
-            return token
-    return f"error:{type(exc).__name__}"
 
 
 class ScenarioRunner:
@@ -296,7 +273,7 @@ class ScenarioRunner:
             cause = self.trace.first_error(mark) or exc
             if isinstance(cause, OperationFailed):
                 return "expectation-failed", f"{cause} without a typed cause"
-            return _token_for(cause), str(cause)
+            return getattr(cause, "token", None) or f"error:{type(cause).__name__}", str(cause)
 
     def _step_enroll_device(self, step: Step) -> str:
         device_id = step.args.get("id", "dev1")

@@ -11,10 +11,13 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 from . import vtpm
+from .errors import TrcteeError
 
 
-class StateFileError(ValueError):
+class StateFileError(TrcteeError, ValueError):
     """A state file that is missing, unreadable or malformed."""
+
+    exit_code = 2
 
     def __init__(self, path: str, line: int | None, reason: str):
         super().__init__(f"{path}{'' if line is None else f' line {line}'}: {reason}")

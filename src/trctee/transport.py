@@ -22,11 +22,13 @@ import queue
 import socket
 import struct
 
+from .errors import TrcteeError
+
 MAX_RECORD = 16 * 1024 * 1024  # sanity bound on the length prefix
 _LENGTH = struct.Struct(">I")
 
 
-class TransportError(Exception):
+class TransportError(TrcteeError):
     pass
 
 

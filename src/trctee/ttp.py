@@ -25,6 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from . import puf, statefile
 from .crypto import Rng, sha384
+from .errors import TrcteeError
 
 if TYPE_CHECKING:
     from .device import BootImage
@@ -35,7 +36,7 @@ DEFAULT_SLICE_SIZE = 64
 REGISTRY_HEADER = "trctee-registry v1"
 
 
-class TtpError(Exception):
+class TtpError(TrcteeError):
     pass
 
 
@@ -53,6 +54,10 @@ class UnknownDevice(TtpError):
 
 class NotFound(TtpError):
     pass
+
+
+class BadIdentifier(TtpError, ValueError):
+    """A name that cannot identify a user or device."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ class Certificate:
 def check_identifier(name: str) -> str:
     """``name`` if it can name a user or device, and so a file in the store."""
     if not name or not name.isprintable() or any(c.isspace() or c in "/\\" for c in name):
-        raise ValueError(f"identifier must be non-empty, without whitespace or '/': {name!r}")
+        raise BadIdentifier(f"identifier must be non-empty, without whitespace or '/': {name!r}")
     return name
 
 

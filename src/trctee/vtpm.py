@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import wire
 from .crypto import Rng, sha384
+from .errors import TrcteeError
 
 PCR_COUNT = 24
 DIGEST_LEN = 48
@@ -50,7 +51,7 @@ ALG_SHA384 = 0x000C
 ALG_SHA3_384 = 0x0028
 
 
-class VtpmError(Exception):
+class VtpmError(TrcteeError):
     pass
 
 
@@ -68,6 +69,8 @@ class UnsupportedAlg(VtpmError):
 
 class LogFormatError(VtpmError):
     """An exported event log that does not parse into a contiguous event list."""
+
+    exit_code = 2
 
 
 class EventKind(Enum):

@@ -23,6 +23,8 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import TrcteeError
+
 HEADER = struct.Struct(">HII")
 HEADER_LEN = HEADER.size  # 10
 # Header plus the fixed fields in front of an invoke payload, packed in one go
@@ -59,7 +61,7 @@ CHALLENGE_LEN = 4
 BIN_HASH_LEN = 48
 
 
-class WireError(Exception):
+class WireError(TrcteeError):
     """Base class for codec failures."""
 
 

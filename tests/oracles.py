@@ -8,6 +8,7 @@ encoders concatenate one field at a time.
 
 import hashlib
 import hmac
+import importlib
 import struct
 
 
@@ -89,3 +90,31 @@ def enroll_reference(seed: bytes, n: int, rng) -> list[tuple[bytes, bytes, bool]
         seen.add(challenge)
         out.append((challenge, hmac.new(seed, challenge, hashlib.sha256).digest(), False))
     return out
+
+
+# The scenario outcome token of each typed error, as the runner once kept it
+# in one table of ``module.Class`` names, matched by ``isinstance`` in order.
+ERROR_TOKENS = {
+    "channel.BadCert": "bad-cert",
+    "channel.PufMismatch": "puf-mismatch",
+    "channel.AuthFailure": "auth-failure",
+    "channel.ReplayDetected": "replay-detected",
+    "channel.WrongEpoch": "wrong-epoch",
+    "channel.Timeout": "timeout",
+    "channel.ConfirmFailure": "confirm-failure",
+    "puf.CrpExhausted": "crp-exhausted",
+    "device.NotDeployed": "not-deployed",
+    "device.KernelFault": "kernel-fault",
+    "device.BadImage": "bad-image",
+    "device.NotFound": "not-found",
+}
+
+
+def table_token(cls: type) -> str:
+    """The token the table gives an error of class ``cls``: that of the
+    first entry it derives from, else ``error:<ClassName>``."""
+    for name, token in ERROR_TOKENS.items():
+        module, _, attr = name.partition(".")
+        if issubclass(cls, getattr(importlib.import_module(f"trctee.{module}"), attr)):
+            return token
+    return f"error:{cls.__name__}"

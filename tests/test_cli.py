@@ -32,12 +32,8 @@ class TestEnrollmentCommands:
         assert (root / "user_alice.txt").exists()
         assert (root / "crps_user_alice.txt").exists()
 
-    def test_duplicate_device_enrollment_fails(self, store):
-        run_cli("--store", store, "enroll-device", "--id", "dev1")
-        from trctee import ttp
-
-        with pytest.raises(ttp.DuplicateDevice):
-            run_cli("--store", store, "enroll-device", "--id", "dev1")
+    def test_duplicate_device_enrollment_fails(self, store, capsys):
+        assert_refused_writing_nothing(store, capsys, "enroll-device", "--id", "dev1")
 
 
 class TestRunCommand:
@@ -476,3 +472,83 @@ class TestEnrollmentFilesPinned:
             "crps_ttp_dev1.txt": "fd42e312a8a561673b4e1781c55fb73d4df93b4b7746b8e33560111b297da091",
             "registry.txt": "81c1c888da2431e6433095fbf4d6ea42e116b4d36c10c720e569bc96a4aaab5e",
         }
+
+
+# (extra set-up after enroll_and_provision, argv with {store} and {busy}
+# filled in, the error's type, exit code)
+FAILURES = [
+    pytest.param([], ["enroll-device", "--id", "dev1"], "DuplicateDevice", 1,
+                 id="enroll-device-again"),
+    pytest.param([["enroll-vtpm", "--user", "bob"]],
+                 ["provision", "--user", "bob", "--device", "nosuch"], "UnknownDevice", 1,
+                 id="provision-unknown-device"),
+    pytest.param([], ["enroll-device", "--id", "../x"], "BadIdentifier", 1,
+                 id="enroll-device-bad-id"),
+    pytest.param([["enroll-vtpm", "--user", "bob"]],
+                 ["--crp-pool", "1000", "provision", "--user", "bob", "--device", "dev1"],
+                 "CrpExhausted", 1, id="provision-beyond-pool"),
+    pytest.param([], ["serve", "--listen", "127.0.0.1:{busy}", "--device", "dev1"],
+                 "BindError", 1, id="serve-busy-port"),
+    pytest.param([], ["serve", "--listen", "127.0.0.1:0", "--device", "dev1", "--timeout", "0.1"],
+                 "ReceiveTimeout", 1, id="serve-no-peer"),
+    pytest.param([], ["run", "{store}/nosuch.txt"], "FileNotFoundError", 2, id="run-missing"),
+    pytest.param([], ["verify", "{store}/nosuch.log", "--user", "alice"],
+                 "FileNotFoundError", 2, id="verify-missing"),
+    pytest.param([], ["run", "{store}/registry.txt"], "ParseError", 2, id="run-not-a-scenario"),
+]
+
+
+class TestOneErrorLine:
+    @pytest.mark.parametrize("setup,argv,name,code", FAILURES)
+    def test_failure_is_one_error_line(self, store, capsys, setup, argv, name, code):
+        enroll_and_provision(store)
+        for extra in setup:
+            assert run_cli("--store", store, "--seed", "3", *extra) == 0
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            capsys.readouterr()
+            rc = run_cli("--store", store, *(a.format(store=store, busy=port) for a in argv))
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestPositiveCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--crp-pool", "-3", "provision", "--user", "bob", "--device", "dev1"],
+            ["--crp-pool", "0", "provision", "--user", "bob", "--device", "dev1"],
+            ["--rekey-threshold", "0", "connect", "--addr", "127.0.0.1:9", "--user", "alice"],
+        ],
+        ids=["crp-pool-negative", "crp-pool-zero", "rekey-threshold-zero"],
+    )
+    def test_usage_error_before_any_file_is_touched(self, store, capsys, argv):
+        enroll_and_provision(store)
+        assert run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "bob") == 0
+        root = Path(store)
+        before = {path.name: path.read_bytes() for path in root.iterdir()}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            run_cli("--store", store, *argv)
+        assert info.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in root.iterdir()} == before
+        for name in ("crps_ttp_dev1.txt", "crps_user_alice.txt"):
+            store_file = puf.CrpStore.load(str(root / name))
+            assert not any(record.used for record in store_file.records())
+
+
+class TestAddress:
+    @pytest.mark.parametrize("port", ["65536", "99999"])
+    def test_port_out_of_range_is_refused(self, store, port):
+        assert run_cli("--store", store, "enroll-device", "--id", "dev1") == 0
+        value = f"127.0.0.1:{port}"
+        with pytest.raises(SystemExit) as info:
+            run_cli("--store", store, "serve", "--listen", value, "--device", "dev1")
+        assert info.value.code == f"error: address must be HOST:PORT, got {value!r}"
+
+    def test_port_range_ends(self):
+        assert cli._parse_addr("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert cli._parse_addr("127.0.0.1:65535") == ("127.0.0.1", 65535)

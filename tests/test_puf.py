@@ -206,6 +206,14 @@ class TestStore:
         assert not a.challenges() & b.challenges()
         assert not a.challenges() & store.challenges()
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_split_below_one_rejected(self, device, n):
+        store = puf.enroll(device, 10, Rng(5))
+        before = enrolled(store)
+        with pytest.raises(ValueError):
+            store.split(n, owner="user")
+        assert enrolled(store) == before
+
     def test_split_exhausted(self, device):
         store = puf.enroll(device, 3, Rng(5))
         with pytest.raises(puf.CrpExhausted):
