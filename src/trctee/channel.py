@@ -23,8 +23,8 @@ Three pieces live here:
   Update messages ride inside the existing encrypted channel and both
   ends switch epochs only after a key-confirmation MAC exchange.
 
-Rekey-threshold enforcement sits on the vTPM side: it is the only rekey
-initiator, so the device relies on it and never refuses to answer.
+Only the vTPM initiates a rekey, so ``seal`` enforces the rekey threshold for
+the vTPM's role alone: the device relies on it and never refuses to answer.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ class SessionState:
     send_counter: int = 0  # last counter used for sending
     recv_counter: int = 0  # last counter accepted
     rekey_threshold: int = DEFAULT_REKEY_THRESHOLD
-    enforce_rekey: bool = True
 
     def __post_init__(self):
         if len(self.sess_key) != KEY_LEN:
@@ -178,17 +177,15 @@ def _nonce(direction: Role, epoch: int, counter: int) -> bytes:
 
 
 def seal(session: SessionState, plaintext: bytes, *, _rekey_bypass: bool = False) -> Frame:
-    """Encrypt one payload; raises RekeyRequired once the threshold is hit."""
-    if (
-        session.enforce_rekey
-        and not _rekey_bypass
-        and session.send_counter >= session.rekey_threshold
-    ):
+    """Encrypt one payload; on the vTPM's side, raises RekeyRequired once the
+    threshold is hit."""
+    role = session.my_role
+    if role is Role.VTPM and not _rekey_bypass and session.send_counter >= session.rekey_threshold:
         raise RekeyRequired(
             f"{session.send_counter} frames sent this epoch; update the key first"
         )
     counter = session.send_counter + 1
-    nonce = _nonce(session.my_role, session.epoch, counter)
+    nonce = _nonce(role, session.epoch, counter)
     head = _HEAD.pack(session.epoch, counter)
     record = bytearray(FRAME_OVERHEAD + len(plaintext))
     record[: _HEAD.size] = head
@@ -463,20 +460,16 @@ class DeviceHandshake:
         device_id: str,
         puf: PufDevice,
         rng: Rng,
-        rekey_threshold: int = DEFAULT_REKEY_THRESHOLD,
     ):
         self._pk_ttp = pk_ttp
         self._device_id = device_id
         self._puf = puf
         self._rng = rng
-        self._threshold = rekey_threshold
         self._transcript = _Transcript()
         self._state = "idle"
         self._nonce_v = b""
         self._nonce_d = b""
         self._pk_tpm = b""
-        self._response = b""
-        self._k_d = b""
         self._confirm_key = b""
         self._pending_key = b""
         self.session: SessionState | None = None
@@ -535,19 +528,19 @@ class DeviceHandshake:
         except InvalidSignature:
             raise BadCert("transcript signature does not verify under the certified key") from None
         self._transcript.absorb(data)
-        self._response = self._puf.respond(challenge)
+        response = self._puf.respond(challenge)
         # Step 5: fresh key share, wrapped for the signed ephemeral key, plus
         # the PUF-keyed transcript MAC that authenticates this device.
-        self._k_d = self._rng.bytes(KEY_LEN)
+        k_d = self._rng.bytes(KEY_LEN)
         eph = X25519PrivateKey.from_private_bytes(self._rng.bytes(32))
         shared = eph.exchange(X25519PublicKey.from_public_bytes(eph_v))
-        wrapped = AESGCM(_wrap_key(shared)).encrypt(bytes(NONCE_LEN), self._k_d, b"")
+        wrapped = AESGCM(_wrap_key(shared)).encrypt(bytes(NONCE_LEN), k_d, b"")
         head = bytes([_HS5]) + eph.public_key().public_bytes_raw() + wrapped
-        mac = hmac_sha384(self._response, self._transcript.fork(head))
+        mac = hmac_sha384(response, self._transcript.fork(head))
         msg = head + mac
         self._transcript.absorb(msg)
         sess_key, self._confirm_key = _derive_session_keys(
-            self._response, self._k_d, self._nonce_v, self._nonce_d
+            response, k_d, self._nonce_v, self._nonce_d
         )
         self._pending_key = sess_key
         self._state = "sent-share"
@@ -560,12 +553,7 @@ class DeviceHandshake:
             raise ConfirmFailure("vTPM key confirmation failed")
         self._transcript.absorb(data)
         mac_d = hmac_sha384(self._confirm_key, b"device-confirm" + self._transcript.digest())
-        self.session = SessionState(
-            sess_key=self._pending_key,
-            peer_role=Role.VTPM,
-            rekey_threshold=self._threshold,
-            enforce_rekey=False,
-        )
+        self.session = SessionState(sess_key=self._pending_key, peer_role=Role.VTPM)
         self._state = "done"
         return bytes([_HS9]) + mac_d
 
@@ -594,6 +582,10 @@ class ChannelEndpoint:
         return self.recv()
 
 
+def _update_mac(confirm_key: bytes, side: bytes, new_epoch: int) -> bytes:
+    return hmac_sha384(confirm_key, b"update-confirm-" + side + struct.pack(">I", new_epoch))
+
+
 def initiate_update(
     endpoint: ChannelEndpoint, challenge: bytes, response: bytes, state_hash: bytes
 ) -> None:
@@ -608,10 +600,9 @@ def initiate_update(
         _rekey_bypass=True,
     )
     mac_d = messages.decode_update_confirm(reply, messages.UPDATE_CONFIRM_D)
-    expected = hmac_sha384(confirm_key, b"update-confirm-d" + struct.pack(">I", new_epoch))
-    if not constant_time_eq(mac_d, expected):
+    if not constant_time_eq(mac_d, _update_mac(confirm_key, b"d", new_epoch)):
         raise ConfirmFailure("device confirmation of the updated key failed")
-    mac_v = hmac_sha384(confirm_key, b"update-confirm-v" + struct.pack(">I", new_epoch))
+    mac_v = _update_mac(confirm_key, b"v", new_epoch)
     endpoint.send(
         messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, mac_v),
         _rekey_bypass=True,
@@ -620,24 +611,26 @@ def initiate_update(
 
 
 def respond_update(
-    endpoint: ChannelEndpoint, payload: bytes, puf: PufDevice
-) -> None:
-    """Device side of the key update, entered on an update request payload."""
-    session = endpoint.session
+    session: SessionState, payload: bytes, puf: PufDevice
+) -> tuple[bytes, tuple[bytes, bytes]]:
+    """Device side of the key update, on an update request payload: the
+    UPDATE_CONFIRM_D payload to send, and the pending (new key, confirmation
+    key) that :func:`finish_update` switches to."""
     challenge, state_hash, new_epoch = messages.decode_update_req(payload)
     if new_epoch != session.epoch + 1:
         raise ConfirmFailure(f"update proposes epoch {new_epoch}, expected {session.epoch + 1}")
     response = puf.respond(challenge)
-    new_key, confirm_key = derive_updated_key(
-        state_hash, response, session.sess_key, new_epoch
-    )
-    mac_d = hmac_sha384(confirm_key, b"update-confirm-d" + struct.pack(">I", new_epoch))
-    confirm = endpoint.request(
-        messages.encode_update_confirm(messages.UPDATE_CONFIRM_D, mac_d),
-        _rekey_bypass=True,
-    )
-    mac_v = messages.decode_update_confirm(confirm, messages.UPDATE_CONFIRM_V)
-    expected = hmac_sha384(confirm_key, b"update-confirm-v" + struct.pack(">I", new_epoch))
-    if not constant_time_eq(mac_v, expected):
+    pending = derive_updated_key(state_hash, response, session.sess_key, new_epoch)
+    mac_d = _update_mac(pending[1], b"d", new_epoch)
+    return messages.encode_update_confirm(messages.UPDATE_CONFIRM_D, mac_d), pending
+
+
+def finish_update(session: SessionState, payload: bytes, pending: tuple[bytes, bytes]) -> None:
+    """Device side, on the UPDATE_CONFIRM_V payload: check the vTPM's
+    confirmation and switch the session to the pending key."""
+    new_key, confirm_key = pending
+    mac_v = messages.decode_update_confirm(payload, messages.UPDATE_CONFIRM_V)
+    if not constant_time_eq(mac_v, _update_mac(confirm_key, b"v", session.epoch + 1)):
         raise ConfirmFailure("vTPM confirmation of the updated key failed")
     session.switch_epoch(new_key)
+

@@ -182,6 +182,7 @@ def _parse_addr(value: str) -> tuple[str, int]:
 
 
 def cmd_serve(args) -> int:
+    host, port = _parse_addr(args.listen)
     root = _store_dir(args)
     fields = statefile.read_keys(
         os.path.join(root, f"device_{args.device}.txt"), DEVICE_HEADER, DEVICE_FIELDS
@@ -193,11 +194,9 @@ def cmd_serve(args) -> int:
         boot_image=image,
         rng=Rng(args.seed).child(f"device-{fields['id']}"),
         file_store=device.FileStore(os.path.join(root, "filestore")),
-        rekey_threshold=args.rekey_threshold,
         recv_timeout=args.timeout,
     )
     dev.boot()
-    host, port = _parse_addr(args.listen)
     server = transport.listen(host, port)
     print(f"device {fields['id']} booted, listening on {host}:{port}")
     try:
@@ -217,9 +216,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_connect(args) -> int:
+    host, port = _parse_addr(args.addr)
     root = _store_dir(args)
     user = _load_user_node(root, args.user, args)
-    host, port = _parse_addr(args.addr)
     conn = transport.connect(host, port)
     try:
         return _baseline_flow(user, conn, root, args)
@@ -292,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rekey-threshold",
         type=_positive_int,
         default=1024,
-        help="frames per epoch before an automatic key update (default 1024)",
+        help="frames per epoch before an automatic key update, read by connect "
+        "and run (default 1024)",
     )
     parser.add_argument(
         "--crp-pool",

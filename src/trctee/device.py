@@ -28,6 +28,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import channel, messages, wire
+from . import transport as _transport
 from .crypto import Rng, sha384, sha3_384
 from .errors import TrcteeError
 from .puf import PufDevice
@@ -293,12 +294,10 @@ class Tmm:
     def __init__(self, file_store: FileStore):
         self.file_store = file_store
         self.config_memory = ConfigMemory()
-        self.endpoint: channel.ChannelEndpoint | None = None
         self._deploy_key: bytes | None = None
 
-    def attach_session(self, endpoint: channel.ChannelEndpoint) -> None:
-        self.endpoint = endpoint
-        self._deploy_key = channel.derive_deploy_key(endpoint.session.sess_key)
+    def attach_session(self, session: channel.SessionState) -> None:
+        self._deploy_key = channel.derive_deploy_key(session.sess_key)
 
     def deploy(self, ip_num: int) -> bytes:
         """Decrypt, validate, install, and hash the bitstream for ``ip_num``."""
@@ -353,7 +352,9 @@ class TpmAgent:
 
 
 class FpgaSocDevice:
-    """One simulated device serving one vTPM session at a time."""
+    """One simulated device serving one vTPM session at a time.  Its core,
+    :meth:`on_record`, is handshaking (``session`` None), established, or
+    awaiting UPDATE_CONFIRM_V (``_pending`` set); :meth:`serve` feeds it."""
 
     def __init__(
         self,
@@ -362,7 +363,6 @@ class FpgaSocDevice:
         boot_image: BootImage,
         rng: Rng | None = None,
         file_store: FileStore | None = None,
-        rekey_threshold: int = channel.DEFAULT_REKEY_THRESHOLD,
         recv_timeout: float | None = 5.0,
         trace: Trace | None = None,
     ):
@@ -371,13 +371,13 @@ class FpgaSocDevice:
         self.boot_image = boot_image
         self.rng = rng or Rng()
         self.file_store = file_store or FileStore()
-        self.rekey_threshold = rekey_threshold
         self.recv_timeout = recv_timeout
         self.trace = trace or Trace()
         self.tmm = Tmm(self.file_store)
         self.booted = False
         self._pending_measurements: list[tuple[int, str, bytes]] = []
         self.agent: TpmAgent | None = None
+        self._start_session()
 
     @property
     def pk_ttp(self) -> bytes:
@@ -390,81 +390,89 @@ class FpgaSocDevice:
         self.booted = True
         return list(self._pending_measurements)
 
+    def _start_session(self) -> None:
+        self._handshake = channel.DeviceHandshake(
+            pk_ttp=self.pk_ttp, device_id=self.device_id, puf=self.puf, rng=self.rng
+        )
+        self.session: channel.SessionState | None = None
+        self._pending: tuple[bytes, bytes] | None = None
+
     def serve(self, transport) -> None:
-        """Blocking service loop: handshake, boot report, then request handling."""
+        """The one receive loop, pipe or TCP: records go to :meth:`on_record` until
+        the peer closes, a receive times out or the handshake fails; then it closes."""
         self.agent = TpmAgent(transport)
+        self._start_session()
         try:
-            self._serve(self.agent)
-        except Exception as exc:  # endpoint loop must not kill the thread silently
+            while True:
+                try:
+                    record = self.agent.recv_record(self.recv_timeout)
+                except (_transport.TransportClosed, _transport.ReceiveTimeout) as exc:
+                    if self.session is None:  # the session never came up
+                        self.trace.emit("device", "error", exc)
+                    return
+                if not self.on_record(record, self.agent):
+                    return
+        except Exception as exc:  # the loop must not end the thread silently
             self.trace.emit("device", "error", exc)
         finally:
             self.agent.close()
 
-    def _serve(self, agent: TpmAgent) -> None:
-        from . import transport as _transport
-
-        handshake = channel.DeviceHandshake(
-            pk_ttp=self.pk_ttp,
-            device_id=self.device_id,
-            puf=self.puf,
-            rng=self.rng,
-            rekey_threshold=self.rekey_threshold,
-        )
-        while handshake.session is None:
+    def on_record(self, record: bytes | bytearray, out) -> bool:
+        """Handle one received record, each reply sent to ``out.send_record``
+        while the plaintext it was sealed from is alive.  False once the
+        handshake has failed: the cause is traced and named to the vTPM."""
+        if self.session is None:
             try:
-                record = agent.recv_record(self.recv_timeout)
-                reply = handshake.on_message(record)
-            except (_transport.TransportClosed, channel.ChannelError) as exc:
-                # The session never came up: trace why, name the cause to the
-                # vTPM, and serve() closes, so the vTPM learns of it at once.
-                self.trace.emit("device", "error", exc)
-                if isinstance(exc, channel.ChannelError):
-                    channel.send_abort(agent, exc)
-                return
-            if reply is not None:
-                agent.send_record(reply)
-        endpoint = channel.ChannelEndpoint(
-            handshake.session, agent, recv_timeout=self.recv_timeout
-        )
-        self.tmm.attach_session(endpoint)
-        if self.booted:
-            endpoint.send(messages.encode_boot_report(self._pending_measurements))
-        self._request_loop(endpoint)
-
-    def _request_loop(self, endpoint: channel.ChannelEndpoint) -> None:
-        from . import transport as _transport
-
-        while True:
-            try:
-                record = endpoint.transport.recv_record(self.recv_timeout)
-            except (_transport.TransportClosed, _transport.ReceiveTimeout):
-                return
-            try:
-                payload = channel.open_frame(endpoint.session, record)
+                out.send_record(self._handshake.on_message(record))
             except channel.ChannelError as exc:
-                # Unauthenticated traffic is dropped, never answered.
-                self.trace.emit("device", "error", exc)
-                continue
-            try:
-                self._handle(endpoint, payload)
-            except (channel.ChannelError, messages.MessageError, wire.WireError) as exc:
-                self.trace.emit("device", "error", exc)
+                self.trace.emit("device", "error", exc)  # before the vTPM hears
+                channel.send_abort(out, exc)
+                return False
+            if self._handshake.session is not None:
+                self.session = self._handshake.session
+                self.tmm.attach_session(self.session)
+                if self.booted:
+                    self._send(out, messages.encode_boot_report(self._pending_measurements))
+            return True
+        try:
+            self._dispatch(self._open(record), out)
+        except (channel.ChannelError, messages.MessageError, wire.WireError) as exc:
+            # Unauthenticated traffic and bad payloads are dropped, never answered.
+            self.trace.emit("device", "error", exc)
+        return True
 
-    def _handle(self, endpoint: channel.ChannelEndpoint, payload: bytes) -> None:
+    def _open(self, record: bytes | bytearray) -> memoryview:
+        """Awaiting V, a next-epoch record means V was lost (the vTPM switches on
+        sending it); if it authenticates, it confirms the pending key (RFC 8446, 4.6.3)."""
+        epoch = self.session.epoch + 1
+        if self._pending is None or int.from_bytes(record[:4], "big") != epoch:
+            return channel.open_frame(self.session, record)
+        ahead = channel.SessionState(self._pending[0], channel.Role.VTPM, epoch=epoch)
+        payload = channel.open_frame(ahead, record)
+        self.session, self._pending = ahead, None
+        self.trace.emit("device", "rekey")
+        return payload
+
+    def _dispatch(self, payload: memoryview, out) -> None:
         kind = messages.kind_of(payload)
+        pending, self._pending = self._pending, None  # any record but V ends the update
         if kind == TPM_TAG_BYTE:
-            endpoint.send(wire.encode(self._execute(wire.decode(payload))))
-            return
-        if kind == messages.UPDATE_REQ:
-            channel.respond_update(endpoint, payload, self.puf)
+            self._send(out, wire.encode(self._execute(wire.decode(payload))))
+        elif kind == messages.UPDATE_REQ:
+            confirm, self._pending = channel.respond_update(self.session, payload, self.puf)
+            self._send(out, confirm)
+        elif kind == messages.UPDATE_CONFIRM_V and pending is not None:
+            channel.finish_update(self.session, payload, pending)
             self.trace.emit("device", "rekey")
-            return
-        if kind == messages.STORE_BLOB:
+        elif kind == messages.STORE_BLOB:
             name, blob = messages.decode_store_blob(payload)
             self.file_store.put(name, blob)
-            endpoint.send(messages.encode_store_ok())
-            return
-        raise messages.MessageError(f"unexpected channel message type {kind}")
+            self._send(out, messages.encode_store_ok())
+        else:
+            raise messages.MessageError(f"unexpected channel message type {kind}")
+
+    def _send(self, out, payload: bytes) -> None:
+        out.send_record(channel.seal(self.session, payload).encode())
 
     def _execute(self, command) -> wire.DeployResp | wire.InvokeResp:
         """Run one Deploy_CMD or Invoke_CMD on the TMM; a failure answers rc 1."""

@@ -29,7 +29,6 @@ handshake.
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass, field
 
 from . import channel, device, puf, runtime, transport, ttp, wire
@@ -205,7 +204,6 @@ class ScenarioRunner:
         self.report = RunReport()
         self.trace = Trace()
         self._device_thread = None
-        self._server_socket = None
 
     # -- world construction ------------------------------------------------------
 
@@ -217,21 +215,11 @@ class ScenarioRunner:
     def _make_transports(self):
         """User-side transport (with recorder and adversary tap) plus device side."""
         if self.tcp:
-            server = transport.listen("127.0.0.1", 0)
-            self._server_socket = server
-            port = server.getsockname()[1]
-            results: dict[str, object] = {}
-
-            def _accept():
-                results["t"] = transport.accept_one(server, timeout=5.0)
-
-            acceptor = threading.Thread(target=_accept, daemon=True)
-            acceptor.start()
-            user_side = transport.connect("127.0.0.1", port)
-            acceptor.join(timeout=5.0)
-            if "t" not in results:
-                raise transport.BindError("loopback accept did not complete")
-            device_side = results["t"]
+            # The kernel completes the connection into the backlog, so one
+            # thread can connect first and accept after.
+            with transport.listen("127.0.0.1", 0) as server:
+                user_side = transport.connect("127.0.0.1", server.getsockname()[1])
+                device_side = transport.accept_one(server, timeout=5.0)
         else:
             user_side, device_side = transport.pipe_pair()
         self.tap = transport.AdversaryTap(user_side)
@@ -259,8 +247,6 @@ class ScenarioRunner:
             self.tap.close()
         if self._device_thread is not None:
             self._device_thread.join(timeout=5.0)
-        if self._server_socket is not None:
-            self._server_socket.close()
 
     def _run_step(self, step: Step) -> tuple[str, str]:
         handler = getattr(self, "_step_" + step.name.replace("-", "_"))
@@ -287,7 +273,6 @@ class ScenarioRunner:
             puf=puf_device,
             boot_image=image,
             rng=self.master.child(f"device-{device_id}"),
-            rekey_threshold=self.rekey_threshold,
             # The device waits until teardown closes the user's end: a device
             # that timed out first would close the session under a user still
             # waiting for a dropped frame, which must see its own timeout.

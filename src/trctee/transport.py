@@ -144,6 +144,10 @@ class TcpTransport:
 
 
 def listen(host: str, port: int) -> socket.socket:
+    if not 0 <= port <= 65535:
+        # Checked first: the socket module would raise OverflowError only
+        # after it has opened the socket, and leave that socket unclosed.
+        raise BindError(f"cannot bind {host}:{port}: port outside 0..65535")
     try:
         server = socket.create_server((host, port))
     except OSError as exc:

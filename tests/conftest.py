@@ -43,7 +43,6 @@ def build_world(
         puf=puf_device,
         boot_image=image,
         rng=master.child(f"device-{device_id}"),
-        rekey_threshold=rekey_threshold,
         recv_timeout=2.0,
     )
     user = runtime.UserNode(

@@ -152,7 +152,7 @@ class TestAcceptance:
         # The device applies the final confirmation in its service thread;
         # wait for its traced switch before comparing endpoints byte-for-byte.
         assert dev.trace.first("rekey", timeout=2.0) is not None
-        assert user.endpoint.session.sess_key == dev.tmm.endpoint.session.sess_key
+        assert user.endpoint.session.sess_key == dev.session.sess_key
         # The derived key equals an independent extract-then-expand run.
         expected = reference_hkdf(
             ikm=response + old_key,
@@ -163,7 +163,7 @@ class TestAcceptance:
         assert user.endpoint.session.sess_key == expected
         # Any frame under the old epoch is rejected.
         with pytest.raises(channel.WrongEpoch):
-            channel.open_frame(dev.tmm.endpoint.session, stale.encode())
+            channel.open_frame(dev.session, stale.encode())
         # Single-use accounting: consumed = handshakes + updates.
         assert user.update_key() == 0
         consumed = total - user.crp_store.unused_count()

@@ -7,19 +7,18 @@ from trctee import channel, device, puf, transport, ttp, vtpm
 from trctee.crypto import Rng
 
 
-def make_session(threshold=1024, key=None, peer=channel.Role.TMM, enforce=True):
+def make_session(threshold=1024, key=None, peer=channel.Role.TMM):
     return channel.SessionState(
         sess_key=key or Rng(1).bytes(32),
         peer_role=peer,
         rekey_threshold=threshold,
-        enforce_rekey=enforce,
     )
 
 
 def session_pair(threshold=1024):
     key = Rng(2).bytes(32)
     vtpm_side = make_session(threshold, key=key, peer=channel.Role.TMM)
-    tmm_side = make_session(threshold, key=key, peer=channel.Role.VTPM, enforce=False)
+    tmm_side = make_session(threshold, key=key, peer=channel.Role.VTPM)
     return vtpm_side, tmm_side
 
 
@@ -381,9 +380,13 @@ class TestKeyUpdate:
         bank = bank or vtpm.PcrBank()
         record = crps.take_unused()
         state_hash = bank.state_hash()
-        device_side = threading.Thread(
-            target=lambda: channel.respond_update(tmm_end, tmm_end.recv(), device_puf)
-        )
+
+        def respond():
+            confirm, pending = channel.respond_update(tmm_end.session, tmm_end.recv(), device_puf)
+            tmm_end.send(confirm)
+            channel.finish_update(tmm_end.session, tmm_end.recv(), pending)
+
+        device_side = threading.Thread(target=respond)
         device_side.start()
         channel.initiate_update(vtpm_end, record.challenge, record.response, state_hash)
         device_side.join(timeout=5)

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import socket
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -548,6 +551,25 @@ class TestAddress:
         with pytest.raises(SystemExit) as info:
             run_cli("--store", store, "serve", "--listen", value, "--device", "dev1")
         assert info.value.code == f"error: address must be HOST:PORT, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--listen", "{addr}", "--device", "dev1"],
+         ["connect", "--addr", "{addr}", "--user", "alice"]],
+        ids=["serve", "connect"],
+    )
+    def test_bad_address_is_refused_before_the_store_is_read(self, store, argv):
+        # In an empty store: not a StateFileError (exit 2), and no store made.
+        value = "127.0.0.1:65536"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-m", "trctee.cli", "--store", store,
+             *(a.format(addr=value) for a in argv)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr == f"error: address must be HOST:PORT, got {value!r}\n"
+        assert not Path(store).exists()
 
     def test_port_range_ends(self):
         assert cli._parse_addr("127.0.0.1:0") == ("127.0.0.1", 0)

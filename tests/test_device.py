@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_matmul8, bytewise_add_const, bytewise_xor, pcr_chain
 from trctee import channel, device, messages, transport, wire
-from trctee.crypto import Rng
+from trctee.crypto import Rng, hmac_sha384
 
 
 @pytest.fixture
@@ -193,19 +193,8 @@ def make_tmm_with_session():
     rng = Rng(80)
     tmm = device.Tmm(device.FileStore())
     key = rng.child("sess").bytes(32)
-    session = channel.SessionState(sess_key=key, peer_role=channel.Role.VTPM, enforce_rekey=False)
-
-    class _NullTransport:
-        def send_record(self, payload):
-            pass
-
-        def recv_record(self, timeout=None):
-            raise AssertionError("unused")
-
-        def close(self):
-            pass
-
-    tmm.attach_session(channel.ChannelEndpoint(session, _NullTransport()))
+    session = channel.SessionState(sess_key=key, peer_role=channel.Role.VTPM)
+    tmm.attach_session(session)
     deploy_key = channel.derive_deploy_key(key)
     return tmm, deploy_key, rng
 
@@ -375,3 +364,170 @@ class TestSessionSurvivesBadPayloads:
         assert output == params
         assert isinstance(dev.trace.first_error(), (messages.MessageError, wire.WireError))
         assert connected.thread.is_alive()
+
+
+class Outbox:
+    """The ``out`` of ``FpgaSocDevice.on_record``: keeps a copy of each reply."""
+
+    def __init__(self):
+        self.records = []
+
+    def send_record(self, record):
+        self.records.append(bytes(record))
+
+
+class DirectPair:
+    """The vTPM's end of a thread-free pair: a record sent runs the device core
+    at once and its replies wait for ``recv_record``.  An empty inbox times out
+    at once, since nothing can arrive later."""
+
+    def __init__(self, dev):
+        self.dev, self.inbox = dev, Outbox()
+
+    def send_record(self, record):
+        self.dev.on_record(record, self.inbox)
+
+    def recv_record(self, timeout=None):
+        if not self.inbox.records:
+            raise transport.ReceiveTimeout("no reply")
+        return self.inbox.records.pop(0)
+
+    def close(self):
+        pass
+
+
+def core_handshake(world):
+    """Run the handshake against the booted device's core, with no thread: the
+    vTPM's session and the replies left after the handshake."""
+    world.device.boot()
+    handshake = channel.VtpmHandshake(
+        sk_tpm=world.user.bundle.sk_tpm,
+        cert=world.user.bundle.cert,
+        device_id="dev1",
+        crp_store=world.user.crp_store,
+        rng=Rng(60),
+    )
+    out = Outbox()
+    record = handshake.start()
+    while record is not None:
+        assert world.device.on_record(record, out)
+        record = handshake.on_message(out.records.pop(0))
+    return handshake.session, out.records
+
+
+def seal(session, payload):
+    """A vTPM frame that no rekey threshold holds back."""
+    return channel.seal(session, payload, _rekey_bypass=True).encode()
+
+
+class TestDeviceCore:
+    """``on_record`` driven record by record, with no thread and no timer."""
+
+    def _update_to_epoch_1(self, world, session, out):
+        """Send the update request; the new key and the UPDATE_CONFIRM_V payload."""
+        crp = world.user.crp_store.take_unused()
+        state_hash = bytes(48)
+        new_key, confirm = channel.derive_updated_key(state_hash, crp.response, session.sess_key, 1)
+        request = messages.encode_update_req(crp.challenge, state_hash, 1)
+        assert world.device.on_record(seal(session, request), out)
+        mac_d = messages.decode_update_confirm(
+            channel.open_frame(session, out.records.pop()), messages.UPDATE_CONFIRM_D
+        )
+        assert mac_d == hmac_sha384(confirm, b"update-confirm-d" + struct.pack(">I", 1))
+        mac_v = hmac_sha384(confirm, b"update-confirm-v" + struct.pack(">I", 1))
+        return new_key, messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, mac_v)
+
+    def test_handshake_establishes_the_session_and_reports_boot(self, world):
+        session, replies = core_handshake(world)
+        assert world.device.session.sess_key == session.sess_key
+        (report,) = replies
+        measured = messages.decode_boot_report(channel.open_frame(session, report))
+        assert measured == device.measure_boot_image(world.boot_image)
+
+    def test_failed_handshake_aborts_and_ends_the_session(self, world):
+        handshake = channel.VtpmHandshake(
+            sk_tpm=world.user.bundle.sk_tpm,
+            cert=world.user.bundle.cert,
+            device_id="dev1",
+            crp_store=world.user.crp_store,
+            rng=Rng(61),
+        )
+        hello = bytearray(handshake.start())
+        hello[-1] ^= 0x01  # the certificate's signature
+        out = Outbox()
+        assert world.device.on_record(hello, out) is False
+        assert out.records == [channel.abort_record(channel.BadCert("x"))]
+        assert isinstance(world.device.trace.first_error(), channel.BadCert)
+        assert world.device.session is None
+
+    def test_confirm_v_switches_the_epoch(self, world):
+        session, _ = core_handshake(world)
+        dev, out = world.device, Outbox()
+        new_key, confirm_v = self._update_to_epoch_1(world, session, out)
+        assert dev.session.epoch == 0  # awaiting V
+        assert dev.on_record(seal(session, confirm_v), out)
+        assert out.records == []
+        assert (dev.session.epoch, dev.session.sess_key) == (1, new_key)
+        assert [e.kind for e in dev.trace.events] == ["rekey"]
+
+    def test_bad_confirm_v_abandons_the_update(self, world):
+        session, _ = core_handshake(world)
+        dev, out = world.device, Outbox()
+        new_key, confirm_v = self._update_to_epoch_1(world, session, out)
+        dev.on_record(seal(session, confirm_v[:-1] + bytes([confirm_v[-1] ^ 1])), out)
+        assert isinstance(dev.trace.first_error(), channel.ConfirmFailure)
+        ahead = channel.SessionState(sess_key=new_key, peer_role=channel.Role.TMM, epoch=1)
+        dev.on_record(seal(ahead, messages.encode_store_ok()), out)
+        assert [type(e.error) for e in dev.trace.events] == [
+            channel.ConfirmFailure, channel.WrongEpoch
+        ]
+        assert dev.session.epoch == 0 and out.records == []
+
+    def test_forged_next_epoch_record_leaves_the_update_pending(self, world):
+        session, _ = core_handshake(world)
+        dev, out = world.device, Outbox()
+        new_key, confirm_v = self._update_to_epoch_1(world, session, out)
+        forged = channel.SessionState(sess_key=bytes(32), peer_role=channel.Role.TMM, epoch=1)
+        dev.on_record(seal(forged, confirm_v), out)
+        assert isinstance(dev.trace.first_error(), channel.AuthFailure)
+        assert dev.session.epoch == 0
+        dev.on_record(seal(session, confirm_v), out)
+        assert (dev.session.epoch, dev.session.sess_key) == (1, new_key)
+
+    def test_record_of_the_old_epoch_abandons_the_update(self, world):
+        # UPDATE_CONFIRM_D was lost and the vTPM gave the update up: its next
+        # request, still of epoch 0, is answered in epoch 0.
+        session, _ = core_handshake(world)
+        dev, out = world.device, Outbox()
+        _, confirm_v = self._update_to_epoch_1(world, session, out)
+        dev.on_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")), out)
+        (reply,) = out.records
+        assert messages.kind_of(channel.open_frame(session, reply)) == messages.STORE_OK
+        dev.on_record(seal(session, confirm_v), out)  # a late V confirms nothing
+        assert isinstance(dev.trace.first_error(), messages.MessageError)
+        assert dev.session.epoch == 0
+
+    def test_next_epoch_record_after_a_lost_confirm_v_promotes_the_key(self, world):
+        # V never arrives; the vTPM, switched once it sent V, seals in epoch 1.
+        session, _ = core_handshake(world)
+        dev, out = world.device, Outbox()
+        new_key, _ = self._update_to_epoch_1(world, session, out)
+        ahead = channel.SessionState(sess_key=new_key, peer_role=channel.Role.TMM, epoch=1)
+        assert dev.on_record(seal(ahead, messages.encode_store_blob("ip_1.bin", b"blob")), out)
+        assert (dev.session.epoch, dev.session.sess_key) == (1, new_key)
+        (reply,) = out.records  # handled, and answered in epoch 1
+        assert messages.kind_of(channel.open_frame(ahead, reply)) == messages.STORE_OK
+        assert [e.kind for e in dev.trace.events] == ["rekey"]
+
+    def test_user_node_runs_against_the_core_without_a_thread(self, world):
+        user, dev = world.user, world.device
+        dev.boot()
+        user.connect(DirectPair(dev))
+        user.user_deploy(user.prepare_deploy(1, device.IpImage("add_const", b"\x02")))
+        assert user.update_key() == 0
+        output, record = user.user_invoke(1, b"\x00\xff")
+        assert output == b"\x02\x01" and record.verdict == "Verified"
+        assert dev.session.sess_key == user.endpoint.session.sess_key
+        assert user.verify().all_verified
+        assert [e.kind for e in dev.trace.events] == ["rekey"]
+

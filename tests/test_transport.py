@@ -36,6 +36,13 @@ def _in_thread(fn, *args):
     return thread, results
 
 
+class TestListen:
+    def test_port_above_65535_is_a_bind_error(self):
+        # Before the range check: an untyped OverflowError and a leaked socket.
+        with pytest.raises(transport.BindError, match="65536"):
+            transport.listen("127.0.0.1", 65536)
+
+
 class TestTcpRecords:
     def test_4_mib_record_each_way(self, loopback):
         raw, server_end = loopback()
