@@ -319,8 +319,13 @@ class UserNode:
         try:
             reply = endpoint.request(raw)
             response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
-        except (channel.ChannelError, wire.WireError) as exc:
+        except (channel.ChannelError, wire.WireError, _transport.TransportError) as exc:
             self.trace.emit("user", "error", exc)
+            if isinstance(exc, _transport.TransportError):
+                # The connection is gone, and the session with it: no key
+                # update may follow on it, and later calls raise NoSession.
+                self.close()
+                self.endpoint = None
             return wire.encode(wire.failure_response(command))
         self._forwarded = response
         if response.response_code != 0:

@@ -273,9 +273,12 @@ class ScenarioRunner:
             puf=puf_device,
             boot_image=image,
             rng=self.master.child(f"device-{device_id}"),
-            # The device waits until teardown closes the user's end: a device
-            # that timed out first would close the session under a user still
-            # waiting for a dropped frame, which must see its own timeout.
+            # The device waits until teardown closes the user's end.  Over TCP
+            # both ends wait on real timers, and a device that timed out first
+            # would close the session under a user still waiting for a dropped
+            # frame, which must see its own timeout.  In process the stall
+            # rule keeps that order (the earlier deadline fails first), so
+            # None here also makes the user's receive the one that fails.
             recv_timeout=None,
             trace=self.trace,
         )

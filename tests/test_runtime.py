@@ -256,6 +256,79 @@ class DropNth:
         self._inner.close()
 
 
+class CloseOnNth:
+    """Device-side transport wrapper that closes the pipe on receiving its
+    n-th record, before the device can answer it."""
+
+    def __init__(self, inner, n):
+        self._inner, self._left = inner, n
+
+    def send_record(self, record):
+        self._inner.send_record(record)
+
+    def recv_record(self, timeout=None):
+        record = self._inner.recv_record(timeout)
+        self._left -= 1
+        if self._left == 0:
+            self._inner.close()
+            raise transport.TransportClosed("closed on receiving the request")
+        return record
+
+    def close(self):
+        self._inner.close()
+
+
+class TestDeviceClosesMidRequest:
+    """A device that closes mid-request is a traced user error and an rc-1
+    answer, not a bare TransportClosed out of ``vtpm.dispatch``."""
+
+    def _serve(self, world, n):
+        # The device receives HS1, HS3, HS8, the upload, the deploy, the invoke.
+        world.device.boot()
+        user_side, device_side = transport.pipe_pair()
+        world.thread = device.serve_in_thread(world.device, CloseOnNth(device_side, n))
+        world.user.connect(user_side)
+
+    def test_invoke_names_the_cause_and_the_log_still_verifies(self, world):
+        self._serve(world, 6)
+        deploy_xor(world.user)
+        with pytest.raises(
+            runtime.OrchestrationError,
+            match="invocation of IP 1 failed: peer closed the transport",
+        ):
+            world.user.user_invoke(1, bytes(16))
+        assert isinstance(world.user.trace.first_error(), transport.TransportClosed)
+        # PCR9 and history.inputs both took the input; nothing reached PCR10.
+        assert len(world.user.history.inputs) == 1
+        assert world.user.history.outputs == []
+        assert world.user.verify().all_verified
+
+    def test_deploy_answers_rc_1_with_the_cause_traced(self, world):
+        self._serve(world, 5)
+        ticket = world.user.prepare_deploy(
+            1, device.IpImage(kernel_id="xor", params=bytes(range(16)))
+        )
+        response, verdict = world.user.user_deploy(ticket)
+        assert (response.response_code, verdict) == (1, "Mismatch")
+        assert isinstance(world.user.trace.first_error(), transport.TransportClosed)
+        assert world.user.history.deployments == []
+        assert world.user.verify().all_verified
+
+    def test_the_session_ends_with_its_connection(self):
+        # The deploy is the 2nd frame: a key update falls due right after
+        # it, and must not be started on the closed connection.
+        world = build_world(rekey_threshold=2)
+        self._serve(world, 5)
+        ticket = world.user.prepare_deploy(
+            1, device.IpImage(kernel_id="xor", params=bytes(range(16)))
+        )
+        response, verdict = world.user.user_deploy(ticket)
+        assert (response.response_code, verdict) == (1, "Mismatch")
+        assert world.user.endpoint is None and world.user.updates_done == 0
+        with pytest.raises(runtime.OrchestrationError, match="no established session"):
+            world.user.user_invoke(1, bytes(16))
+
+
 class TestKeyUpdateFlow:
     def test_command_triggered_update(self, connected):
         user = connected.user

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trctee import scenario
+from trctee import cli, scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -114,6 +114,30 @@ class TestAdversaries:
         assert report.results[-1].outcome == "bad-cert"
         assert runner.handshake_s < 0.5
 
+    @pytest.mark.parametrize(
+        "tcp,timeout", [(False, 2.0), (True, 0.6)], ids=["inproc", "tcp"]
+    )
+    def test_dropped_frame_waits_on_the_clock_only_over_tcp(self, tcp, timeout):
+        # In process the pipe sees both ends stalled and ends the wait at
+        # once; over TCP the user's receive waits out its real timer.
+        class TimedRunner(scenario.ScenarioRunner):
+            def _step_invoke(self, step):
+                start = time.perf_counter()
+                try:
+                    return super()._step_invoke(step)
+                finally:
+                    self.invoke_s = time.perf_counter() - start
+
+        scn = scenario.load_scenario(str(SCENARIOS / "adversary_drop_frame.txt"))
+        runner = TimedRunner(scn, seed=5, tcp=tcp, recv_timeout=timeout)
+        report = runner.run()
+        assert report.exit_code == 0, report.text()
+        assert report.results[-1].outcome == "timeout"
+        if tcp:
+            assert runner.invoke_s >= timeout
+        else:
+            assert runner.invoke_s < 0.5
+
     @pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
     def test_failed_step_is_not_blamed_on_an_earlier_error(self, tcp):
         # The reuse-crp step leaves a traced crp-exhausted behind; the deploy
@@ -193,3 +217,19 @@ class TestNoLeakedSockets:
             gc.collect()
         assert report.exit_code == 0, report.text()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestNoClockWaitsInProcess:
+    def test_all_scenarios_through_the_cli_well_under_one_receive_timeout(self, capsys):
+        # At the CLI's default 2 s receive timeout, one wait on the clock
+        # anywhere in the suite would take the whole pass past 2 s.
+        start = time.perf_counter()
+        codes = {
+            path.name: cli.main(["--seed", "5", "run", str(path)])
+            for path in sorted(SCENARIOS.glob("*.txt"))
+        }
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert len(codes) == 9
+        assert codes == dict.fromkeys(codes, 0)
+        assert elapsed < 2.0
