@@ -340,8 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process: ``parse_args`` fills a
+    fresh namespace on every call, so no option value outlives its run."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TrcteeError, OSError, UnicodeDecodeError) as exc:

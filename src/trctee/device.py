@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -354,7 +355,9 @@ class TpmAgent:
 class FpgaSocDevice:
     """One simulated device serving one vTPM session at a time.  Its core,
     :meth:`on_record`, is handshaking (``session`` None), established, or
-    awaiting UPDATE_CONFIRM_V (``_pending`` set); :meth:`serve` feeds it."""
+    awaiting UPDATE_CONFIRM_V (``_pending`` set).  Two drivers feed it: over
+    TCP, and on the threaded pipe, the receive loop :meth:`serve` on a
+    thread of its own; in process, a :class:`DirectPair`, with no thread."""
 
     def __init__(
         self,
@@ -397,25 +400,48 @@ class FpgaSocDevice:
         self.session: channel.SessionState | None = None
         self._pending: tuple[bytes, bytes] | None = None
 
-    def serve(self, transport) -> None:
-        """The one receive loop, pipe or TCP: records go to :meth:`on_record` until
-        the peer closes, a receive times out or the handshake fails; then it closes."""
+    def attach(self, transport) -> TpmAgent:
+        """Start a fresh session whose records go out through ``transport``."""
         self.agent = TpmAgent(transport)
         self._start_session()
+        return self.agent
+
+    def serve(self, transport) -> None:
+        """The one receive loop, pipe or TCP: records go to :meth:`feed` until
+        the peer closes, a receive times out or the handshake fails."""
+        agent = self.attach(transport)
+        while True:
+            try:
+                record = agent.recv_record(self.recv_timeout)
+            except (_transport.TransportClosed, _transport.ReceiveTimeout) as exc:
+                self._peer_gone(exc)
+                return
+            except Exception as exc:  # the loop must not end the thread silently
+                self._close(exc)
+                return
+            if not self.feed(record):
+                return
+
+    def feed(self, record: bytes | bytearray) -> bool:
+        """Run the core on one record.  When it returns False or raises, the
+        error is traced and the device end closed; False then."""
         try:
-            while True:
-                try:
-                    record = self.agent.recv_record(self.recv_timeout)
-                except (_transport.TransportClosed, _transport.ReceiveTimeout) as exc:
-                    if self.session is None:  # the session never came up
-                        self.trace.emit("device", "error", exc)
-                    return
-                if not self.on_record(record, self.agent):
-                    return
-        except Exception as exc:  # the loop must not end the thread silently
-            self.trace.emit("device", "error", exc)
-        finally:
-            self.agent.close()
+            if self.on_record(record, self.agent):
+                return True
+            error = None  # the core traced why the handshake failed
+        except Exception as exc:
+            error = exc
+        self._close(error)
+        return False
+
+    def _peer_gone(self, cause: Exception) -> None:
+        """The peer closed or went quiet: an error only if the session never came up."""
+        self._close(cause if self.session is None else None)
+
+    def _close(self, error: Exception | None) -> None:
+        if error is not None:
+            self.trace.emit("device", "error", error)
+        self.agent.close()
 
     def on_record(self, record: bytes | bytearray, out) -> bool:
         """Handle one received record, each reply sent to ``out.send_record``
@@ -495,3 +521,58 @@ def serve_in_thread(device: FpgaSocDevice, transport) -> threading.Thread:
     thread = threading.Thread(target=device.serve, args=(transport,), daemon=True)
     thread.start()
     return thread
+
+
+class _DeviceEnd:
+    """The device's end of a :class:`DirectPair`: what it sends waits in the
+    user end's inbox."""
+
+    def __init__(self, inbox: deque):
+        self._inbox = inbox
+        self.closed = False
+
+    def send_record(self, record: bytes | bytearray) -> None:
+        if self.closed:
+            raise _transport.TransportClosed("transport is closed")
+        self._inbox.append(record)
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class DirectPair:
+    """The user's end of a thread-free pair with ``device``: a record sent runs
+    the device core at once (:meth:`FpgaSocDevice.feed`), and its replies wait
+    here for :meth:`recv_record`, handed over as the device built them.
+
+    No other thread can send, so a receive on an empty inbox fails at once:
+    :class:`~trctee.transport.TransportClosed` once the device end is closed,
+    otherwise :class:`~trctee.transport.ReceiveTimeout` with the text a
+    receive that waited out ``timeout`` has.
+    """
+
+    def __init__(self, device: FpgaSocDevice):
+        self._device = device
+        self._inbox: deque = deque()
+        self._device_end = _DeviceEnd(self._inbox)
+        self._closed = False
+        device.attach(self._device_end)
+
+    def send_record(self, record: bytes | bytearray) -> None:
+        if self._closed:
+            raise _transport.TransportClosed("transport is closed")
+        if not self._device_end.closed:  # otherwise lost, as on a pipe whose reader is gone
+            self._device.feed(record)
+
+    def recv_record(self, timeout: float | None = None) -> bytes | bytearray:
+        if self._inbox:
+            return self._inbox.popleft()
+        if self._device_end.closed:
+            raise _transport.TransportClosed("peer closed the transport")
+        raise _transport.ReceiveTimeout(f"no record within {timeout}s")
+
+    def close(self) -> None:
+        if not self._closed:
+            self._closed = True
+            if not self._device_end.closed:
+                self._device._peer_gone(_transport.TransportClosed("peer closed the transport"))

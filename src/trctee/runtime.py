@@ -268,7 +268,11 @@ class UserNode:
             image, ip_num, self.deploy_key, self.rng.child(f"bitstream-{ip_num}")
         )
         name = device.blob_name(ip_num)
-        reply = endpoint.request(messages.encode_store_blob(name, encrypted.encode()))
+        try:
+            reply = endpoint.request(messages.encode_store_blob(name, encrypted.encode()))
+        except _transport.TransportError as exc:
+            self._session_lost(exc)
+            raise
         if messages.kind_of(reply) != messages.STORE_OK:
             raise OrchestrationError("bitstream upload was not acknowledged")
         self._maybe_rekey()
@@ -319,13 +323,11 @@ class UserNode:
         try:
             reply = endpoint.request(raw)
             response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
-        except (channel.ChannelError, wire.WireError, _transport.TransportError) as exc:
+        except _transport.TransportError as exc:
+            self._session_lost(exc)
+            return wire.encode(wire.failure_response(command))
+        except (channel.ChannelError, wire.WireError) as exc:
             self.trace.emit("user", "error", exc)
-            if isinstance(exc, _transport.TransportError):
-                # The connection is gone, and the session with it: no key
-                # update may follow on it, and later calls raise NoSession.
-                self.close()
-                self.endpoint = None
             return wire.encode(wire.failure_response(command))
         self._forwarded = response
         if response.response_code != 0:
@@ -404,6 +406,9 @@ class UserNode:
             channel.initiate_update(
                 endpoint, record.challenge, record.response, self.vtpm.pcrs.state_hash()
             )
+        except _transport.TransportError as exc:
+            self._session_lost(exc)
+            return 1
         except channel.ChannelError as exc:
             self.trace.emit("user", "error", exc)
             return 1
@@ -426,10 +431,22 @@ class UserNode:
     def _maybe_rekey(self) -> None:
         if self.endpoint is not None and channel.counter_tick(self.endpoint.session):
             record = self.crp_store.take_unused()
-            channel.initiate_update(
-                self.endpoint, record.challenge, record.response, self.vtpm.pcrs.state_hash()
-            )
+            try:
+                channel.initiate_update(
+                    self.endpoint, record.challenge, record.response, self.vtpm.pcrs.state_hash()
+                )
+            except _transport.TransportError as exc:
+                self._session_lost(exc)
+                raise
             self.updates_done += 1
+
+    def _session_lost(self, exc: _transport.TransportError) -> None:
+        """Trace a failed send or receive as a user error.  The connection is
+        gone, and the session with it: no key update may follow on it, and
+        later calls raise :class:`NoSession`."""
+        self.trace.emit("user", "error", exc)
+        self.close()
+        self.endpoint = None
 
     # -- verification ----------------------------------------------------------
 

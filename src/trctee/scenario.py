@@ -212,21 +212,24 @@ class ScenarioRunner:
             raise ExpectationFailed(f"{what} not set up; scenario grammar should prevent this")
         return obj
 
-    def _make_transports(self):
-        """User-side transport (with recorder and adversary tap) plus device side."""
+    def _make_transports(self, dev: device.FpgaSocDevice):
+        """The user-side transport, with recorder and adversary tap, attached to
+        ``dev``: over TCP served by a device thread, in process by a direct
+        pair that runs the device core on each record sent, with no thread."""
         if self.tcp:
             # The kernel completes the connection into the backlog, so one
             # thread can connect first and accept after.
             with transport.listen("127.0.0.1", 0) as server:
                 user_side = transport.connect("127.0.0.1", server.getsockname()[1])
                 device_side = transport.accept_one(server, timeout=5.0)
+            self._device_thread = device.serve_in_thread(dev, device_side)
         else:
-            user_side, device_side = transport.pipe_pair()
+            user_side = device.DirectPair(dev)
         self.tap = transport.AdversaryTap(user_side)
         recorder = transport.RecordingTransport(
             self.tap, self.report.frame_transcript, "user->device", "device->user"
         )
-        return recorder, device_side
+        return recorder
 
     # -- step execution ----------------------------------------------------------
 
@@ -273,12 +276,11 @@ class ScenarioRunner:
             puf=puf_device,
             boot_image=image,
             rng=self.master.child(f"device-{device_id}"),
-            # The device waits until teardown closes the user's end.  Over TCP
+            # Over TCP the device waits until teardown closes the user's end:
             # both ends wait on real timers, and a device that timed out first
             # would close the session under a user still waiting for a dropped
-            # frame, which must see its own timeout.  In process the stall
-            # rule keeps that order (the earlier deadline fails first), so
-            # None here also makes the user's receive the one that fails.
+            # frame, which must see its own timeout.  In process the device
+            # never waits; the direct pair runs it on each record sent.
             recv_timeout=None,
             trace=self.trace,
         )
@@ -337,8 +339,7 @@ class ScenarioRunner:
                 cert=other.cert,
                 pk_ttp=user.bundle.pk_ttp,
             )
-        user_transport, device_transport = self._make_transports()
-        self._device_thread = device.serve_in_thread(dev, device_transport)
+        user_transport = self._make_transports(dev)
         # On a failed handshake the device traces its typed error before it
         # sends its abort record and closes, so the step reports that error.
         user.connect(user_transport)

@@ -1,8 +1,11 @@
 """Record transport: 4-byte big-endian length prefix, then the payload.
 
-The same framing runs over in-process queue pairs and TCP sockets, so
-protocol code above this layer cannot tell the difference.  Who owns a
-received record depends on the transport:
+The same framing runs over in-process pipes and TCP sockets, so protocol
+code above this layer cannot tell the difference.  In-process scenario runs
+use neither: they drive the device through ``device.DirectPair``, with no
+device thread.  The threaded pipe here serves the benchmark's worlds and the
+tests that run a device thread.  Who owns a received record depends on the
+transport:
 
 * TCP receives every record into the connection's one receive buffer, a
   ``bytearray`` of exactly the record, and returns it.  The record is valid
@@ -16,11 +19,11 @@ add traffic recording and the adversary taps used by attack scenarios; both
 keep ``bytes`` copies, so what they hold stays the ciphertext.
 
 Over TCP a receive that no record reaches waits out its timeout.  The
-in-process pipe can see that both of its ends are blocked on empty inboxes,
-and then no record can ever arrive: by its stall rule the receive with the
-earlier finite deadline fails at once, as real time would have it fail first
-(see :class:`InProcTransport`).  This holds only while records enter a pipe
-through its two ends alone, each end driven by one thread.
+threaded in-process pipe can see that both of its ends are blocked on empty
+inboxes, and then no record can ever arrive: by its stall rule the receive
+with the earlier finite deadline fails at once, as real time would have it
+fail first (see :class:`InProcTransport`).  This holds only while records
+enter a pipe through its two ends alone, each end driven by one thread.
 """
 
 from __future__ import annotations

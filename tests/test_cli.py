@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from trctee import cli, device, puf, vtpm
+from trctee import cli, device, puf, scenario, vtpm
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -59,6 +59,30 @@ class TestRunCommand:
     def test_tcp_transport_flag(self, store):
         rc = run_cli("--seed", "5", "run", str(SCENARIOS / "baseline.txt"), "--transport", "tcp")
         assert rc == 0
+
+
+class TestParserBuiltOnce:
+    def test_two_runs_share_one_parser_and_no_option_values(self, monkeypatch, capsys):
+        built, runs = [], []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        runner_init = scenario.ScenarioRunner.__init__
+
+        def record(self, scn, seed=None, tcp=False, rekey_threshold=1024, **kwargs):
+            runs.append((seed, tcp, rekey_threshold))
+            runner_init(self, scn, seed=seed, tcp=tcp, rekey_threshold=rekey_threshold, **kwargs)
+
+        monkeypatch.setattr(scenario.ScenarioRunner, "__init__", record)
+        cli._parser.cache_clear()
+        try:
+            first = ["--seed", "5", "--rekey-threshold", "3", "run",
+                     str(SCENARIOS / "adversary_swap_cert.txt"), "--transport", "tcp"]
+            assert run_cli(*first) == 0
+            assert run_cli("run", str(SCENARIOS / "baseline.txt")) == 0
+        finally:
+            cli._parser.cache_clear()  # drop the parser built by the patched builder
+        assert len(built) == 1
+        assert runs == [(5, True, 3), (None, False, 1024)]
 
 
 def free_port():

@@ -366,39 +366,20 @@ class TestSessionSurvivesBadPayloads:
         assert connected.thread.is_alive()
 
 
-class Outbox:
-    """The ``out`` of ``FpgaSocDevice.on_record``: keeps a copy of each reply."""
-
-    def __init__(self):
-        self.records = []
-
-    def send_record(self, record):
-        self.records.append(bytes(record))
-
-
-class DirectPair:
-    """The vTPM's end of a thread-free pair: a record sent runs the device core
-    at once and its replies wait for ``recv_record``.  An empty inbox times out
-    at once, since nothing can arrive later."""
-
-    def __init__(self, dev):
-        self.dev, self.inbox = dev, Outbox()
-
-    def send_record(self, record):
-        self.dev.on_record(record, self.inbox)
-
-    def recv_record(self, timeout=None):
-        if not self.inbox.records:
-            raise transport.ReceiveTimeout("no reply")
-        return self.inbox.records.pop(0)
-
-    def close(self):
-        pass
+def drain(pair):
+    """Copies of the replies waiting at the vTPM's end of a direct pair."""
+    records = []
+    while True:
+        try:
+            records.append(bytes(pair.recv_record()))
+        except transport.ReceiveTimeout:
+            return records
 
 
 def core_handshake(world):
-    """Run the handshake against the booted device's core, with no thread: the
-    vTPM's session and the replies left after the handshake."""
+    """Run the handshake against the booted device through a direct pair, with
+    no thread: the vTPM's session, the pair, and the replies left after the
+    handshake."""
     world.device.boot()
     handshake = channel.VtpmHandshake(
         sk_tpm=world.user.bundle.sk_tpm,
@@ -407,12 +388,12 @@ def core_handshake(world):
         crp_store=world.user.crp_store,
         rng=Rng(60),
     )
-    out = Outbox()
+    pair = device.DirectPair(world.device)
     record = handshake.start()
     while record is not None:
-        assert world.device.on_record(record, out)
-        record = handshake.on_message(out.records.pop(0))
-    return handshake.session, out.records
+        pair.send_record(record)
+        record = handshake.on_message(pair.recv_record())
+    return handshake.session, pair, drain(pair)
 
 
 def seal(session, payload):
@@ -421,24 +402,26 @@ def seal(session, payload):
 
 
 class TestDeviceCore:
-    """``on_record`` driven record by record, with no thread and no timer."""
+    """The core driven record by record through a direct pair, with no thread
+    and no timer."""
 
-    def _update_to_epoch_1(self, world, session, out):
+    def _update_to_epoch_1(self, world, session, pair):
         """Send the update request; the new key and the UPDATE_CONFIRM_V payload."""
         crp = world.user.crp_store.take_unused()
         state_hash = bytes(48)
         new_key, confirm = channel.derive_updated_key(state_hash, crp.response, session.sess_key, 1)
         request = messages.encode_update_req(crp.challenge, state_hash, 1)
-        assert world.device.on_record(seal(session, request), out)
+        pair.send_record(seal(session, request))
+        (reply,) = drain(pair)
         mac_d = messages.decode_update_confirm(
-            channel.open_frame(session, out.records.pop()), messages.UPDATE_CONFIRM_D
+            channel.open_frame(session, reply), messages.UPDATE_CONFIRM_D
         )
         assert mac_d == hmac_sha384(confirm, b"update-confirm-d" + struct.pack(">I", 1))
         mac_v = hmac_sha384(confirm, b"update-confirm-v" + struct.pack(">I", 1))
         return new_key, messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, mac_v)
 
     def test_handshake_establishes_the_session_and_reports_boot(self, world):
-        session, replies = core_handshake(world)
+        session, _, replies = core_handshake(world)
         assert world.device.session.sess_key == session.sess_key
         (report,) = replies
         measured = messages.decode_boot_report(channel.open_frame(session, report))
@@ -454,75 +437,77 @@ class TestDeviceCore:
         )
         hello = bytearray(handshake.start())
         hello[-1] ^= 0x01  # the certificate's signature
-        out = Outbox()
-        assert world.device.on_record(hello, out) is False
-        assert out.records == [channel.abort_record(channel.BadCert("x"))]
+        pair = device.DirectPair(world.device)
+        pair.send_record(hello)
+        assert pair.recv_record() == channel.abort_record(channel.BadCert("x"))
+        with pytest.raises(transport.TransportClosed):
+            pair.recv_record()  # the device end closed after its abort
         assert isinstance(world.device.trace.first_error(), channel.BadCert)
         assert world.device.session is None
 
     def test_confirm_v_switches_the_epoch(self, world):
-        session, _ = core_handshake(world)
-        dev, out = world.device, Outbox()
-        new_key, confirm_v = self._update_to_epoch_1(world, session, out)
+        session, pair, _ = core_handshake(world)
+        dev = world.device
+        new_key, confirm_v = self._update_to_epoch_1(world, session, pair)
         assert dev.session.epoch == 0  # awaiting V
-        assert dev.on_record(seal(session, confirm_v), out)
-        assert out.records == []
+        pair.send_record(seal(session, confirm_v))
+        assert drain(pair) == []
         assert (dev.session.epoch, dev.session.sess_key) == (1, new_key)
         assert [e.kind for e in dev.trace.events] == ["rekey"]
 
     def test_bad_confirm_v_abandons_the_update(self, world):
-        session, _ = core_handshake(world)
-        dev, out = world.device, Outbox()
-        new_key, confirm_v = self._update_to_epoch_1(world, session, out)
-        dev.on_record(seal(session, confirm_v[:-1] + bytes([confirm_v[-1] ^ 1])), out)
+        session, pair, _ = core_handshake(world)
+        dev = world.device
+        new_key, confirm_v = self._update_to_epoch_1(world, session, pair)
+        pair.send_record(seal(session, confirm_v[:-1] + bytes([confirm_v[-1] ^ 1])))
         assert isinstance(dev.trace.first_error(), channel.ConfirmFailure)
         ahead = channel.SessionState(sess_key=new_key, peer_role=channel.Role.TMM, epoch=1)
-        dev.on_record(seal(ahead, messages.encode_store_ok()), out)
+        pair.send_record(seal(ahead, messages.encode_store_ok()))
         assert [type(e.error) for e in dev.trace.events] == [
             channel.ConfirmFailure, channel.WrongEpoch
         ]
-        assert dev.session.epoch == 0 and out.records == []
+        assert dev.session.epoch == 0 and drain(pair) == []
 
     def test_forged_next_epoch_record_leaves_the_update_pending(self, world):
-        session, _ = core_handshake(world)
-        dev, out = world.device, Outbox()
-        new_key, confirm_v = self._update_to_epoch_1(world, session, out)
+        session, pair, _ = core_handshake(world)
+        dev = world.device
+        new_key, confirm_v = self._update_to_epoch_1(world, session, pair)
         forged = channel.SessionState(sess_key=bytes(32), peer_role=channel.Role.TMM, epoch=1)
-        dev.on_record(seal(forged, confirm_v), out)
+        pair.send_record(seal(forged, confirm_v))
         assert isinstance(dev.trace.first_error(), channel.AuthFailure)
         assert dev.session.epoch == 0
-        dev.on_record(seal(session, confirm_v), out)
+        pair.send_record(seal(session, confirm_v))
         assert (dev.session.epoch, dev.session.sess_key) == (1, new_key)
 
     def test_record_of_the_old_epoch_abandons_the_update(self, world):
         # UPDATE_CONFIRM_D was lost and the vTPM gave the update up: its next
         # request, still of epoch 0, is answered in epoch 0.
-        session, _ = core_handshake(world)
-        dev, out = world.device, Outbox()
-        _, confirm_v = self._update_to_epoch_1(world, session, out)
-        dev.on_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")), out)
-        (reply,) = out.records
+        session, pair, _ = core_handshake(world)
+        dev = world.device
+        _, confirm_v = self._update_to_epoch_1(world, session, pair)
+        pair.send_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")))
+        (reply,) = drain(pair)
         assert messages.kind_of(channel.open_frame(session, reply)) == messages.STORE_OK
-        dev.on_record(seal(session, confirm_v), out)  # a late V confirms nothing
+        pair.send_record(seal(session, confirm_v))  # a late V confirms nothing
         assert isinstance(dev.trace.first_error(), messages.MessageError)
         assert dev.session.epoch == 0
 
     def test_next_epoch_record_after_a_lost_confirm_v_promotes_the_key(self, world):
         # V never arrives; the vTPM, switched once it sent V, seals in epoch 1.
-        session, _ = core_handshake(world)
-        dev, out = world.device, Outbox()
-        new_key, _ = self._update_to_epoch_1(world, session, out)
+        session, pair, _ = core_handshake(world)
+        dev = world.device
+        new_key, _ = self._update_to_epoch_1(world, session, pair)
         ahead = channel.SessionState(sess_key=new_key, peer_role=channel.Role.TMM, epoch=1)
-        assert dev.on_record(seal(ahead, messages.encode_store_blob("ip_1.bin", b"blob")), out)
+        pair.send_record(seal(ahead, messages.encode_store_blob("ip_1.bin", b"blob")))
         assert (dev.session.epoch, dev.session.sess_key) == (1, new_key)
-        (reply,) = out.records  # handled, and answered in epoch 1
+        (reply,) = drain(pair)  # handled, and answered in epoch 1
         assert messages.kind_of(channel.open_frame(ahead, reply)) == messages.STORE_OK
         assert [e.kind for e in dev.trace.events] == ["rekey"]
 
     def test_user_node_runs_against_the_core_without_a_thread(self, world):
         user, dev = world.user, world.device
         dev.boot()
-        user.connect(DirectPair(dev))
+        user.connect(device.DirectPair(dev))
         user.user_deploy(user.prepare_deploy(1, device.IpImage("add_const", b"\x02")))
         assert user.update_key() == 0
         output, record = user.user_invoke(1, b"\x00\xff")
@@ -531,3 +516,50 @@ class TestDeviceCore:
         assert user.verify().all_verified
         assert [e.kind for e in dev.trace.events] == ["rekey"]
 
+
+
+class TestDirectPair:
+    """The thread-free driver: nothing can arrive later, so an empty inbox
+    fails at once, and it ends a session by the rules ``serve`` keeps."""
+
+    def test_empty_inbox_times_out_at_once_with_the_timeout_text(self, world):
+        pair = device.DirectPair(world.device)
+        with pytest.raises(transport.ReceiveTimeout, match=r"^no record within 2\.0s$"):
+            pair.recv_record(2.0)
+
+    @pytest.mark.parametrize("driver", ["serve", "direct"])
+    def test_a_core_that_raises_is_traced_and_closes_the_device_end(self, world, driver):
+        fault = RuntimeError("core fault")
+
+        def raising(record, out):
+            raise fault
+
+        world.device.on_record = raising
+        if driver == "serve":
+            user_side, device_side = transport.pipe_pair()
+            thread = device.serve_in_thread(world.device, device_side)
+        else:
+            user_side = device.DirectPair(world.device)
+        user_side.send_record(b"\x11hello")
+        with pytest.raises(transport.TransportClosed):
+            user_side.recv_record(2.0)
+        if driver == "serve":
+            thread.join(2.0)
+            assert not thread.is_alive()
+        assert world.device.trace.first_error() is fault
+        user_side.send_record(b"\x11again")  # lost, as on a pipe whose reader is gone
+        assert [e.error for e in world.device.trace.events] == [fault]
+
+    def test_closing_before_the_session_is_a_device_error(self, world):
+        pair = device.DirectPair(world.device)
+        pair.close()
+        assert isinstance(world.device.trace.first_error(), transport.TransportClosed)
+        with pytest.raises(transport.TransportClosed, match="transport is closed"):
+            pair.send_record(b"\x11hello")
+
+    def test_closing_an_established_session_is_no_error(self, world):
+        _, pair, _ = core_handshake(world)
+        pair.close()
+        assert world.device.trace.events == []
+        with pytest.raises(transport.TransportClosed, match="transport is closed"):
+            world.device.agent.send_record(b"late")

@@ -314,6 +314,26 @@ class TestDeviceClosesMidRequest:
         assert world.user.history.deployments == []
         assert world.user.verify().all_verified
 
+    def test_upload_names_the_cause_and_ends_the_session(self, world):
+        self._serve(world, 4)
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            world.user.prepare_deploy(
+                1, device.IpImage(kernel_id="xor", params=bytes(range(16)))
+            )
+        assert isinstance(world.user.trace.first_error(), transport.TransportClosed)
+        assert world.user.endpoint is None
+        with pytest.raises(runtime.NoSession):
+            world.user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+
+    def test_key_update_answers_rc_1_and_ends_the_session(self, world):
+        # The update request is the 4th record the device receives.
+        self._serve(world, 4)
+        assert world.user.update_key() == 1
+        assert isinstance(world.user.trace.first_error(), transport.TransportClosed)
+        assert world.user.endpoint is None and world.user.updates_done == 0
+        assert world.user.update_key() == 1
+        assert isinstance(world.user.trace.events[-1].error, runtime.NoSession)
+
     def test_the_session_ends_with_its_connection(self):
         # The deploy is the 2nd frame: a key update falls due right after
         # it, and must not be started on the closed connection.

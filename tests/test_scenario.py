@@ -1,4 +1,5 @@
 import gc
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 from trctee import cli, scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+# ``trctee --seed 5 run <file>`` output of each scenario file, as printed
+# when in-process runs still served the device on a thread of its own.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_file(name, seed=5, tcp=False, timeout=0.6, **kwargs):
@@ -233,3 +237,16 @@ class TestNoClockWaitsInProcess:
         assert len(codes) == 9
         assert codes == dict.fromkeys(codes, 0)
         assert elapsed < 2.0
+
+
+class TestThreadFreeInProcess:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.txt")), ids=lambda p: p.name)
+    def test_cli_run_starts_no_thread_and_prints_the_golden_output(
+        self, path, monkeypatch, capsys
+    ):
+        def no_thread(thread):
+            raise AssertionError(f"an in-process run started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert cli.main(["--seed", "5", "run", str(path)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.stdout").read_text()
