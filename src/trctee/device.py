@@ -355,9 +355,10 @@ class TpmAgent:
 class FpgaSocDevice:
     """One simulated device serving one vTPM session at a time.  Its core,
     :meth:`on_record`, is handshaking (``session`` None), established, or
-    awaiting UPDATE_CONFIRM_V (``_pending`` set).  Two drivers feed it: over
-    TCP, and on the threaded pipe, the receive loop :meth:`serve` on a
-    thread of its own; in process, a :class:`DirectPair`, with no thread."""
+    awaiting UPDATE_CONFIRM_V (``_pending`` set).  It is fed in two ways:
+    over TCP and on the threaded pipe, by the receive loop :meth:`serve` on
+    a thread of its own; in process, by a :class:`DirectPair`, with no
+    thread."""
 
     def __init__(
         self,

@@ -80,7 +80,7 @@ class TestParserBuiltOnce:
             assert run_cli(*first) == 0
             assert run_cli("run", str(SCENARIOS / "baseline.txt")) == 0
         finally:
-            cli._parser.cache_clear()  # drop the parser built by the patched builder
+            cli._parser.cache_clear()  # drop the parser the counting build_parser built
         assert len(built) == 1
         assert runs == [(5, True, 3), (None, False, 1024)]
 

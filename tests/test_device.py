@@ -519,7 +519,7 @@ class TestDeviceCore:
 
 
 class TestDirectPair:
-    """The thread-free driver: nothing can arrive later, so an empty inbox
+    """The thread-free pair: nothing can arrive later, so an empty inbox
     fails at once, and it ends a session by the rules ``serve`` keeps."""
 
     def test_empty_inbox_times_out_at_once_with_the_timeout_text(self, world):
@@ -527,15 +527,15 @@ class TestDirectPair:
         with pytest.raises(transport.ReceiveTimeout, match=r"^no record within 2\.0s$"):
             pair.recv_record(2.0)
 
-    @pytest.mark.parametrize("driver", ["serve", "direct"])
-    def test_a_core_that_raises_is_traced_and_closes_the_device_end(self, world, driver):
+    @pytest.mark.parametrize("fed_by", ["serve", "direct"])
+    def test_a_core_that_raises_is_traced_and_closes_the_device_end(self, world, fed_by):
         fault = RuntimeError("core fault")
 
         def raising(record, out):
             raise fault
 
         world.device.on_record = raising
-        if driver == "serve":
+        if fed_by == "serve":
             user_side, device_side = transport.pipe_pair()
             thread = device.serve_in_thread(world.device, device_side)
         else:
@@ -543,7 +543,7 @@ class TestDirectPair:
         user_side.send_record(b"\x11hello")
         with pytest.raises(transport.TransportClosed):
             user_side.recv_record(2.0)
-        if driver == "serve":
+        if fed_by == "serve":
             thread.join(2.0)
             assert not thread.is_alive()
         assert world.device.trace.first_error() is fault

@@ -334,6 +334,20 @@ class TestDeviceClosesMidRequest:
         assert world.user.update_key() == 1
         assert isinstance(world.user.trace.events[-1].error, runtime.NoSession)
 
+    def test_automatic_key_update_names_the_cause_and_ends_the_session(self):
+        # The deploy is the 2nd frame; the update due after it is the 6th record.
+        world = build_world(rekey_threshold=2)
+        self._serve(world, 6)
+        ticket = world.user.prepare_deploy(
+            1, device.IpImage(kernel_id="xor", params=bytes(range(16)))
+        )
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            world.user.user_deploy(ticket)
+        assert isinstance(world.user.trace.first_error(), transport.TransportClosed)
+        assert world.user.endpoint is None and world.user.updates_done == 0
+        with pytest.raises(runtime.NoSession):
+            world.user.prepare_deploy(2, device.IpImage(kernel_id="xor", params=bytes(16)))
+
     def test_the_session_ends_with_its_connection(self):
         # The deploy is the 2nd frame: a key update falls due right after
         # it, and must not be started on the closed connection.
