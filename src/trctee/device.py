@@ -356,9 +356,9 @@ class FpgaSocDevice:
     """One simulated device serving one vTPM session at a time.  Its core,
     :meth:`on_record`, is handshaking (``session`` None), established, or
     awaiting UPDATE_CONFIRM_V (``_pending`` set).  It is fed in two ways:
-    over TCP and on the threaded pipe, by the receive loop :meth:`serve` on
-    a thread of its own; in process, by a :class:`DirectPair`, with no
-    thread."""
+    over TCP (and on the benchmark's threaded pipe), by the receive loop
+    :meth:`serve` on a thread of its own; in process, by a
+    :class:`DirectPair`, with no thread."""
 
     def __init__(
         self,

@@ -394,17 +394,18 @@ class ScenarioRunner:
             if not used:
                 raise ExpectationFailed("no consumed CRP available to reuse")
             challenge = used[0].challenge
-        epoch_before = user.endpoint.session.epoch
+        session = user._require_session().session
+        epoch_before = session.epoch
         rc = user.update_key(challenge)
         if rc != 0:
-            if user.endpoint.session.epoch != epoch_before:
+            if session.epoch != epoch_before:
                 raise ExpectationFailed("epoch changed on a failed key update")
             raise OperationFailed("key update failed")
-        return f"key updated, epoch {user.endpoint.session.epoch}"
+        return f"key updated, epoch {session.epoch}"
 
     def _step_agent_deploy(self, step: Step) -> str:
         """REE-resident adversary tries to drive a deployment itself."""
-        user = self._require(self.user, "user node")
+        endpoint = self._require(self.user, "user node")._require_session()
         dev = self._require(self.device, "device")
         agent = dev.agent
         for attr in dir(agent):
@@ -416,9 +417,9 @@ class ScenarioRunner:
         # Best effort without keys: inject a forged plaintext request framed
         # as if it were sealed.  The TMM must reject it unopened.
         forged = wire.encode(wire.DeployCmd(int(step.args.get("ip", "1"))))
-        fake_frame = struct.pack(">IQ", user.endpoint.session.epoch, 1 << 40) + bytes(12) + forged + bytes(16)
+        fake_frame = struct.pack(">IQ", endpoint.session.epoch, 1 << 40) + bytes(12) + forged + bytes(16)
         mark = len(self.trace.events)
-        user.endpoint.transport.send_record(fake_frame)
+        endpoint.transport.send_record(fake_frame)
         self.trace.first_error(mark, timeout=1.0)
         if dev.tmm.config_memory.snapshot() != before:
             raise ExpectationFailed("config memory changed from an agent-forged request")

@@ -3,9 +3,8 @@
 The same framing runs over in-process pipes and TCP sockets, so protocol
 code above this layer cannot tell the difference.  In-process scenario runs
 use neither: they drive the device through ``device.DirectPair``, with no
-device thread.  The threaded pipe here serves the benchmark's worlds and the
-tests that run a device thread.  Who owns a received record depends on the
-transport:
+device thread.  The plain threaded pipe here is kept for the benchmark's
+worlds.  Who owns a received record depends on the transport:
 
 * TCP receives every record into the connection's one receive buffer, a
   ``bytearray`` of exactly the record, and returns it.  The record is valid
@@ -16,23 +15,15 @@ transport:
 
 Either way ``channel.open_frame`` may decrypt the record in place.  Wrappers
 add traffic recording and the adversary taps used by attack scenarios; both
-keep ``bytes`` copies, so what they hold stays the ciphertext.
-
-Over TCP a receive that no record reaches waits out its timeout.  The
-threaded in-process pipe can see that both of its ends are blocked on empty
-inboxes, and then no record can ever arrive: by its stall rule the receive
-with the earlier finite deadline fails at once, as real time would have it
-fail first (see :class:`InProcTransport`).  This holds only while records
-enter a pipe through its two ends alone, each end driven by one thread.
+keep ``bytes`` copies, so what they hold stays the ciphertext.  A receive
+that no record reaches waits out its timeout, on either transport.
 """
 
 from __future__ import annotations
 
-import math
 import socket
 import struct
 import threading
-import time
 from collections import deque
 
 from .errors import TrcteeError
@@ -61,43 +52,19 @@ class ConnectError(TransportError):
     pass
 
 
-class _Pipe:
-    """What the two ends of one in-process pipe share: one condition, and the
-    pipe's clock, which is real time plus every wait the stall rule skipped."""
-
-    def __init__(self):
-        self.changed = threading.Condition()
-        self.skipped = 0.0
-
-    def now(self) -> float:
-        return time.monotonic() + self.skipped
-
-
 class InProcTransport:
     """One end of an in-process pipe; build both with :func:`pipe_pair`.
 
-    While its receive is blocked on an empty inbox, an end records its
-    deadline.  The stall rule: a receive fails with :class:`ReceiveTimeout`
-    at once, not at its deadline, when its peer is blocked on an empty inbox
-    too, its own deadline is finite, and that deadline is no later than the
-    peer's.
-    Nothing can arrive before it then, and the earlier deadline is the one
-    that real time would reach first; the pipe's clock moves on to it, so a
-    later stall compares deadlines as real time would.  A receive without a
-    timeout, or one whose peer is busy or due first, waits as it would.
-
-    Precondition: records enter a pipe only through its two ends, and each
-    end is driven by one thread (one thread may drive both; it then never
-    stalls on both at once).  A record sent from anywhere else could arrive
-    after the rule has already failed a receive.
+    The two ends share one condition, and each has an inbox.  Closing an end
+    leaves a ``None`` marker in its peer's inbox, so a closed pipe stays
+    closed, as TCP does.
     """
 
-    def __init__(self, pipe: _Pipe):
-        self._pipe = pipe
+    def __init__(self, changed: threading.Condition):
+        self._changed = changed
         self._inbox: deque = deque()
         self._peer = self  # set by pipe_pair
         self._closed = False
-        self._deadline: float | None = None  # while blocked on an empty inbox
 
     def send_record(self, payload: bytes) -> None:
         if self._closed:
@@ -105,40 +72,17 @@ class InProcTransport:
         self._deliver(payload)
 
     def _deliver(self, record: bytes | None) -> None:
-        with self._pipe.changed:
+        with self._changed:
             self._peer._inbox.append(record)
-            self._pipe.changed.notify_all()
+            self._changed.notify_all()
 
     def recv_record(self, timeout: float | None = None) -> bytes:
-        with self._pipe.changed:
-            if not self._inbox:
-                self._stall(timeout)
-            record = self._inbox[0]
-            if record is None:  # kept: a closed pipe stays closed, as TCP does
+        with self._changed:
+            if not self._changed.wait_for(lambda: self._inbox, timeout):
+                raise ReceiveTimeout(f"no record within {timeout}s")
+            if self._inbox[0] is None:  # kept: a closed pipe stays closed
                 raise TransportClosed("peer closed the transport")
             return self._inbox.popleft()
-
-    def _stall(self, timeout: float | None) -> None:
-        """Wait, holding the condition, until the inbox has a record; raise
-        :class:`ReceiveTimeout` at the deadline or by the stall rule."""
-        pipe = self._pipe
-        deadline = math.inf if timeout is None else pipe.now() + timeout
-        self._deadline = deadline
-        pipe.changed.notify_all()  # the peer may be stalled, waiting for this one
-        try:
-            while not self._inbox:
-                now = pipe.now()
-                peer = self._peer
-                # A peer that is woken but not yet running still has its deadline set.
-                stalled = peer._deadline is not None and not peer._inbox
-                if stalled and timeout is not None and deadline <= peer._deadline:
-                    pipe.skipped += max(0.0, deadline - now)
-                    now = deadline
-                if now >= deadline:
-                    raise ReceiveTimeout(f"no record within {timeout}s")
-                pipe.changed.wait(None if timeout is None else deadline - now)
-        finally:
-            self._deadline = None
 
     def close(self) -> None:
         if not self._closed:
@@ -147,8 +91,8 @@ class InProcTransport:
 
 
 def pipe_pair() -> tuple[InProcTransport, InProcTransport]:
-    pipe = _Pipe()
-    a, b = InProcTransport(pipe), InProcTransport(pipe)
+    changed = threading.Condition()
+    a, b = InProcTransport(changed), InProcTransport(changed)
     a._peer, b._peer = b, a
     return a, b
 

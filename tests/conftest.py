@@ -1,4 +1,5 @@
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from trctee import device, puf, runtime, transport, ttp
+from trctee import device, puf, runtime, ttp
 from trctee.crypto import Rng
 
 
@@ -20,7 +21,7 @@ class World:
     boot_image: device.BootImage
     device: device.FpgaSocDevice
     user: runtime.UserNode
-    thread: object = None
+    thread: object = None  # the device's ``serve`` thread, in the tests that run one
 
 
 def build_world(
@@ -65,11 +66,9 @@ def build_world(
 
 
 def connect_world(world: World) -> None:
-    """Boot the device, start its service thread, and run the handshake."""
+    """Boot the device and run the handshake through a direct pair, with no thread."""
     world.device.boot()
-    user_side, device_side = transport.pipe_pair()
-    world.thread = device.serve_in_thread(world.device, device_side)
-    world.user.connect(user_side)
+    world.user.connect(device.DirectPair(world.device))
 
 
 @pytest.fixture
@@ -80,7 +79,13 @@ def world():
         w.user.close()
 
 
+def _no_thread(thread):
+    raise AssertionError(f"the in-process handshake started thread {thread.name}")
+
+
 @pytest.fixture
-def connected(world):
-    connect_world(world)
+def connected(world, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", _no_thread)
+        connect_world(world)
     return world

@@ -149,9 +149,9 @@ class TestAcceptance:
 
         assert user.update_key(challenge) == 0
 
-        # The device applies the final confirmation in its service thread;
-        # wait for its traced switch before comparing endpoints byte-for-byte.
-        assert dev.trace.first("rekey", timeout=2.0) is not None
+        # On the direct pair the device has switched, and traced it, before
+        # update_key returns.
+        assert dev.trace.first("rekey") is not None
         assert user.endpoint.session.sess_key == dev.session.sess_key
         # The derived key equals an independent extract-then-expand run.
         expected = reference_hkdf(

@@ -1,4 +1,5 @@
 import struct
+from collections import deque
 
 import pytest
 
@@ -343,67 +344,72 @@ class TestAbortRecord:
             crp_store=crps,
             rng=rng.child("hs-user"),
         )
-        user_side, device_side = transport.pipe_pair()
         dev = device.FpgaSocDevice(
             device_id="dev1",
             puf=device_puf,
             boot_image=device.BootImage.synthetic("dev1", service.pk_ttp),
             rng=rng.child("dev"),
         )
-        thread = device.serve_in_thread(dev, device_side)
+        user_side = device.DirectPair(dev)
         user_side.send_record(initiator.start())
         user_side.send_record(initiator.on_message(user_side.recv_record(timeout=2.0)))
         with pytest.raises(channel.PeerAborted, match="BadCert"):
             initiator.on_message(user_side.recv_record(timeout=2.0))
-        thread.join(timeout=2.0)
         with pytest.raises(transport.TransportClosed):
             user_side.recv_record(timeout=2.0)
         assert isinstance(dev.trace.first_error(), channel.BadCert)
 
 
-def connected_endpoints(threshold=1024):
-    """Two live endpoints over an in-process pipe with a real handshake."""
+class TmmEnd:
+    """The vTPM endpoint's transport, standing in for the TMM with no thread:
+    each record sent is answered at once by the device's two pure update steps."""
+
+    def __init__(self, session, puf):
+        self.session, self._puf = session, puf
+        self._replies, self._pending = deque(), None
+
+    def send_record(self, record):
+        payload = channel.open_frame(self.session, record)
+        if self._pending is None:
+            confirm, self._pending = channel.respond_update(self.session, payload, self._puf)
+            self._replies.append(channel.seal(self.session, confirm).encode())
+        else:
+            channel.finish_update(self.session, payload, self._pending)
+            self._pending = None
+
+    def recv_record(self, timeout=None):
+        return self._replies.popleft()
+
+
+def connected_endpoints():
+    """A live vTPM endpoint and its TMM, after a real handshake."""
     service, bundle, device_puf, crps, rng = handshake_fixtures()
     initiator, responder = run_handshake(bundle, crps, device_puf, service.pk_ttp, rng)
-    initiator.session.rekey_threshold = threshold
-    responder.session.rekey_threshold = threshold
-    a, b = transport.pipe_pair()
-    vtpm_end = channel.ChannelEndpoint(initiator.session, a, recv_timeout=2.0)
-    tmm_end = channel.ChannelEndpoint(responder.session, b, recv_timeout=2.0)
-    return vtpm_end, tmm_end, crps, device_puf
+    tmm_end = TmmEnd(responder.session, device_puf)
+    vtpm_end = channel.ChannelEndpoint(initiator.session, tmm_end, recv_timeout=2.0)
+    return vtpm_end, tmm_end, crps
 
 
 class TestKeyUpdate:
-    def _run_update(self, vtpm_end, tmm_end, crps, device_puf, bank=None):
-        import threading
-
+    def _run_update(self, vtpm_end, crps, bank=None):
         bank = bank or vtpm.PcrBank()
         record = crps.take_unused()
         state_hash = bank.state_hash()
-
-        def respond():
-            confirm, pending = channel.respond_update(tmm_end.session, tmm_end.recv(), device_puf)
-            tmm_end.send(confirm)
-            channel.finish_update(tmm_end.session, tmm_end.recv(), pending)
-
-        device_side = threading.Thread(target=respond)
-        device_side.start()
         channel.initiate_update(vtpm_end, record.challenge, record.response, state_hash)
-        device_side.join(timeout=5)
         return record, state_hash
 
     def test_honest_update_keys_equal(self):
-        vtpm_end, tmm_end, crps, device_puf = connected_endpoints()
+        vtpm_end, tmm_end, crps = connected_endpoints()
         old_key = vtpm_end.session.sess_key
-        record, state_hash = self._run_update(vtpm_end, tmm_end, crps, device_puf)
+        record, state_hash = self._run_update(vtpm_end, crps)
         assert vtpm_end.session.sess_key == tmm_end.session.sess_key != old_key
         assert vtpm_end.session.epoch == tmm_end.session.epoch == 1
         assert vtpm_end.session.send_counter == 0
 
     def test_derived_key_matches_reference_kdf(self):
-        vtpm_end, tmm_end, crps, device_puf = connected_endpoints()
+        vtpm_end, tmm_end, crps = connected_endpoints()
         old_key = vtpm_end.session.sess_key
-        record, state_hash = self._run_update(vtpm_end, tmm_end, crps, device_puf)
+        record, state_hash = self._run_update(vtpm_end, crps)
         expected = reference_hkdf(
             ikm=record.response + old_key,
             salt=state_hash,
@@ -413,10 +419,10 @@ class TestKeyUpdate:
         assert vtpm_end.session.sess_key == expected
 
     def test_old_epoch_frame_rejected_after_update(self):
-        vtpm_end, tmm_end, crps, device_puf = connected_endpoints()
+        vtpm_end, tmm_end, crps = connected_endpoints()
         stale = channel.seal(vtpm_end.session, b"stale").encode()
         vtpm_end.session.send_counter -= 1  # pretend it was never sent
-        self._run_update(vtpm_end, tmm_end, crps, device_puf)
+        self._run_update(vtpm_end, crps)
         with pytest.raises(channel.WrongEpoch):
             channel.open_frame(tmm_end.session, stale)
 
@@ -430,10 +436,10 @@ class TestKeyUpdate:
         assert key1 != key2
 
     def test_pcr_state_binds_key_end_to_end(self):
-        vtpm_end, tmm_end, crps, device_puf = connected_endpoints()
+        vtpm_end, tmm_end, crps = connected_endpoints()
         bank = vtpm.PcrBank()
         bank.extend(1, bytes(range(48)))
-        record, state_hash = self._run_update(vtpm_end, tmm_end, crps, device_puf, bank=bank)
+        record, state_hash = self._run_update(vtpm_end, crps, bank=bank)
         derived_with_reset_bank = channel.derive_updated_key(
             vtpm.PcrBank().state_hash(), record.response, bytes(32), 1
         )[0]
@@ -441,14 +447,10 @@ class TestKeyUpdate:
         assert vtpm_end.session.sess_key != derived_with_reset_bank
 
     def test_total_crps_consumed_equals_handshakes_plus_updates(self):
-        service, bundle, device_puf, crps, rng = handshake_fixtures(crp_count=8)
+        vtpm_end, tmm_end, crps = connected_endpoints()
         total = len(crps)
-        initiator, responder = run_handshake(bundle, crps, device_puf, service.pk_ttp, rng)
-        a, b = transport.pipe_pair()
-        vtpm_end = channel.ChannelEndpoint(initiator.session, a, recv_timeout=2.0)
-        tmm_end = channel.ChannelEndpoint(responder.session, b, recv_timeout=2.0)
         updates = 3
         for _ in range(updates):
-            self._run_update(vtpm_end, tmm_end, crps, device_puf)
+            self._run_update(vtpm_end, crps)
         consumed = total - crps.unused_count()
         assert consumed == 1 + updates  # one handshake + the updates

@@ -1,13 +1,15 @@
 import hashlib
 import random
 import struct
+from collections import deque
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import build_world
 from oracles import brute_matmul8, bytewise_add_const, bytewise_xor, pcr_chain
-from trctee import channel, device, messages, transport, wire
+from trctee import channel, device, messages, transport, vtpm, wire
 from trctee.crypto import Rng, hmac_sha384
 
 
@@ -312,16 +314,28 @@ class TestPrivilegeIsolation:
         assert all(not isinstance(v, (bytes, bytearray)) for v in state.values())
 
     def test_agent_forward_is_identity(self):
-        device_side, peer = transport.pipe_pair()
-        agent = device.TpmAgent(device_side)
+        class Loopback:
+            def __init__(self):
+                self.records, self.closed = deque(), False
+
+            def send_record(self, record):
+                self.records.append(record)
+
+            def recv_record(self, timeout=None):
+                return self.records.popleft()
+
+            def close(self):
+                self.closed = True
+
+        loopback = Loopback()
+        agent = device.TpmAgent(loopback)
         outbound, inbound = Rng(90).bytes(100), Rng(91).bytes(100)
         agent.send_record(outbound)
-        assert peer.recv_record(timeout=1.0) == outbound
-        peer.send_record(inbound)
-        assert agent.recv_record(timeout=1.0) == inbound
+        assert loopback.records.popleft() is outbound
+        loopback.records.append(inbound)
+        assert agent.recv_record(timeout=1.0) is inbound
         agent.close()
-        with pytest.raises(transport.TransportClosed):
-            peer.recv_record(timeout=1.0)
+        assert loopback.closed
 
     def test_file_store_surface_has_no_privileged_capability(self):
         store = device.FileStore()
@@ -363,7 +377,8 @@ class TestSessionSurvivesBadPayloads:
         output, _ = user.user_invoke(1, bytes(16))
         assert output == params
         assert isinstance(dev.trace.first_error(), (messages.MessageError, wire.WireError))
-        assert connected.thread.is_alive()
+        with pytest.raises(transport.ReceiveTimeout):  # not closed: the device end is open
+            user.endpoint.transport.recv_record()
 
 
 def drain(pair):
@@ -563,3 +578,41 @@ class TestDirectPair:
         assert world.device.trace.events == []
         with pytest.raises(transport.TransportClosed, match="transport is closed"):
             world.device.agent.send_record(b"late")
+
+
+class TestPipeMatchesDirectPair:
+    """The benchmark's worlds still serve the device on a thread over the
+    threaded pipe; one session there must send the same bytes, and end in
+    the same PCRs, as on the direct pair."""
+
+    def _session(self, threaded):
+        world = build_world(seed=15, rekey_threshold=4)
+        dev, user = world.device, world.user
+        dev.boot()
+        if threaded:
+            user_side, device_side = transport.pipe_pair()
+            thread = device.serve_in_thread(dev, device_side)
+        else:
+            user_side = device.DirectPair(dev)
+        records = []
+        user.connect(transport.RecordingTransport(user_side, records))
+        user.user_deploy(user.prepare_deploy(1, device.IpImage("xor", bytes(range(16)))))
+        user.user_invoke(1, b"a" * 16)  # frame 3 of epoch 0
+        assert user.update_key() == 0
+        for n in range(5):  # the 4th frame of epoch 1 makes the automatic update due
+            user.user_invoke(1, bytes([n]) * 16)
+        assert user.updates_done == 2
+        assert user.verify().all_verified
+        user.close()
+        if threaded:
+            thread.join(2.0)
+            assert not thread.is_alive()
+        pcrs = [user.vtpm.pcr_read(index) for index in range(vtpm.PCR_COUNT)]
+        return records, pcrs, [e.kind for e in dev.trace.events]
+
+    def test_same_transcript_and_pcrs_on_the_pipe_and_the_direct_pair(self):
+        piped = self._session(threaded=True)
+        direct = self._session(threaded=False)
+        assert piped == direct
+        records, _, device_events = direct
+        assert len(records) > 20 and device_events == ["rekey", "rekey"]

@@ -69,17 +69,13 @@ class TestRejectedDevice:
 
     def _serve(self, world):
         world.device.boot()
-        user_side, device_side = transport.pipe_pair()
-        world.thread = device.serve_in_thread(world.device, device_side)
-        return user_side
+        return device.DirectPair(world.device)
 
     def test_puf_mismatch_is_named_to_the_device(self, world):
         world.device.puf = puf.PufDevice(bytes(32))  # not the PUF the CRPs came from
         user_side = self._serve(world)
         with pytest.raises(channel.PufMismatch):
             world.user.connect(user_side)
-        world.thread.join(timeout=2.0)
-        assert not world.thread.is_alive()
         assert isinstance(world.user.trace.first_error(), channel.PufMismatch)
         error = world.device.trace.first_error()
         assert isinstance(error, channel.PeerAborted)
@@ -101,8 +97,6 @@ class TestRejectedDevice:
         user_side.send_record(handshake.start())
         user_side.recv_record(timeout=2.0)  # the device's hello
         user_side.close()
-        world.thread.join(timeout=2.0)
-        assert not world.thread.is_alive()
         assert isinstance(world.device.trace.first_error(), transport.TransportClosed)
 
 
@@ -238,44 +232,39 @@ class TestInvoke:
 
 
 class DropNth:
-    """Device-side transport wrapper that loses the n-th record it receives."""
+    """User-side wrapper on a direct pair: the device never gets the n-th
+    record sent to it."""
 
     def __init__(self, inner, n):
         self._inner, self._left = inner, n
 
     def send_record(self, record):
-        self._inner.send_record(record)
-
-    def recv_record(self, timeout=None):
         self._left -= 1
         if self._left == 0:
-            self._inner.recv_record(timeout)
+            self._lose(record)
+        else:
+            self._inner.send_record(record)
+
+    def _lose(self, record):
+        pass
+
+    def recv_record(self, timeout=None):
         return self._inner.recv_record(timeout)
 
     def close(self):
         self._inner.close()
 
 
-class CloseOnNth:
-    """Device-side transport wrapper that closes the pipe on receiving its
-    n-th record, before the device can answer it."""
+class CloseOnNth(DropNth):
+    """User-side wrapper on a direct pair: the device closes its end on the
+    n-th record sent to it, before it can answer it."""
 
-    def __init__(self, inner, n):
-        self._inner, self._left = inner, n
+    def __init__(self, inner, dev, n):
+        super().__init__(inner, n)
+        self._device = dev
 
-    def send_record(self, record):
-        self._inner.send_record(record)
-
-    def recv_record(self, timeout=None):
-        record = self._inner.recv_record(timeout)
-        self._left -= 1
-        if self._left == 0:
-            self._inner.close()
-            raise transport.TransportClosed("closed on receiving the request")
-        return record
-
-    def close(self):
-        self._inner.close()
+    def _lose(self, record):
+        self._device.agent.close()
 
 
 class TestDeviceClosesMidRequest:
@@ -285,9 +274,7 @@ class TestDeviceClosesMidRequest:
     def _serve(self, world, n):
         # The device receives HS1, HS3, HS8, the upload, the deploy, the invoke.
         world.device.boot()
-        user_side, device_side = transport.pipe_pair()
-        world.thread = device.serve_in_thread(world.device, CloseOnNth(device_side, n))
-        world.user.connect(user_side)
+        world.user.connect(CloseOnNth(device.DirectPair(world.device), world.device, n))
 
     def test_invoke_names_the_cause_and_the_log_still_verifies(self, world):
         self._serve(world, 6)
@@ -389,9 +376,7 @@ class TestKeyUpdateFlow:
         # request, then UPDATE_CONFIRM_V: the 7th record, lost here.  The vTPM
         # switched once it sent V, so its next frame is of the new epoch.
         world.device.boot()
-        user_side, device_side = transport.pipe_pair()
-        world.thread = device.serve_in_thread(world.device, DropNth(device_side, 7))
-        world.user.connect(user_side)
+        world.user.connect(DropNth(device.DirectPair(world.device), 7))
         deploy_xor(world.user)
         assert world.user.update_key() == 0
         output, record = world.user.user_invoke(1, bytes(16))
@@ -753,10 +738,10 @@ class TestTmmSeesCommandBytes:
         monkeypatch.setattr(channel, "open_frame", open_frame)
         monkeypatch.setattr(channel, "seal", seal)
         world.device.boot()
-        user_side, device_side = transport.pipe_pair()
         records = []
-        world.thread = device.serve_in_thread(world.device, device_side)
-        world.user.connect(transport.RecordingTransport(user_side, records))
+        world.user.connect(
+            transport.RecordingTransport(device.DirectPair(world.device), records)
+        )
         return world.user, opened, sealed, records
 
     def _check(self, user, opened, sealed, records, command):

@@ -82,6 +82,24 @@ class TestBaseline:
         assert report.exit_code == 1
 
 
+class TestStepsAfterAFailedHandshake:
+    # Each step that needs the session gets it through the user node, so a
+    # failed handshake is reported as the typed NoSession, never untyped.
+    @pytest.mark.parametrize("step", ["update-key", "agent-deploy", "deploy ip=1 kernel=xor"])
+    def test_each_step_reports_no_session(self, step):
+        text = (
+            "trctee-scenario v1\nenroll-device id=dev1\nenroll-vtpm user=alice\n"
+            "provision user=alice device=dev1\nboot\n"
+            f"handshake adversary=swap-vtpm-cert expect=bad-cert\n{step}\n"
+        )
+        report = scenario.ScenarioRunner(scenario.parse_scenario(text), seed=5).run()
+        result = report.results[-1]
+        assert (result.outcome, result.detail) == (
+            "error:NoSession", "no established session with the device"
+        )
+        assert report.exit_code == 1
+
+
 ADVERSARY_CASES = [
     ("adversary_tamper_frame.txt", "auth-failure"),
     ("adversary_replay_frame.txt", "replay-detected"),
