@@ -48,6 +48,7 @@ from . import messages
 from . import transport as _transport
 from .crypto import Rng, constant_time_eq, hkdf_sha384, hmac_sha384, sha384
 from .errors import TrcteeError
+from .layout import REST, Layout, blob, exact, uint
 from .puf import CrpStore, PufDevice
 from .ttp import Certificate
 
@@ -252,13 +253,20 @@ def derive_updated_key(
 
 # -- handshake -------------------------------------------------------------------
 
-_HS1 = 0x11
-_HS2 = 0x12
-_HS3 = 0x13
-_HS5 = 0x15
-_HS8 = 0x18
-_HS9 = 0x19
-_HS_ABORT = 0x1F
+# The wire messages, each after its type byte: HS1, HS2, HS3, HS5, HS8, HS9
+# and the abort record.  Each handshake state expects one of them, so a
+# message of any other shape is a StaleNonce.  A confirmation MAC of any
+# length is read, and then fails to match.
+_VTPM_HELLO = Layout("vTPM hello", StaleNonce, b"\x11", exact(HS_NONCE_LEN), blob(2))
+_DEVICE_HELLO = Layout("device hello", StaleNonce, b"\x12", exact(HS_NONCE_LEN), blob(2, str))
+_CHALLENGE = Layout("challenge", StaleNonce, b"\x13", exact(4), exact(32), exact(64))
+_KEY_SHARE = Layout(
+    "key share", StaleNonce, b"\x15", exact(32), exact(KEY_LEN + TAG_LEN), exact(MAC_LEN)
+)
+_VTPM_CONFIRM = Layout("vTPM confirmation", StaleNonce, b"\x18", REST)
+_DEVICE_CONFIRM = Layout("device confirmation", StaleNonce, b"\x19", REST)
+_ABORT_TYPE = b"\x1f"
+_ABORT = Layout("abort record", StaleNonce, _ABORT_TYPE, uint(1))
 
 # The errors an abort record may name, by reason code; 0 stands for any other.
 ABORT_REASONS = (ChannelError, BadCert, StaleNonce, ConfirmFailure, PufMismatch)
@@ -267,8 +275,7 @@ ABORT_REASONS = (ChannelError, BadCert, StaleNonce, ConfirmFailure, PufMismatch)
 def abort_record(exc: ChannelError) -> bytes:
     """The unsealed record either end sends before it closes on a failed
     handshake.  It is unauthenticated, so it only names the cause to report."""
-    code = ABORT_REASONS.index(type(exc)) if type(exc) in ABORT_REASONS else 0
-    return bytes([_HS_ABORT, code])
+    return _ABORT.encode(ABORT_REASONS.index(type(exc)) if type(exc) in ABORT_REASONS else 0)
 
 
 def send_abort(transport, exc: ChannelError) -> None:
@@ -283,12 +290,11 @@ def send_abort(transport, exc: ChannelError) -> None:
         pass
 
 
-def _peer_aborted(data: bytes, peer: str) -> ChannelError:
-    if len(data) != 2:
-        return StaleNonce(f"abort record of {len(data)} bytes, expected 2")
-    if data[1] >= len(ABORT_REASONS):
-        return PeerAborted(f"{peer} aborted the handshake: unknown reason code {data[1]}")
-    return PeerAborted(f"{peer} aborted the handshake: {ABORT_REASONS[data[1]].__name__}")
+def _peer_aborted(data: bytes, peer: str) -> PeerAborted:
+    (code,) = _ABORT.decode(data)
+    if code >= len(ABORT_REASONS):
+        return PeerAborted(f"{peer} aborted the handshake: unknown reason code {code}")
+    return PeerAborted(f"{peer} aborted the handshake: {ABORT_REASONS[code].__name__}")
 
 
 class _Transcript:
@@ -346,7 +352,7 @@ class VtpmHandshake:
         self._rng = rng
         self._threshold = rekey_threshold
         self._transcript = _Transcript()
-        self._state = "start"
+        self._state = "start"  # then the message awaited: "hs2", "hs5", "hs9"; "done"
         self._nonce_v = b""
         self._nonce_d = b""
         self._crp = None
@@ -359,36 +365,21 @@ class VtpmHandshake:
         if self._state != "start":
             raise StaleNonce("handshake already started")
         self._nonce_v = self._rng.bytes(HS_NONCE_LEN)
-        cert_bytes = self._cert.encode()
-        msg = bytes([_HS1]) + self._nonce_v + struct.pack(">H", len(cert_bytes)) + cert_bytes
+        msg = _VTPM_HELLO.encode(self._nonce_v, self._cert.encode())
         self._transcript.absorb(msg)
-        self._state = "sent-hello"
+        self._state = "hs2"
         return msg
 
     def on_message(self, data: bytes | bytearray) -> bytes | None:
-        if not data:
-            raise StaleNonce("empty handshake message")
-        data = bytes(data)  # the key decoders below take bytes only
-        kind = data[0]
-        if kind == _HS_ABORT:
+        if data[:1] == _ABORT_TYPE:
             raise _peer_aborted(data, "device")
-        if self._state == "sent-hello" and kind == _HS2:
-            return self._handle_hs2(data)
-        if self._state == "sent-challenge" and kind == _HS5:
-            return self._handle_hs5(data)
-        if self._state == "sent-confirm" and kind == _HS9:
-            return self._handle_hs9(data)
-        raise StaleNonce(f"unexpected handshake message 0x{kind:02X} in state {self._state}")
+        handle = getattr(self, f"_handle_{self._state}", None)  # the message the state awaits
+        if handle is None:
+            raise StaleNonce(f"no handshake message expected in state {self._state}")
+        return handle(data)
 
     def _handle_hs2(self, data: bytes) -> bytes:
-        body = data[1:]
-        if len(body) < HS_NONCE_LEN + 2:
-            raise StaleNonce("short device hello")
-        self._nonce_d = body[:HS_NONCE_LEN]
-        (id_len,) = struct.unpack_from(">H", body, HS_NONCE_LEN)
-        if len(body) != HS_NONCE_LEN + 2 + id_len:
-            raise StaleNonce("bad device hello length")
-        device_id = body[HS_NONCE_LEN + 2 :].decode()
+        self._nonce_d, device_id = _DEVICE_HELLO.decode(data)
         if device_id != self._device_id:
             raise ChannelError(
                 f"device identifies as {device_id!r}, provisioned for {self._device_id!r}"
@@ -399,23 +390,18 @@ class VtpmHandshake:
         self._crp = self._crps.take_unused()
         self._eph = X25519PrivateKey.from_private_bytes(self._rng.bytes(32))
         eph_pub = self._eph.public_key().public_bytes_raw()
-        head = bytes([_HS3]) + self._crp.challenge + eph_pub
+        head = _CHALLENGE.encode(self._crp.challenge, eph_pub)
         sig = self._sk.sign(self._transcript.digest() + head)
-        msg = head + sig
+        msg = _CHALLENGE.encode(self._crp.challenge, eph_pub, sig)
         self._transcript.absorb(msg)
-        self._state = "sent-challenge"
+        self._state = "hs5"
         return msg
 
     def _handle_hs5(self, data: bytes) -> bytes:
-        body = data[1:]
-        if len(body) != 32 + 48 + MAC_LEN:
-            raise StaleNonce("bad key-share message length")
-        eph_d = body[:32]
-        wrapped = body[32:80]
-        mac = body[80:]
+        eph_d, wrapped, mac = _KEY_SHARE.decode(data)
         # Step 6: the MAC keyed by the PUF response authenticates the device.
         expected = hmac_sha384(
-            self._crp.response, self._transcript.fork(data[: 1 + 32 + 48])
+            self._crp.response, self._transcript.fork(_KEY_SHARE.encode(eph_d, wrapped))
         )
         if not constant_time_eq(mac, expected):
             raise PufMismatch("device PUF response does not match the enrolled CRP")
@@ -431,13 +417,13 @@ class VtpmHandshake:
         )
         self._pending_key = sess_key
         mac_v = hmac_sha384(self._confirm_key, b"vtpm-confirm" + self._transcript.digest())
-        msg = bytes([_HS8]) + mac_v
+        msg = _VTPM_CONFIRM.encode(mac_v)
         self._transcript.absorb(msg)
-        self._state = "sent-confirm"
+        self._state = "hs9"
         return msg
 
     def _handle_hs9(self, data: bytes) -> None:
-        mac_d = data[1:]
+        (mac_d,) = _DEVICE_CONFIRM.decode(data)
         expected = hmac_sha384(self._confirm_key, b"device-confirm" + self._transcript.digest())
         if not constant_time_eq(mac_d, expected):
             raise ConfirmFailure("device key confirmation failed")
@@ -466,7 +452,7 @@ class DeviceHandshake:
         self._puf = puf
         self._rng = rng
         self._transcript = _Transcript()
-        self._state = "idle"
+        self._state = "hs1"  # the message awaited: "hs1", "hs3", "hs8"; then "done"
         self._nonce_v = b""
         self._nonce_d = b""
         self._pk_tpm = b""
@@ -475,30 +461,17 @@ class DeviceHandshake:
         self.session: SessionState | None = None
 
     def on_message(self, data: bytes | bytearray) -> bytes | None:
-        if not data:
-            raise StaleNonce("empty handshake message")
-        data = bytes(data)  # the key decoders below take bytes only
-        kind = data[0]
-        if kind == _HS_ABORT:
+        if data[:1] == _ABORT_TYPE:
             raise _peer_aborted(data, "vTPM")
-        if self._state == "idle" and kind == _HS1:
-            return self._handle_hs1(data)
-        if self._state == "sent-hello" and kind == _HS3:
-            return self._handle_hs3(data)
-        if self._state == "sent-share" and kind == _HS8:
-            return self._handle_hs8(data)
-        raise StaleNonce(f"unexpected handshake message 0x{kind:02X} in state {self._state}")
+        handle = getattr(self, f"_handle_{self._state}", None)  # the message the state awaits
+        if handle is None:
+            raise StaleNonce(f"no handshake message expected in state {self._state}")
+        return handle(data)
 
     def _handle_hs1(self, data: bytes) -> bytes:
-        body = data[1:]
-        if len(body) < HS_NONCE_LEN + 2:
-            raise StaleNonce("short hello")
-        self._nonce_v = body[:HS_NONCE_LEN]
-        (cert_len,) = struct.unpack_from(">H", body, HS_NONCE_LEN)
-        if len(body) != HS_NONCE_LEN + 2 + cert_len:
-            raise StaleNonce("bad hello length")
+        self._nonce_v, cert_bytes = _VTPM_HELLO.decode(data)
         try:
-            cert = Certificate.decode(body[HS_NONCE_LEN + 2 :])
+            cert = Certificate.decode(cert_bytes)
         except ValueError as exc:
             raise BadCert(f"unparseable certificate: {exc}") from None
         # Step 2: the pre-stored TTP public key decides certificate validity.
@@ -507,23 +480,17 @@ class DeviceHandshake:
         self._pk_tpm = cert.pk_tpm
         self._transcript.absorb(data)
         self._nonce_d = self._rng.bytes(HS_NONCE_LEN)
-        encoded_id = self._device_id.encode()
-        msg = bytes([_HS2]) + self._nonce_d + struct.pack(">H", len(encoded_id)) + encoded_id
+        msg = _DEVICE_HELLO.encode(self._nonce_d, self._device_id)
         self._transcript.absorb(msg)
-        self._state = "sent-hello"
+        self._state = "hs3"
         return msg
 
     def _handle_hs3(self, data: bytes) -> bytes:
-        body = data[1:]
-        if len(body) != 4 + 32 + 64:
-            raise StaleNonce("bad challenge message length")
-        challenge = body[:4]
-        eph_v = body[4:36]
-        sig = body[36:]
+        challenge, eph_v, sig = _CHALLENGE.decode(data)
         # Step 4: only the certified vTPM can have signed this transcript.
         try:
             Ed25519PublicKey.from_public_bytes(self._pk_tpm).verify(
-                sig, self._transcript.digest() + data[:37]
+                sig, self._transcript.digest() + _CHALLENGE.encode(challenge, eph_v)
             )
         except InvalidSignature:
             raise BadCert("transcript signature does not verify under the certified key") from None
@@ -535,19 +502,19 @@ class DeviceHandshake:
         eph = X25519PrivateKey.from_private_bytes(self._rng.bytes(32))
         shared = eph.exchange(X25519PublicKey.from_public_bytes(eph_v))
         wrapped = AESGCM(_wrap_key(shared)).encrypt(bytes(NONCE_LEN), k_d, b"")
-        head = bytes([_HS5]) + eph.public_key().public_bytes_raw() + wrapped
-        mac = hmac_sha384(response, self._transcript.fork(head))
-        msg = head + mac
+        eph_pub = eph.public_key().public_bytes_raw()
+        mac = hmac_sha384(response, self._transcript.fork(_KEY_SHARE.encode(eph_pub, wrapped)))
+        msg = _KEY_SHARE.encode(eph_pub, wrapped, mac)
         self._transcript.absorb(msg)
         sess_key, self._confirm_key = _derive_session_keys(
             response, k_d, self._nonce_v, self._nonce_d
         )
         self._pending_key = sess_key
-        self._state = "sent-share"
+        self._state = "hs8"
         return msg
 
     def _handle_hs8(self, data: bytes) -> bytes:
-        mac_v = data[1:]
+        (mac_v,) = _VTPM_CONFIRM.decode(data)
         expected = hmac_sha384(self._confirm_key, b"vtpm-confirm" + self._transcript.digest())
         if not constant_time_eq(mac_v, expected):
             raise ConfirmFailure("vTPM key confirmation failed")
@@ -555,7 +522,7 @@ class DeviceHandshake:
         mac_d = hmac_sha384(self._confirm_key, b"device-confirm" + self._transcript.digest())
         self.session = SessionState(sess_key=self._pending_key, peer_role=Role.VTPM)
         self._state = "done"
-        return bytes([_HS9]) + mac_d
+        return _DEVICE_CONFIRM.encode(mac_d)
 
 
 class ChannelEndpoint:

@@ -19,10 +19,6 @@ DIGEST_LEN = 48  # SHA-384
 KEY_LEN = 32
 
 
-def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
 def sha384(data: bytes) -> bytes:
     return hashlib.sha384(data).digest()
 

@@ -32,6 +32,7 @@ from . import channel, messages, wire
 from . import transport as _transport
 from .crypto import Rng, sha384, sha3_384
 from .errors import TrcteeError
+from .layout import REST, Layout, blob, exact, uint
 from .puf import PufDevice
 from .trace import Trace
 
@@ -46,8 +47,6 @@ BOOT_COMPONENTS = (
     "rootfs",
 )
 
-IP_MAGIC = b"TRIP"
-BITSTREAM_MAGIC = b"TB01"
 NONCE_LEN = 12
 TPM_TAG_BYTE = wire.TAG_NO_SESSIONS >> 8  # 0x80, first byte of every TPM tag
 
@@ -163,6 +162,10 @@ def measure_boot_image(image: BootImage) -> list[tuple[int, str, bytes]]:
     return [(idx, name, sha384(blob)) for idx, (name, blob) in enumerate(image.items())]
 
 
+_IP_IMAGE = Layout("IP image", BadImage, b"TRIP", blob(1, str), REST)
+_BITSTREAM = Layout("encrypted bitstream", BadImage, b"TB01", uint(2), exact(NONCE_LEN), blob(4))
+
+
 @dataclass(frozen=True)
 class IpImage:
     """Plaintext bitstream: a kernel descriptor plus its parameters."""
@@ -171,22 +174,14 @@ class IpImage:
     params: bytes
 
     def encode(self) -> bytes:
-        encoded = self.kernel_id.encode()
-        if len(encoded) > 0xFF:
-            raise ValueError("kernel id too long")
-        return IP_MAGIC + bytes([len(encoded)]) + encoded + self.params
+        return _IP_IMAGE.encode(self.kernel_id, self.params)
 
     @classmethod
     def decode(cls, data: bytes) -> "IpImage":
-        if len(data) < 5 or data[:4] != IP_MAGIC:
-            raise BadImage("bitstream magic mismatch")
-        id_len = data[4]
-        if len(data) < 5 + id_len:
-            raise BadImage("bitstream truncated")
-        kernel_id = data[5 : 5 + id_len].decode()
-        if kernel_id not in KERNELS:
-            raise BadImage(f"unknown kernel {kernel_id!r}")
-        return cls(kernel_id=kernel_id, params=data[5 + id_len :])
+        image = cls(*_IP_IMAGE.decode(data))
+        if image.kernel_id not in KERNELS:
+            raise BadImage(f"unknown kernel {image.kernel_id!r}")
+        return image
 
 
 @dataclass(frozen=True)
@@ -198,25 +193,11 @@ class EncryptedBitstream:
     ciphertext: bytes
 
     def encode(self) -> bytes:
-        return (
-            BITSTREAM_MAGIC
-            + struct.pack(">H", self.ip_num)
-            + self.nonce
-            + struct.pack(">I", len(self.ciphertext))
-            + self.ciphertext
-        )
+        return _BITSTREAM.encode(self.ip_num, self.nonce, self.ciphertext)
 
     @classmethod
     def decode(cls, data: bytes) -> "EncryptedBitstream":
-        if len(data) < 4 + 2 + NONCE_LEN + 4 or data[:4] != BITSTREAM_MAGIC:
-            raise BadImage("encrypted bitstream header mismatch")
-        (ip_num,) = struct.unpack_from(">H", data, 4)
-        nonce = data[6 : 6 + NONCE_LEN]
-        (ct_len,) = struct.unpack_from(">I", data, 6 + NONCE_LEN)
-        ciphertext = data[6 + NONCE_LEN + 4 :]
-        if len(ciphertext) != ct_len:
-            raise BadImage("encrypted bitstream length mismatch")
-        return cls(ip_num=ip_num, nonce=nonce, ciphertext=ciphertext)
+        return cls(*_BITSTREAM.decode(data))
 
 
 def encrypt_bitstream(
@@ -548,8 +529,8 @@ class DirectPair:
 
     No other thread can send, so a receive on an empty inbox fails at once:
     :class:`~trctee.transport.TransportClosed` once the device end is closed,
-    otherwise :class:`~trctee.transport.ReceiveTimeout` with the text a
-    receive that waited out ``timeout`` has.
+    otherwise :class:`~trctee.transport.ReceiveTimeout`, whose text for a
+    finite ``timeout`` is the one a receive that waited it out has.
     """
 
     def __init__(self, device: FpgaSocDevice):
@@ -570,7 +551,9 @@ class DirectPair:
             return self._inbox.popleft()
         if self._device_end.closed:
             raise _transport.TransportClosed("peer closed the transport")
-        raise _transport.ReceiveTimeout(f"no record within {timeout}s")
+        raise _transport.ReceiveTimeout(
+            "no record waiting" if timeout is None else f"no record within {timeout}s"
+        )
 
     def close(self) -> None:
         if not self._closed:

@@ -197,7 +197,11 @@ class ScenarioRunner:
         self.rekey_threshold = rekey_threshold
         self.crp_slice = crp_slice
         self.recv_timeout = recv_timeout
-        self.ttp: ttp.TtpService | None = None
+        # Enroll only the CRPs a run can provision: challenges come in DRBG
+        # order, so these are the same ones.  A pool above the default still fails.
+        self.ttp = ttp.TtpService(
+            rng=self.master.child("ttp"), enroll_crps=min(crp_slice, ttp.DEFAULT_ENROLL_CRPS)
+        )
         self.device: device.FpgaSocDevice | None = None
         self.user: runtime.UserNode | None = None
         self.tap: transport.AdversaryTap | None = None
@@ -266,8 +270,6 @@ class ScenarioRunner:
 
     def _step_enroll_device(self, step: Step) -> str:
         device_id = step.args.get("id", "dev1")
-        if self.ttp is None:
-            self.ttp = ttp.TtpService(rng=self.master.child("ttp"))
         puf_device = puf.PufDevice(self.master.child(f"puf-{device_id}").bytes(32))
         image = device.BootImage.synthetic(device_id, self.ttp.pk_ttp)
         self.ttp.enroll_device(device_id, puf_device, image)
@@ -288,17 +290,14 @@ class ScenarioRunner:
 
     def _step_enroll_vtpm(self, step: Step) -> str:
         user_id = step.args.get("user", "user1")
-        if self.ttp is None:
-            self.ttp = ttp.TtpService(rng=self.master.child("ttp"))
         self.ttp.register_user(user_id)
         self._bundle = self.ttp.enroll_vtpm(user_id)
         return f"vTPM enrolled for {user_id}"
 
     def _step_provision(self, step: Step) -> str:
-        ttp_service = self._require(self.ttp, "TTP")
         user_id = step.args.get("user", "user1")
         device_id = step.args.get("device", self._require(self.device, "device").device_id)
-        dev_id, manifest, crp_slice = ttp_service.provision_user(
+        dev_id, manifest, crp_slice = self.ttp.provision_user(
             user_id, device_id, slice_size=self.crp_slice
         )
         self.user = runtime.UserNode(
@@ -329,9 +328,8 @@ class ScenarioRunner:
         if step.adversary == "swap-vtpm-cert":
             # A certificate for some other enrolled key: valid under the TTP
             # key, but not matching this vTPM's signing key.
-            ttp_service = self._require(self.ttp, "TTP")
-            ttp_service.register_user("mallory")
-            other = ttp_service.enroll_vtpm("mallory")
+            self.ttp.register_user("mallory")
+            other = self.ttp.enroll_vtpm("mallory")
             user.bundle = ttp.VtpmBundle(
                 user_id=user.bundle.user_id,
                 sk_tpm=user.bundle.sk_tpm,

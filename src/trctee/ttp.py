@@ -3,7 +3,7 @@ CRPs, vTPM enrollment with certificate issuance, and user provisioning.
 
 Certificates are a fixed-layout binary record signed with Ed25519:
 
-    version(1) || uid_len(2) || uid || pk_tpm(32) || signature(64)
+    0x01 (version) || uid_len(2) || uid || pk_tpm(32) || signature(64)
 
 The signature covers everything before it.  The signing key never leaves
 this module; callers only see the 32-byte public key.
@@ -12,7 +12,6 @@ this module; callers only see the 32-byte public key.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
@@ -26,11 +25,11 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from . import puf, statefile
 from .crypto import Rng, sha384
 from .errors import TrcteeError
+from .layout import Layout, blob, exact
 
 if TYPE_CHECKING:
     from .device import BootImage
 
-CERT_VERSION = 1
 DEFAULT_ENROLL_CRPS = 256
 DEFAULT_SLICE_SIZE = 64
 REGISTRY_HEADER = "trctee-registry v1"
@@ -60,6 +59,9 @@ class BadIdentifier(TtpError, ValueError):
     """A name that cannot identify a user or device."""
 
 
+_CERT = Layout("certificate", ValueError, b"\x01", blob(2, str), exact(32), exact(64))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Binding of a vTPM public key to a user id, signed by the TTP."""
@@ -70,25 +72,14 @@ class Certificate:
 
     @staticmethod
     def signed_payload(user_id: str, pk_tpm: bytes) -> bytes:
-        uid = user_id.encode()
-        return struct.pack(">BH", CERT_VERSION, len(uid)) + uid + pk_tpm
+        return _CERT.encode(user_id, pk_tpm)
 
     def encode(self) -> bytes:
-        return self.signed_payload(self.user_id, self.pk_tpm) + self.signature
+        return _CERT.encode(self.user_id, self.pk_tpm, self.signature)
 
     @classmethod
     def decode(cls, data: bytes) -> "Certificate":
-        if len(data) < 3:
-            raise ValueError("certificate too short")
-        version, uid_len = struct.unpack_from(">BH", data)
-        if version != CERT_VERSION:
-            raise ValueError(f"unsupported certificate version {version}")
-        if len(data) != 3 + uid_len + 32 + 64:
-            raise ValueError("certificate length mismatch")
-        uid = data[3 : 3 + uid_len].decode()
-        pk = data[3 + uid_len : 3 + uid_len + 32]
-        sig = data[3 + uid_len + 32 :]
-        return cls(user_id=uid, pk_tpm=pk, signature=sig)
+        return cls(*_CERT.decode(data))
 
     def verify(self, pk_ttp: bytes) -> bool:
         try:

@@ -262,6 +262,13 @@ def started_initiator():
     return initiator
 
 
+class TestMalformedHandshake:
+    def test_device_hello_with_a_non_utf8_id_is_stale(self):
+        # HS2: type 0x12, a 16-byte nonce, then a 2-byte id that is not UTF-8.
+        with pytest.raises(channel.StaleNonce):
+            started_initiator().on_message(b"\x12" + bytes(16) + b"\x00\x02\xff\xfe")
+
+
 class TestAbortRecord:
     @pytest.mark.parametrize(
         "error, reason",

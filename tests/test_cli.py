@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import socket
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trctee import cli, device, puf, scenario, vtpm
+from trctee import cli, device, puf, scenario, transport, vtpm
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -367,6 +368,30 @@ class TestRejectedHandshake:
         assert rc == 1
         assert err.startswith("error: PeerAborted: ") and err.count("\n") == 1
         assert "BadCert" in err and "Traceback" not in err
+
+    def test_non_utf8_device_id_exits_1_and_is_named_to_the_device(self, store, capsys):
+        # A device hello whose id is not UTF-8 is a StaleNonce: one error line,
+        # exit 1, and an abort record naming it before the vTPM closes.
+        enroll_and_provision(store)
+        received = []
+        with transport.listen("127.0.0.1", 0) as server:
+
+            def fake_device():
+                with contextlib.closing(transport.accept_one(server, timeout=5.0)) as conn:
+                    received.append(bytes(conn.recv_record(5.0)))
+                    conn.send_record(b"\x12" + bytes(16) + b"\x00\x02\xff\xfe")
+                    received.append(bytes(conn.recv_record(5.0)))
+
+            thread = threading.Thread(target=fake_device, daemon=True)
+            thread.start()
+            addr = f"127.0.0.1:{server.getsockname()[1]}"
+            rc = run_cli("--store", store, "connect", "--addr", addr, "--user", "alice")
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: StaleNonce: ") and err.count("\n") == 1
+        assert received[1:] == [b"\x1f\x02"]
 
     def test_serve_names_the_vtpm_side_cause(self, store, capsys):
         # A device whose PUF seed is zeroed answers with the wrong PUF, so the

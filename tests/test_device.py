@@ -537,10 +537,15 @@ class TestDirectPair:
     """The thread-free pair: nothing can arrive later, so an empty inbox
     fails at once, and it ends a session by the rules ``serve`` keeps."""
 
-    def test_empty_inbox_times_out_at_once_with_the_timeout_text(self, world):
+    @pytest.mark.parametrize(
+        "timeout, text",
+        [(2.0, r"^no record within 2\.0s$"), (None, r"^no record waiting$")],
+        ids=["finite", "none"],
+    )
+    def test_empty_inbox_times_out_at_once_with_the_timeout_text(self, world, timeout, text):
         pair = device.DirectPair(world.device)
-        with pytest.raises(transport.ReceiveTimeout, match=r"^no record within 2\.0s$"):
-            pair.recv_record(2.0)
+        with pytest.raises(transport.ReceiveTimeout, match=text):
+            pair.recv_record(timeout)
 
     @pytest.mark.parametrize("fed_by", ["serve", "direct"])
     def test_a_core_that_raises_is_traced_and_closes_the_device_end(self, world, fed_by):

@@ -1,10 +1,14 @@
+import functools
+import re
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trctee import messages
+from trctee import channel, device, messages, puf, ttp
+from trctee.crypto import Rng
 
 DECODERS = sorted(name for name in vars(messages) if name.startswith("decode_"))
 
@@ -24,6 +28,47 @@ def _decode_all(data):
                 pass
 
 
+@st.composite
+def mutated(draw, message):
+    """``message`` with one bit flipped, cut short, or extended."""
+    how = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if how == "flip":
+        at, bit = draw(st.integers(0, len(message) - 1)), draw(st.integers(0, 7))
+        return message[:at] + bytes([message[at] ^ (1 << bit)]) + message[at + 1 :]
+    if how == "truncate":
+        return message[: draw(st.integers(0, len(message) - 1))]
+    return message + draw(st.binary(min_size=1, max_size=16))
+
+
+def handshake_roles():
+    """A vTPM and a device handshake that replay the same honest run."""
+    rng = Rng(21)
+    service = ttp.TtpService(rng=rng.child("ttp"))
+    service.register_user("alice")
+    bundle = service.enroll_vtpm("alice")
+    device_puf = puf.PufDevice(rng.child("puf").bytes(32))
+    crps = puf.enroll(device_puf, 1, rng.child("enroll"))
+    vtpm_hs = channel.VtpmHandshake(
+        sk_tpm=bundle.sk_tpm, cert=bundle.cert, device_id="dev1", crp_store=crps, rng=rng
+    )
+    device_hs = channel.DeviceHandshake(
+        pk_ttp=service.pk_ttp, device_id="dev1", puf=device_puf, rng=rng.child("device")
+    )
+    return vtpm_hs, device_hs
+
+
+@functools.cache
+def honest_transcript():
+    """HS1, HS2, HS3, HS5, HS8 and HS9 of one honest run; the device receives
+    the even-numbered ones."""
+    vtpm_hs, device_hs = handshake_roles()
+    transcript = [vtpm_hs.start()]
+    while len(transcript) < 6:
+        receiver = device_hs if len(transcript) % 2 else vtpm_hs
+        transcript.append(receiver.on_message(transcript[-1]))
+    return tuple(transcript)
+
+
 class TestTotality:
     @settings(max_examples=300)
     @given(data=st.binary(max_size=128))
@@ -40,6 +85,44 @@ class TestTotality:
         prefixed = struct.pack(">H", len(name)) + name + tail
         _decode_all(bytes([messages.STORE_BLOB]) + prefixed)
         _decode_all(bytes([messages.BOOT_REPORT]) + struct.pack(">HB", 1, 0) + prefixed)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "decode, sample, error",
+        [
+            (ttp.Certificate.decode, ttp.Certificate("alice", bytes(32), bytes(64)), ValueError),
+            (device.IpImage.decode, device.IpImage("xor", bytes(range(16))), device.BadImage),
+            (
+                device.EncryptedBitstream.decode,
+                device.EncryptedBitstream(ip_num=3, nonce=bytes(12), ciphertext=b"ct" * 8),
+                device.BadImage,
+            ),
+        ],
+        ids=["certificate", "ip-image", "encrypted-bitstream"],
+    )
+    def test_record_decoders_total(self, decode, sample, error, data):
+        try:
+            decode(data.draw(mutated(sample.encode())))
+        except error:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), step=st.integers(0, 7))
+    def test_handshake_roles_total_in_every_state(self, data, step):
+        """Steps 0-5 feed a changed copy of honest message ``step`` to the role
+        that awaits it; 6 and 7 feed one to the device and to the vTPM once
+        both are done."""
+        transcript = honest_transcript()
+        message = transcript[step] if step < 6 else data.draw(st.sampled_from(transcript))
+        vtpm_hs, device_hs = handshake_roles()
+        vtpm_hs.start()
+        for i, honest in enumerate(transcript[:step]):
+            (device_hs if i % 2 == 0 else vtpm_hs).on_message(honest)
+        try:
+            (device_hs if step % 2 == 0 else vtpm_hs).on_message(data.draw(mutated(message)))
+        except channel.ChannelError:
+            pass
 
     def test_no_deploy_or_invoke_vocabulary(self):
         assert not [
@@ -71,3 +154,78 @@ class TestNames:
         payload = bytes([messages.STORE_BLOB]) + struct.pack(">H", len(name)) + name + b"blob"
         with pytest.raises(messages.MessageError):
             messages.decode_store_blob(payload)
+
+
+README = Path(__file__).parent.parent / "README.md"
+# "  - `name` ...: `grammar`", then ", N bytes" where the format has one size.
+README_ENTRY = re.compile(r"^ +- `([^`]+)`[^`\n]*: `([^`]+)`(?:, (\d+) bytes)?", re.M)
+
+
+def readme_formats():
+    section = README.read_text(encoding="utf-8").split("## File and wire formats")[1]
+    section = section.split("\n## ")[0]
+    return {name: (grammar, total) for name, grammar, total in README_ENTRY.findall(section)}
+
+
+def stated_fields(grammar):
+    """Each field of a README grammar: its constant bytes (a type byte or a
+    magic), or its size (None for a field without one)."""
+    for token in grammar.split(" || "):
+        if re.fullmatch(r"0x[0-9A-F]{2}", token):
+            yield bytes.fromhex(token[2:])
+        elif magic := re.fullmatch(r'"(\w+)"', token):
+            yield magic[1].encode()
+        elif sized := re.fullmatch(r"\w+\((\d+)\)", token):
+            yield int(sized[1])
+        else:
+            assert re.fullmatch(r"\w+", token), f"unreadable field {token!r} in {grammar!r}"
+            yield None
+
+
+def encoded_formats():
+    """Each format's encoding of one honest value, with the length of its
+    fields that have no fixed size."""
+    hs = honest_transcript()
+    no_report = messages.encode_boot_report([])
+    one_report = messages.encode_boot_report([(0, "fsbl", bytes(48))])
+    cert_len = len(ttp.Certificate("alice", bytes(32), bytes(64)).encode())
+    return {
+        "HS1": (hs[0], cert_len),
+        "HS2": (hs[1], len("dev1")),
+        "HS3": (hs[2], 0),
+        "HS5": (hs[3], 0),
+        "HS8": (hs[4], 0),
+        "HS9": (hs[5], 0),
+        "abort": (channel.abort_record(channel.StaleNonce("detail")), 0),
+        "boot report": (no_report, 0),
+        "boot measurement": (one_report[len(no_report) :], len("fsbl")),
+        "update request": (messages.encode_update_req(bytes(4), bytes(48), 1), 0),
+        "update confirmation D": (
+            messages.encode_update_confirm(messages.UPDATE_CONFIRM_D, bytes(48)), 0
+        ),
+        "update confirmation V": (
+            messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, bytes(48)), 0
+        ),
+        "store blob": (messages.encode_store_blob("ip_1.bin", b"blob"), len("ip_1.bin") + 4),
+        "certificate": (ttp.Certificate("alice", bytes(32), bytes(64)).encode(), len("alice")),
+        "IP image": (device.IpImage("xor", bytes(16)).encode(), len("xor") + 16),
+        "encrypted bitstream": (
+            device.EncryptedBitstream(ip_num=3, nonce=bytes(12), ciphertext=bytes(20)).encode(),
+            20,
+        ),
+    }
+
+
+class TestReadmeFormats:
+    def test_every_stated_size_matches_the_encoding(self):
+        stated, encoded = readme_formats(), encoded_formats()
+        assert set(stated) == set(encoded)
+        for name, (encoding, unsized) in encoded.items():
+            grammar, total = stated[name]
+            fields = list(stated_fields(grammar))
+            sized = sum(len(f) if isinstance(f, bytes) else f or 0 for f in fields)
+            assert len(encoding) == sized + unsized, name
+            if isinstance(fields[0], bytes):
+                assert encoding.startswith(fields[0]), name
+            if total:
+                assert len(encoding) == int(total), name

@@ -12,6 +12,7 @@ except ImportError:  # not on every platform
     resource = None
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,21 @@ class TestRejectedDevice:
             user_side.recv_record(timeout=2.0)
         user_side.close()
 
+    def test_non_utf8_device_id_is_traced_and_named_to_the_device(self, world):
+        sent = []
+
+        class BadHello:
+            def send_record(self, record):
+                sent.append(bytes(record))
+
+            def recv_record(self, timeout=None):
+                return b"\x12" + bytes(16) + b"\x00\x02\xff\xfe"
+
+        with pytest.raises(channel.StaleNonce):
+            world.user.connect(BadHello())
+        assert isinstance(world.user.trace.first_error(), channel.StaleNonce)
+        assert sent[1:] == [b"\x1f\x02"]  # after HS1, an abort naming StaleNonce
+
     def test_vtpm_hanging_up_mid_handshake_is_traced(self, world):
         user_side = self._serve(world)
         handshake = channel.VtpmHandshake(
@@ -132,6 +148,21 @@ class TestDeploy:
         assert isinstance(dev.trace.first_error(), channel.AuthFailure)
         assert dev.tmm.config_memory.snapshot() == {}
         assert user.vtpm.pcr_read(8) == bytes(48)
+
+    def test_non_utf8_kernel_id_is_a_bad_image(self, connected):
+        # The image authenticates, but its kernel id is not UTF-8: the deploy
+        # is answered rc 1 like any bad image and the session stays up.
+        user, dev = connected.user, connected.device
+        ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        nonce, plaintext = bytes(12), b"TRIP\x02\xff\xfe" + bytes(16)
+        ciphertext = AESGCM(user.deploy_key).encrypt(nonce, plaintext, (1).to_bytes(2, "big"))
+        encrypted = device.EncryptedBitstream(ip_num=1, nonce=nonce, ciphertext=ciphertext)
+        dev.file_store.put(ticket.blob_name, encrypted.encode())
+        response, verdict = user.user_deploy(ticket)
+        assert (response.response_code, verdict) == (1, "Mismatch")
+        assert isinstance(dev.trace.first_error(), device.BadImage)
+        deploy_xor(user, ip_num=2)
+        assert user.user_invoke(2, bytes(16))[0] == bytes(range(16))
 
     def test_redeploy_appends_second_event(self, connected):
         user = connected.user

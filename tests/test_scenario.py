@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trctee import cli, scenario
+from trctee import cli, puf, scenario, ttp
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 # ``trctee --seed 5 run <file>`` output of each scenario file, as printed
@@ -70,6 +70,18 @@ class TestBaseline:
         assert report.exit_code == 0
         assert report.verifier_report is not None
         assert report.verifier_report.all_verified
+
+    def test_a_default_run_enrolls_only_the_crps_it_can_provision(self, monkeypatch, capsys):
+        # The TTP enrolls the 64 CRPs a default --crp-pool provisions, not 256;
+        # the device answers one more challenge per handshake and key update.
+        calls = []
+        respond = puf.PufDevice.respond
+        monkeypatch.setattr(
+            puf.PufDevice, "respond", lambda self, c: calls.append(c) or respond(self, c)
+        )
+        assert cli.main(["--seed", "5", "run", str(SCENARIOS / "baseline.txt")]) == 0
+        capsys.readouterr()
+        assert len(calls) <= ttp.DEFAULT_SLICE_SIZE + 2
 
     def test_unmet_expectation_exits_nonzero(self):
         text = (
