@@ -55,7 +55,8 @@ from .ttp import Certificate
 KEY_LEN = 32
 NONCE_LEN = 12
 TAG_LEN = 16
-FRAME_OVERHEAD = 4 + 8 + NONCE_LEN + TAG_LEN  # 40
+FRAME_HEAD = struct.Struct(">IQ")  # epoch, counter: the first 12 bytes of a frame
+FRAME_OVERHEAD = FRAME_HEAD.size + NONCE_LEN + TAG_LEN  # 40
 HS_NONCE_LEN = 16
 MAC_LEN = 48
 DEFAULT_REKEY_THRESHOLD = 1024
@@ -144,8 +145,7 @@ class SessionState:
         self.recv_counter = 0
 
 
-_HEAD = struct.Struct(">IQ")  # epoch, counter: the first 12 bytes of a frame
-_CIPHERTEXT_AT = _HEAD.size + NONCE_LEN  # 24
+_CIPHERTEXT_AT = FRAME_HEAD.size + NONCE_LEN  # 24
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class Frame:
 
     @property
     def nonce(self) -> bytes:
-        return bytes(self.record[_HEAD.size : _CIPHERTEXT_AT])
+        return bytes(self.record[FRAME_HEAD.size : _CIPHERTEXT_AT])
 
     @property
     def ciphertext(self) -> bytes:
@@ -187,10 +187,10 @@ def seal(session: SessionState, plaintext: bytes, *, _rekey_bypass: bool = False
         )
     counter = session.send_counter + 1
     nonce = _nonce(role, session.epoch, counter)
-    head = _HEAD.pack(session.epoch, counter)
+    head = FRAME_HEAD.pack(session.epoch, counter)
     record = bytearray(FRAME_OVERHEAD + len(plaintext))
-    record[: _HEAD.size] = head
-    record[_HEAD.size : _CIPHERTEXT_AT] = nonce
+    record[: FRAME_HEAD.size] = head
+    record[FRAME_HEAD.size : _CIPHERTEXT_AT] = nonce
     with memoryview(record) as view:
         AESGCM(session.sess_key).encrypt_into(nonce, plaintext, head, view[_CIPHERTEXT_AT:])
     session.send_counter = counter
@@ -205,7 +205,7 @@ def open_frame(session: SessionState, record: bytes | bytearray) -> memoryview:
     record again.  A ``bytes`` record is decrypted into one fresh buffer."""
     if len(record) < FRAME_OVERHEAD:
         raise AuthFailure("frame shorter than its fixed fields")
-    epoch, counter = _HEAD.unpack_from(record)
+    epoch, counter = FRAME_HEAD.unpack_from(record)
     if epoch != session.epoch:
         raise WrongEpoch(f"frame epoch {epoch}, session epoch {session.epoch}")
     if counter <= session.recv_counter:
@@ -214,7 +214,7 @@ def open_frame(session: SessionState, record: bytes | bytearray) -> memoryview:
         )
     nonce = _nonce(session.peer_role, epoch, counter)
     view = memoryview(record)
-    if view[_HEAD.size : _CIPHERTEXT_AT] != nonce:
+    if view[FRAME_HEAD.size : _CIPHERTEXT_AT] != nonce:
         raise AuthFailure("frame nonce does not match its header fields")
     if view.readonly:
         plaintext = memoryview(bytearray(len(view) - FRAME_OVERHEAD))
@@ -222,7 +222,7 @@ def open_frame(session: SessionState, record: bytes | bytearray) -> memoryview:
         plaintext = view[_CIPHERTEXT_AT:-TAG_LEN]
     try:
         AESGCM(session.sess_key).decrypt_into(
-            nonce, view[_CIPHERTEXT_AT:], view[: _HEAD.size], plaintext
+            nonce, view[_CIPHERTEXT_AT:], view[: FRAME_HEAD.size], plaintext
         )
     except InvalidTag:
         raise AuthFailure("frame failed authentication") from None

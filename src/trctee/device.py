@@ -223,31 +223,28 @@ class FileStore:
             os.makedirs(root, exist_ok=True)
 
     def _path(self, name: str) -> str:
+        """``name``, checked: its key in memory, or its file in a directory."""
         if not messages.BLOB_NAME.fullmatch(name):
             raise ValueError(f"unsafe blob name {name!r}")
-        return os.path.join(self._root, name)
+        return name if self._root is None else os.path.join(self._root, name)
 
     def put(self, name: str, blob: bytes) -> None:
+        path = self._path(name)
         if self._root is None:
-            if not messages.BLOB_NAME.fullmatch(name):
-                raise ValueError(f"unsafe blob name {name!r}")
-            self._blobs[name] = blob
+            self._blobs[path] = blob
             return
-        tmp = self._path(name) + ".tmp"
-        with open(tmp, "wb") as fh:
+        with open(path + ".tmp", "wb") as fh:
             fh.write(blob)
-        os.replace(tmp, self._path(name))
+        os.replace(path + ".tmp", path)
 
     def get(self, name: str) -> bytes:
-        if self._root is None:
-            try:
-                return self._blobs[name]
-            except KeyError:
-                raise NotFound(f"no blob named {name!r}") from None
+        path = self._path(name)
         try:
-            with open(self._path(name), "rb") as fh:
+            if self._root is None:
+                return self._blobs[path]
+            with open(path, "rb") as fh:
                 return fh.read()
-        except FileNotFoundError:
+        except (KeyError, FileNotFoundError):
             raise NotFound(f"no blob named {name!r}") from None
 
 

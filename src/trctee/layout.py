@@ -3,41 +3,49 @@
 A :class:`Layout` is a format's name, the error class its callers expect
 and its fields in order.  A field is a constant (``bytes``: a type byte or
 a magic, checked and never returned) or a ``(read, write)`` pair made by
-one of the functions below.  Integers and lengths are big-endian.
+one of the functions below: ``read(view, at)`` returns a value and the
+offset after it, ``write(value)`` the parts that encode it.  Integers and
+lengths are big-endian.
 """
+
+import struct
 
 
 def uint(width: int):
-    """An unsigned integer in ``width`` bytes."""
+    """An unsigned integer in 1, 2, 4 or 8 bytes."""
+    packer = struct.Struct(">" + {1: "B", 2: "H", 4: "I", 8: "Q"}[width])
+    unpack = packer.unpack_from
     return (
-        lambda view, at: (int.from_bytes(view[at : at + width], "big"), at + width),
-        lambda value: value.to_bytes(width, "big"),
+        lambda view, at: (unpack(view, at)[0], at + width),
+        lambda value: (packer.pack(value),),
     )
 
 
 def exact(n: int):
     """Exactly ``n`` bytes."""
 
-    def write(value) -> bytes:
+    def write(value) -> tuple:
         if len(value) != n:
             raise ValueError(f"a field of {n} bytes cannot hold {len(value)}")
-        return bytes(value)
+        return (value,)
 
     return (lambda view, at: (bytes(view[at : at + n]), at + n)), write
 
 
 def blob(width: int, kind: type = bytes):
-    """Bytes, or UTF-8 text with ``kind=str``, after their length in ``width`` bytes."""
+    """Bytes after their length in ``width`` bytes.  With ``kind=str`` they
+    are UTF-8 text; with ``kind=memoryview`` the decoded value is a view of
+    the data, valid for as long as the data is left unchanged."""
     length = uint(width)
 
     def read(view, at: int):
         n, at = length[0](view, at)
-        raw = bytes(view[at : at + n])
-        return (str(raw, "utf-8") if kind is str else raw), at + n
+        raw = view[at : at + n]
+        return (str(raw, "utf-8") if kind is str else kind(raw)), at + n
 
-    def write(value) -> bytes:
-        raw = value.encode() if kind is str else bytes(value)
-        return length[1](len(raw)) + raw
+    def write(value) -> tuple:
+        raw = value.encode() if kind is str else value
+        return (*length[1](len(raw)), raw)
 
     return read, write
 
@@ -54,10 +62,13 @@ def records(width: int, record: "Layout"):
             values.append(value)
         return values, at
 
-    return read, lambda values: count[1](len(values)) + b"".join(record.encode(*v) for v in values)
+    def write(values) -> tuple:
+        return (*count[1](len(values)), *(part for v in values for part in record.parts(*v)))
+
+    return read, write
 
 
-REST = (lambda view, at: (bytes(view[at:]), len(view))), bytes
+REST = (lambda view, at: (bytes(view[at:]), len(view))), (lambda value: (value,))
 
 
 class Layout:
@@ -68,8 +79,9 @@ class Layout:
 
     def decode(self, data) -> tuple:
         """One value per field that is not a constant: ``bytes``, ``int``,
-        ``str`` or a list of record tuples, never a view.  Bytes-like ``data``
-        that the fields do not use up exactly raises the layout's error only."""
+        ``str``, a list of record tuples, or the view of a
+        ``blob(width, memoryview)``.  Bytes-like ``data`` that the fields do
+        not use up exactly raises the layout's error only."""
         with memoryview(data) as view:
             values, end = self._read(view, 0)
             if end != len(view):
@@ -88,6 +100,8 @@ class Layout:
                 value, at = field[0](view, at)
             except UnicodeDecodeError:
                 raise self.error(f"{self.name} holds text that is not UTF-8") from None
+            except struct.error:  # an integer cut short: the field is truncated
+                at = len(view) + 1
             if at > len(view):
                 raise self.error(f"{self.name} of {len(view)} bytes is truncated")
             values.append(value)
@@ -97,12 +111,21 @@ class Layout:
         """The inverse of :meth:`decode`.  Given fewer values than fields, the
         fields after the last value are left out: what is left is the part
         that a trailing signature or MAC covers."""
+        return b"".join(self.parts(*values))
+
+    def parts(self, *values) -> list:
+        """What :meth:`encode` joins: constants, and each value's encoding,
+        a bytes-like value of a ``blob`` or ``REST`` field being passed on
+        uncopied."""
         out, given = [], iter(values)
         try:
             for field in self.fields:
-                out.append(field if isinstance(field, bytes) else field[1](next(given)))
+                if isinstance(field, bytes):
+                    out.append(field)
+                else:
+                    out += field[1](next(given))
         except StopIteration:
             pass
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, struct.error) as exc:
             raise self.error(f"{self.name}: {exc}") from None
-        return b"".join(out)
+        return out

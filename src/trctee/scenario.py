@@ -28,7 +28,6 @@ handshake.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from . import channel, device, puf, runtime, transport, ttp, wire
@@ -415,7 +414,8 @@ class ScenarioRunner:
         # Best effort without keys: inject a forged plaintext request framed
         # as if it were sealed.  The TMM must reject it unopened.
         forged = wire.encode(wire.DeployCmd(int(step.args.get("ip", "1"))))
-        fake_frame = struct.pack(">IQ", endpoint.session.epoch, 1 << 40) + bytes(12) + forged + bytes(16)
+        head = channel.FRAME_HEAD.pack(endpoint.session.epoch, 1 << 40)
+        fake_frame = head + bytes(channel.NONCE_LEN) + forged + bytes(channel.TAG_LEN)
         mark = len(self.trace.events)
         endpoint.transport.send_record(fake_frame)
         self.trace.first_error(mark, timeout=1.0)

@@ -2,14 +2,11 @@
 a minimal standard-command subset and routing of the extended commands.
 
 The engine speaks the wire format of :mod:`trctee.wire`.  Four standard
-commands are implemented (PCR_Extend, PCR_Read, GetRandom, Hash); every
-other standard code is answered with an unsupported-command response.
-Simplified parameter layouts for the standard subset, all big-endian:
-
-    GetRandom   cmd body = u16 count            resp body = u16 size || bytes
-    PCR_Read    cmd body = u32 index            resp body = 48-byte register
-    PCR_Extend  cmd body = u32 index || digest  resp body = empty
-    Hash        cmd body = u16 alg id || data   resp body = u16 size || digest
+commands are implemented (PCR_Extend, PCR_Read, GetRandom, Hash) with
+simplified bodies, each one :class:`~trctee.layout.Layout` in
+:data:`STANDARD`; a command body that its layout does not describe is
+answered ``RC_COMMAND_SIZE``, and every other standard code with an
+unsupported-command response.
 
 Extended commands are delegated to two hooks wired up by the runtime
 orchestration: ``update_handler`` runs a key update, and
@@ -22,7 +19,6 @@ view of the command bytes: the engine routes it without copying it out.
 from __future__ import annotations
 
 import hashlib
-import struct
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +27,7 @@ from typing import Callable, Iterable, Iterator
 from . import wire
 from .crypto import Rng, sha384
 from .errors import TrcteeError
+from .layout import REST, Layout, blob, exact, uint
 
 PCR_COUNT = 24
 DIGEST_LEN = 48
@@ -41,8 +38,6 @@ RC_SUCCESS = 0x000
 RC_BAD_TAG = 0x01E
 RC_HASH = 0x083
 RC_VALUE = 0x084
-RC_SIZE = 0x095
-RC_FAILURE = 0x101
 RC_COMMAND_SIZE = 0x142
 RC_COMMAND_CODE = 0x143
 
@@ -324,44 +319,48 @@ class Vtpm:
         return self._dispatch_standard(message)
 
     def _dispatch_standard(self, message: wire.StandardCmd) -> bytes:
-        code, body = message.command_code, message.body
-        try:
-            if code == wire.CC_GET_RANDOM:
-                if len(body) != 2:
-                    return _fail(RC_COMMAND_SIZE)
-                n = struct.unpack(">H", body)[0]
-                data = self.get_random(n)
-                return _ok(struct.pack(">H", len(data)) + data)
-            if code == wire.CC_PCR_READ:
-                if len(body) != 4:
-                    return _fail(RC_COMMAND_SIZE)
-                index = struct.unpack(">I", body)[0]
-                return _ok(self.pcr_read(index))
-            if code == wire.CC_PCR_EXTEND:
-                if len(body) != 4 + DIGEST_LEN:
-                    return _fail(RC_COMMAND_SIZE)
-                index = struct.unpack(">I", body[:4])[0]
-                self.pcr_extend(index, body[4:], EventKind.OTHER, "pcr-extend-cmd")
-                return _ok(b"")
-            if code == wire.CC_HASH:
-                if len(body) < 2:
-                    return _fail(RC_COMMAND_SIZE)
-                alg_id = struct.unpack(">H", body[:2])[0]
-                alg = _ALG_IDS.get(alg_id)
-                if alg is None:
-                    return _fail(RC_HASH)
-                digest = self.hash(body[2:], alg)
-                return _ok(struct.pack(">H", len(digest)) + digest)
+        if message.command_code not in STANDARD:
             return _fail(RC_COMMAND_CODE)
+        command, run, response = STANDARD[message.command_code]
+        try:
+            fields = command.decode(message.body)
+        except wire.LengthMismatch:
+            return _fail(RC_COMMAND_SIZE)
+        try:
+            value = run(self, *fields)
         except (IndexOutOfRange, BadLength):
             return _fail(RC_VALUE)
         except UnsupportedAlg:
             return _fail(RC_HASH)
-
-
-def _ok(body: bytes) -> bytes:
-    return wire.encode(wire.StandardResp(response_code=RC_SUCCESS, body=body))
+        return wire.encode(wire.StandardResp(RC_SUCCESS, response.encode(value)))
 
 
 def _fail(rc: int) -> bytes:
     return wire.encode(wire.StandardResp(response_code=rc))
+
+
+# Each standard code the engine implements: the layout of its command body,
+# what the engine makes of its fields, and the layout of its response body.
+STANDARD = {
+    wire.CC_GET_RANDOM: (
+        Layout("GetRandom command", wire.LengthMismatch, uint(2)),
+        lambda tpm, count: tpm.get_random(count),
+        Layout("GetRandom response", wire.LengthMismatch, blob(2)),
+    ),
+    wire.CC_PCR_READ: (
+        Layout("PCR_Read command", wire.LengthMismatch, uint(4)),
+        lambda tpm, index: tpm.pcr_read(index),
+        Layout("PCR_Read response", wire.LengthMismatch, exact(DIGEST_LEN)),
+    ),
+    wire.CC_PCR_EXTEND: (
+        Layout("PCR_Extend command", wire.LengthMismatch, uint(4), exact(DIGEST_LEN)),
+        lambda tpm, index, digest: tpm.pcr_extend(index, digest, EventKind.OTHER, "pcr-extend-cmd"),
+        Layout("PCR_Extend response", wire.LengthMismatch),  # no fields: the new value is not sent
+    ),
+    wire.CC_HASH: (
+        Layout("Hash command", wire.LengthMismatch, uint(2), REST),
+        # An unknown algorithm id is an unknown algorithm name.
+        lambda tpm, alg_id, data: tpm.hash(data, _ALG_IDS.get(alg_id, hex(alg_id))),
+        Layout("Hash response", wire.LengthMismatch, blob(2)),
+    ),
+}

@@ -10,8 +10,11 @@ the three channel-management extensions:
     0x2F000000  IP deployment        (12-byte command, 58-byte response)
     0x3F000000  IP invocation        (variable command and response)
 
-Commands and responses are structurally identical on the wire, so decoding
-a response needs the code of the command that produced it; that is what
+The body of each extended command and response is one
+:class:`~trctee.layout.Layout` in :data:`EXTENDED`, keyed by command code,
+which ``encode``, ``decode`` and ``decode_response`` all read.  Commands and
+responses are structurally identical on the wire, so decoding a response
+needs the code of the command that produced it; that is what
 ``decode_response`` takes.  Standard (non-extended) bodies are carried
 opaque - typed handling of the supported standard subset lives in the vTPM
 engine.
@@ -20,18 +23,14 @@ engine.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TrcteeError
+from .layout import Layout, blob, exact, uint
 
 HEADER = struct.Struct(">HII")
 HEADER_LEN = HEADER.size  # 10
-# Header plus the fixed fields in front of an invoke payload, packed in one go
-# so that a large payload is copied once, by one join.
-_INVOKE_CMD_HEAD = struct.Struct(">HIIHI")  # ... ip_num, input_length
-_INVOKE_RESP_HEAD = struct.Struct(">HIII")  # ... output_length
-_U32 = struct.Struct(">I")
 MAX_TOTAL_LEN = 0xFFFFFFFF
 
 TAG_NO_SESSIONS = 0x8001
@@ -51,11 +50,6 @@ CC_GET_RANDOM = 0x0000017B
 CC_HASH = 0x0000017D
 CC_PCR_READ = 0x0000017E
 CC_PCR_EXTEND = 0x00000182
-
-UPDATE_CMD_LEN = 14
-UPDATE_RESP_LEN = 12
-DEPLOY_CMD_LEN = 12
-DEPLOY_RESP_LEN = 58
 
 CHALLENGE_LEN = 4
 BIN_HASH_LEN = 48
@@ -87,24 +81,6 @@ class UnknownCode(WireError):
         self.code = code
 
 
-class MessageClass(Enum):
-    STANDARD = "standard"
-    UPDATE_EXT = "update"
-    DEPLOY_EXT = "deploy"
-    INVOKE_EXT = "invoke"
-
-
-def classify(code: int) -> MessageClass:
-    """Pure lookup: the three extended codes, everything else standard."""
-    if code == CC_UPDATE:
-        return MessageClass.UPDATE_EXT
-    if code == CC_DEPLOY:
-        return MessageClass.DEPLOY_EXT
-    if code == CC_INVOKE:
-        return MessageClass.INVOKE_EXT
-    return MessageClass.STANDARD
-
-
 @dataclass(frozen=True)
 class UpdateCmd:
     """Key-update request carrying the 4-byte CRP challenge."""
@@ -125,6 +101,11 @@ class UpdateResp:
     def __post_init__(self):
         if self.return_code not in (0, 1):
             raise ValueError("update return code must be 0 or 1")
+
+    @property
+    def response_code(self) -> int:
+        """The header's response code, which mirrors the body's."""
+        return self.return_code
 
 
 @dataclass(frozen=True)
@@ -222,45 +203,66 @@ def failure_response(command: DeployCmd | InvokeCmd) -> DeployResp | InvokeResp:
     return InvokeResp(output=b"", response_code=1)
 
 
-def _frame(tag: int, code: int, body: bytes) -> bytes:
-    total = HEADER_LEN + len(body)
+class _Body(NamedTuple):
+    """An extended message's class, the attributes its body holds, in
+    order, and the layout of that body."""
+
+    message: type
+    attrs: tuple[str, ...]
+    layout: Layout
+
+
+def _body(message: type, name: str, **fields) -> _Body:
+    return _Body(message, tuple(fields), Layout(name, LengthMismatch, *fields.values()))
+
+
+# Each extended code, with its command and its response.  A response's header
+# carries its response code; Update_RESP's mirrors the return code in its body.
+EXTENDED = {
+    CC_UPDATE: (
+        _body(UpdateCmd, "Update_CMD", challenge=exact(CHALLENGE_LEN)),
+        _body(UpdateResp, "Update_RESP", return_code=uint(2)),
+    ),
+    CC_DEPLOY: (
+        _body(DeployCmd, "Deploy_CMD", ip_num=uint(2)),
+        _body(DeployResp, "Deploy_RESP", bin_hash=exact(BIN_HASH_LEN)),
+    ),
+    CC_INVOKE: (
+        _body(InvokeCmd, "Invoke_CMD", ip_num=uint(2), input=blob(4, memoryview), flag=uint(4)),
+        _body(InvokeResp, "Invoke_RESP", output=blob(4)),
+    ),
+}
+# Each extended message class, with its header code (None for a response,
+# whose header carries its response code) and its body.
+_ENCODING = {
+    body.message: (code if body is command else None, body)
+    for code, (command, response) in EXTENDED.items()
+    for body in (command, response)
+}
+
+
+def _frame(tag: int, code: int, parts) -> bytes:
+    """The header, then ``parts``, in one join."""
+    total = HEADER_LEN + sum(map(len, parts))
     if total > MAX_TOTAL_LEN:
         raise BodyTooLarge(f"message of {total} bytes overflows the 4-byte length field")
-    return HEADER.pack(tag, total, code) + body
+    return b"".join((HEADER.pack(tag, total, code), *parts))
 
 
 def encode(message: TpmMessage) -> bytes:
     """Canonical wire encoding; the length field is always recomputed."""
-    if isinstance(message, UpdateCmd):
-        return _frame(TAG_NO_SESSIONS, CC_UPDATE, message.challenge)
-    if isinstance(message, UpdateResp):
-        # Header response code mirrors the body return code.
-        return _frame(TAG_NO_SESSIONS, message.return_code, struct.pack(">H", message.return_code))
-    if isinstance(message, DeployCmd):
-        return _frame(TAG_NO_SESSIONS, CC_DEPLOY, struct.pack(">H", message.ip_num))
-    if isinstance(message, DeployResp):
-        return _frame(TAG_NO_SESSIONS, message.response_code, message.bin_hash)
-    if isinstance(message, InvokeCmd):
-        size = len(message.input)
-        if size > MAX_TOTAL_LEN - _INVOKE_CMD_HEAD.size - 4:
-            raise BodyTooLarge("invoke input overflows the 4-byte length field")
-        head = _INVOKE_CMD_HEAD.pack(
-            TAG_NO_SESSIONS, _INVOKE_CMD_HEAD.size + size + 4, CC_INVOKE, message.ip_num, size
-        )
-        return b"".join((head, message.input, _U32.pack(message.flag)))
-    if isinstance(message, InvokeResp):
-        size = len(message.output)
-        if size > MAX_TOTAL_LEN - _INVOKE_RESP_HEAD.size:
-            raise BodyTooLarge("invoke output overflows the 4-byte length field")
-        head = _INVOKE_RESP_HEAD.pack(
-            TAG_NO_SESSIONS, _INVOKE_RESP_HEAD.size + size, message.response_code, size
-        )
-        return b"".join((head, message.output))
-    if isinstance(message, StandardCmd):
-        return _frame(message.tag, message.command_code, message.body)
-    if isinstance(message, StandardResp):
-        return _frame(message.tag, message.response_code, message.body)
-    raise TypeError(f"not a TPM message: {type(message).__name__}")
+    if type(message) not in _ENCODING:
+        if isinstance(message, StandardCmd):
+            return _frame(message.tag, message.command_code, (message.body,))
+        if isinstance(message, StandardResp):
+            return _frame(message.tag, message.response_code, (message.body,))
+        raise TypeError(f"not a TPM message: {type(message).__name__}")
+    code, body = _ENCODING[type(message)]
+    try:
+        parts = body.layout.parts(*[getattr(message, attr) for attr in body.attrs])
+    except LengthMismatch as exc:  # a length field overflowed; the constructors check the rest
+        raise BodyTooLarge(str(exc)) from None
+    return _frame(TAG_NO_SESSIONS, message.response_code if code is None else code, parts)
 
 
 def _split(data: bytes) -> tuple[int, int, memoryview]:
@@ -286,53 +288,29 @@ def decode(data: bytes, *, borrow_input: bool = False) -> TpmMessage:
     With ``borrow_input`` an Invoke_CMD's input is a view of ``data`` rather
     than a copy, valid for as long as ``data`` is left unchanged."""
     tag, code, body = _split(data)
-    kind = classify(code)
-    if kind is MessageClass.UPDATE_EXT:
-        if len(body) != CHALLENGE_LEN:
-            raise LengthMismatch(f"update command body must be 4 bytes, got {len(body)}")
-        return UpdateCmd(challenge=bytes(body))
-    if kind is MessageClass.DEPLOY_EXT:
-        if len(body) != 2:
-            raise LengthMismatch(f"deploy command body must be 2 bytes, got {len(body)}")
-        return DeployCmd(ip_num=struct.unpack(">H", body)[0])
-    if kind is MessageClass.INVOKE_EXT:
-        if len(body) < 10:
-            raise LengthMismatch("invoke command body shorter than its fixed fields")
-        ip_num, input_length = struct.unpack_from(">HI", body)
-        if len(body) != 2 + 4 + input_length + 4:
-            raise LengthMismatch("invoke body length disagrees with the input-length field")
-        (flag,) = _U32.unpack_from(body, 6 + input_length)
-        data_in = body[6 : 6 + input_length]
-        if not borrow_input:
-            data_in = bytes(data_in)
-        return InvokeCmd(ip_num=ip_num, input=data_in, flag=flag)
-    if TPM_CC_FIRST <= code <= TPM_CC_LAST:
-        return StandardCmd(command_code=code, body=bytes(body), tag=tag)
-    raise UnknownCode(code)
+    if code not in EXTENDED:
+        if TPM_CC_FIRST <= code <= TPM_CC_LAST:
+            return StandardCmd(command_code=code, body=bytes(body), tag=tag)
+        raise UnknownCode(code)
+    command = EXTENDED[code][0]
+    values = command.layout.decode(body)
+    if not borrow_input:
+        values = [bytes(v) if isinstance(v, memoryview) else v for v in values]
+    return command.message(*values)
 
 
 def decode_response(data: bytes, command_code: int) -> TpmMessage:
     """Decode a response to the command identified by ``command_code``."""
     tag, rc, body = _split(data)
-    kind = classify(command_code)
-    if kind is MessageClass.UPDATE_EXT:
-        if len(body) != 2:
-            raise LengthMismatch(f"update response body must be 2 bytes, got {len(body)}")
-        return_code = struct.unpack(">H", body)[0]
-        if return_code not in (0, 1):
-            raise WireError(f"update return code must be 0 or 1, got {return_code}")
-        return UpdateResp(return_code=return_code)
-    if kind is MessageClass.DEPLOY_EXT:
-        if len(body) != BIN_HASH_LEN:
-            raise LengthMismatch(f"deploy response body must be 48 bytes, got {len(body)}")
-        return DeployResp(bin_hash=bytes(body), response_code=rc)
-    if kind is MessageClass.INVOKE_EXT:
-        if len(body) < 4:
-            raise LengthMismatch("invoke response body shorter than its length field")
-        (output_length,) = _U32.unpack_from(body)
-        if len(body) != 4 + output_length:
-            raise LengthMismatch("invoke response length disagrees with the output-length field")
-        return InvokeResp(output=bytes(body[4:]), response_code=rc)
-    if TPM_CC_FIRST <= command_code <= TPM_CC_LAST:
-        return StandardResp(response_code=rc, body=bytes(body), tag=tag)
-    raise UnknownCode(command_code)
+    if command_code not in EXTENDED:
+        if TPM_CC_FIRST <= command_code <= TPM_CC_LAST:
+            return StandardResp(response_code=rc, body=bytes(body), tag=tag)
+        raise UnknownCode(command_code)
+    response = EXTENDED[command_code][1]
+    values = response.layout.decode(body)
+    if command_code != CC_UPDATE:
+        return response.message(*values, rc)
+    # Update_RESP's header code only mirrors its body's return code.
+    if values[0] not in (0, 1):
+        raise WireError(f"update return code must be 0 or 1, got {values[0]}")
+    return UpdateResp(*values)

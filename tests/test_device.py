@@ -185,10 +185,12 @@ class TestFileStore:
         assert again.get("ip_2.bin") == b"persisted"
 
     def test_unsafe_names_rejected(self, tmp_path):
-        store = device.FileStore(root=str(tmp_path / "blobs"))
-        for name in ("../escape", ".", ".."):
-            with pytest.raises(ValueError):
-                store.put(name, b"x")
+        for store in (device.FileStore(), device.FileStore(root=str(tmp_path / "blobs"))):
+            for name in ("../escape", ".", "..", "a/b", ""):
+                with pytest.raises(ValueError):
+                    store.put(name, b"x")
+                with pytest.raises(ValueError):
+                    store.get(name)
 
 
 def make_tmm_with_session():

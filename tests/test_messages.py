@@ -1,4 +1,6 @@
 import functools
+import importlib
+import pkgutil
 import re
 import struct
 from pathlib import Path
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trctee import channel, device, messages, puf, ttp
+import trctee
+from trctee import channel, device, messages, puf, ttp, vtpm, wire
 from trctee.crypto import Rng
+from trctee.layout import Layout
 
 DECODERS = sorted(name for name in vars(messages) if name.startswith("decode_"))
 
@@ -168,10 +172,11 @@ def readme_formats():
 
 
 def stated_fields(grammar):
-    """Each field of a README grammar: its constant bytes (a type byte or a
-    magic), or its size (None for a field without one)."""
+    """Each field of a README grammar: its constant bytes (a type byte, a
+    TPM tag or command code, or a magic), or its size (None for a field
+    without one)."""
     for token in grammar.split(" || "):
-        if re.fullmatch(r"0x[0-9A-F]{2}", token):
+        if re.fullmatch(r"0x(?:[0-9A-F]{2})+", token):
             yield bytes.fromhex(token[2:])
         elif magic := re.fullmatch(r'"(\w+)"', token):
             yield magic[1].encode()
@@ -213,7 +218,58 @@ def encoded_formats():
             device.EncryptedBitstream(ip_num=3, nonce=bytes(12), ciphertext=bytes(20)).encode(),
             20,
         ),
+        **tpm_formats(),
     }
+
+
+def tpm_formats():
+    """The six extended TPM messages, and each standard command the vTPM
+    implements with the vTPM's answer to it."""
+    formats = {
+        "Update_CMD": (wire.encode(wire.UpdateCmd(bytes(4))), 0),
+        "Update_RESP": (wire.encode(wire.UpdateResp(1)), 0),
+        "Deploy_CMD": (wire.encode(wire.DeployCmd(1)), 0),
+        "Deploy_RESP": (wire.encode(wire.DeployResp(bytes(48))), 0),
+        "Invoke_CMD": (wire.encode(wire.InvokeCmd(1, b"input", 0)), len(b"input")),
+        "Invoke_RESP": (wire.encode(wire.InvokeResp(b"out")), len(b"out")),
+    }
+    engine = vtpm.Vtpm(rng=Rng(3))
+    for name, code, args, command_unsized, response_unsized in [
+        ("GetRandom", wire.CC_GET_RANDOM, (16,), 0, 16),
+        ("PCR_Read", wire.CC_PCR_READ, (4,), 0, 0),
+        ("PCR_Extend", wire.CC_PCR_EXTEND, (4, bytes(48)), 0, 0),
+        ("Hash", wire.CC_HASH, (vtpm.ALG_SHA256, b"abc"), len(b"abc"), 32),
+    ]:
+        command = wire.encode(wire.StandardCmd(code, vtpm.STANDARD[code][0].encode(*args)))
+        response = engine.dispatch(command)
+        assert wire.decode_response(response, code).response_code == vtpm.RC_SUCCESS, name
+        formats[f"{name} command"] = (command, command_unsized)
+        formats[f"{name} response"] = (response, response_unsized)
+    return formats
+
+
+def declared_layouts():
+    """Every Layout a trctee module holds, directly or in a dict or tuple."""
+    found, pending = {}, []
+    for module in pkgutil.iter_modules(trctee.__path__, "trctee."):
+        pending.extend(vars(importlib.import_module(module.name)).values())
+    while pending:
+        value = pending.pop()
+        if isinstance(value, Layout):
+            found[id(value)] = value
+        elif isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, (tuple, list)):
+            pending.extend(value)
+    return list(found.values())
+
+
+def decodes(layout, encoding):
+    try:
+        layout.decode(encoding)
+    except layout.error:
+        return False
+    return True
 
 
 class TestReadmeFormats:
@@ -229,3 +285,17 @@ class TestReadmeFormats:
                 assert encoding.startswith(fields[0]), name
             if total:
                 assert len(encoding) == int(total), name
+
+    def test_every_layout_decodes_a_listed_encoding(self):
+        """A format declared without its README entry fails here.  A TPM
+        message's layout is that of its body, after the header."""
+        encodings = []
+        for encoding, _ in encoded_formats().values():
+            encodings.append(encoding)
+            if encoding[:1] == b"\x80":
+                encodings.append(encoding[wire.HEADER_LEN :])
+        layouts = declared_layouts()
+        held = {layout.name for layout in layouts}
+        assert {"update confirmation", "Invoke_CMD", "Hash command"} <= held
+        for layout in layouts:
+            assert any(decodes(layout, e) for e in encodings), f"nothing listed is {layout.name!r}"

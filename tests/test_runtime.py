@@ -789,7 +789,7 @@ class TestTmmSeesCommandBytes:
         user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=params))
         deploy = wire.encode(wire.DeployCmd(ip_num=1))
         response = self._check(user, opened, sealed, records, deploy)
-        assert len(response) == wire.DEPLOY_RESP_LEN
+        assert len(response) == 58
         invoke = wire.encode(wire.InvokeCmd(ip_num=1, input=bytes(16)))
         response = self._check(user, opened, sealed, records, invoke)
         assert wire.decode_response(response, wire.CC_INVOKE).output == params

@@ -352,6 +352,27 @@ class TestDispatch:
         )
         assert resp.response_code == vtpm.RC_VALUE
 
+    def test_bad_bodies_answer_command_size_and_unknown_alg_rc_hash(self, engine):
+        digest = bytes(48)
+        wrong_sizes = [
+            (wire.CC_GET_RANDOM, b"\x10"),
+            (wire.CC_GET_RANDOM, b"\x00\x10\x00"),
+            (wire.CC_PCR_READ, b"\x00\x00\x04"),
+            (wire.CC_PCR_READ, struct.pack(">I", 4) + b"\x00"),
+            (wire.CC_PCR_EXTEND, struct.pack(">I", 4) + digest[1:]),
+            (wire.CC_PCR_EXTEND, struct.pack(">I", 4) + digest + b"\x00"),
+            (wire.CC_HASH, b""),
+            (wire.CC_HASH, b"\x00"),
+        ]
+        before = engine.pcrs.registers()
+        for code, body in wrong_sizes:
+            resp = wire.decode_response(engine.dispatch(_standard(code, body)), code)
+            assert (resp.response_code, resp.body) == (vtpm.RC_COMMAND_SIZE, b""), (code, body)
+        assert engine.pcrs.registers() == before and engine.log == []
+        sha1 = struct.pack(">H", 0x0004) + b"abc"  # TPM_ALG_SHA1, which the engine lacks
+        resp = wire.decode_response(engine.dispatch(_standard(wire.CC_HASH, sha1)), wire.CC_HASH)
+        assert (resp.response_code, resp.body) == (vtpm.RC_HASH, b"")
+
     def test_extended_without_handlers_fail_cleanly(self, engine):
         update = wire.decode_response(
             engine.dispatch(wire.encode(wire.UpdateCmd(bytes(4)))), wire.CC_UPDATE

@@ -61,19 +61,6 @@ class TestFixedEncodings:
             assert struct.unpack(">I", encoded[2:6])[0] == len(encoded)
 
 
-class TestClassify:
-    def test_extended_codes(self):
-        assert wire.classify(0x1F000000) is wire.MessageClass.UPDATE_EXT
-        assert wire.classify(0x2F000000) is wire.MessageClass.DEPLOY_EXT
-        assert wire.classify(0x3F000000) is wire.MessageClass.INVOKE_EXT
-
-    def test_standard_code(self):
-        assert wire.classify(0x0000017B) is wire.MessageClass.STANDARD
-
-    def test_total(self):
-        assert wire.classify(0xDEADBEEF) is wire.MessageClass.STANDARD
-
-
 class TestDecodeErrors:
     def test_nine_bytes_truncated(self):
         with pytest.raises(wire.Truncated):
@@ -114,6 +101,19 @@ class TestDecodeErrors:
 
         with pytest.raises(wire.BodyTooLarge):
             wire.encode(wire.InvokeCmd(ip_num=0, input=Huge(), flag=0))
+
+    def test_body_too_large_for_the_total_length(self):
+        class Huge(bytes):  # fits a 4-byte length field, but not after a header
+            def __len__(self):
+                return wire.MAX_TOTAL_LEN - wire.HEADER_LEN + 1
+
+        for message in [
+            wire.InvokeCmd(ip_num=0, input=Huge(), flag=0),
+            wire.InvokeResp(output=Huge()),
+            wire.StandardCmd(wire.CC_HASH, Huge()),
+        ]:
+            with pytest.raises(wire.BodyTooLarge):
+                wire.encode(message)
 
     def test_field_invariants(self):
         with pytest.raises(ValueError):
