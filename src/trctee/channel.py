@@ -46,19 +46,17 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import messages
 from . import transport as _transport
+from .crypto import KEY_LEN, MAC_LEN, NONCE_LEN
 from .crypto import Rng, constant_time_eq, hkdf_sha384, hmac_sha384, sha384
 from .errors import TrcteeError
 from .layout import REST, Layout, blob, exact, uint
-from .puf import CrpStore, PufDevice
+from .puf import CHALLENGE_LEN, CrpStore, PufDevice
 from .ttp import Certificate
 
-KEY_LEN = 32
-NONCE_LEN = 12
 TAG_LEN = 16
 FRAME_HEAD = struct.Struct(">IQ")  # epoch, counter: the first 12 bytes of a frame
 FRAME_OVERHEAD = FRAME_HEAD.size + NONCE_LEN + TAG_LEN  # 40
 HS_NONCE_LEN = 16
-MAC_LEN = 48
 DEFAULT_REKEY_THRESHOLD = 1024
 
 _SESS_INFO = b"trctee-sess"
@@ -259,7 +257,7 @@ def derive_updated_key(
 # length is read, and then fails to match.
 _VTPM_HELLO = Layout("vTPM hello", StaleNonce, b"\x11", exact(HS_NONCE_LEN), blob(2))
 _DEVICE_HELLO = Layout("device hello", StaleNonce, b"\x12", exact(HS_NONCE_LEN), blob(2, str))
-_CHALLENGE = Layout("challenge", StaleNonce, b"\x13", exact(4), exact(32), exact(64))
+_CHALLENGE = Layout("challenge", StaleNonce, b"\x13", exact(CHALLENGE_LEN), exact(32), exact(64))
 _KEY_SHARE = Layout(
     "key share", StaleNonce, b"\x15", exact(32), exact(KEY_LEN + TAG_LEN), exact(MAC_LEN)
 )

@@ -16,7 +16,9 @@ from cryptography.hazmat.primitives.hashes import SHA384
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 DIGEST_LEN = 48  # SHA-384
-KEY_LEN = 32
+MAC_LEN = DIGEST_LEN  # HMAC-SHA-384
+KEY_LEN = 32  # AES-256, and every key HKDF derives by default
+NONCE_LEN = 12  # AES-GCM
 
 
 def sha384(data: bytes) -> bytes:

@@ -30,7 +30,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import channel, messages, wire
 from . import transport as _transport
-from .crypto import Rng, sha384, sha3_384
+from .crypto import NONCE_LEN, Rng, sha384, sha3_384
 from .errors import TrcteeError
 from .layout import REST, Layout, blob, exact, uint
 from .puf import PufDevice
@@ -47,7 +47,6 @@ BOOT_COMPONENTS = (
     "rootfs",
 )
 
-NONCE_LEN = 12
 TPM_TAG_BYTE = wire.TAG_NO_SESSIONS >> 8  # 0x80, first byte of every TPM tag
 
 

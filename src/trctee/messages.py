@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import re
 
+from .crypto import DIGEST_LEN, MAC_LEN
 from .errors import TrcteeError
 from .layout import REST, Layout, blob, exact, records, uint
+from .puf import CHALLENGE_LEN
+from .vtpm import BOOT_PCR_COUNT
 
 BOOT_REPORT = 0x01
 UPDATE_REQ = 0x02
@@ -25,10 +28,6 @@ UPDATE_CONFIRM_D = 0x03
 UPDATE_CONFIRM_V = 0x04
 STORE_BLOB = 0x05
 STORE_OK = 0x06
-
-DIGEST_LEN = 48
-MAC_LEN = 48
-BOOT_PCR_COUNT = 8  # boot components are measured into PCR 0..7
 
 # Names a stored blob may have: one flat file name, never "." or "..".
 BLOB_NAME = re.compile(r"(?!\.+$)[A-Za-z0-9._-]+")
@@ -41,7 +40,8 @@ class MessageError(TrcteeError):
 _MEASUREMENT = Layout("boot measurement", MessageError, uint(1), blob(2, str), exact(DIGEST_LEN))
 _BOOT_REPORT = Layout("boot report", MessageError, bytes([BOOT_REPORT]), records(2, _MEASUREMENT))
 _UPDATE_REQ = Layout(
-    "update request", MessageError, bytes([UPDATE_REQ]), exact(4), exact(DIGEST_LEN), uint(4)
+    "update request", MessageError, bytes([UPDATE_REQ]),
+    exact(CHALLENGE_LEN), exact(DIGEST_LEN), uint(4),
 )
 _UPDATE_CONFIRM = {
     kind: Layout("update confirmation", MessageError, bytes([kind]), exact(MAC_LEN))
@@ -85,8 +85,6 @@ def decode_update_req(payload: bytes) -> tuple[bytes, bytes, int]:
 
 
 def encode_update_confirm(kind: int, mac: bytes) -> bytes:
-    if kind not in _UPDATE_CONFIRM:
-        raise MessageError("not an update confirmation type")
     return _UPDATE_CONFIRM[kind].encode(mac)
 
 

@@ -28,10 +28,7 @@ from .crypto import Rng, sha384, sha3_384
 from .errors import TrcteeError
 from .puf import CrpExhausted, CrpStore
 from .ttp import VtpmBundle
-
-DEPLOY_PCR = 8
-INPUT_PCR = 9
-OUTPUT_PCR = 10
+from .vtpm import DEPLOY_PCR, INPUT_PCR, OUTPUT_PCR
 
 
 class OrchestrationError(TrcteeError):
@@ -215,8 +212,9 @@ class UserNode:
     def connect(self, transport) -> None:
         """Run the handshake over ``transport`` and absorb the boot report.
 
-        A handshake message the vTPM rejects is traced, and named to the
-        device in an abort record, before the error is raised."""
+        A failure is the user's traced error (:meth:`_fail`).  A handshake
+        message the vTPM rejects is also named to the device in an abort
+        record before the error is raised; a stalled handshake is not."""
         handshake = channel.VtpmHandshake(
             sk_tpm=self.bundle.sk_tpm,
             cert=self.bundle.cert,
@@ -225,20 +223,21 @@ class UserNode:
             rng=self.rng.child("handshake"),
             rekey_threshold=self.rekey_threshold,
         )
-        transport.send_record(handshake.start())
-        while handshake.session is None:
-            try:
-                record = transport.recv_record(self.recv_timeout)
-            except _transport.ReceiveTimeout:
-                raise channel.Timeout("handshake stalled") from None
-            try:
+        try:
+            transport.send_record(handshake.start())
+            while handshake.session is None:
+                try:
+                    record = transport.recv_record(self.recv_timeout)
+                except _transport.ReceiveTimeout:
+                    raise channel.Timeout("handshake stalled") from None
                 reply = handshake.on_message(record)
-            except channel.ChannelError as exc:
-                self.trace.emit("user", "error", exc)
+                if reply is not None:
+                    transport.send_record(reply)
+        except TrcteeError as exc:
+            self._fail(exc)
+            if isinstance(exc, channel.ChannelError) and not isinstance(exc, channel.Timeout):
                 channel.send_abort(transport, exc)
-                raise
-            if reply is not None:
-                transport.send_record(reply)
+            raise
         self.endpoint = channel.ChannelEndpoint(
             handshake.session, transport, recv_timeout=self.recv_timeout
         )
@@ -247,8 +246,11 @@ class UserNode:
         self._absorb_boot_report()
 
     def _absorb_boot_report(self) -> None:
-        payload = self.endpoint.recv()
-        measurements = messages.decode_boot_report(payload)
+        try:
+            measurements = messages.decode_boot_report(self.endpoint.recv())
+        except TrcteeError as exc:
+            self._fail(exc)
+            raise
         for index, name, digest in measurements:
             self.vtpm.pcr_extend(index, digest, vtpm.EventKind.BOOT_COMPONENT, name)
 
@@ -270,11 +272,11 @@ class UserNode:
         name = device.blob_name(ip_num)
         try:
             reply = endpoint.request(messages.encode_store_blob(name, encrypted.encode()))
-        except _transport.TransportError as exc:
-            self._session_lost(exc)
+            if messages.kind_of(reply) != messages.STORE_OK:
+                raise OrchestrationError("bitstream upload was not acknowledged")
+        except TrcteeError as exc:
+            self._fail(exc)
             raise
-        if messages.kind_of(reply) != messages.STORE_OK:
-            raise OrchestrationError("bitstream upload was not acknowledged")
         self._maybe_rekey()
         return DeployTicket(
             ip_num=ip_num, local_plaintext_hash=sha3_384(plaintext), blob_name=name
@@ -307,27 +309,20 @@ class UserNode:
 
         The decoded response is left for :meth:`_forward`, so that each
         payload is decoded once on this hop."""
-        try:
-            endpoint = self._require_session()
-        except NoSession as exc:
-            self.trace.emit("user", "error", exc)
-            return wire.encode(wire.failure_response(command))
         ip_num = command.ip_num
         invoke = isinstance(command, wire.InvokeCmd)
-        if invoke:
-            input_digest = sha384(command.input)
-            self.vtpm.pcr_extend(
-                INPUT_PCR, input_digest, vtpm.EventKind.IP_INPUT, f"invoke-ip{ip_num}-input"
-            )
-            self.history.inputs.append(input_digest)
         try:
+            endpoint = self._require_session()
+            if invoke:
+                input_digest = sha384(command.input)
+                self.vtpm.pcr_extend(
+                    INPUT_PCR, input_digest, vtpm.EventKind.IP_INPUT, f"invoke-ip{ip_num}-input"
+                )
+                self.history.inputs.append(input_digest)
             reply = endpoint.request(raw)
             response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
-        except _transport.TransportError as exc:
-            self._session_lost(exc)
-            return wire.encode(wire.failure_response(command))
-        except (channel.ChannelError, wire.WireError) as exc:
-            self.trace.emit("user", "error", exc)
+        except TrcteeError as exc:
+            self._fail(exc)
             return wire.encode(wire.failure_response(command))
         self._forwarded = response
         if response.response_code != 0:
@@ -399,18 +394,11 @@ class UserNode:
         try:
             endpoint = self._require_session()
             record = self.crp_store.take(challenge)
-        except (NoSession, CrpExhausted) as exc:
-            self.trace.emit("user", "error", exc)
-            return 1
-        try:
             channel.initiate_update(
                 endpoint, record.challenge, record.response, self.vtpm.pcrs.state_hash()
             )
-        except _transport.TransportError as exc:
-            self._session_lost(exc)
-            return 1
-        except channel.ChannelError as exc:
-            self.trace.emit("user", "error", exc)
+        except TrcteeError as exc:
+            self._fail(exc)
             return 1
         self.updates_done += 1
         return 0
@@ -429,24 +417,21 @@ class UserNode:
             )
 
     def _maybe_rekey(self) -> None:
+        """Run the key update that the frame just sent made due, as an
+        Update_CMD; a failed update raises the error it traced."""
         if self.endpoint is not None and channel.counter_tick(self.endpoint.session):
-            record = self.crp_store.take_unused()
-            try:
-                channel.initiate_update(
-                    self.endpoint, record.challenge, record.response, self.vtpm.pcrs.state_hash()
-                )
-            except _transport.TransportError as exc:
-                self._session_lost(exc)
-                raise
-            self.updates_done += 1
+            mark = len(self.trace.events)
+            if self.update_key():
+                raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
 
-    def _session_lost(self, exc: _transport.TransportError) -> None:
-        """Trace a failed send or receive as a user error.  The connection is
-        gone, and the session with it: no key update may follow on it, and
-        later calls raise :class:`NoSession`."""
+    def _fail(self, exc: TrcteeError) -> None:
+        """Trace a failed exchange with the device as the user's error.  A
+        transport error also ends the session: the connection is gone, so no
+        key update may follow on it, and later calls raise :class:`NoSession`."""
         self.trace.emit("user", "error", exc)
-        self.close()
-        self.endpoint = None
+        if isinstance(exc, _transport.TransportError):
+            self.close()
+            self.endpoint = None
 
     # -- verification ----------------------------------------------------------
 

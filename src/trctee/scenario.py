@@ -14,11 +14,12 @@ Format (version header, then one step per line, ``#`` comments):
     verify expect=clean
 
 Steps accept ``adversary=<action>`` (tamper-frame, replay-frame,
-drop-frame, tamper-component, reuse-crp, swap-vtpm-cert, tamper-bitstream,
-agent-deploy) and ``expect=<outcome>``; a step expecting a failure counts
-as met when exactly that typed failure occurs.  Attacks are mounted by
-wrapping transports or mutating at-rest state, never by changing the
-honest endpoints.  After a frame-level attack the channel is
+drop-frame, tamper-component, reuse-crp, swap-vtpm-cert, tamper-bitstream)
+and ``expect=<outcome>``; a step expecting a failure counts as met when
+exactly that typed failure occurs.  The ``agent-deploy`` step is itself an
+attack: the REE-resident agent forges a deployment request.  Attacks are
+mounted by wrapping transports or mutating at-rest state, never by
+changing the honest endpoints.  After a frame-level attack the channel is
 desynchronized, so only ``verify`` may follow.
 
 Step ordering is validated up front: provisioning needs both enrollments,

@@ -10,7 +10,7 @@ import os
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
-from . import vtpm
+from .crypto import DIGEST_LEN
 from .errors import TrcteeError
 
 
@@ -120,5 +120,5 @@ def decode_manifest(text: str) -> list[tuple[str, bytes]]:
         name, sep, digest = entry.partition("=")
         if not sep or name != expected:
             raise ValueError(f"manifest entry {entry[:32]!r} is not {expected}=<digest>")
-        manifest.append((name, hex_bytes(digest, vtpm.DIGEST_LEN)))
+        manifest.append((name, hex_bytes(digest, DIGEST_LEN)))
     return manifest

@@ -4,6 +4,13 @@ The user node and the device emit into a shared trace; the scenario runner
 attributes a failed step to the first error traced during it.  This is
 telemetry for operators, separate from the vTPM's TCG event log, which is
 the verifier's evidence.
+
+Emits and reads share one ``threading.Condition`` because the reader may
+have to wait for another thread.  Over TCP the device serves on its own
+thread, and the scenario runner's ``agent-deploy`` step waits up to 1 s in
+``first(timeout=)`` for it to trace its rejection of a forged frame: the
+device never answers that frame, so no reply can say when to look.  In
+process the device runs on the caller's thread and the wait returns at once.
 """
 
 from __future__ import annotations

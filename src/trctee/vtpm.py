@@ -25,12 +25,17 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 from . import wire
-from .crypto import Rng, sha384
+from .crypto import DIGEST_LEN, Rng, sha384
 from .errors import TrcteeError
 from .layout import REST, Layout, blob, exact, uint
 
 PCR_COUNT = 24
-DIGEST_LEN = 48
+# The runtime's PCR plan: boot components, one per register, then one
+# register each for deployments, invocation inputs and invocation outputs.
+BOOT_PCR_COUNT = 8
+DEPLOY_PCR = 8
+INPUT_PCR = 9
+OUTPUT_PCR = 10
 MAX_RANDOM = 64
 
 # Response codes (values follow the TPM 2.0 constants of the same name).
@@ -78,10 +83,10 @@ class EventKind(Enum):
 
 # The registers each kind of event may extend (the runtime's PCR table).
 KIND_PCRS = {
-    EventKind.BOOT_COMPONENT: range(0, 8),
-    EventKind.IP_DEPLOY: range(8, 9),
-    EventKind.IP_INPUT: range(9, 10),
-    EventKind.IP_OUTPUT: range(10, 11),
+    EventKind.BOOT_COMPONENT: range(BOOT_PCR_COUNT),
+    EventKind.IP_DEPLOY: range(DEPLOY_PCR, DEPLOY_PCR + 1),
+    EventKind.IP_INPUT: range(INPUT_PCR, INPUT_PCR + 1),
+    EventKind.IP_OUTPUT: range(OUTPUT_PCR, OUTPUT_PCR + 1),
     EventKind.OTHER: range(PCR_COUNT),
 }
 

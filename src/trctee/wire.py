@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .errors import TrcteeError
 from .layout import Layout, blob, exact, uint
+from .puf import CHALLENGE_LEN
 
 HEADER = struct.Struct(">HII")
 HEADER_LEN = HEADER.size  # 10
@@ -51,7 +52,6 @@ CC_HASH = 0x0000017D
 CC_PCR_READ = 0x0000017E
 CC_PCR_EXTEND = 0x00000182
 
-CHALLENGE_LEN = 4
 BIN_HASH_LEN = 48
 
 

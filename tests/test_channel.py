@@ -5,7 +5,7 @@ import pytest
 
 from oracles import reference_hkdf
 from trctee import channel, device, puf, transport, ttp, vtpm
-from trctee.crypto import Rng
+from trctee.crypto import Rng, hmac_sha384
 
 
 def make_session(threshold=1024, key=None, peer=channel.Role.TMM):
@@ -73,6 +73,12 @@ class TestFraming:
         with pytest.raises(channel.WrongEpoch):
             channel.open_frame(receiver, old)
 
+    def test_frame_shorter_than_its_fixed_fields(self):
+        _, receiver = session_pair()
+        with pytest.raises(channel.AuthFailure, match="shorter than its fixed fields"):
+            channel.open_frame(receiver, bytes(channel.FRAME_OVERHEAD - 1))
+        assert receiver.recv_counter == 0
+
     def test_direction_bound_nonces(self):
         # A frame reflected back to its sender must not open.
         sender, receiver = session_pair()
@@ -100,6 +106,10 @@ class TestCounters:
     def test_threshold_zero_rejected(self):
         with pytest.raises(ValueError):
             make_session(threshold=0)
+
+    def test_session_key_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match="session key must be 32 bytes"):
+            make_session(key=bytes(16))
 
     def test_counting_restarts_after_epoch_switch(self):
         sender, _ = session_pair(threshold=4)
@@ -267,6 +277,38 @@ class TestMalformedHandshake:
         # HS2: type 0x12, a 16-byte nonce, then a 2-byte id that is not UTF-8.
         with pytest.raises(channel.StaleNonce):
             started_initiator().on_message(b"\x12" + bytes(16) + b"\x00\x02\xff\xfe")
+
+    def test_second_start_is_stale(self):
+        with pytest.raises(channel.StaleNonce, match="handshake already started"):
+            started_initiator().start()
+
+    def test_unparseable_certificate_is_a_bad_cert(self):
+        service, _, device_puf, _, rng = handshake_fixtures()
+        responder = channel.DeviceHandshake(
+            pk_ttp=service.pk_ttp, device_id="dev1", puf=device_puf, rng=rng
+        )
+        hello = channel._VTPM_HELLO.encode(bytes(channel.HS_NONCE_LEN), b"\x01short")
+        with pytest.raises(channel.BadCert, match="unparseable certificate"):
+            responder.on_message(hello)
+
+    def test_key_share_that_fails_to_unwrap_is_an_auth_failure(self):
+        # A device holding the right PUF, whose MAC covers a spoiled key share:
+        # the MAC passes, then unwrapping the share fails.
+        service, bundle, device_puf, crps, rng = handshake_fixtures()
+        initiator = channel.VtpmHandshake(
+            sk_tpm=bundle.sk_tpm, cert=bundle.cert, device_id="dev1", crp_store=crps, rng=rng
+        )
+        responder = channel.DeviceHandshake(
+            pk_ttp=service.pk_ttp, device_id="dev1", puf=device_puf, rng=rng.child("dev")
+        )
+        hs3 = initiator.on_message(responder.on_message(initiator.start()))
+        eph_d, wrapped, _ = channel._KEY_SHARE.decode(responder.on_message(hs3))
+        spoiled = wrapped[:-1] + bytes([wrapped[-1] ^ 1])
+        response = device_puf.respond(channel._CHALLENGE.decode(hs3)[0])
+        unsigned = channel._KEY_SHARE.encode(eph_d, spoiled)
+        mac = hmac_sha384(response, initiator._transcript.fork(unsigned))
+        with pytest.raises(channel.AuthFailure, match="key share failed to unwrap"):
+            initiator.on_message(channel._KEY_SHARE.encode(eph_d, spoiled, mac))
 
 
 class TestAbortRecord:

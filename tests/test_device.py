@@ -204,6 +204,12 @@ def make_tmm_with_session():
 
 
 class TestTmmDeploy:
+    def test_deploy_before_any_session_has_no_key(self):
+        tmm = device.Tmm(device.FileStore())
+        with pytest.raises(device.DeviceError, match="no session; deployment key unavailable"):
+            tmm.deploy(1)
+        assert tmm.config_memory.snapshot() == {}
+
     def test_deploy_returns_sha3_of_plaintext(self):
         tmm, deploy_key, rng = make_tmm_with_session()
         image = device.IpImage(kernel_id="xor", params=bytes(16))
@@ -367,8 +373,9 @@ class TestSessionSurvivesBadPayloads:
             messages.encode_store_blob("../x", b"blob"),
             wire.encode(wire.UpdateCmd(challenge=bytes(4))),
             b"\x80\x01",
+            b"",
         ],
-        ids=["non-utf8-name", "traversal-name", "tpm-update-cmd", "truncated-tpm"],
+        ids=["non-utf8-name", "traversal-name", "tpm-update-cmd", "truncated-tpm", "empty"],
     )
     def test_invoke_after_rejected_payload(self, connected, payload):
         user, dev = connected.user, connected.device
@@ -507,6 +514,20 @@ class TestDeviceCore:
         assert messages.kind_of(channel.open_frame(session, reply)) == messages.STORE_OK
         pair.send_record(seal(session, confirm_v))  # a late V confirms nothing
         assert isinstance(dev.trace.first_error(), messages.MessageError)
+        assert dev.session.epoch == 0
+
+    def test_update_to_a_skipped_epoch_is_refused_unanswered(self, world):
+        session, pair, _ = core_handshake(world)
+        dev = world.device
+        crp = world.user.crp_store.take_unused()
+        pair.send_record(seal(session, messages.encode_update_req(crp.challenge, bytes(48), 2)))
+        assert drain(pair) == []
+        error = dev.trace.first_error()
+        assert isinstance(error, channel.ConfirmFailure)
+        assert str(error) == "update proposes epoch 2, expected 1"
+        pair.send_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")))
+        (reply,) = drain(pair)  # nothing pending: answered in epoch 0
+        assert messages.kind_of(channel.open_frame(session, reply)) == messages.STORE_OK
         assert dev.session.epoch == 0
 
     def test_next_epoch_record_after_a_lost_confirm_v_promotes_the_key(self, world):

@@ -298,6 +298,82 @@ class CloseOnNth(DropNth):
         self._device.agent.close()
 
 
+class TamperNthReply:
+    """User-side wrapper on a direct pair: the n-th record received arrives
+    with its last byte flipped."""
+
+    def __init__(self, inner, n):
+        self._inner, self._left = inner, n
+
+    def send_record(self, record):
+        self._inner.send_record(record)
+
+    def recv_record(self, timeout=None):
+        record = self._inner.recv_record(timeout)
+        self._left -= 1
+        if self._left == 0:
+            record = bytearray(record)
+            record[-1] ^= 0x01
+        return record
+
+    def close(self):
+        self._inner.close()
+
+
+def spoil_next_crp(user):
+    """Give the user's next unused CRP a response the device's PUF never gives."""
+    record = next(r for r in user.crp_store.records() if not r.used)
+    record.response = bytes(len(record.response))
+
+
+class TestFailedExchangesAreTraced:
+    """Each failed exchange with the device is raised as the user's first
+    traced error."""
+
+    def test_lost_vtpm_hello_is_a_traced_stall(self, world):
+        world.device.boot()
+        with pytest.raises(channel.Timeout, match="handshake stalled") as caught:
+            world.user.connect(DropNth(device.DirectPair(world.device), 1))
+        assert world.user.trace.first_error() is caught.value
+        assert world.device.trace.events == []  # no abort record follows a stall
+
+    def test_tampered_upload_reply_is_a_traced_auth_failure(self, world):
+        # The user receives HS2, HS5, HS9, the boot report, then the upload's reply.
+        world.device.boot()
+        world.user.connect(TamperNthReply(device.DirectPair(world.device), 5))
+        with pytest.raises(channel.AuthFailure) as caught:
+            world.user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        assert world.user.trace.first_error() is caught.value
+        assert world.user.endpoint is not None  # not a transport error: the session stays
+
+    def test_upload_answered_with_another_kind_is_a_traced_orchestration_error(
+        self, connected, monkeypatch
+    ):
+        monkeypatch.setattr(
+            messages, "encode_store_ok", lambda: bytes([messages.UPDATE_CONFIRM_D])
+        )
+        with pytest.raises(runtime.OrchestrationError, match="not acknowledged") as caught:
+            connected.user.prepare_deploy(
+                1, device.IpImage(kernel_id="xor", params=bytes(16))
+            )
+        assert connected.user.trace.first_error() is caught.value
+
+    def test_failed_automatic_key_update_raises_its_traced_confirm_failure(self):
+        world = build_world(rekey_threshold=2)
+        connect_world(world)
+        user = world.user
+        spoil_next_crp(user)
+        ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        with pytest.raises(
+            channel.ConfirmFailure, match="device confirmation of the updated key failed"
+        ) as caught:
+            user.user_deploy(ticket)  # the 2nd frame: the update falls due after it
+        assert user.trace.first_error() is caught.value
+        assert user.updates_done == 0
+        assert user.endpoint.session.epoch == world.device.session.epoch == 0
+        user.close()
+
+
 class TestDeviceClosesMidRequest:
     """A device that closes mid-request is a traced user error and an rc-1
     answer, not a bare TransportClosed out of ``vtpm.dispatch``."""
@@ -394,6 +470,22 @@ class TestKeyUpdateFlow:
         epoch = user.endpoint.session.epoch
         assert user.update_key(used.challenge) == 1
         assert user.endpoint.session.epoch == epoch
+
+    def test_update_the_device_cannot_confirm_keeps_both_epochs(self, connected):
+        # The vTPM derives its key from a wrong response, so UPDATE_CONFIRM_D
+        # does not verify; the vTPM sends no V and the device abandons the update.
+        user, dev = connected.user, connected.device
+        deploy_xor(user)
+        spoil_next_crp(user)
+        assert user.update_key() == 1
+        error = user.trace.first_error()
+        assert isinstance(error, channel.ConfirmFailure)
+        assert str(error) == "device confirmation of the updated key failed"
+        assert user.endpoint.session.epoch == dev.session.epoch == 0
+        assert user.updates_done == 0
+        output, record = user.user_invoke(1, bytes(16))
+        assert record.verdict == "Verified"
+        assert user.endpoint.session.epoch == dev.session.epoch == 0
 
     def test_channel_still_works_after_update(self, connected):
         user = connected.user

@@ -125,6 +125,36 @@ class TestDecodeErrors:
         with pytest.raises(ValueError):
             wire.DeployResp(bin_hash=bytes(47))
 
+    @pytest.mark.parametrize(
+        "message, fields, reason",
+        [
+            (wire.DeployResp, dict(bin_hash=bytes(48), response_code=1 << 32), "response code"),
+            (wire.InvokeCmd, dict(ip_num=1 << 16, input=b""), "ip_num"),
+            (wire.InvokeCmd, dict(ip_num=0, input=b"", flag=-1), "flag"),
+            (wire.InvokeResp, dict(output=b"", response_code=-1), "response code"),
+            (wire.StandardCmd, dict(command_code=1 << 32), "command code"),
+            (wire.StandardCmd, dict(command_code=wire.CC_HASH, tag=0x8003), "bad command tag"),
+            (wire.StandardResp, dict(response_code=1 << 32), "response code"),
+        ],
+        ids=[
+            "deploy-resp-code", "invoke-ip-num", "invoke-flag", "invoke-resp-code",
+            "standard-code", "standard-tag", "standard-resp-code",
+        ],
+    )
+    def test_out_of_range_fields_are_refused(self, message, fields, reason):
+        with pytest.raises(ValueError, match=reason):
+            message(**fields)
+
+    def test_encode_refuses_what_is_not_a_tpm_message(self):
+        with pytest.raises(TypeError, match="not a TPM message: bytes"):
+            wire.encode(b"\x80\x01")
+
+    def test_response_to_an_unknown_code_is_reported(self):
+        data = wire.encode(wire.StandardResp(response_code=0))
+        with pytest.raises(wire.UnknownCode) as excinfo:
+            wire.decode_response(data, 0xDEADBEEF)
+        assert excinfo.value.code == 0xDEADBEEF
+
 
 def random_command(rng: random.Random):
     kind = rng.randrange(4)
