@@ -312,26 +312,86 @@ class _Transcript:
         return sha384(b"".join(self._parts) + struct.pack(">I", len(data)) + data)
 
 
-def _derive_session_keys(
-    response: bytes, k_d: bytes, nonce_v: bytes, nonce_d: bytes
-) -> tuple[bytes, bytes]:
-    ikm = response + k_d + nonce_v + nonce_d
-    sess = hkdf_sha384(ikm, salt=b"trctee-handshake", info=_SESS_INFO, length=KEY_LEN)
-    confirm = hkdf_sha384(ikm, salt=b"trctee-handshake", info=_CONFIRM_INFO, length=KEY_LEN)
-    return sess, confirm
-
-
 def _wrap_key(shared: bytes) -> bytes:
     return hkdf_sha384(shared, info=_WRAP_INFO, length=KEY_LEN)
 
 
-class VtpmHandshake:
+# What each role's confirmation MAC (steps 8 and 9) binds before the transcript.
+_CONFIRM_LABELS = {Role.VTPM: b"vtpm-confirm", Role.TMM: b"device-confirm"}
+
+
+class _Handshake:
+    """What both roles share: ``on_message``'s abort check and its dispatch
+    to the handler of the message the state awaits; absorbing a sent message
+    and advancing (:meth:`_send`); the PUF-keyed key-share MAC of steps 5-6;
+    the session-key derivation of step 7; the confirmation MACs of steps 8-9.
+
+    Each role binds ``on_message`` in its own class body, where
+    ``perfbench/tracer.py`` wraps it."""
+
+    _peer: str  # how an abort or a failed confirmation names the other end
+    _peer_role: Role
+
+    def __init__(self, rng: Rng, state: str, rekey_threshold: int = DEFAULT_REKEY_THRESHOLD):
+        self._rng = rng
+        self._threshold = rekey_threshold
+        self._transcript = _Transcript()
+        self._state = state  # the message awaited, e.g. "hs2"; then "done"
+        self._nonce_v = b""
+        self._nonce_d = b""
+        self._confirm_key = b""
+        self._sess_key = b""
+        self.session: SessionState | None = None
+
+    def on_message(self, data: bytes | bytearray) -> bytes | None:
+        if data[:1] == _ABORT_TYPE:
+            raise _peer_aborted(data, self._peer)
+        handle = getattr(self, f"_handle_{self._state}", None)
+        if handle is None:
+            raise StaleNonce(f"no handshake message expected in state {self._state}")
+        return handle(data)
+
+    def _send(self, msg: bytes, state: str) -> bytes:
+        """``msg``, the message this role sends, absorbed; then await ``state``."""
+        self._transcript.absorb(msg)
+        self._state = state
+        return msg
+
+    def _key_share_mac(self, response: bytes, eph_pub: bytes, wrapped: bytes) -> bytes:
+        return hmac_sha384(response, self._transcript.fork(_KEY_SHARE.encode(eph_pub, wrapped)))
+
+    def _derive(self, response: bytes, k_d: bytes) -> None:
+        ikm = response + k_d + self._nonce_v + self._nonce_d
+        self._sess_key, self._confirm_key = (
+            hkdf_sha384(ikm, salt=b"trctee-handshake", info=info, length=KEY_LEN)
+            for info in (_SESS_INFO, _CONFIRM_INFO)
+        )
+
+    def _confirm_mac(self, role: Role) -> bytes:
+        """The confirmation MAC ``role`` sends over the transcript so far."""
+        return hmac_sha384(self._confirm_key, _CONFIRM_LABELS[role] + self._transcript.digest())
+
+    def _check_confirm(self, mac: bytes) -> None:
+        if not constant_time_eq(mac, self._confirm_mac(self._peer_role)):
+            raise ConfirmFailure(f"{self._peer} key confirmation failed")
+
+    def _establish(self) -> None:
+        self.session = SessionState(
+            sess_key=self._sess_key, peer_role=self._peer_role, rekey_threshold=self._threshold
+        )
+        self._state = "done"
+
+
+class VtpmHandshake(_Handshake):
     """Initiator side.  Call start(), then feed every reply to on_message().
 
     Inputs: the vTPM identity (signing seed and certificate), the
     provisioned device id and the user-held CRP slice.  One CRP is consumed
     per handshake.
     """
+
+    _peer = "device"
+    _peer_role = Role.TMM
 
     def __init__(
         self,
@@ -343,38 +403,21 @@ class VtpmHandshake:
         rng: Rng,
         rekey_threshold: int = DEFAULT_REKEY_THRESHOLD,
     ):
+        super().__init__(rng, "start", rekey_threshold)
         self._sk = Ed25519PrivateKey.from_private_bytes(sk_tpm)
         self._cert = cert
         self._device_id = device_id
         self._crps = crp_store
-        self._rng = rng
-        self._threshold = rekey_threshold
-        self._transcript = _Transcript()
-        self._state = "start"  # then the message awaited: "hs2", "hs5", "hs9"; "done"
-        self._nonce_v = b""
-        self._nonce_d = b""
         self._crp = None
         self._eph: X25519PrivateKey | None = None
-        self._confirm_key = b""
-        self._pending_key = b""
-        self.session: SessionState | None = None
 
     def start(self) -> bytes:
         if self._state != "start":
             raise StaleNonce("handshake already started")
         self._nonce_v = self._rng.bytes(HS_NONCE_LEN)
-        msg = _VTPM_HELLO.encode(self._nonce_v, self._cert.encode())
-        self._transcript.absorb(msg)
-        self._state = "hs2"
-        return msg
+        return self._send(_VTPM_HELLO.encode(self._nonce_v, self._cert.encode()), "hs2")
 
-    def on_message(self, data: bytes | bytearray) -> bytes | None:
-        if data[:1] == _ABORT_TYPE:
-            raise _peer_aborted(data, "device")
-        handle = getattr(self, f"_handle_{self._state}", None)  # the message the state awaits
-        if handle is None:
-            raise StaleNonce(f"no handshake message expected in state {self._state}")
-        return handle(data)
+    on_message = _Handshake.on_message
 
     def _handle_hs2(self, data: bytes) -> bytes:
         self._nonce_d, device_id = _DEVICE_HELLO.decode(data)
@@ -390,18 +433,12 @@ class VtpmHandshake:
         eph_pub = self._eph.public_key().public_bytes_raw()
         head = _CHALLENGE.encode(self._crp.challenge, eph_pub)
         sig = self._sk.sign(self._transcript.digest() + head)
-        msg = _CHALLENGE.encode(self._crp.challenge, eph_pub, sig)
-        self._transcript.absorb(msg)
-        self._state = "hs5"
-        return msg
+        return self._send(_CHALLENGE.encode(self._crp.challenge, eph_pub, sig), "hs5")
 
     def _handle_hs5(self, data: bytes) -> bytes:
         eph_d, wrapped, mac = _KEY_SHARE.decode(data)
         # Step 6: the MAC keyed by the PUF response authenticates the device.
-        expected = hmac_sha384(
-            self._crp.response, self._transcript.fork(_KEY_SHARE.encode(eph_d, wrapped))
-        )
-        if not constant_time_eq(mac, expected):
+        if not constant_time_eq(mac, self._key_share_mac(self._crp.response, eph_d, wrapped)):
             raise PufMismatch("device PUF response does not match the enrolled CRP")
         shared = self._eph.exchange(X25519PublicKey.from_public_bytes(eph_d))
         try:
@@ -410,61 +447,29 @@ class VtpmHandshake:
             raise AuthFailure("key share failed to unwrap") from None
         self._transcript.absorb(data)
         # Step 7: derive; step 8: prove key possession.
-        sess_key, self._confirm_key = _derive_session_keys(
-            self._crp.response, k_d, self._nonce_v, self._nonce_d
-        )
-        self._pending_key = sess_key
-        mac_v = hmac_sha384(self._confirm_key, b"vtpm-confirm" + self._transcript.digest())
-        msg = _VTPM_CONFIRM.encode(mac_v)
-        self._transcript.absorb(msg)
-        self._state = "hs9"
-        return msg
+        self._derive(self._crp.response, k_d)
+        return self._send(_VTPM_CONFIRM.encode(self._confirm_mac(Role.VTPM)), "hs9")
 
     def _handle_hs9(self, data: bytes) -> None:
         (mac_d,) = _DEVICE_CONFIRM.decode(data)
-        expected = hmac_sha384(self._confirm_key, b"device-confirm" + self._transcript.digest())
-        if not constant_time_eq(mac_d, expected):
-            raise ConfirmFailure("device key confirmation failed")
-        self.session = SessionState(
-            sess_key=self._pending_key,
-            peer_role=Role.TMM,
-            rekey_threshold=self._threshold,
-        )
-        self._state = "done"
-        return None
+        self._check_confirm(mac_d)
+        self._establish()
 
 
-class DeviceHandshake:
+class DeviceHandshake(_Handshake):
     """Responder side, driven entirely by on_message()."""
 
-    def __init__(
-        self,
-        *,
-        pk_ttp: bytes,
-        device_id: str,
-        puf: PufDevice,
-        rng: Rng,
-    ):
+    _peer = "vTPM"
+    _peer_role = Role.VTPM
+
+    def __init__(self, *, pk_ttp: bytes, device_id: str, puf: PufDevice, rng: Rng):
+        super().__init__(rng, "hs1")
         self._pk_ttp = pk_ttp
         self._device_id = device_id
         self._puf = puf
-        self._rng = rng
-        self._transcript = _Transcript()
-        self._state = "hs1"  # the message awaited: "hs1", "hs3", "hs8"; then "done"
-        self._nonce_v = b""
-        self._nonce_d = b""
         self._pk_tpm = b""
-        self._confirm_key = b""
-        self._pending_key = b""
-        self.session: SessionState | None = None
 
-    def on_message(self, data: bytes | bytearray) -> bytes | None:
-        if data[:1] == _ABORT_TYPE:
-            raise _peer_aborted(data, "vTPM")
-        handle = getattr(self, f"_handle_{self._state}", None)  # the message the state awaits
-        if handle is None:
-            raise StaleNonce(f"no handshake message expected in state {self._state}")
-        return handle(data)
+    on_message = _Handshake.on_message
 
     def _handle_hs1(self, data: bytes) -> bytes:
         self._nonce_v, cert_bytes = _VTPM_HELLO.decode(data)
@@ -478,10 +483,7 @@ class DeviceHandshake:
         self._pk_tpm = cert.pk_tpm
         self._transcript.absorb(data)
         self._nonce_d = self._rng.bytes(HS_NONCE_LEN)
-        msg = _DEVICE_HELLO.encode(self._nonce_d, self._device_id)
-        self._transcript.absorb(msg)
-        self._state = "hs3"
-        return msg
+        return self._send(_DEVICE_HELLO.encode(self._nonce_d, self._device_id), "hs3")
 
     def _handle_hs3(self, data: bytes) -> bytes:
         challenge, eph_v, sig = _CHALLENGE.decode(data)
@@ -501,26 +503,18 @@ class DeviceHandshake:
         shared = eph.exchange(X25519PublicKey.from_public_bytes(eph_v))
         wrapped = AESGCM(_wrap_key(shared)).encrypt(bytes(NONCE_LEN), k_d, b"")
         eph_pub = eph.public_key().public_bytes_raw()
-        mac = hmac_sha384(response, self._transcript.fork(_KEY_SHARE.encode(eph_pub, wrapped)))
-        msg = _KEY_SHARE.encode(eph_pub, wrapped, mac)
-        self._transcript.absorb(msg)
-        sess_key, self._confirm_key = _derive_session_keys(
-            response, k_d, self._nonce_v, self._nonce_d
-        )
-        self._pending_key = sess_key
-        self._state = "hs8"
+        mac = self._key_share_mac(response, eph_pub, wrapped)
+        msg = self._send(_KEY_SHARE.encode(eph_pub, wrapped, mac), "hs8")
+        self._derive(response, k_d)
         return msg
 
     def _handle_hs8(self, data: bytes) -> bytes:
         (mac_v,) = _VTPM_CONFIRM.decode(data)
-        expected = hmac_sha384(self._confirm_key, b"vtpm-confirm" + self._transcript.digest())
-        if not constant_time_eq(mac_v, expected):
-            raise ConfirmFailure("vTPM key confirmation failed")
+        self._check_confirm(mac_v)
         self._transcript.absorb(data)
-        mac_d = hmac_sha384(self._confirm_key, b"device-confirm" + self._transcript.digest())
-        self.session = SessionState(sess_key=self._pending_key, peer_role=Role.VTPM)
-        self._state = "done"
-        return _DEVICE_CONFIRM.encode(mac_d)
+        msg = _DEVICE_CONFIRM.encode(self._confirm_mac(Role.TMM))
+        self._establish()
+        return msg
 
 
 class ChannelEndpoint:

@@ -18,8 +18,9 @@ built from the golden manifest and the recorded deploy/invoke history.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import channel, device, messages, statefile, vtpm, wire
 from .trace import Trace
@@ -264,20 +265,15 @@ class UserNode:
     def prepare_deploy(self, ip_num: int, image: device.IpImage) -> DeployTicket:
         """Encrypt a bitstream, upload it, and keep the local reference hash."""
         endpoint = self._require_session()
-        self._check_rekey_budget()
         plaintext = image.encode()
         encrypted = device.encrypt_bitstream(
             image, ip_num, self.deploy_key, self.rng.child(f"bitstream-{ip_num}")
         )
         name = device.blob_name(ip_num)
-        try:
+        with self._exchange():
             reply = endpoint.request(messages.encode_store_blob(name, encrypted.encode()))
             if messages.kind_of(reply) != messages.STORE_OK:
                 raise OrchestrationError("bitstream upload was not acknowledged")
-        except TrcteeError as exc:
-            self._fail(exc)
-            raise
-        self._maybe_rekey()
         return DeployTicket(
             ip_num=ip_num, local_plaintext_hash=sha3_384(plaintext), blob_name=name
         )
@@ -292,15 +288,15 @@ class UserNode:
             and response.bin_hash == ticket.local_plaintext_hash
             else "Mismatch"
         )
-        self._maybe_rekey()
         return response, verdict
 
     def _forward(self, command: bytes) -> wire.DeployResp | wire.InvokeResp | None:
         """Dispatch one Deploy_CMD or Invoke_CMD through the vTPM; the response
         :meth:`_forward_to_tmm` decoded, or None if none came back."""
-        self._check_rekey_budget()
-        self.vtpm.dispatch(command)
-        response, self._forwarded = self._forwarded, None
+        with self._exchange():
+            self.vtpm.dispatch(command)
+            # Taken before a due key update can raise, so no later call reads it.
+            response, self._forwarded = self._forwarded, None
         return response
 
     def _forward_to_tmm(self, command: wire.DeployCmd | wire.InvokeCmd, raw: bytes) -> bytes:
@@ -367,7 +363,6 @@ class UserNode:
             flag=flag,
             verdict=verdict,
         )
-        self._maybe_rekey()
         return response.output, record
 
     def _replays_against_log(self, input_digest: bytes, output_digest: bytes) -> bool:
@@ -403,26 +398,37 @@ class UserNode:
         self.updates_done += 1
         return 0
 
-    def _check_rekey_budget(self) -> None:
-        """Refuse, before anything is sent or measured, an operation whose frame
-        makes an automatic key update due when no unused CRP is left for it."""
-        if self.endpoint is None:
-            return
-        session = self.endpoint.session
-        due = session.send_counter + 1 >= session.rekey_threshold
+    @contextmanager
+    def _exchange(self) -> Iterator[None]:
+        """Run one request to the device, then the key update its frame made due.
+
+        A request whose frame makes the update due is refused, before anything
+        is sent or measured, when no unused CRP is left for it.  A request's
+        error is traced (:meth:`_fail`).  The due update then runs as an
+        Update_CMD whether the request succeeded or failed; a failed update
+        raises the error it traced, with the request's as its ``__context__``."""
+        session = self.endpoint and self.endpoint.session
+        due = session and session.send_counter + 1 >= session.rekey_threshold
         if due and not self.crp_store.unused_count():
             raise CrpExhausted(
                 "the key update due after this operation needs a CRP; "
                 f"0 of {len(self.crp_store)} remain unused"
             )
 
-    def _maybe_rekey(self) -> None:
-        """Run the key update that the frame just sent made due, as an
-        Update_CMD; a failed update raises the error it traced."""
-        if self.endpoint is not None and channel.counter_tick(self.endpoint.session):
-            mark = len(self.trace.events)
-            if self.update_key():
-                raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
+        def update_if_due() -> None:
+            if self.endpoint is not None and channel.counter_tick(self.endpoint.session):
+                mark = len(self.trace.events)
+                if self.update_key():
+                    raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
+
+        # Not a ``finally``: after an interrupt, nothing more is sent.
+        try:
+            yield
+        except TrcteeError as exc:
+            self._fail(exc)
+            update_if_due()
+            raise
+        update_if_due()
 
     def _fail(self, exc: TrcteeError) -> None:
         """Trace a failed exchange with the device as the user's error.  A

@@ -38,30 +38,7 @@ from .trace import Trace
 
 SCENARIO_HEADER = "trctee-scenario v1"
 
-STEP_NAMES = (
-    "enroll-device",
-    "enroll-vtpm",
-    "provision",
-    "boot",
-    "handshake",
-    "deploy",
-    "invoke",
-    "update-key",
-    "verify",
-    "agent-deploy",
-)
-
-ADVERSARY_ACTIONS = (
-    "tamper-frame",
-    "replay-frame",
-    "drop-frame",
-    "tamper-component",
-    "reuse-crp",
-    "swap-vtpm-cert",
-    "tamper-bitstream",
-)
-
-# Which prior steps each step needs before it may appear.
+# Each step, with the prior steps it needs before it may appear.
 _REQUIRES = {
     "enroll-device": (),
     "enroll-vtpm": (),
@@ -74,6 +51,17 @@ _REQUIRES = {
     "verify": ("handshake",),
     "agent-deploy": ("handshake",),
 }
+STEP_NAMES = tuple(_REQUIRES)
+
+# The attacks on the next record the user receives, armed on the tap.
+_FRAME_ATTACKS = ("tamper-frame", "replay-frame", "drop-frame")
+ADVERSARY_ACTIONS = (
+    *_FRAME_ATTACKS,
+    "tamper-component",
+    "reuse-crp",
+    "swap-vtpm-cert",
+    "tamper-bitstream",
+)
 
 
 class ParseError(TrcteeError):
@@ -212,8 +200,10 @@ class ScenarioRunner:
     # -- world construction ------------------------------------------------------
 
     def _require(self, obj, what: str):
+        """``obj``, set up by an earlier step; the grammar orders the steps, but
+        that step may have failed."""
         if obj is None:
-            raise ExpectationFailed(f"{what} not set up; scenario grammar should prevent this")
+            raise ExpectationFailed(f"{what} not set up: the step that sets it up failed")
         return obj
 
     def _make_transports(self, dev: device.FpgaSocDevice):
@@ -355,11 +345,11 @@ class ScenarioRunner:
         if step.adversary == "tamper-bitstream":
             blob = dev.file_store.get(ticket.blob_name)
             dev.file_store.put(ticket.blob_name, blob[:-1] + bytes([blob[-1] ^ 0x01]))
-        if step.adversary in ("tamper-frame", "replay-frame", "drop-frame"):
+        if step.adversary in _FRAME_ATTACKS:
             self.tap.arm(step.adversary.split("-")[0])
         response, verdict = user.user_deploy(ticket)
         if response.response_code != 0 or verdict != "Verified":
-            if step.adversary not in ("tamper-frame", "replay-frame", "drop-frame"):
+            if step.adversary not in _FRAME_ATTACKS:
                 # At-rest attacks must leave the device state untouched; frame
                 # attacks happen after the TMM already acted on a clean request.
                 after = dev.tmm.config_memory.snapshot()
@@ -374,7 +364,7 @@ class ScenarioRunner:
         ip_num = int(step.args.get("ip", "1"))
         data = _decode_bytes(step.args.get("input", "hex:00"))
         flag = int(step.args.get("flag", "0"))
-        if step.adversary in ("tamper-frame", "replay-frame", "drop-frame"):
+        if step.adversary in _FRAME_ATTACKS:
             self.tap.arm(step.adversary.split("-")[0])
         output, record = user.user_invoke(ip_num, data, flag)
         expected = step.args.get("expect-output")

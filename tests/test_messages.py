@@ -153,6 +153,10 @@ class TestNames:
         payload = messages.encode_boot_report(measurements)
         assert messages.decode_boot_report(payload) == measurements
 
+    def test_a_fixed_size_field_of_another_size_is_refused_on_encode(self):
+        with pytest.raises(messages.MessageError, match="a field of 4 bytes cannot hold 3"):
+            messages.encode_update_req(bytes(3), bytes(48), 1)
+
     @pytest.mark.parametrize("name", [b"\xff", b"../x", b"..", b".", b"a/b", b""])
     def test_bad_blob_names_rejected(self, name):
         payload = bytes([messages.STORE_BLOB]) + struct.pack(">H", len(name)) + name + b"blob"

@@ -95,6 +95,10 @@ class TestRngBlocks:
         assert rng.bytes(49) == (next(reference) + next(reference))[:49]
         assert next(rng.blocks()) == next(reference)
 
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Rng(7).bytes(-1)
+
 
 class TestEnroll:
     def test_single_record(self, device):
@@ -114,6 +118,12 @@ class TestEnroll:
     def test_zero_count_rejected(self, device):
         with pytest.raises(ValueError):
             puf.enroll(device, 0, Rng(5))
+
+    def test_count_beyond_the_challenge_space_is_refused_before_any_draw(self, device):
+        rng = Rng(5)
+        with pytest.raises(ValueError, match="challenge space exhausted"):
+            puf.enroll(device, 2 ** (8 * puf.CHALLENGE_LEN) + 1, rng)
+        assert rng._counter == 0
 
 
 def enrolled(store):
@@ -177,6 +187,12 @@ class TestStore:
     def test_empty_store_exhausted(self):
         with pytest.raises(puf.CrpExhausted):
             puf.CrpStore().take_unused()
+
+    def test_peek_with_every_record_used_is_exhausted(self, device):
+        store = puf.enroll(device, 1, Rng(5))
+        store.take_unused()
+        with pytest.raises(puf.CrpExhausted, match="no unused CRP left"):
+            store.peek_unused_challenge()
 
     def test_take_specific_challenge_once(self, device):
         store = puf.enroll(device, 4, Rng(5))

@@ -507,6 +507,86 @@ class TestKeyUpdateFlow:
         assert world.device.session.sess_key == world.user.endpoint.session.sess_key
         assert [e.kind for e in world.device.trace.events] == ["rekey"]
 
+    def test_failed_invoke_on_the_threshold_frame_still_updates_the_key(self):
+        world = build_world(rekey_threshold=2)
+        connect_world(world)
+        user = world.user
+        deploy_xor(user)  # frames 1 and 2: the update after them opens epoch 1
+        for _ in range(2):  # a 3-byte input to a 16-byte xor IP is a kernel fault
+            with pytest.raises(runtime.OrchestrationError, match="invocation of IP 1 failed"):
+                user.user_invoke(1, bytes(3))
+        assert user.endpoint.session.epoch == world.device.session.epoch == 2
+        output, record = user.user_invoke(1, bytes(16))
+        assert record.verdict == "Verified"
+        user.close()
+
+    def _tamper_the_threshold_upload(self, spoil_update=False):
+        world = build_world(rekey_threshold=2)
+        world.device.boot()
+        tap = transport.AdversaryTap(device.DirectPair(world.device))
+        world.user.connect(tap)
+        image = device.IpImage(kernel_id="xor", params=bytes(16))
+        world.user.prepare_deploy(1, image)  # frame 1
+        tap.arm("tamper")
+        if spoil_update:
+            spoil_next_crp(world.user)
+        return world, image
+
+    def test_failed_upload_on_the_threshold_frame_still_updates_the_key(self):
+        world, image = self._tamper_the_threshold_upload()
+        user = world.user
+        with pytest.raises(channel.AuthFailure):
+            user.prepare_deploy(2, image)  # frame 2, its reply tampered
+        assert user.endpoint.session.epoch == world.device.session.epoch == 1
+        user.prepare_deploy(3, image)
+        user.prepare_deploy(4, image)
+        assert user.endpoint.session.epoch == world.device.session.epoch == 2
+        user.close()
+
+    def test_failed_upload_and_failed_update_raise_the_update_error_last(self):
+        world, image = self._tamper_the_threshold_upload(spoil_update=True)
+        user = world.user
+        with pytest.raises(channel.ConfirmFailure) as caught:
+            user.prepare_deploy(2, image)
+        assert isinstance(caught.value.__context__, channel.AuthFailure)
+        assert user.trace.first_error() is caught.value.__context__
+        assert [e.error for e in user.trace.events] == [caught.value.__context__, caught.value]
+        assert user.endpoint.session.epoch == world.device.session.epoch == 0
+        user.close()
+
+    def test_failed_automatic_update_runs_again_after_the_next_request(self):
+        world = build_world(rekey_threshold=2)
+        connect_world(world)
+        user = world.user
+        spoil_next_crp(user)
+        ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        with pytest.raises(channel.ConfirmFailure):
+            user.user_deploy(ticket)  # the deploy was answered; the update after it failed
+        # The next frame is refused unsent; the update after it opens epoch 1.
+        with pytest.raises(runtime.OrchestrationError, match="update the key first"):
+            user.user_invoke(1, bytes(16))
+        assert user.endpoint.session.epoch == world.device.session.epoch == 1
+        output, record = user.user_invoke(1, bytes(16))
+        assert record.verdict == "Verified"
+        assert user.verify().all_verified
+        user.close()
+
+    def test_interrupted_request_starts_no_update(self, monkeypatch):
+        world = build_world(rekey_threshold=1)
+        connect_world(world)
+        user, received = world.user, []
+
+        def interrupted():
+            received.append(None)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(user.endpoint, "recv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        assert received == [None]  # the upload's reply only: no update was started
+        assert user.updates_done == 0 and user.trace.events == []
+        user.close()
+
     def test_counter_triggered_update(self):
         world = build_world(seed=9, rekey_threshold=4)
         connect_world(world)

@@ -112,6 +112,68 @@ class TestStepsAfterAFailedHandshake:
         assert report.exit_code == 1
 
 
+SETUP = "enroll-device id=dev1\nenroll-vtpm user=alice\nprovision user=alice device=dev1\n"
+XOR = "deploy ip=1 kernel=xor params=hex:000102030405060708090a0b0c0d0e0f\n"
+
+# (case, steps after the header, detail of the last step)
+UNMET = [
+    (
+        "wrong expected output",
+        SETUP + "boot\nhandshake\n" + XOR + "invoke ip=1 input=hex:" + "ff" * 16
+        + " expect-output=hex:00\n",
+        "output fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0 != expected 00",
+    ),
+    (
+        "wrong expected mismatch",
+        SETUP + "boot\nhandshake\nverify expect-mismatch=4\n",
+        "mismatched PCRs [], expected [4]",
+    ),
+    (
+        "clean verify of a tampered boot",
+        SETUP + "boot adversary=tamper-component component=optee\nhandshake\n"
+        "verify expect=clean\n",
+        "unexpected PCR mismatches at [4]",
+    ),
+    (
+        "no consumed CRP to reuse",
+        # The vTPM refuses dev2's hello before it takes a CRP.
+        SETUP + "enroll-device id=dev2\nboot\nhandshake expect=error:ChannelError\n"
+        "update-key adversary=reuse-crp expect=crp-exhausted\n",
+        "no consumed CRP available to reuse",
+    ),
+    (
+        "device not set up",
+        "enroll-device id=a/b expect=error:BadIdentifier\nenroll-vtpm user=alice\n"
+        "provision user=alice device=dev1\n",
+        "device not set up: the step that sets it up failed",
+    ),
+]
+
+
+class TestUnmetExpectations:
+    """A check the runner makes itself: when it does not hold, the step
+    reports ``expectation-failed`` and the run exits 1."""
+
+    @pytest.mark.parametrize(
+        "steps, detail", [case[1:] for case in UNMET], ids=[case[0] for case in UNMET]
+    )
+    def test_reported_as_expectation_failed(self, steps, detail, tmp_path, capsys):
+        text = "trctee-scenario v1\n" + steps
+        report = scenario.ScenarioRunner(scenario.parse_scenario(text), seed=5).run()
+        assert [r.met for r in report.results[:-1]] == [True] * (len(report.results) - 1)
+        result = report.results[-1]
+        assert (result.outcome, result.detail) == ("expectation-failed", detail)
+        path = tmp_path / "unmet.txt"
+        path.write_text(text)
+        assert cli.main(["--seed", "5", "run", str(path)]) == 1
+        capsys.readouterr()
+
+    def test_rekey_threshold_below_one_is_refused(self):
+        empty = scenario.parse_scenario("trctee-scenario v1\n")
+        with pytest.raises(scenario.ParseError, match="at least 1"):
+            scenario.ScenarioRunner(empty, rekey_threshold=0)
+
+
 ADVERSARY_CASES = [
     ("adversary_tamper_frame.txt", "auth-failure"),
     ("adversary_replay_frame.txt", "replay-detected"),

@@ -76,6 +76,12 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
         assert (tmp_path / "f.txt").read_bytes() == b"h v1\na b\n"
 
+    def test_write_into_a_missing_directory_is_a_state_file_error(self, tmp_path):
+        path = tmp_path / "gone" / "f.txt"
+        with pytest.raises(statefile.StateFileError, match="cannot write"):
+            statefile.write(str(path), "h v1", ["a b"])
+        assert not (tmp_path / "gone").exists()
+
 
 def edit_line(no, old, new):
     def edit(lines):
@@ -115,12 +121,14 @@ MALFORMED = [
     ("user manifest entry without '='", "user", edit_line(8, "fsbl=", "fsbl"), 8),
     ("registry manifest entry without '='", "registry", edit_line(4, "optee=", "optee"), 4),
     ("registry manifest missing a component", "registry", edit_line(4, "fsbl=", "fsb="), 4),
+    ("registry manifest with a ninth entry", "registry", edit_line(4, "fsbl=", "x=00,fsbl="), 4),
     ("garbage in a CRP file", "crp", insert_line(2, "garbage"), 2),
     ("device file without seed", "device", drop_line(3), 3),
     ("device file cut after id", "device", lambda lines: lines.__delitem__(slice(2, None)), 3),
     ("ttpkey zz", "registry", edit_field(2, 1, "zz"), 2),
     ("second ttpkey", "registry", duplicate_line(2), 3),
     ("no ttpkey", "registry", drop_line(2), 5),
+    ("second record for a device", "registry", duplicate_line(4), 5),
     ("unknown registry record", "registry", insert_line(3, "group admins"), 3),
     ("device id with a path separator", "registry", edit_line(4, "device dev1", "device ../dev1"), 4),
     ("short sk", "user", edit_field(3, 1, "00" * 31), 3),

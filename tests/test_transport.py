@@ -195,6 +195,17 @@ class TestPartialWrites:
         with pytest.raises(transport.TransportClosed):
             transport.TcpTransport(Broken()).send_record(b"x")
 
+    def test_read_error_is_transport_closed(self):
+        class Broken:
+            def settimeout(self, timeout):
+                pass
+
+            def recv_into(self, view):
+                raise ConnectionResetError("peer reset the connection")
+
+        with pytest.raises(transport.TransportClosed, match="peer reset"):
+            transport.TcpTransport(Broken()).recv_record(1.0)
+
 
 class TestCopiesOutliveInPlaceOpen:
     """The receiver decrypts a record where it sits; the recorder and the
@@ -276,6 +287,12 @@ class TestInProcPipe:
                     end.recv_record(2.0)
             assert time.perf_counter() - start < 0.05
 
+    def test_send_on_a_closed_end_is_transport_closed(self):
+        near, _ = transport.pipe_pair()
+        near.close()
+        with pytest.raises(transport.TransportClosed, match="transport is closed"):
+            near.send_record(b"late")
+
     def test_one_thread_on_both_ends_waits_in_full(self):
         near, far = transport.pipe_pair()
         start = time.perf_counter()
@@ -284,3 +301,8 @@ class TestInProcPipe:
         assert time.perf_counter() - start >= 0.2
         far.send_record(b"x")
         assert near.recv_record(0.2) == b"x"
+
+
+def test_adversary_tap_refuses_an_unknown_attack():
+    with pytest.raises(ValueError, match="unknown adversary action 'flip'"):
+        transport.AdversaryTap(None).arm("flip")

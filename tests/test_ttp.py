@@ -60,6 +60,11 @@ class TestEnrollDevice:
         with pytest.raises(ttp.DuplicateDevice):
             service.enroll_device("dev1", puf_device, image)
 
+    def test_record_of_an_unknown_device(self, enrolled):
+        service = enrolled[0]
+        with pytest.raises(ttp.UnknownDevice, match="dev2 is not enrolled"):
+            service.device_record("dev2")
+
     def test_manifest_digests_match_hash_oracle(self, enrolled):
         _, _, image, record = enrolled
         for (name, digest), (_, blob) in zip(record.golden_manifest, image.items()):
