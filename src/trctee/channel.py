@@ -23,7 +23,9 @@ Three pieces live here:
   Update messages ride inside the existing encrypted channel and both
   ends switch epochs only after a key-confirmation MAC exchange.
 
-Only the vTPM initiates a rekey, so ``seal`` enforces the rekey threshold for
+The rekey threshold is the user node's policy: it sets the threshold on the
+session the vTPM's handshake establishes, and runs each key update that falls
+due.  Only the vTPM initiates a rekey, so ``seal`` enforces the threshold for
 the vTPM's role alone: the device relies on it and never refuses to answer.
 """
 
@@ -175,11 +177,16 @@ def _nonce(direction: Role, epoch: int, counter: int) -> bytes:
     return bytes([lead]) + (epoch & 0xFFFFFF).to_bytes(3, "big") + counter.to_bytes(8, "big")
 
 
+def counter_tick(session: SessionState) -> bool:
+    """True once the send counter has crossed the rekey threshold."""
+    return session.send_counter >= session.rekey_threshold
+
+
 def seal(session: SessionState, plaintext: bytes, *, _rekey_bypass: bool = False) -> Frame:
     """Encrypt one payload; on the vTPM's side, raises RekeyRequired once the
     threshold is hit."""
     role = session.my_role
-    if role is Role.VTPM and not _rekey_bypass and session.send_counter >= session.rekey_threshold:
+    if role is Role.VTPM and not _rekey_bypass and counter_tick(session):
         raise RekeyRequired(
             f"{session.send_counter} frames sent this epoch; update the key first"
         )
@@ -226,11 +233,6 @@ def open_frame(session: SessionState, record: bytes | bytearray) -> memoryview:
         raise AuthFailure("frame failed authentication") from None
     session.recv_counter = counter
     return plaintext
-
-
-def counter_tick(session: SessionState) -> bool:
-    """True once the send counter has crossed the rekey threshold."""
-    return session.send_counter >= session.rekey_threshold
 
 
 def derive_deploy_key(sess_key: bytes) -> bytes:
@@ -332,9 +334,8 @@ class _Handshake:
     _peer: str  # how an abort or a failed confirmation names the other end
     _peer_role: Role
 
-    def __init__(self, rng: Rng, state: str, rekey_threshold: int = DEFAULT_REKEY_THRESHOLD):
+    def __init__(self, rng: Rng, state: str):
         self._rng = rng
-        self._threshold = rekey_threshold
         self._transcript = _Transcript()
         self._state = state  # the message awaited, e.g. "hs2"; then "done"
         self._nonce_v = b""
@@ -376,9 +377,7 @@ class _Handshake:
             raise ConfirmFailure(f"{self._peer} key confirmation failed")
 
     def _establish(self) -> None:
-        self.session = SessionState(
-            sess_key=self._sess_key, peer_role=self._peer_role, rekey_threshold=self._threshold
-        )
+        self.session = SessionState(sess_key=self._sess_key, peer_role=self._peer_role)
         self._state = "done"
 
 
@@ -401,9 +400,8 @@ class VtpmHandshake(_Handshake):
         device_id: str,
         crp_store: CrpStore,
         rng: Rng,
-        rekey_threshold: int = DEFAULT_REKEY_THRESHOLD,
     ):
-        super().__init__(rng, "start", rekey_threshold)
+        super().__init__(rng, "start")
         self._sk = Ed25519PrivateKey.from_private_bytes(sk_tpm)
         self._cert = cert
         self._device_id = device_id

@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from . import device, puf, runtime, scenario, statefile, transport, ttp
+from . import channel, device, puf, runtime, scenario, statefile, transport, ttp
 from .crypto import Rng
 from .errors import TrcteeError
 
@@ -290,15 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rekey-threshold",
         type=_positive_int,
-        default=1024,
+        default=channel.DEFAULT_REKEY_THRESHOLD,
         help="frames per epoch before an automatic key update, read by connect "
-        "and run (default 1024)",
+        "and run (default %(default)s)",
     )
     parser.add_argument(
         "--crp-pool",
         type=_positive_int,
-        default=64,
-        help="CRPs provisioned to a user (default 64)",
+        default=ttp.DEFAULT_SLICE_SIZE,
+        help="CRPs provisioned to a user (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

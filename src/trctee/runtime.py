@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 from . import channel, device, messages, statefile, vtpm, wire
@@ -222,7 +222,6 @@ class UserNode:
             device_id=self.device_id,
             crp_store=self.crp_store,
             rng=self.rng.child("handshake"),
-            rekey_threshold=self.rekey_threshold,
         )
         try:
             transport.send_record(handshake.start())
@@ -239,10 +238,9 @@ class UserNode:
             if isinstance(exc, channel.ChannelError) and not isinstance(exc, channel.Timeout):
                 channel.send_abort(transport, exc)
             raise
-        self.endpoint = channel.ChannelEndpoint(
-            handshake.session, transport, recv_timeout=self.recv_timeout
-        )
-        self.deploy_key = channel.derive_deploy_key(handshake.session.sess_key)
+        session = replace(handshake.session, rekey_threshold=self.rekey_threshold)
+        self.endpoint = channel.ChannelEndpoint(session, transport, recv_timeout=self.recv_timeout)
+        self.deploy_key = channel.derive_deploy_key(session.sess_key)
         self.handshakes_done += 1
         self._absorb_boot_report()
 
@@ -400,13 +398,15 @@ class UserNode:
 
     @contextmanager
     def _exchange(self) -> Iterator[None]:
-        """Run one request to the device, then the key update its frame made due.
+        """Run one request to the device, sealed while no key update is due.
 
-        A request whose frame makes the update due is refused, before anything
-        is sent or measured, when no unused CRP is left for it.  A request's
-        error is traced (:meth:`_fail`).  The due update then runs as an
-        Update_CMD whether the request succeeded or failed; a failed update
-        raises the error it traced, with the request's as its ``__context__``."""
+        An update that failed stays due and runs first.  The request is refused,
+        before anything is sent or measured, when that update fails again or
+        when its frame would make an update due with no unused CRP left.  Its
+        error is traced (:meth:`_fail`), and the update its frame made due runs
+        whatever its outcome; a failed update raises the error it traced, with
+        the request's as its ``__context__``."""
+        self._update_if_due()
         session = self.endpoint and self.endpoint.session
         due = session and session.send_counter + 1 >= session.rekey_threshold
         if due and not self.crp_store.unused_count():
@@ -414,21 +414,21 @@ class UserNode:
                 "the key update due after this operation needs a CRP; "
                 f"0 of {len(self.crp_store)} remain unused"
             )
-
-        def update_if_due() -> None:
-            if self.endpoint is not None and channel.counter_tick(self.endpoint.session):
-                mark = len(self.trace.events)
-                if self.update_key():
-                    raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
-
         # Not a ``finally``: after an interrupt, nothing more is sent.
         try:
             yield
         except TrcteeError as exc:
             self._fail(exc)
-            update_if_due()
+            self._update_if_due()
             raise
-        update_if_due()
+        self._update_if_due()
+
+    def _update_if_due(self) -> None:
+        """Run a due key update as an Update_CMD; if it fails, raise its traced error."""
+        if self.endpoint is not None and channel.counter_tick(self.endpoint.session):
+            mark = len(self.trace.events)
+            if self.update_key():
+                raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
 
     def _fail(self, exc: TrcteeError) -> None:
         """Trace a failed exchange with the device as the user's error.  A

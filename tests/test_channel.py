@@ -383,6 +383,13 @@ class TestAbortRecord:
         channel.send_abort(Recorder(), channel.PufMismatch("detail"))
         assert sent == [b"\x1f\x04"]
 
+    def test_an_abort_to_a_peer_already_gone_is_dropped(self):
+        class Gone:
+            def send_record(self, record):
+                raise transport.TransportClosed("peer closed the transport")
+
+        channel.send_abort(Gone(), channel.PufMismatch("detail"))  # raises nothing
+
     def test_device_aborts_with_the_cause_before_closing(self):
         service, bundle, device_puf, crps, rng = handshake_fixtures()
         service.register_user("mallory")

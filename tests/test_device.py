@@ -593,6 +593,23 @@ class TestDirectPair:
         user_side.send_record(b"\x11again")  # lost, as on a pipe whose reader is gone
         assert [e.error for e in world.device.trace.events] == [fault]
 
+    def test_serve_traces_a_receive_that_raises_and_returns(self, world):
+        fault = RuntimeError("receive fault")
+
+        class Faulty:
+            closed = False
+
+            def recv_record(self, timeout=None):
+                raise fault
+
+            def close(self):
+                self.closed = True
+
+        end = Faulty()
+        world.device.serve(end)  # returns on this thread
+        assert [e.error for e in world.device.trace.events] == [fault]
+        assert end.closed
+
     def test_closing_before_the_session_is_a_device_error(self, world):
         pair = device.DirectPair(world.device)
         pair.close()

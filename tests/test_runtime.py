@@ -21,6 +21,7 @@ from oracles import pcr_chain
 import trctee
 from trctee import channel, device, messages, puf, runtime, transport, vtpm, wire
 from trctee.crypto import Rng
+from trctee.errors import TrcteeError
 from trctee.puf import CrpExhausted
 
 
@@ -554,7 +555,7 @@ class TestKeyUpdateFlow:
         assert user.endpoint.session.epoch == world.device.session.epoch == 0
         user.close()
 
-    def test_failed_automatic_update_runs_again_after_the_next_request(self):
+    def test_failed_automatic_update_runs_again_before_the_next_call(self):
         world = build_world(rekey_threshold=2)
         connect_world(world)
         user = world.user
@@ -562,13 +563,34 @@ class TestKeyUpdateFlow:
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
         with pytest.raises(channel.ConfirmFailure):
             user.user_deploy(ticket)  # the deploy was answered; the update after it failed
-        # The next frame is refused unsent; the update after it opens epoch 1.
-        with pytest.raises(runtime.OrchestrationError, match="update the key first"):
-            user.user_invoke(1, bytes(16))
+        # The update runs again first and opens epoch 1; the invoke is sent in it.
+        output, record = user.user_invoke(1, bytes(16))
+        assert record.verdict == "Verified"
         assert user.endpoint.session.epoch == world.device.session.epoch == 1
         output, record = user.user_invoke(1, bytes(16))
         assert record.verdict == "Verified"
         assert user.verify().all_verified
+        user.close()
+
+    def test_failed_update_retried_before_a_request_refuses_it_unsent(self):
+        world = build_world(rekey_threshold=2)
+        connect_world(world)
+        user = world.user
+        for record in [r for r in user.crp_store.records() if not r.used][:2]:
+            record.response = bytes(len(record.response))
+        ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        with pytest.raises(channel.ConfirmFailure):
+            user.user_deploy(ticket)  # the deploy was answered; the update after it failed
+        log, history, pcr9 = list(user.vtpm.log), copy.deepcopy(user.history), user.vtpm.pcr_read(9)
+        # The update runs again before the invoke, fails again, and refuses it.
+        with pytest.raises(
+            channel.ConfirmFailure, match="device confirmation of the updated key failed"
+        ) as caught:
+            user.user_invoke(1, bytes(16))
+        assert user.trace.events[-1].error is caught.value
+        assert user.vtpm.pcr_read(9) == pcr9
+        assert user.history == history and user.vtpm.log == log
+        assert user.endpoint.session.epoch == world.device.session.epoch == 0
         user.close()
 
     def test_interrupted_request_starts_no_update(self, monkeypatch):
@@ -599,6 +621,62 @@ class TestKeyUpdateFlow:
         assert user.updates_done == 1
         user.user_invoke(1, b"3" * 16)  # fresh epoch counts from zero
         assert user.endpoint.session.epoch == 1
+        user.close()
+
+
+class TestLostRecordSweep:
+    """One script at rekey threshold 2 loses each record the user sends in
+    turn.  Unfaulted it sends 18: HS1, HS3, HS8, the upload, the deploy and
+    the update due after it, two invokes and an update, two more invokes and
+    an update, an explicit update, and one more invoke."""
+
+    RECORDS = 18
+
+    def _run(self, n, monkeypatch):
+        """Run the script on a fresh world whose device never gets the n-th
+        record; every call returns or raises a TrcteeError."""
+        world = build_world(seed=11, rekey_threshold=2)
+        user, answered = world.user, []
+        respond = world.puf_device.respond
+        monkeypatch.setattr(
+            world.puf_device, "respond", lambda c: answered.append(bytes(c)) or respond(c)
+        )
+        world.device.boot()
+        tap = DropNth(device.DirectPair(world.device), n)
+
+        def attempt(call, *args):
+            try:
+                return call(*args)
+            except TrcteeError:
+                return None
+
+        attempt(user.connect, tap)
+        if user.handshakes_done:
+            ticket = attempt(user.prepare_deploy, 1, device.IpImage("xor", bytes(16)))
+            attempt(user.user_deploy, ticket or runtime.DeployTicket(1, b"", device.blob_name(1)))
+            for i in range(4):
+                attempt(user.user_invoke, 1, bytes([i]) * 16)
+            attempt(user.update_key)
+            attempt(user.user_invoke, 1, bytes(16))
+        return world, tap, answered
+
+    def test_an_unfaulted_run_sends_18_records(self, monkeypatch):
+        world, tap, _ = self._run(self.RECORDS + 1, monkeypatch)
+        assert tap._left == 1  # the 19th record was never sent
+        assert world.user.trace.events == []
+        assert world.user.endpoint.session.epoch == world.device.session.epoch == 4
+        world.user.close()
+
+    @pytest.mark.parametrize("k", range(1, RECORDS + 1))
+    def test_losing_record_k_leaves_both_ends_consistent(self, k, monkeypatch):
+        world, _, answered = self._run(k, monkeypatch)
+        user = world.user
+        errors = [e.error for e in user.trace.events]
+        assert not any(isinstance(e, channel.RekeyRequired) for e in errors), errors
+        if user.handshakes_done:
+            assert user.endpoint.session.epoch == world.device.session.epoch
+            assert user.verify().all_verified
+        assert len(answered) == len(set(answered))
         user.close()
 
 

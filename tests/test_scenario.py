@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trctee import cli, puf, scenario, ttp
+from trctee import cli, device, puf, scenario, ttp, wire
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 # ``trctee --seed 5 run <file>`` output of each scenario file, as printed
@@ -168,6 +168,18 @@ class TestUnmetExpectations:
         assert cli.main(["--seed", "5", "run", str(path)]) == 1
         capsys.readouterr()
 
+    def test_a_device_that_answers_rc_1_and_traces_nothing(self, monkeypatch):
+        monkeypatch.setattr(
+            device.FpgaSocDevice, "_execute", lambda self, command: wire.failure_response(command)
+        )
+        text = "trctee-scenario v1\n" + SETUP + "boot\nhandshake\n" + XOR
+        report = scenario.ScenarioRunner(scenario.parse_scenario(text), seed=5).run()
+        result = report.results[-1]
+        assert (result.outcome, result.detail) == (
+            "expectation-failed", "deploy failed without a typed cause"
+        )
+        assert report.exit_code == 1
+
     def test_rekey_threshold_below_one_is_refused(self):
         empty = scenario.parse_scenario("trctee-scenario v1\n")
         with pytest.raises(scenario.ParseError, match="at least 1"):
@@ -192,6 +204,22 @@ class TestAdversaries:
         report = run_file(name)
         assert report.exit_code == 0, report.text()
         assert report.results[-1].outcome == last_outcome
+
+    def test_a_tampered_deploy_reply_reports_auth_failure(self):
+        steps = SETUP + "boot\nhandshake\n" + XOR.rstrip() + " adversary=tamper-frame"
+        text = f"trctee-scenario v1\n{steps} expect=auth-failure\n"
+        report = scenario.ScenarioRunner(scenario.parse_scenario(text), seed=5).run()
+        assert report.exit_code == 0, report.text()
+        assert report.results[-1].outcome == "auth-failure"
+
+    def test_a_value_without_hex_prefix_is_its_text(self):
+        output = bytes(a ^ b for a, b in zip(b"abcdefghijklmnop", range(16)))
+        text = (
+            "trctee-scenario v1\n" + SETUP + "boot\nhandshake\n" + XOR
+            + f"invoke ip=1 input=abcdefghijklmnop expect-output=hex:{output.hex()}\n"
+        )
+        report = scenario.ScenarioRunner(scenario.parse_scenario(text), seed=5).run()
+        assert report.exit_code == 0, report.text()
 
     @pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
     def test_swapped_cert_aborts_handshake_at_once(self, tcp):
