@@ -243,7 +243,9 @@ def _baseline_flow(user: runtime.UserNode, conn, root: str, args) -> int:
     roundtrip = "ok" if output2 == data else "MISMATCH"
     print(f"invoke ip=1 again -> xor round-trip {roundtrip} ({record2.verdict})")
     rc = user.update_key()
-    print(f"update-key rc={rc}, epoch {user.endpoint.session.epoch}")
+    # A transport error in the update ends the session (runtime.UserNode._fail).
+    state = f"epoch {user.endpoint.session.epoch}" if user.endpoint else "session ended"
+    print(f"update-key rc={rc}, {state}")
     # Export once: the file written is exactly the text that was verified.
     log_text = user.export_log()
     report = runtime.verify_attestation(log_text, user.golden_manifest, user.history)
@@ -253,7 +255,8 @@ def _baseline_flow(user: runtime.UserNode, conn, root: str, args) -> int:
     user.history.save(os.path.join(root, f"history_{args.user}.txt"))
     print(f"event log exported to {log_path}")
     print(report.text(), end="")
-    return 0 if report.all_verified and verdict == "Verified" and roundtrip == "ok" else 1
+    ok = report.all_verified and verdict == "Verified" and roundtrip == "ok" and rc == 0
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:

@@ -279,7 +279,7 @@ class UserNode:
     def user_deploy(self, ticket: DeployTicket) -> tuple[wire.DeployResp, str]:
         """Issue Deploy_CMD; verdict compares the returned and local hashes."""
         command = wire.DeployCmd(ip_num=ticket.ip_num)
-        response = self._forward(wire.encode(command)) or wire.failure_response(command)
+        response = self._forward(wire.encode(command))
         verdict = (
             "Verified"
             if response.response_code == 0
@@ -288,21 +288,20 @@ class UserNode:
         )
         return response, verdict
 
-    def _forward(self, command: bytes) -> wire.DeployResp | wire.InvokeResp | None:
+    def _forward(self, command: bytes) -> wire.DeployResp | wire.InvokeResp:
         """Dispatch one Deploy_CMD or Invoke_CMD through the vTPM; the response
-        :meth:`_forward_to_tmm` decoded, or None if none came back."""
+        :meth:`_forward_to_tmm` left, its failure response if none came back."""
         with self._exchange():
             self.vtpm.dispatch(command)
-            # Taken before a due key update can raise, so no later call reads it.
-            response, self._forwarded = self._forwarded, None
+        response, self._forwarded = self._forwarded, None
         return response
 
     def _forward_to_tmm(self, command: wire.DeployCmd | wire.InvokeCmd, raw: bytes) -> bytes:
         """vTPM-side Deploy_CMD/Invoke_CMD hook: measure the input, forward the
         command bytes to the TMM, measure its result, return its response bytes.
 
-        The decoded response is left for :meth:`_forward`, so that each
-        payload is decoded once on this hop."""
+        The decoded response, or the failure response when none came back, is
+        left for :meth:`_forward`, so that each payload is decoded once on this hop."""
         ip_num = command.ip_num
         invoke = isinstance(command, wire.InvokeCmd)
         try:
@@ -317,7 +316,8 @@ class UserNode:
             response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
         except TrcteeError as exc:
             self._fail(exc)
-            return wire.encode(wire.failure_response(command))
+            self._forwarded = wire.failure_response(command)
+            return wire.encode(self._forwarded)
         self._forwarded = response
         if response.response_code != 0:
             return reply
@@ -346,7 +346,7 @@ class UserNode:
         command = wire.encode(wire.InvokeCmd(ip_num=ip_num, input=data, flag=flag))
         mark = len(self.trace.events)
         response = self._forward(command)
-        if response is None or response.response_code != 0:
+        if response.response_code != 0:
             cause = self.trace.first_error(mark)
             raise OrchestrationError(
                 f"invocation of IP {ip_num} failed" + (f": {cause}" if cause else "")
@@ -376,9 +376,14 @@ class UserNode:
     # -- key update -------------------------------------------------------------
 
     def update_key(self, challenge: bytes | None = None) -> int:
-        """Issue Update_CMD; with no challenge, pick the next unused CRP."""
+        """Issue Update_CMD; with no challenge, pick the next unused CRP.  With
+        none left, answer 1 with the :class:`CrpExhausted` traced (:meth:`_fail`)."""
         if challenge is None:
-            challenge = self.crp_store.peek_unused_challenge()
+            try:
+                challenge = self.crp_store.peek_unused_challenge()
+            except CrpExhausted as exc:
+                self._fail(exc)
+                return 1
         response_bytes = self.vtpm.dispatch(wire.encode(wire.UpdateCmd(challenge=challenge)))
         return wire.decode_response(response_bytes, wire.CC_UPDATE).return_code
 
@@ -400,20 +405,15 @@ class UserNode:
     def _exchange(self) -> Iterator[None]:
         """Run one request to the device, sealed while no key update is due.
 
-        An update that failed stays due and runs first.  The request is refused,
-        before anything is sent or measured, when that update fails again or
-        when its frame would make an update due with no unused CRP left.  Its
-        error is traced (:meth:`_fail`), and the update its frame made due runs
-        whatever its outcome; a failed update raises the error it traced, with
-        the request's as its ``__context__``."""
-        self._update_if_due()
-        session = self.endpoint and self.endpoint.session
-        due = session and session.send_counter + 1 >= session.rekey_threshold
-        if due and not self.crp_store.unused_count():
-            raise CrpExhausted(
-                "the key update due after this operation needs a CRP; "
-                f"0 of {len(self.crp_store)} remain unused"
-            )
+        A due update runs before the request; if it fails, the request is
+        refused with the update's traced error, unsent and unmeasured.  A
+        failed request's error is traced (:meth:`_fail`).  Then the update its
+        frame made due runs, whatever the request's outcome, and never raises:
+        a failure is traced and the update stays due, so the caller gets its
+        own request's outcome."""
+        mark = len(self.trace.events)
+        if self._update_if_due():
+            raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
         # Not a ``finally``: after an interrupt, nothing more is sent.
         try:
             yield
@@ -423,12 +423,10 @@ class UserNode:
             raise
         self._update_if_due()
 
-    def _update_if_due(self) -> None:
-        """Run a due key update as an Update_CMD; if it fails, raise its traced error."""
-        if self.endpoint is not None and channel.counter_tick(self.endpoint.session):
-            mark = len(self.trace.events)
-            if self.update_key():
-                raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
+    def _update_if_due(self) -> int:
+        """Run a due key update as an Update_CMD; its return code, 0 if none was due."""
+        due = self.endpoint is not None and channel.counter_tick(self.endpoint.session)
+        return self.update_key() if due else 0
 
     def _fail(self, exc: TrcteeError) -> None:
         """Trace a failed exchange with the device as the user's error.  A

@@ -24,12 +24,15 @@ desynchronized, so only ``verify`` may follow.
 
 Step ordering is validated up front: provisioning needs both enrollments,
 the handshake needs provisioning and boot, runtime steps need the
-handshake.
+handshake.  So is each step's key and value (``STEP_KEYS``): an unknown
+key, or a value that does not convert, is a :class:`ParseError` naming
+its line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import channel, device, puf, runtime, transport, ttp, wire
 from .crypto import Rng
@@ -68,6 +71,44 @@ class ParseError(TrcteeError):
     exit_code = 2
 
 
+def _uint(size: int) -> Callable[[str], int]:
+    """A converter to a decimal integer that fits in ``size`` bytes."""
+
+    def convert(text: str) -> int:
+        if not text.isdecimal() or int(text) >> 8 * size:
+            raise ValueError(f"not an integer in 0..{(1 << 8 * size) - 1}")
+        return int(text)
+
+    return convert
+
+
+def _decode_bytes(value: str) -> bytes:
+    if value.startswith("hex:"):
+        return bytes.fromhex(value[4:])
+    return value.encode()
+
+
+# Each step's keys, with the converter of its value and the value it takes
+# when left out.  ``adversary`` and ``expect`` are every step's.
+STEP_KEYS: dict[str, dict[str, tuple[Callable, object]]] = {
+    "enroll-device": {"id": (str, "dev1")},
+    "enroll-vtpm": {"user": (str, "user1")},
+    "provision": {"user": (str, "user1"), "device": (str, None)},
+    "boot": {"component": (str, "optee")},
+    "handshake": {},
+    "deploy": {"ip": (_uint(2), 1), "kernel": (str, "xor"), "params": (_decode_bytes, b"\0")},
+    "invoke": {
+        "ip": (_uint(2), 1),
+        "input": (_decode_bytes, b"\0"),
+        "flag": (_uint(4), 0),
+        "expect-output": (_decode_bytes, None),
+    },
+    "update-key": {},
+    "verify": {"expect-mismatch": (lambda text: sorted(int(x) for x in text.split(",")), None)},
+    "agent-deploy": {"ip": (_uint(2), 1)},
+}
+
+
 class ExpectationFailed(TrcteeError):
     pass
 
@@ -79,7 +120,7 @@ class OperationFailed(TrcteeError):
 @dataclass(frozen=True)
 class Step:
     name: str
-    args: dict[str, str]
+    args: dict[str, object]  # every key of STEP_KEYS[name], converted
     adversary: str | None = None
     expect: str = "ok"
 
@@ -117,25 +158,29 @@ def parse_scenario(text: str) -> Scenario:
         expect = args.pop("expect", "ok")
         if expect == "clean":
             expect = "ok"
+        keys = STEP_KEYS[name]
+        values = {key: default for key, (_, default) in keys.items()}
+        for key, value in args.items():
+            if key not in keys:
+                raise ParseError(f"line {lineno}: step {name!r} takes no key {key!r}")
+            convert, _ = keys[key]
+            try:
+                values[key] = convert(value)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {key}={value}: {exc}") from None
         missing = [req for req in _REQUIRES[name] if req not in seen]
         if missing:
             raise ParseError(
                 f"line {lineno}: step {name!r} requires prior {', '.join(missing)}"
             )
         seen.add(name)
-        steps.append(Step(name=name, args=args, adversary=adversary, expect=expect))
+        steps.append(Step(name=name, args=values, adversary=adversary, expect=expect))
     return Scenario(steps=tuple(steps))
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         return parse_scenario(fh.read())
-
-
-def _decode_bytes(value: str) -> bytes:
-    if value.startswith("hex:"):
-        return bytes.fromhex(value[4:])
-    return value.encode()
 
 
 @dataclass
@@ -259,7 +304,7 @@ class ScenarioRunner:
             return getattr(cause, "token", None) or f"error:{type(cause).__name__}", str(cause)
 
     def _step_enroll_device(self, step: Step) -> str:
-        device_id = step.args.get("id", "dev1")
+        device_id = step.args["id"]
         puf_device = puf.PufDevice(self.master.child(f"puf-{device_id}").bytes(32))
         image = device.BootImage.synthetic(device_id, self.ttp.pk_ttp)
         self.ttp.enroll_device(device_id, puf_device, image)
@@ -279,14 +324,15 @@ class ScenarioRunner:
         return f"device {device_id} enrolled"
 
     def _step_enroll_vtpm(self, step: Step) -> str:
-        user_id = step.args.get("user", "user1")
+        user_id = step.args["user"]
         self.ttp.register_user(user_id)
         self._bundle = self.ttp.enroll_vtpm(user_id)
         return f"vTPM enrolled for {user_id}"
 
     def _step_provision(self, step: Step) -> str:
-        user_id = step.args.get("user", "user1")
-        device_id = step.args.get("device", self._require(self.device, "device").device_id)
+        user_id = step.args["user"]
+        enrolled = self._require(self.device, "device").device_id
+        device_id = step.args["device"] or enrolled
         dev_id, manifest, crp_slice = self.ttp.provision_user(
             user_id, device_id, slice_size=self.crp_slice
         )
@@ -305,7 +351,7 @@ class ScenarioRunner:
     def _step_boot(self, step: Step) -> str:
         dev = self._require(self.device, "device")
         if step.adversary == "tamper-component":
-            component = step.args.get("component", "optee")
+            component = step.args["component"]
             dev.boot_image.tamper(component)
             dev.boot()
             return f"boot with tampered {component}"
@@ -336,10 +382,8 @@ class ScenarioRunner:
     def _step_deploy(self, step: Step) -> str:
         user = self._require(self.user, "user node")
         dev = self._require(self.device, "device")
-        ip_num = int(step.args.get("ip", "1"))
-        kernel = step.args.get("kernel", "xor")
-        params = _decode_bytes(step.args.get("params", "hex:00"))
-        image = device.IpImage(kernel_id=kernel, params=params)
+        ip_num = step.args["ip"]
+        image = device.IpImage(kernel_id=step.args["kernel"], params=step.args["params"])
         before = dev.tmm.config_memory.snapshot()
         ticket = user.prepare_deploy(ip_num, image)
         if step.adversary == "tamper-bitstream":
@@ -361,17 +405,13 @@ class ScenarioRunner:
 
     def _step_invoke(self, step: Step) -> str:
         user = self._require(self.user, "user node")
-        ip_num = int(step.args.get("ip", "1"))
-        data = _decode_bytes(step.args.get("input", "hex:00"))
-        flag = int(step.args.get("flag", "0"))
+        ip_num = step.args["ip"]
         if step.adversary in _FRAME_ATTACKS:
             self.tap.arm(step.adversary.split("-")[0])
-        output, record = user.user_invoke(ip_num, data, flag)
-        expected = step.args.get("expect-output")
-        if expected is not None and output != _decode_bytes(expected):
-            raise ExpectationFailed(
-                f"output {output.hex()} != expected {_decode_bytes(expected).hex()}"
-            )
+        output, record = user.user_invoke(ip_num, step.args["input"], step.args["flag"])
+        expected = step.args["expect-output"]
+        if expected is not None and output != expected:
+            raise ExpectationFailed(f"output {output.hex()} != expected {expected.hex()}")
         return f"ip {ip_num} invoked, {len(output)}B out, {record.verdict}"
 
     def _step_update_key(self, step: Step) -> str:
@@ -404,7 +444,7 @@ class ScenarioRunner:
         before = dev.tmm.config_memory.snapshot()
         # Best effort without keys: inject a forged plaintext request framed
         # as if it were sealed.  The TMM must reject it unopened.
-        forged = wire.encode(wire.DeployCmd(int(step.args.get("ip", "1"))))
+        forged = wire.encode(wire.DeployCmd(step.args["ip"]))
         head = channel.FRAME_HEAD.pack(endpoint.session.epoch, 1 << 40)
         fake_frame = head + bytes(channel.NONCE_LEN) + forged + bytes(channel.TAG_LEN)
         mark = len(self.trace.events)
@@ -419,9 +459,8 @@ class ScenarioRunner:
         report = user.verify()
         self.report.verifier_report = report
         mismatched = report.mismatched_indices()
-        expected_raw = step.args.get("expect-mismatch")
-        if expected_raw is not None:
-            expected_set = sorted(int(x) for x in expected_raw.split(","))
+        expected_set = step.args["expect-mismatch"]
+        if expected_set is not None:
             if sorted(mismatched) != expected_set:
                 raise ExpectationFailed(
                     f"mismatched PCRs {mismatched}, expected {expected_set}"

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import build_world
+from test_runtime import CloseOnNth
 from trctee import cli, device, puf, scenario, transport, vtpm
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -348,6 +351,46 @@ class TestCrpsAcrossRuns:
         assert not runs[0] & runs[1]
         crps = puf.CrpStore.load(str(Path(store) / "crps_user_alice.txt"))
         assert {r.challenge for r in crps.records() if r.used} == runs[0] | runs[1]
+
+
+class TestConnectKeyUpdateFails:
+    """`connect` exits 1 when its key update answers rc 1; the update's
+    failure is the user's, so the session and its log still verify."""
+
+    def test_a_spoiled_crp_is_exit_1(self, store, capsys):
+        enroll_and_provision(store)
+        # The handshake takes the first CRP, the key update the second.
+        path = Path(store) / "crps_user_alice.txt"
+        header, *records = path.read_text(encoding="utf-8").splitlines()
+        challenge, response, used = records[1].split()
+        records[1] = f"{challenge} {'0' * len(response)} {used}"
+        path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+        rc, err, _, out = serve_and_connect(store, capsys)
+        assert "update-key rc=1, epoch 0" in out
+        assert "overall: VERIFIED" in out
+        assert (rc, err) == (1, "")
+
+    def test_an_exhausted_pool_is_exit_1(self, store, capsys):
+        assert run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1") == 0
+        assert run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice") == 0
+        assert run_cli(
+            "--store", store, "--crp-pool", "1", "provision", "--user", "alice", "--device", "dev1"
+        ) == 0
+        rc, err, _, out = serve_and_connect(store, capsys)  # the handshake takes the one CRP
+        assert "update-key rc=1, epoch 0" in out
+        assert (rc, err) == (1, "")
+
+    def test_a_device_that_closes_under_the_update_is_exit_1(self, tmp_path, capsys):
+        world = build_world()
+        world.device.boot()
+        # The device receives HS1, HS3, HS8, the upload, the deploy, two
+        # invokes, then the update request: it closes on that 8th record.
+        conn = CloseOnNth(device.DirectPair(world.device), world.device, 8)
+        args = argparse.Namespace(user="alice")
+        assert cli._baseline_flow(world.user, conn, str(tmp_path), args) == 1
+        out = capsys.readouterr().out
+        assert "update-key rc=1, session ended" in out
+        assert "overall: VERIFIED" in out
 
 
 class TestRejectedHandshake:

@@ -359,18 +359,20 @@ class TestFailedExchangesAreTraced:
             )
         assert connected.user.trace.first_error() is caught.value
 
-    def test_failed_automatic_key_update_raises_its_traced_confirm_failure(self):
+    def test_failed_automatic_key_update_is_traced(self):
         world = build_world(rekey_threshold=2)
         connect_world(world)
         user = world.user
         spoil_next_crp(user)
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
-        with pytest.raises(
-            channel.ConfirmFailure, match="device confirmation of the updated key failed"
-        ) as caught:
-            user.user_deploy(ticket)  # the 2nd frame: the update falls due after it
-        assert user.trace.first_error() is caught.value
+        # The 2nd frame: the update due after it fails, and the deploy keeps its answer.
+        response, verdict = user.user_deploy(ticket)
+        assert (response.response_code, verdict) == (0, "Verified")
+        error = user.trace.first_error()
+        assert isinstance(error, channel.ConfirmFailure)
+        assert str(error) == "device confirmation of the updated key failed"
         assert user.updates_done == 0
+        assert channel.counter_tick(user.endpoint.session)  # the update stays due
         assert user.endpoint.session.epoch == world.device.session.epoch == 0
         user.close()
 
@@ -436,9 +438,11 @@ class TestDeviceClosesMidRequest:
         ticket = world.user.prepare_deploy(
             1, device.IpImage(kernel_id="xor", params=bytes(range(16)))
         )
-        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
-            world.user.user_deploy(ticket)
-        assert isinstance(world.user.trace.first_error(), transport.TransportClosed)
+        response, verdict = world.user.user_deploy(ticket)  # answered before the update
+        assert (response.response_code, verdict) == (0, "Verified")
+        error = world.user.trace.first_error()
+        assert isinstance(error, transport.TransportClosed)
+        assert str(error) == "peer closed the transport"
         assert world.user.endpoint is None and world.user.updates_done == 0
         with pytest.raises(runtime.NoSession):
             world.user.prepare_deploy(2, device.IpImage(kernel_id="xor", params=bytes(16)))
@@ -544,14 +548,14 @@ class TestKeyUpdateFlow:
         assert user.endpoint.session.epoch == world.device.session.epoch == 2
         user.close()
 
-    def test_failed_upload_and_failed_update_raise_the_update_error_last(self):
+    def test_failed_upload_and_update_raise_the_upload_error(self):
         world, image = self._tamper_the_threshold_upload(spoil_update=True)
         user = world.user
-        with pytest.raises(channel.ConfirmFailure) as caught:
+        with pytest.raises(channel.AuthFailure) as caught:
             user.prepare_deploy(2, image)
-        assert isinstance(caught.value.__context__, channel.AuthFailure)
-        assert user.trace.first_error() is caught.value.__context__
-        assert [e.error for e in user.trace.events] == [caught.value.__context__, caught.value]
+        errors = [e.error for e in user.trace.events]
+        assert errors[0] is caught.value and len(errors) == 2
+        assert isinstance(errors[1], channel.ConfirmFailure)  # the update after it, traced
         assert user.endpoint.session.epoch == world.device.session.epoch == 0
         user.close()
 
@@ -561,8 +565,9 @@ class TestKeyUpdateFlow:
         user = world.user
         spoil_next_crp(user)
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
-        with pytest.raises(channel.ConfirmFailure):
-            user.user_deploy(ticket)  # the deploy was answered; the update after it failed
+        response, verdict = user.user_deploy(ticket)  # the update after it fails
+        assert verdict == "Verified"
+        assert isinstance(user.trace.first_error(), channel.ConfirmFailure)
         # The update runs again first and opens epoch 1; the invoke is sent in it.
         output, record = user.user_invoke(1, bytes(16))
         assert record.verdict == "Verified"
@@ -579,8 +584,8 @@ class TestKeyUpdateFlow:
         for record in [r for r in user.crp_store.records() if not r.used][:2]:
             record.response = bytes(len(record.response))
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
-        with pytest.raises(channel.ConfirmFailure):
-            user.user_deploy(ticket)  # the deploy was answered; the update after it failed
+        response, verdict = user.user_deploy(ticket)  # the update after it fails
+        assert verdict == "Verified"
         log, history, pcr9 = list(user.vtpm.log), copy.deepcopy(user.history), user.vtpm.pcr_read(9)
         # The update runs again before the invoke, fails again, and refuses it.
         with pytest.raises(
@@ -590,6 +595,16 @@ class TestKeyUpdateFlow:
         assert user.trace.events[-1].error is caught.value
         assert user.vtpm.pcr_read(9) == pcr9
         assert user.history == history and user.vtpm.log == log
+        assert user.endpoint.session.epoch == world.device.session.epoch == 0
+        user.close()
+
+    def test_update_with_no_unused_crp_answers_rc_1_traced(self):
+        world = build_world(crp_slice=1)
+        connect_world(world)  # the handshake takes the only CRP
+        user = world.user
+        assert user.update_key() == 1
+        assert [(e.actor, e.kind) for e in user.trace.events] == [("user", "error")]
+        assert isinstance(user.trace.first_error(), CrpExhausted)
         assert user.endpoint.session.epoch == world.device.session.epoch == 0
         user.close()
 
@@ -679,6 +694,25 @@ class TestLostRecordSweep:
         assert len(answered) == len(set(answered))
         user.close()
 
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_a_lost_update_request_leaves_each_request_its_answer(self, k):
+        # Record 6 is the UPDATE_REQ due after the deploy, record 10 the one
+        # due after the second invoke; the update is traced and stays due.
+        world = build_world(seed=11, rekey_threshold=2)
+        user = world.user
+        world.device.boot()
+        user.connect(DropNth(device.DirectPair(world.device), k))
+        ticket = user.prepare_deploy(1, device.IpImage("xor", bytes(16)))
+        response, verdict = user.user_deploy(ticket)
+        assert (response.response_code, verdict) == (0, "Verified")
+        for i in range(2):
+            output, record = user.user_invoke(1, bytes([i]) * 16)
+            assert output == bytes([i]) * 16 and record.verdict == "Verified"
+        assert [type(e.error) for e in user.trace.events] == [channel.Timeout]
+        assert user.endpoint.session.epoch == world.device.session.epoch
+        assert user.verify().all_verified
+        user.close()
+
 
 class TestRekeyBudget:
     def test_exhausted_budget_refuses_before_anything_is_measured(self):
@@ -688,12 +722,18 @@ class TestRekeyBudget:
         try:
             deploy_xor(user)  # frames 1 and 2
             user.user_invoke(1, b"1" * 16)  # frame 3
+            # Frame 4 makes a key update due, with no CRP left for it: the
+            # invoke is answered, and the update's CrpExhausted is traced.
+            output, record = user.user_invoke(1, b"2" * 16)
+            assert len(output) == 16 and record.verdict == "Verified"
+            assert isinstance(user.trace.first_error(), CrpExhausted)
             log, history = list(user.vtpm.log), copy.deepcopy(user.history)
             registers = user.vtpm.pcr_read(9), user.vtpm.pcr_read(10)
             sent = user.endpoint.session.send_counter
-            # Frame 4 would make a key update due, with no CRP left for it.
-            with pytest.raises(CrpExhausted, match="0 of 1 remain unused"):
-                user.user_invoke(1, b"2" * 16)
+            # The update is still due and fails again, so the next invoke is refused.
+            with pytest.raises(CrpExhausted, match="no unused CRP left") as caught:
+                user.user_invoke(1, b"3" * 16)
+            assert user.trace.events[-1].error is caught.value
             assert user.vtpm.log == log
             assert (user.vtpm.pcr_read(9), user.vtpm.pcr_read(10)) == registers
             assert user.history == history

@@ -64,6 +64,37 @@ class TestParser:
         assert "adversary" not in step.args
 
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("deploy ip=70000", "ip=70000: not an integer in 0..65535"),
+            ("deploy ip=1 params=hex:zz", "params=hex:zz: non-hexadecimal"),
+            ("invoke ip=x", "ip=x: not an integer in 0..65535"),
+            ("invoke ip=1 flag=4294967296", "flag=4294967296: not an integer in 0..4294967295"),
+            ("invoke ip=1 inptu=hex:00", "step 'invoke' takes no key 'inptu'"),
+            ("verify expect-mismatch=4,x", "expect-mismatch=4,x: invalid literal"),
+        ],
+        ids=["ip-too-large", "params-not-hex", "ip-not-a-number", "flag-too-large",
+             "misspelt-key", "pcr-not-a-number"],
+    )
+    def test_a_bad_step_argument_is_refused_with_its_line(self, line, reason, tmp_path, capsys):
+        text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{line}\n"
+        with pytest.raises(scenario.ParseError) as excinfo:
+            scenario.parse_scenario(text)
+        assert str(excinfo.value).startswith(f"line 7: {reason}")
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ParseError: line 7: {reason}")
+
+    def test_an_unknown_kernel_is_left_to_the_device(self):
+        text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\ndeploy kernel=nosuch\n"
+        scn = scenario.parse_scenario(text)
+        assert scn.steps[-1].args == {"ip": 1, "kernel": "nosuch", "params": b"\0"}
+        result = scenario.ScenarioRunner(scn, seed=5).run().results[-1]
+        assert (result.outcome, result.detail) == ("bad-image", "unknown kernel 'nosuch'")
+
+
 class TestBaseline:
     def test_baseline_exits_zero_all_verified(self):
         report = run_file("baseline.txt", timeout=2.0)
