@@ -23,10 +23,9 @@ Three pieces live here:
   Update messages ride inside the existing encrypted channel and both
   ends switch epochs only after a key-confirmation MAC exchange.
 
-The rekey threshold is the user node's policy: it sets the threshold on the
-session the vTPM's handshake establishes, and runs each key update that falls
-due.  Only the vTPM initiates a rekey, so ``seal`` enforces the threshold for
-the vTPM's role alone: the device relies on it and never refuses to answer.
+No frame is counted here against a rekey threshold: ``runtime.UserNode`` holds
+it, runs each key update that falls due, and alone refuses to seal a request
+while one is due.  The device never refuses to answer.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ TAG_LEN = 16
 FRAME_HEAD = struct.Struct(">IQ")  # epoch, counter: the first 12 bytes of a frame
 FRAME_OVERHEAD = FRAME_HEAD.size + NONCE_LEN + TAG_LEN  # 40
 HS_NONCE_LEN = 16
-DEFAULT_REKEY_THRESHOLD = 1024
 
 _SESS_INFO = b"trctee-sess"
 _CONFIRM_INFO = b"trctee-confirm"
@@ -126,13 +124,10 @@ class SessionState:
     epoch: int = 0
     send_counter: int = 0  # last counter used for sending
     recv_counter: int = 0  # last counter accepted
-    rekey_threshold: int = DEFAULT_REKEY_THRESHOLD
 
     def __post_init__(self):
         if len(self.sess_key) != KEY_LEN:
             raise ValueError("session key must be 32 bytes")
-        if self.rekey_threshold < 1:
-            raise ValueError("rekey threshold must be at least 1")
 
     @property
     def my_role(self) -> Role:
@@ -177,21 +172,10 @@ def _nonce(direction: Role, epoch: int, counter: int) -> bytes:
     return bytes([lead]) + (epoch & 0xFFFFFF).to_bytes(3, "big") + counter.to_bytes(8, "big")
 
 
-def counter_tick(session: SessionState) -> bool:
-    """True once the send counter has crossed the rekey threshold."""
-    return session.send_counter >= session.rekey_threshold
-
-
-def seal(session: SessionState, plaintext: bytes, *, _rekey_bypass: bool = False) -> Frame:
-    """Encrypt one payload; on the vTPM's side, raises RekeyRequired once the
-    threshold is hit."""
-    role = session.my_role
-    if role is Role.VTPM and not _rekey_bypass and counter_tick(session):
-        raise RekeyRequired(
-            f"{session.send_counter} frames sent this epoch; update the key first"
-        )
+def seal(session: SessionState, plaintext: bytes) -> Frame:
+    """Encrypt one payload as the session's next frame."""
     counter = session.send_counter + 1
-    nonce = _nonce(role, session.epoch, counter)
+    nonce = _nonce(session.my_role, session.epoch, counter)
     head = FRAME_HEAD.pack(session.epoch, counter)
     record = bytearray(FRAME_OVERHEAD + len(plaintext))
     record[: FRAME_HEAD.size] = head
@@ -523,8 +507,8 @@ class ChannelEndpoint:
         self.transport = transport
         self.recv_timeout = recv_timeout
 
-    def send(self, payload: bytes, *, _rekey_bypass: bool = False) -> None:
-        frame = seal(self.session, payload, _rekey_bypass=_rekey_bypass)
+    def send(self, payload: bytes) -> None:
+        frame = seal(self.session, payload)
         self.transport.send_record(frame.encode())
 
     def recv(self) -> memoryview:
@@ -534,8 +518,8 @@ class ChannelEndpoint:
             raise Timeout(str(exc)) from None
         return open_frame(self.session, record)
 
-    def request(self, payload: bytes, *, _rekey_bypass: bool = False) -> memoryview:
-        self.send(payload, _rekey_bypass=_rekey_bypass)
+    def request(self, payload: bytes) -> memoryview:
+        self.send(payload)
         return self.recv()
 
 
@@ -552,18 +536,12 @@ def initiate_update(
     new_key, confirm_key = derive_updated_key(
         state_hash, response, session.sess_key, new_epoch
     )
-    reply = endpoint.request(
-        messages.encode_update_req(challenge, state_hash, new_epoch),
-        _rekey_bypass=True,
-    )
+    reply = endpoint.request(messages.encode_update_req(challenge, state_hash, new_epoch))
     mac_d = messages.decode_update_confirm(reply, messages.UPDATE_CONFIRM_D)
     if not constant_time_eq(mac_d, _update_mac(confirm_key, b"d", new_epoch)):
         raise ConfirmFailure("device confirmation of the updated key failed")
     mac_v = _update_mac(confirm_key, b"v", new_epoch)
-    endpoint.send(
-        messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, mac_v),
-        _rekey_bypass=True,
-    )
+    endpoint.send(messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, mac_v))
     session.switch_epoch(new_key)
 
 

@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from . import channel, device, puf, runtime, scenario, statefile, transport, ttp
+from . import device, puf, runtime, scenario, statefile, transport, ttp
 from .crypto import Rng
 from .errors import TrcteeError
 
@@ -198,7 +198,7 @@ def cmd_serve(args) -> int:
     )
     dev.boot()
     server = transport.listen(host, port)
-    print(f"device {fields['id']} booted, listening on {host}:{port}")
+    print(f"device {fields['id']} booted, listening on {host}:{server.getsockname()[1]}")
     try:
         conn = transport.accept_one(server, timeout=args.timeout)
         try:
@@ -242,10 +242,12 @@ def _baseline_flow(user: runtime.UserNode, conn, root: str, args) -> int:
     output2, record2 = user.user_invoke(1, output)
     roundtrip = "ok" if output2 == data else "MISMATCH"
     print(f"invoke ip=1 again -> xor round-trip {roundtrip} ({record2.verdict})")
+    mark = len(user.trace.events)
     rc = user.update_key()
     # A transport error in the update ends the session (runtime.UserNode._fail).
     state = f"epoch {user.endpoint.session.epoch}" if user.endpoint else "session ended"
-    print(f"update-key rc={rc}, {state}")
+    cause = user.trace.first_error(mark)
+    print(f"update-key rc={rc}, {state}" + (f": {type(cause).__name__}: {cause}" if cause else ""))
     # Export once: the file written is exactly the text that was verified.
     log_text = user.export_log()
     report = runtime.verify_attestation(log_text, user.golden_manifest, user.history)
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rekey-threshold",
         type=_positive_int,
-        default=channel.DEFAULT_REKEY_THRESHOLD,
+        default=runtime.DEFAULT_REKEY_THRESHOLD,
         help="frames per epoch before an automatic key update, read by connect "
         "and run (default %(default)s)",
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import channel, device, messages, statefile, vtpm, wire
@@ -30,6 +30,9 @@ from .errors import TrcteeError
 from .puf import CrpExhausted, CrpStore
 from .ttp import VtpmBundle
 from .vtpm import DEPLOY_PCR, INPUT_PCR, OUTPUT_PCR
+
+
+DEFAULT_REKEY_THRESHOLD = 1024  # frames the vTPM sends in one epoch before its key update
 
 
 class OrchestrationError(TrcteeError):
@@ -186,10 +189,12 @@ class UserNode:
         golden_manifest: list[tuple[str, bytes]],
         crp_store: CrpStore,
         rng: Rng | None = None,
-        rekey_threshold: int = channel.DEFAULT_REKEY_THRESHOLD,
+        rekey_threshold: int = DEFAULT_REKEY_THRESHOLD,
         recv_timeout: float | None = 5.0,
         trace: Trace | None = None,
     ):
+        if rekey_threshold < 1:
+            raise ValueError("rekey threshold must be at least 1")
         self.bundle = bundle
         self.device_id = device_id
         self.golden_manifest = golden_manifest
@@ -238,7 +243,7 @@ class UserNode:
             if isinstance(exc, channel.ChannelError) and not isinstance(exc, channel.Timeout):
                 channel.send_abort(transport, exc)
             raise
-        session = replace(handshake.session, rekey_threshold=self.rekey_threshold)
+        session = handshake.session
         self.endpoint = channel.ChannelEndpoint(session, transport, recv_timeout=self.recv_timeout)
         self.deploy_key = channel.derive_deploy_key(session.sess_key)
         self.handshakes_done += 1
@@ -258,18 +263,26 @@ class UserNode:
             raise NoSession("no established session with the device")
         return self.endpoint
 
+    def _request(self, payload: bytes) -> memoryview:
+        """Seal one request to the device and return its reply; the one place
+        the rekey threshold refuses a request, while a key update is due."""
+        if self.update_due:
+            sent = self.endpoint.session.send_counter
+            raise channel.RekeyRequired(f"{sent} frames sent this epoch; update the key first")
+        return self.endpoint.request(payload)
+
     # -- deployment --------------------------------------------------------------
 
     def prepare_deploy(self, ip_num: int, image: device.IpImage) -> DeployTicket:
         """Encrypt a bitstream, upload it, and keep the local reference hash."""
-        endpoint = self._require_session()
+        self._require_session()
         plaintext = image.encode()
         encrypted = device.encrypt_bitstream(
             image, ip_num, self.deploy_key, self.rng.child(f"bitstream-{ip_num}")
         )
         name = device.blob_name(ip_num)
         with self._exchange():
-            reply = endpoint.request(messages.encode_store_blob(name, encrypted.encode()))
+            reply = self._request(messages.encode_store_blob(name, encrypted.encode()))
             if messages.kind_of(reply) != messages.STORE_OK:
                 raise OrchestrationError("bitstream upload was not acknowledged")
         return DeployTicket(
@@ -305,14 +318,14 @@ class UserNode:
         ip_num = command.ip_num
         invoke = isinstance(command, wire.InvokeCmd)
         try:
-            endpoint = self._require_session()
+            self._require_session()
             if invoke:
                 input_digest = sha384(command.input)
                 self.vtpm.pcr_extend(
                     INPUT_PCR, input_digest, vtpm.EventKind.IP_INPUT, f"invoke-ip{ip_num}-input"
                 )
                 self.history.inputs.append(input_digest)
-            reply = endpoint.request(raw)
+            reply = self._request(raw)
             response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
         except TrcteeError as exc:
             self._fail(exc)
@@ -423,10 +436,15 @@ class UserNode:
             raise
         self._update_if_due()
 
+    @property
+    def update_due(self) -> bool:
+        """True once the vTPM has sent ``rekey_threshold`` frames this epoch."""
+        endpoint = self.endpoint
+        return endpoint is not None and endpoint.session.send_counter >= self.rekey_threshold
+
     def _update_if_due(self) -> int:
         """Run a due key update as an Update_CMD; its return code, 0 if none was due."""
-        due = self.endpoint is not None and channel.counter_tick(self.endpoint.session)
-        return self.update_key() if due else 0
+        return self.update_key() if self.update_due else 0
 
     def _fail(self, exc: TrcteeError) -> None:
         """Trace a failed exchange with the device as the user's error.  A

@@ -218,7 +218,7 @@ class ScenarioRunner:
         scenario: Scenario,
         seed: int | None = None,
         tcp: bool = False,
-        rekey_threshold: int = channel.DEFAULT_REKEY_THRESHOLD,
+        rekey_threshold: int = runtime.DEFAULT_REKEY_THRESHOLD,
         crp_slice: int = ttp.DEFAULT_SLICE_SIZE,
         recv_timeout: float = 2.0,
     ):

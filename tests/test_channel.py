@@ -8,18 +8,14 @@ from trctee import channel, device, puf, transport, ttp, vtpm
 from trctee.crypto import Rng, hmac_sha384
 
 
-def make_session(threshold=1024, key=None, peer=channel.Role.TMM):
-    return channel.SessionState(
-        sess_key=key or Rng(1).bytes(32),
-        peer_role=peer,
-        rekey_threshold=threshold,
-    )
+def make_session(key=None, peer=channel.Role.TMM):
+    return channel.SessionState(sess_key=key or Rng(1).bytes(32), peer_role=peer)
 
 
-def session_pair(threshold=1024):
+def session_pair():
     key = Rng(2).bytes(32)
-    vtpm_side = make_session(threshold, key=key, peer=channel.Role.TMM)
-    tmm_side = make_session(threshold, key=key, peer=channel.Role.VTPM)
+    vtpm_side = make_session(key=key, peer=channel.Role.TMM)
+    tmm_side = make_session(key=key, peer=channel.Role.VTPM)
     return vtpm_side, tmm_side
 
 
@@ -88,36 +84,18 @@ class TestFraming:
 
 
 class TestCounters:
-    def test_rekey_required_at_threshold(self):
-        sender, _ = session_pair(threshold=4)
-        for _ in range(4):
-            channel.seal(sender, b"x")
-        with pytest.raises(channel.RekeyRequired):
-            channel.seal(sender, b"one too many")
-
-    def test_counter_tick_fires_on_fourth_frame(self):
-        sender, _ = session_pair(threshold=4)
-        fired = []
-        for _ in range(4):
-            channel.seal(sender, b"x")
-            fired.append(channel.counter_tick(sender))
-        assert fired == [False, False, False, True]
-
-    def test_threshold_zero_rejected(self):
-        with pytest.raises(ValueError):
-            make_session(threshold=0)
-
     def test_session_key_of_another_size_rejected(self):
         with pytest.raises(ValueError, match="session key must be 32 bytes"):
             make_session(key=bytes(16))
 
     def test_counting_restarts_after_epoch_switch(self):
-        sender, _ = session_pair(threshold=4)
+        sender, _ = session_pair()
         for _ in range(4):
             channel.seal(sender, b"x")
         sender.switch_epoch(Rng(4).bytes(32))
-        assert sender.send_counter == 0 and not channel.counter_tick(sender)
-        channel.seal(sender, b"fresh epoch")
+        assert sender.send_counter == 0
+        frame = channel.seal(sender, b"fresh epoch")
+        assert (frame.epoch, frame.counter) == (1, 1)
 
 
 def handshake_fixtures(seed=21, crp_count=8):

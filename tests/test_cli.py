@@ -15,6 +15,7 @@ from test_runtime import CloseOnNth
 from trctee import cli, device, puf, scenario, transport, vtpm
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+real_listen = transport.listen
 
 
 def run_cli(*argv):
@@ -117,35 +118,9 @@ class TestServeConnectVerify:
         run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice")
         run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1")
 
-        port = free_port()
-        results = {}
-
-        def serve():
-            results["serve"] = run_cli(
-                "--store", store, "--seed", "3",
-                "serve", "--listen", f"127.0.0.1:{port}", "--device", "dev1",
-                "--timeout", "10",
-            )
-
-        server = threading.Thread(target=serve, daemon=True)
-        server.start()
-
-        import time
-
-        # Retry while the server is not yet listening.
-        deadline = time.time() + 5
-        rc, out = None, ""
-        while time.time() < deadline:
-            rc = run_cli(
-                "--store", store, "--seed", "4",
-                "connect", "--addr", f"127.0.0.1:{port}", "--user", "alice",
-            )
-            captured = capsys.readouterr()
-            out += captured.out
-            if "ConnectError" not in captured.err:
-                break
-            time.sleep(0.1)
-        server.join(timeout=10)
+        rc, _, _, out = serve_and_connect(
+            store, capsys, monkeypatch, serve_flags=("--seed", "3"), connect_flags=("--seed", "4")
+        )
         assert rc == 0
         assert "xor round-trip ok" in out
         assert "overall: VERIFIED" in out
@@ -166,27 +141,7 @@ class TestServeConnectVerify:
         run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1")
         run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice")
         run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1")
-        port = free_port()
-        server = threading.Thread(
-            target=run_cli,
-            args=("--store", store, "serve", "--listen", f"127.0.0.1:{port}",
-                  "--device", "dev1", "--timeout", "10"),
-            daemon=True,
-        )
-        server.start()
-        import time
-
-        deadline = time.time() + 5
-        while time.time() < deadline:
-            capsys.readouterr()
-            rc = run_cli("--store", store, "connect", "--addr", f"127.0.0.1:{port}",
-                         "--user", "alice")
-            err = capsys.readouterr().err
-            if "ConnectError" not in err:
-                break
-            time.sleep(0.1)
-        server.join(timeout=10)
-        assert not server.is_alive()
+        rc, err, _, _ = serve_and_connect(store, capsys, monkeypatch)
         assert rc == 1
         assert err.startswith("error: MessageError: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -303,34 +258,38 @@ def enroll_and_provision(store):
     assert run_cli("--store", store, "provision", "--user", "alice", "--device", "dev1") == 0
 
 
-def serve_and_connect(store, capsys):
-    """One `serve` in a thread and one `connect` against it: connect's exit
-    code and what it wrote to stderr, serve's exit code, and what both wrote
-    to stdout."""
-    import time
+def serve_and_connect(store, capsys, monkeypatch, serve_flags=(), connect_flags=()):
+    """One `serve` on port 0 in a thread and, once it is listening, one
+    `connect` to the port it bound: connect's exit code and what it wrote to
+    stderr, serve's exit code, and what both wrote to stdout."""
+    bound, ports = threading.Event(), []
 
-    port = free_port()
+    def listen(host, port):
+        server = real_listen(host, port)
+        ports.append(server.getsockname()[1])
+        bound.set()
+        return server
+
+    monkeypatch.setattr(transport, "listen", listen)
     served = []
     server = threading.Thread(
         target=lambda: served.append(run_cli(
-            "--store", store, "serve", "--listen", f"127.0.0.1:{port}",
+            "--store", store, *serve_flags, "serve", "--listen", "127.0.0.1:0",
             "--device", "dev1", "--timeout", "10",
         )),
         daemon=True,
     )
     server.start()
-    deadline = time.time() + 5
-    out = ""
-    while True:  # retry while the server is not yet listening
-        rc = run_cli("--store", store, "connect", "--addr", f"127.0.0.1:{port}", "--user", "alice")
-        captured = capsys.readouterr()
-        err, out = captured.err, out + captured.out
-        if "ConnectError" not in err or time.time() > deadline:
-            break
-        time.sleep(0.1)
+    assert bound.wait(10)
+    rc = run_cli(
+        "--store", store, *connect_flags,
+        "connect", "--addr", f"127.0.0.1:{ports[0]}", "--user", "alice",
+    )
     server.join(timeout=10)
     assert not server.is_alive()
-    return rc, err, served[0], out + capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert f"listening on 127.0.0.1:{ports[0]}\n" in captured.out
+    return rc, captured.err, served[0], captured.out
 
 
 class TestCrpsAcrossRuns:
@@ -344,7 +303,7 @@ class TestCrpsAcrossRuns:
         runs = []
         for _ in range(2):
             start = len(sent)
-            assert serve_and_connect(store, capsys)[0] == 0
+            assert serve_and_connect(store, capsys, monkeypatch)[0] == 0
             runs.append(set(sent[start:]))
         # Each run sends the handshake's challenge and the key update's.
         assert len(runs[0]) == len(runs[1]) == 2
@@ -357,7 +316,7 @@ class TestConnectKeyUpdateFails:
     """`connect` exits 1 when its key update answers rc 1; the update's
     failure is the user's, so the session and its log still verify."""
 
-    def test_a_spoiled_crp_is_exit_1(self, store, capsys):
+    def test_a_spoiled_crp_is_exit_1(self, store, capsys, monkeypatch):
         enroll_and_provision(store)
         # The handshake takes the first CRP, the key update the second.
         path = Path(store) / "crps_user_alice.txt"
@@ -365,19 +324,23 @@ class TestConnectKeyUpdateFails:
         challenge, response, used = records[1].split()
         records[1] = f"{challenge} {'0' * len(response)} {used}"
         path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
-        rc, err, _, out = serve_and_connect(store, capsys)
-        assert "update-key rc=1, epoch 0" in out
+        rc, err, _, out = serve_and_connect(store, capsys, monkeypatch)
+        assert (
+            "update-key rc=1, epoch 0: ConfirmFailure: "
+            "device confirmation of the updated key failed\n"
+        ) in out
         assert "overall: VERIFIED" in out
         assert (rc, err) == (1, "")
 
-    def test_an_exhausted_pool_is_exit_1(self, store, capsys):
+    def test_an_exhausted_pool_is_exit_1(self, store, capsys, monkeypatch):
         assert run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1") == 0
         assert run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice") == 0
         assert run_cli(
             "--store", store, "--crp-pool", "1", "provision", "--user", "alice", "--device", "dev1"
         ) == 0
-        rc, err, _, out = serve_and_connect(store, capsys)  # the handshake takes the one CRP
-        assert "update-key rc=1, epoch 0" in out
+        # The handshake takes the one CRP.
+        rc, err, _, out = serve_and_connect(store, capsys, monkeypatch)
+        assert "update-key rc=1, epoch 0: CrpExhausted: no unused CRP left in user store\n" in out
         assert (rc, err) == (1, "")
 
     def test_a_device_that_closes_under_the_update_is_exit_1(self, tmp_path, capsys):
@@ -389,12 +352,12 @@ class TestConnectKeyUpdateFails:
         args = argparse.Namespace(user="alice")
         assert cli._baseline_flow(world.user, conn, str(tmp_path), args) == 1
         out = capsys.readouterr().out
-        assert "update-key rc=1, session ended" in out
+        assert "update-key rc=1, session ended: TransportClosed: peer closed the transport\n" in out
         assert "overall: VERIFIED" in out
 
 
 class TestRejectedHandshake:
-    def test_connect_names_the_device_side_cause(self, store, capsys):
+    def test_connect_names_the_device_side_cause(self, store, capsys, monkeypatch):
         # alice's user file carries mallory's certificate: valid under the
         # TTP key, but not for alice's signing key, so the device rejects it.
         enroll_and_provision(store)
@@ -407,7 +370,7 @@ class TestRejectedHandshake:
             "".join(cert + "\n" if line.startswith("cert ") else line
                     for line in alice.read_text().splitlines(keepends=True))
         )
-        rc, err, _, _ = serve_and_connect(store, capsys)
+        rc, err, _, _ = serve_and_connect(store, capsys, monkeypatch)
         assert rc == 1
         assert err.startswith("error: PeerAborted: ") and err.count("\n") == 1
         assert "BadCert" in err and "Traceback" not in err
@@ -436,7 +399,7 @@ class TestRejectedHandshake:
         assert err.startswith("error: StaleNonce: ") and err.count("\n") == 1
         assert received[1:] == [b"\x1f\x02"]
 
-    def test_serve_names_the_vtpm_side_cause(self, store, capsys):
+    def test_serve_names_the_vtpm_side_cause(self, store, capsys, monkeypatch):
         # A device whose PUF seed is zeroed answers with the wrong PUF, so the
         # vTPM rejects it; serve reports that, not a clean session end.
         enroll_and_provision(store)
@@ -445,7 +408,7 @@ class TestRejectedHandshake:
             "".join("seed " + "00" * 32 + "\n" if line.startswith("seed ") else line
                     for line in path.read_text().splitlines(keepends=True))
         )
-        rc, err, serve_rc, out = serve_and_connect(store, capsys)
+        rc, err, serve_rc, out = serve_and_connect(store, capsys, monkeypatch)
         assert rc == 1
         assert err == "error: PufMismatch: device PUF response does not match the enrolled CRP\n"
         assert serve_rc == 1

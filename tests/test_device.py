@@ -421,8 +421,8 @@ def core_handshake(world):
 
 
 def seal(session, payload):
-    """A vTPM frame that no rekey threshold holds back."""
-    return channel.seal(session, payload, _rekey_bypass=True).encode()
+    """The encoded vTPM frame of ``payload``."""
+    return channel.seal(session, payload).encode()
 
 
 class TestDeviceCore:

@@ -372,7 +372,7 @@ class TestFailedExchangesAreTraced:
         assert isinstance(error, channel.ConfirmFailure)
         assert str(error) == "device confirmation of the updated key failed"
         assert user.updates_done == 0
-        assert channel.counter_tick(user.endpoint.session)  # the update stays due
+        assert user.update_due
         assert user.endpoint.session.epoch == world.device.session.epoch == 0
         user.close()
 
@@ -714,6 +714,50 @@ class TestLostRecordSweep:
         user.close()
 
 
+class TestRekeyThreshold:
+    """The user node alone counts the vTPM's frames against the threshold."""
+
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_below_one_is_refused(self, threshold):
+        with pytest.raises(ValueError, match="rekey threshold must be at least 1"):
+            build_world(rekey_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [1, 2, 4])
+    def test_update_falls_due_after_exactly_threshold_frames(self, threshold):
+        world = build_world(rekey_threshold=threshold)
+        connect_world(world)
+        user = world.user
+        spoil_next_crp(user)  # the automatic update fails, so it stays due
+        due = []
+        for ip_num in range(threshold):  # one frame each
+            user.prepare_deploy(ip_num, device.IpImage(kernel_id="xor", params=bytes(16)))
+            due.append(user.update_due)
+        assert due == [False] * (threshold - 1) + [True]
+        assert isinstance(user.trace.first_error(), channel.ConfirmFailure)
+        assert user.update_key() == 0
+        assert not user.update_due and user.endpoint.session.epoch == 1
+        user.close()
+
+    def test_a_vtpm_command_while_an_update_is_due_is_refused_unsent(self):
+        world = build_world(rekey_threshold=2, crp_slice=1)
+        world.device.boot()
+        records = []
+        user = world.user
+        user.connect(transport.RecordingTransport(device.DirectPair(world.device), records))
+        deploy_xor(user)  # frames 1 and 2; the update due after them finds no CRP
+        assert isinstance(user.trace.first_error(), CrpExhausted)
+        session, sent = user.endpoint.session, len(records)
+        epoch, counter = session.epoch, session.send_counter
+        response = user.vtpm.dispatch(wire.encode(wire.InvokeCmd(ip_num=1, input=bytes(16))))
+        assert wire.decode_response(response, wire.CC_INVOKE).response_code == 1
+        error = user.trace.events[-1].error
+        assert isinstance(error, channel.RekeyRequired)
+        assert str(error) == "2 frames sent this epoch; update the key first"
+        assert len(records) == sent
+        assert (session.epoch, session.send_counter) == (epoch, counter)
+        user.close()
+
+
 class TestRekeyBudget:
     def test_exhausted_budget_refuses_before_anything_is_measured(self):
         world = build_world(seed=12, rekey_threshold=4, crp_slice=1)
@@ -1051,10 +1095,10 @@ class TestTmmSeesCommandBytes:
                 opened.append(plaintext)
             return plaintext
 
-        def seal(session, plaintext, **kwargs):
+        def seal(session, plaintext):
             if session.my_role is channel.Role.TMM:
                 sealed.append(plaintext)
-            return real_seal(session, plaintext, **kwargs)
+            return real_seal(session, plaintext)
 
         monkeypatch.setattr(channel, "open_frame", open_frame)
         monkeypatch.setattr(channel, "seal", seal)
