@@ -210,8 +210,6 @@ class UserNode:
         self.deploy_key: bytes | None = None
         self.history = ExpectedHistory()
         self._forwarded: wire.DeployResp | wire.InvokeResp | None = None
-        self.handshakes_done = 0
-        self.updates_done = 0
 
     # -- session establishment -------------------------------------------------
 
@@ -246,7 +244,6 @@ class UserNode:
         session = handshake.session
         self.endpoint = channel.ChannelEndpoint(session, transport, recv_timeout=self.recv_timeout)
         self.deploy_key = channel.derive_deploy_key(session.sess_key)
-        self.handshakes_done += 1
         self._absorb_boot_report()
 
     def _absorb_boot_report(self) -> None:
@@ -263,14 +260,6 @@ class UserNode:
             raise NoSession("no established session with the device")
         return self.endpoint
 
-    def _request(self, payload: bytes) -> memoryview:
-        """Seal one request to the device and return its reply; the one place
-        the rekey threshold refuses a request, while a key update is due."""
-        if self.update_due:
-            sent = self.endpoint.session.send_counter
-            raise channel.RekeyRequired(f"{sent} frames sent this epoch; update the key first")
-        return self.endpoint.request(payload)
-
     # -- deployment --------------------------------------------------------------
 
     def prepare_deploy(self, ip_num: int, image: device.IpImage) -> DeployTicket:
@@ -282,7 +271,7 @@ class UserNode:
         )
         name = device.blob_name(ip_num)
         with self._exchange():
-            reply = self._request(messages.encode_store_blob(name, encrypted.encode()))
+            reply = self.endpoint.request(messages.encode_store_blob(name, encrypted.encode()))
             if messages.kind_of(reply) != messages.STORE_OK:
                 raise OrchestrationError("bitstream upload was not acknowledged")
         return DeployTicket(
@@ -310,22 +299,28 @@ class UserNode:
         return response
 
     def _forward_to_tmm(self, command: wire.DeployCmd | wire.InvokeCmd, raw: bytes) -> bytes:
-        """vTPM-side Deploy_CMD/Invoke_CMD hook: measure the input, forward the
-        command bytes to the TMM, measure its result, return its response bytes.
+        """vTPM-side Deploy_CMD/Invoke_CMD hook: refuse the command while a key
+        update is due, else measure the input, forward the command bytes to the
+        TMM, measure its result, return its response bytes.
 
-        The decoded response, or the failure response when none came back, is
-        left for :meth:`_forward`, so that each payload is decoded once on this hop."""
+        The refusal comes first, so a refused command leaves PCR8/9/10, the
+        history and the log as they were.  The decoded response, or the failure
+        response when none came back, is left for :meth:`_forward`, so that each
+        payload is decoded once on this hop."""
         ip_num = command.ip_num
         invoke = isinstance(command, wire.InvokeCmd)
         try:
-            self._require_session()
+            endpoint = self._require_session()
+            if self.update_due:
+                sent = endpoint.session.send_counter
+                raise channel.RekeyRequired(f"{sent} frames sent this epoch; update the key first")
             if invoke:
                 input_digest = sha384(command.input)
                 self.vtpm.pcr_extend(
                     INPUT_PCR, input_digest, vtpm.EventKind.IP_INPUT, f"invoke-ip{ip_num}-input"
                 )
                 self.history.inputs.append(input_digest)
-            reply = self._request(raw)
+            reply = endpoint.request(raw)
             response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
         except TrcteeError as exc:
             self._fail(exc)
@@ -411,7 +406,6 @@ class UserNode:
         except TrcteeError as exc:
             self._fail(exc)
             return 1
-        self.updates_done += 1
         return 0
 
     @contextmanager

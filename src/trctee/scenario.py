@@ -400,7 +400,6 @@ class ScenarioRunner:
                 if after != before:
                     raise ExpectationFailed("config memory changed on a failed deploy")
             raise OperationFailed("deploy failed")
-        self._ticket = ticket
         return f"ip {ip_num} deployed, hash {response.bin_hash.hex()[:16]}..., {verdict}"
 
     def _step_invoke(self, step: Step) -> str:

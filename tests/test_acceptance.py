@@ -164,10 +164,10 @@ class TestAcceptance:
         # Any frame under the old epoch is rejected.
         with pytest.raises(channel.WrongEpoch):
             channel.open_frame(dev.session, stale.encode())
-        # Single-use accounting: consumed = handshakes + updates.
+        # Single-use accounting: one CRP for the handshake, one per epoch since.
         assert user.update_key() == 0
         consumed = total - user.crp_store.unused_count()
-        assert consumed == user.handshakes_done + user.updates_done == 1 + 2
+        assert consumed == 1 + user.endpoint.session.epoch == 1 + 2
         user.close()
         _pass(6, "key lifecycle, KDF recomputation, epoch rejection, CRP count")
 

@@ -646,7 +646,7 @@ class TestPipeMatchesDirectPair:
         assert user.update_key() == 0
         for n in range(5):  # the 4th frame of epoch 1 makes the automatic update due
             user.user_invoke(1, bytes([n]) * 16)
-        assert user.updates_done == 2
+        assert user.endpoint.session.epoch == 2
         assert user.verify().all_verified
         user.close()
         if threaded:

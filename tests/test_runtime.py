@@ -371,7 +371,6 @@ class TestFailedExchangesAreTraced:
         error = user.trace.first_error()
         assert isinstance(error, channel.ConfirmFailure)
         assert str(error) == "device confirmation of the updated key failed"
-        assert user.updates_done == 0
         assert user.update_due
         assert user.endpoint.session.epoch == world.device.session.epoch == 0
         user.close()
@@ -427,7 +426,7 @@ class TestDeviceClosesMidRequest:
         self._serve(world, 4)
         assert world.user.update_key() == 1
         assert isinstance(world.user.trace.first_error(), transport.TransportClosed)
-        assert world.user.endpoint is None and world.user.updates_done == 0
+        assert world.user.endpoint is None and world.device.session.epoch == 0
         assert world.user.update_key() == 1
         assert isinstance(world.user.trace.events[-1].error, runtime.NoSession)
 
@@ -443,7 +442,7 @@ class TestDeviceClosesMidRequest:
         error = world.user.trace.first_error()
         assert isinstance(error, transport.TransportClosed)
         assert str(error) == "peer closed the transport"
-        assert world.user.endpoint is None and world.user.updates_done == 0
+        assert world.user.endpoint is None and world.device.session.epoch == 0
         with pytest.raises(runtime.NoSession):
             world.user.prepare_deploy(2, device.IpImage(kernel_id="xor", params=bytes(16)))
 
@@ -457,7 +456,7 @@ class TestDeviceClosesMidRequest:
         )
         response, verdict = world.user.user_deploy(ticket)
         assert (response.response_code, verdict) == (1, "Mismatch")
-        assert world.user.endpoint is None and world.user.updates_done == 0
+        assert world.user.endpoint is None and world.device.session.epoch == 0
         with pytest.raises(runtime.OrchestrationError, match="no established session"):
             world.user.user_invoke(1, bytes(16))
 
@@ -467,7 +466,6 @@ class TestKeyUpdateFlow:
         user = connected.user
         assert user.update_key() == 0
         assert user.endpoint.session.epoch == 1
-        assert user.updates_done == 1
 
     def test_update_with_consumed_challenge_fails(self, connected):
         user = connected.user
@@ -487,7 +485,6 @@ class TestKeyUpdateFlow:
         assert isinstance(error, channel.ConfirmFailure)
         assert str(error) == "device confirmation of the updated key failed"
         assert user.endpoint.session.epoch == dev.session.epoch == 0
-        assert user.updates_done == 0
         output, record = user.user_invoke(1, bytes(16))
         assert record.verdict == "Verified"
         assert user.endpoint.session.epoch == dev.session.epoch == 0
@@ -621,7 +618,7 @@ class TestKeyUpdateFlow:
         with pytest.raises(KeyboardInterrupt):
             user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
         assert received == [None]  # the upload's reply only: no update was started
-        assert user.updates_done == 0 and user.trace.events == []
+        assert user.endpoint.session.epoch == 0 and user.trace.events == []
         user.close()
 
     def test_counter_triggered_update(self):
@@ -633,7 +630,6 @@ class TestKeyUpdateFlow:
         assert user.endpoint.session.epoch == 0
         user.user_invoke(1, b"2" * 16)  # 4th crosses the threshold
         assert user.endpoint.session.epoch == 1
-        assert user.updates_done == 1
         user.user_invoke(1, b"3" * 16)  # fresh epoch counts from zero
         assert user.endpoint.session.epoch == 1
         user.close()
@@ -666,7 +662,7 @@ class TestLostRecordSweep:
                 return None
 
         attempt(user.connect, tap)
-        if user.handshakes_done:
+        if user.endpoint is not None:
             ticket = attempt(user.prepare_deploy, 1, device.IpImage("xor", bytes(16)))
             attempt(user.user_deploy, ticket or runtime.DeployTicket(1, b"", device.blob_name(1)))
             for i in range(4):
@@ -688,7 +684,7 @@ class TestLostRecordSweep:
         user = world.user
         errors = [e.error for e in user.trace.events]
         assert not any(isinstance(e, channel.RekeyRequired) for e in errors), errors
-        if user.handshakes_done:
+        if user.endpoint is not None:
             assert user.endpoint.session.epoch == world.device.session.epoch
             assert user.verify().all_verified
         assert len(answered) == len(set(answered))
@@ -738,7 +734,9 @@ class TestRekeyThreshold:
         assert not user.update_due and user.endpoint.session.epoch == 1
         user.close()
 
-    def test_a_vtpm_command_while_an_update_is_due_is_refused_unsent(self):
+    def _refuse(self, command, command_code):
+        """Dispatch ``command`` raw while an update is due: it must answer rc 1
+        with ``RekeyRequired`` traced, unsent and unmeasured."""
         world = build_world(rekey_threshold=2, crp_slice=1)
         world.device.boot()
         records = []
@@ -748,14 +746,24 @@ class TestRekeyThreshold:
         assert isinstance(user.trace.first_error(), CrpExhausted)
         session, sent = user.endpoint.session, len(records)
         epoch, counter = session.epoch, session.send_counter
-        response = user.vtpm.dispatch(wire.encode(wire.InvokeCmd(ip_num=1, input=bytes(16))))
-        assert wire.decode_response(response, wire.CC_INVOKE).response_code == 1
+        log, history = list(user.vtpm.log), copy.deepcopy(user.history)
+        registers = [user.vtpm.pcr_read(index) for index in (8, 9, 10)]
+        response = user.vtpm.dispatch(wire.encode(command))
+        assert wire.decode_response(response, command_code).response_code == 1
         error = user.trace.events[-1].error
         assert isinstance(error, channel.RekeyRequired)
         assert str(error) == "2 frames sent this epoch; update the key first"
         assert len(records) == sent
         assert (session.epoch, session.send_counter) == (epoch, counter)
+        assert [user.vtpm.pcr_read(index) for index in (8, 9, 10)] == registers
+        assert user.history == history and user.vtpm.log == log
         user.close()
+
+    def test_a_vtpm_command_while_an_update_is_due_is_refused_unsent(self):
+        self._refuse(wire.InvokeCmd(ip_num=1, input=bytes(16)), wire.CC_INVOKE)
+
+    def test_a_deploy_command_while_an_update_is_due_is_refused_unsent(self):
+        self._refuse(wire.DeployCmd(ip_num=2), wire.CC_DEPLOY)
 
 
 class TestRekeyBudget:
