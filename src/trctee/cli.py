@@ -12,6 +12,7 @@ import argparse
 import functools
 import os
 import sys
+import threading
 
 from . import device, puf, runtime, scenario, statefile, transport, ttp
 from .crypto import Rng
@@ -265,9 +266,10 @@ def cmd_verify(args) -> int:
     root = _store_dir(args)
     _, _, manifest = _load_provisioned_user(root, args.user)
     history_path = args.history or os.path.join(root, f"history_{args.user}.txt")
+    # Only the default file may be missing: a user with no runtime history yet.
     history = (
         runtime.ExpectedHistory.load(history_path)
-        if os.path.exists(history_path)
+        if args.history or os.path.exists(history_path)
         else runtime.ExpectedHistory()
     )
     # Lines end at "\n" only, as in the exported text; they stream into
@@ -283,6 +285,18 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _seconds(text: str) -> float:
+    """A timeout that sockets and locks accept: finite, positive, at most ``TIMEOUT_MAX``."""
+    try:
+        if 0 < float(text) <= threading.TIMEOUT_MAX:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a number of seconds in (0, {threading.TIMEOUT_MAX:.0f}], got {text!r}"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve one device session over TCP")
     p.add_argument("--listen", required=True, metavar="HOST:PORT")
     p.add_argument("--device", required=True)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_seconds, default=60.0)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("connect", help="connect a user node and run the baseline flow")

@@ -13,26 +13,28 @@ Format (version header, then one step per line, ``#`` comments):
     update-key
     verify expect=clean
 
-Steps accept ``adversary=<action>`` (tamper-frame, replay-frame,
-drop-frame, tamper-component, reuse-crp, swap-vtpm-cert, tamper-bitstream)
-and ``expect=<outcome>``; a step expecting a failure counts as met when
-exactly that typed failure occurs.  The ``agent-deploy`` step is itself an
-attack: the REE-resident agent forges a deployment request.  Attacks are
-mounted by wrapping transports or mutating at-rest state, never by
-changing the honest endpoints.  After a frame-level attack the channel is
-desynchronized, so only ``verify`` may follow.
+Every step accepts ``adversary=<action>`` and ``expect=<outcome>``; a step
+expecting a failure counts as met when exactly that typed failure occurs.
+Each step mounts only its own attacks (``STEPS``): ``boot``
+tamper-component, ``handshake`` swap-vtpm-cert, ``invoke`` tamper-frame,
+replay-frame and drop-frame, ``deploy`` those three and tamper-bitstream,
+``update-key`` reuse-crp.  The ``agent-deploy`` step is itself an attack:
+the REE-resident agent forges a deployment request.  Attacks are mounted by
+wrapping transports or mutating at-rest state, never by changing the honest
+endpoints.  After a frame-level attack the channel is desynchronized, so
+only ``verify`` may follow.
 
-Step ordering is validated up front: provisioning needs both enrollments,
-the handshake needs provisioning and boot, runtime steps need the
-handshake.  So is each step's key and value (``STEP_KEYS``): an unknown
-key, or a value that does not convert, is a :class:`ParseError` naming
-its line.
+Everything is checked up front against ``STEPS``: step order (provisioning
+needs both enrollments, the handshake needs provisioning and boot, runtime
+steps need the handshake), keys, values and attacks.  An unknown or repeated
+key, a value that does not convert or an attack the step does not mount is
+a :class:`ParseError` naming its line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from . import channel, device, puf, runtime, transport, ttp, wire
 from .crypto import Rng
@@ -40,31 +42,6 @@ from .errors import TrcteeError
 from .trace import Trace
 
 SCENARIO_HEADER = "trctee-scenario v1"
-
-# Each step, with the prior steps it needs before it may appear.
-_REQUIRES = {
-    "enroll-device": (),
-    "enroll-vtpm": (),
-    "provision": ("enroll-device", "enroll-vtpm"),
-    "boot": ("enroll-device",),
-    "handshake": ("provision", "boot"),
-    "deploy": ("handshake",),
-    "invoke": ("handshake",),
-    "update-key": ("handshake",),
-    "verify": ("handshake",),
-    "agent-deploy": ("handshake",),
-}
-STEP_NAMES = tuple(_REQUIRES)
-
-# The attacks on the next record the user receives, armed on the tap.
-_FRAME_ATTACKS = ("tamper-frame", "replay-frame", "drop-frame")
-ADVERSARY_ACTIONS = (
-    *_FRAME_ATTACKS,
-    "tamper-component",
-    "reuse-crp",
-    "swap-vtpm-cert",
-    "tamper-bitstream",
-)
 
 
 class ParseError(TrcteeError):
@@ -88,24 +65,49 @@ def _decode_bytes(value: str) -> bytes:
     return value.encode()
 
 
-# Each step's keys, with the converter of its value and the value it takes
-# when left out.  ``adversary`` and ``expect`` are every step's.
-STEP_KEYS: dict[str, dict[str, tuple[Callable, object]]] = {
-    "enroll-device": {"id": (str, "dev1")},
-    "enroll-vtpm": {"user": (str, "user1")},
-    "provision": {"user": (str, "user1"), "device": (str, None)},
-    "boot": {"component": (str, "optee")},
-    "handshake": {},
-    "deploy": {"ip": (_uint(2), 1), "kernel": (str, "xor"), "params": (_decode_bytes, b"\0")},
-    "invoke": {
-        "ip": (_uint(2), 1),
-        "input": (_decode_bytes, b"\0"),
-        "flag": (_uint(4), 0),
-        "expect-output": (_decode_bytes, None),
-    },
-    "update-key": {},
-    "verify": {"expect-mismatch": (lambda text: sorted(int(x) for x in text.split(",")), None)},
-    "agent-deploy": {"ip": (_uint(2), 1)},
+def _boot_component(name: str) -> str:
+    if name not in device.BOOT_COMPONENTS:
+        raise ValueError(f"not one of {', '.join(device.BOOT_COMPONENTS)}")
+    return name
+
+
+class StepSpec(NamedTuple):
+    """A step: the prior steps it needs, its keys (each with the converter of
+    its value and the value it takes when left out) and the attacks it mounts.
+    ``adversary`` and ``expect`` are every step's keys."""
+
+    requires: tuple[str, ...] = ()
+    keys: dict[str, tuple[Callable, object]] = {}
+    attacks: tuple[str, ...] = ()
+
+
+STEPS = {
+    "enroll-device": StepSpec(keys={"id": (str, "dev1")}),
+    "enroll-vtpm": StepSpec(keys={"user": (str, "user1")}),
+    "provision": StepSpec(
+        ("enroll-device", "enroll-vtpm"), {"user": (str, "user1"), "device": (str, None)}
+    ),
+    "boot": StepSpec(
+        ("enroll-device",), {"component": (_boot_component, "optee")}, ("tamper-component",)
+    ),
+    "handshake": StepSpec(("provision", "boot"), attacks=("swap-vtpm-cert",)),
+    "deploy": StepSpec(
+        ("handshake",),
+        {"ip": (_uint(2), 1), "kernel": (str, "xor"), "params": (_decode_bytes, b"\0")},
+        (*transport.AdversaryTap.ACTIONS, "tamper-bitstream"),
+    ),
+    "invoke": StepSpec(
+        ("handshake",),
+        {"ip": (_uint(2), 1), "input": (_decode_bytes, b"\0"), "flag": (_uint(4), 0),
+         "expect-output": (_decode_bytes, None)},
+        transport.AdversaryTap.ACTIONS,
+    ),
+    "update-key": StepSpec(("handshake",), attacks=("reuse-crp",)),
+    "verify": StepSpec(
+        ("handshake",),
+        {"expect-mismatch": (lambda text: sorted(int(x) for x in text.split(",")), None)},
+    ),
+    "agent-deploy": StepSpec(("handshake",), {"ip": (_uint(2), 1)}),
 }
 
 
@@ -120,65 +122,54 @@ class OperationFailed(TrcteeError):
 @dataclass(frozen=True)
 class Step:
     name: str
-    args: dict[str, object]  # every key of STEP_KEYS[name], converted
+    args: dict[str, object]  # every key of STEPS[name].keys, converted
     adversary: str | None = None
     expect: str = "ok"
 
 
-@dataclass(frozen=True)
-class Scenario:
-    steps: tuple[Step, ...]
-
-
-def parse_scenario(text: str) -> Scenario:
-    lines = text.splitlines()
-    body = [
-        (i + 1, line.strip())
-        for i, line in enumerate(lines)
-        if line.strip() and not line.strip().startswith("#")
-    ]
+def parse_scenario(text: str) -> tuple[Step, ...]:
+    stripped = (line.strip() for line in text.splitlines())
+    body = [(no, line) for no, line in enumerate(stripped, 1) if line and line[0] != "#"]
     if not body or body[0][1] != SCENARIO_HEADER:
         raise ParseError(f"scenario must start with {SCENARIO_HEADER!r}")
     steps: list[Step] = []
     seen: set[str] = set()
     for lineno, line in body[1:]:
-        parts = line.split()
-        name = parts[0]
-        if name not in STEP_NAMES:
+        name, *parts = line.split()
+        if name not in STEPS:
             raise ParseError(f"line {lineno}: unknown step {name!r}")
+        spec = STEPS[name]
         args: dict[str, str] = {}
-        for part in parts[1:]:
+        for part in parts:
             if "=" not in part:
                 raise ParseError(f"line {lineno}: expected key=value, got {part!r}")
             key, _, value = part.partition("=")
+            if key in args:
+                raise ParseError(f"line {lineno}: key {key!r} given twice")
             args[key] = value
         adversary = args.pop("adversary", None)
-        if adversary is not None and adversary not in ADVERSARY_ACTIONS:
-            raise ParseError(f"line {lineno}: unknown adversary action {adversary!r}")
+        if adversary is not None and adversary not in spec.attacks:
+            raise ParseError(f"line {lineno}: step {name!r} mounts no attack {adversary!r}")
         expect = args.pop("expect", "ok")
         if expect == "clean":
             expect = "ok"
-        keys = STEP_KEYS[name]
-        values = {key: default for key, (_, default) in keys.items()}
+        values = {key: default for key, (_, default) in spec.keys.items()}
         for key, value in args.items():
-            if key not in keys:
+            if key not in spec.keys:
                 raise ParseError(f"line {lineno}: step {name!r} takes no key {key!r}")
-            convert, _ = keys[key]
             try:
-                values[key] = convert(value)
+                values[key] = spec.keys[key][0](value)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {key}={value}: {exc}") from None
-        missing = [req for req in _REQUIRES[name] if req not in seen]
+        missing = [req for req in spec.requires if req not in seen]
         if missing:
-            raise ParseError(
-                f"line {lineno}: step {name!r} requires prior {', '.join(missing)}"
-            )
+            raise ParseError(f"line {lineno}: step {name!r} requires prior {', '.join(missing)}")
         seen.add(name)
         steps.append(Step(name=name, args=values, adversary=adversary, expect=expect))
-    return Scenario(steps=tuple(steps))
+    return tuple(steps)
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str) -> tuple[Step, ...]:
     with open(path, encoding="utf-8") as fh:
         return parse_scenario(fh.read())
 
@@ -215,7 +206,7 @@ class ScenarioRunner:
 
     def __init__(
         self,
-        scenario: Scenario,
+        steps: tuple[Step, ...],
         seed: int | None = None,
         tcp: bool = False,
         rekey_threshold: int = runtime.DEFAULT_REKEY_THRESHOLD,
@@ -224,7 +215,7 @@ class ScenarioRunner:
     ):
         if rekey_threshold < 1:
             raise ParseError("rekey threshold must be at least 1")
-        self.scenario = scenario
+        self.steps = steps
         self.master = Rng(seed)
         self.tcp = tcp
         self.rekey_threshold = rekey_threshold
@@ -274,7 +265,7 @@ class ScenarioRunner:
 
     def run(self) -> RunReport:
         try:
-            for step in self.scenario.steps:
+            for step in self.steps:
                 outcome, detail = self._run_step(step)
                 met = outcome == step.expect
                 self.report.results.append(
@@ -351,12 +342,11 @@ class ScenarioRunner:
     def _step_boot(self, step: Step) -> str:
         dev = self._require(self.device, "device")
         if step.adversary == "tamper-component":
-            component = step.args["component"]
-            dev.boot_image.tamper(component)
-            dev.boot()
-            return f"boot with tampered {component}"
+            dev.boot_image.tamper(step.args["component"])
         dev.boot()
-        return "boot measured 8 components"
+        if step.adversary is None:
+            return "boot measured 8 components"
+        return f"boot with tampered {step.args['component']}"
 
     def _step_handshake(self, step: Step) -> str:
         dev = self._require(self.device, "device")
@@ -366,13 +356,7 @@ class ScenarioRunner:
             # key, but not matching this vTPM's signing key.
             self.ttp.register_user("mallory")
             other = self.ttp.enroll_vtpm("mallory")
-            user.bundle = ttp.VtpmBundle(
-                user_id=user.bundle.user_id,
-                sk_tpm=user.bundle.sk_tpm,
-                pk_tpm=user.bundle.pk_tpm,
-                cert=other.cert,
-                pk_ttp=user.bundle.pk_ttp,
-            )
+            user.bundle = replace(user.bundle, cert=other.cert)
         user_transport = self._make_transports(dev)
         # On a failed handshake the device traces its typed error before it
         # sends its abort record and closes, so the step reports that error.
@@ -389,11 +373,11 @@ class ScenarioRunner:
         if step.adversary == "tamper-bitstream":
             blob = dev.file_store.get(ticket.blob_name)
             dev.file_store.put(ticket.blob_name, blob[:-1] + bytes([blob[-1] ^ 0x01]))
-        if step.adversary in _FRAME_ATTACKS:
-            self.tap.arm(step.adversary.split("-")[0])
+        if step.adversary in transport.AdversaryTap.ACTIONS:
+            self.tap.arm(step.adversary)
         response, verdict = user.user_deploy(ticket)
         if response.response_code != 0 or verdict != "Verified":
-            if step.adversary not in _FRAME_ATTACKS:
+            if step.adversary not in transport.AdversaryTap.ACTIONS:
                 # At-rest attacks must leave the device state untouched; frame
                 # attacks happen after the TMM already acted on a clean request.
                 after = dev.tmm.config_memory.snapshot()
@@ -405,8 +389,8 @@ class ScenarioRunner:
     def _step_invoke(self, step: Step) -> str:
         user = self._require(self.user, "user node")
         ip_num = step.args["ip"]
-        if step.adversary in _FRAME_ATTACKS:
-            self.tap.arm(step.adversary.split("-")[0])
+        if step.adversary is not None:
+            self.tap.arm(step.adversary)
         output, record = user.user_invoke(ip_num, step.args["input"], step.args["flag"])
         expected = step.args["expect-output"]
         if expected is not None and output != expected:

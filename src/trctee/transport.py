@@ -214,11 +214,13 @@ class RecordingTransport:
 class AdversaryTap:
     """Wire-level attacker sitting on one endpoint's receive path.
 
-    Attacks arm for the next incoming record only: ``tamper`` flips a bit,
-    ``replay`` re-delivers the last accepted record, ``drop`` swallows one
-    record.  Modeling the tap on the receive side keeps the resulting typed
-    failure observable at the endpoint under test.
+    Attacks arm for the next incoming record only: ``tamper-frame`` flips a
+    bit, ``replay-frame`` re-delivers the last accepted record, ``drop-frame``
+    swallows one record.  Modeling the tap on the receive side keeps the
+    resulting typed failure observable at the endpoint under test.
     """
+
+    ACTIONS = ("tamper-frame", "replay-frame", "drop-frame")
 
     def __init__(self, inner):
         self._inner = inner
@@ -226,7 +228,7 @@ class AdversaryTap:
         self._last_received: bytes | None = None
 
     def arm(self, action: str) -> None:
-        if action not in ("tamper", "replay", "drop"):
+        if action not in self.ACTIONS:
             raise ValueError(f"unknown adversary action {action!r}")
         self._armed = action
 
@@ -234,14 +236,14 @@ class AdversaryTap:
         self._inner.send_record(payload)
 
     def recv_record(self, timeout: float | None = None) -> bytes:
-        if self._armed == "replay" and self._last_received is not None:
+        if self._armed == "replay-frame" and self._last_received is not None:
             self._armed = None
             return self._last_received
         record = self._inner.recv_record(timeout)
-        if self._armed == "drop":
+        if self._armed == "drop-frame":
             self._armed = None
             record = self._inner.recv_record(timeout)
-        elif self._armed == "tamper":
+        elif self._armed == "tamper-frame":
             self._armed = None
             record = record[:-1] + bytes([record[-1] ^ 0x01])
         self._last_received = bytes(record)  # the receiver decrypts ``record`` in place

@@ -252,6 +252,24 @@ class TestServeConnectVerify:
         assert "line 2" in captured.err and captured.err.count("\n") == 1
 
 
+class TestVerifyHistoryPath:
+    def test_a_missing_explicit_history_is_one_error_line(self, store, tmp_path, capsys):
+        enroll_and_provision(store)
+        log_path = tmp_path / "log.txt"
+        log_path.write_text("0, 0, BootComponent, fsbl, " + "ab" * 48 + "\n")
+        # The default history file does not exist either: that is an empty history.
+        default_rc = run_cli("--store", store, "verify", str(log_path), "--user", "alice")
+        assert capsys.readouterr().err == ""
+        missing = tmp_path / "nosuch.txt"
+        rc = run_cli("--store", store, "verify", str(log_path), "--user", "alice",
+                     "--history", str(missing))
+        captured = capsys.readouterr()
+        assert (default_rc, rc) == (1, 2)
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: HistoryFormatError: {missing}: cannot read: ")
+        assert captured.err.count("\n") == 1
+
+
 def enroll_and_provision(store):
     assert run_cli("--store", store, "--seed", "3", "enroll-device", "--id", "dev1") == 0
     assert run_cli("--store", store, "--seed", "3", "enroll-vtpm", "--user", "alice") == 0
@@ -596,6 +614,22 @@ class TestPositiveCounts:
         for name in ("crps_ttp_dev1.txt", "crps_user_alice.txt"):
             store_file = puf.CrpStore.load(str(root / name))
             assert not any(record.used for record in store_file.records())
+
+
+class TestServeTimeout:
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e300", "0", "ten"])
+    def test_usage_error_before_the_store_is_read(self, store, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            run_cli("--store", store, "serve", "--listen", "127.0.0.1:0", "--device", "dev1",
+                    "--timeout", value)
+        assert info.value.code == 2
+        assert "--timeout: must be a number of seconds in (0, " in capsys.readouterr().err
+        assert not os.path.exists(store)
+
+    def test_the_largest_timeout_a_lock_takes_is_accepted(self):
+        argv = ["serve", "--listen", "127.0.0.1:0", "--device", "dev1", "--timeout"]
+        args = cli.build_parser().parse_args([*argv, repr(threading.TIMEOUT_MAX)])
+        assert args.timeout == threading.TIMEOUT_MAX
 
 
 class TestAddress:

@@ -529,7 +529,7 @@ class TestKeyUpdateFlow:
         world.user.connect(tap)
         image = device.IpImage(kernel_id="xor", params=bytes(16))
         world.user.prepare_deploy(1, image)  # frame 1
-        tap.arm("tamper")
+        tap.arm("tamper-frame")
         if spoil_update:
             spoil_next_crp(world.user)
         return world, image

@@ -1,4 +1,5 @@
 import gc
+import re
 import threading
 import time
 import warnings
@@ -9,9 +10,15 @@ import pytest
 from trctee import cli, device, puf, scenario, ttp, wire
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+README = Path(__file__).parent.parent / "README.md"
 # ``trctee --seed 5 run <file>`` output of each scenario file, as printed
 # when in-process runs still served the device on a thread of its own.
 GOLDEN = Path(__file__).parent / "golden"
+
+ALL_STEPS = ["enroll-device", "enroll-vtpm", "provision", "boot", "handshake", "deploy",
+             "invoke", "update-key", "verify", "agent-deploy"]
+ALL_ATTACKS = ["tamper-frame", "replay-frame", "drop-frame", "tamper-component", "reuse-crp",
+               "swap-vtpm-cert", "tamper-bitstream"]
 
 
 def run_file(name, seed=5, tcp=False, timeout=0.6, **kwargs):
@@ -50,7 +57,7 @@ class TestParser:
 
     def test_comments_and_blanks_ignored(self):
         text = "# c\n\ntrctee-scenario v1\n# c2\nenroll-device id=d\n"
-        assert len(scenario.parse_scenario(text).steps) == 1
+        assert len(scenario.parse_scenario(text)) == 1
 
     def test_adversary_and_expect_extracted(self):
         text = (
@@ -58,7 +65,7 @@ class TestParser:
             "provision user=u device=d\nboot\n"
             "handshake adversary=swap-vtpm-cert expect=bad-cert\n"
         )
-        step = scenario.parse_scenario(text).steps[-1]
+        step = scenario.parse_scenario(text)[-1]
         assert step.adversary == "swap-vtpm-cert"
         assert step.expect == "bad-cert"
         assert "adversary" not in step.args
@@ -87,10 +94,57 @@ class TestParser:
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: ParseError: line 7: {reason}")
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("handshake adversary=drop-frame", "step 'handshake' mounts no attack 'drop-frame'"),
+            ("verify adversary=tamper-frame", "step 'verify' mounts no attack 'tamper-frame'"),
+            ("invoke ip=1 ip=2", "key 'ip' given twice"),
+            ("invoke adversary=drop-frame adversary=drop-frame", "key 'adversary' given twice"),
+            ("invoke expect=timeout expect=ok", "key 'expect' given twice"),
+            ("boot adversary=tamper-component component=nope",
+             "component=nope: not one of fsbl, puf_bitstream, pmu_fw, atf, optee, uboot, linux,"
+             " rootfs"),
+        ],
+        ids=["attack-not-mounted-by-handshake", "attack-not-mounted-by-verify", "ip-twice",
+             "adversary-twice", "expect-twice", "unknown-boot-component"],
+    )
+    def test_a_line_no_step_runs_is_one_error_line(self, line, reason, tmp_path, capsys):
+        text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{line}\n"
+        with pytest.raises(scenario.ParseError) as excinfo:
+            scenario.parse_scenario(text)
+        assert str(excinfo.value) == f"line 7: {reason}"
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ParseError: line 7: {reason}\n"
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    @pytest.mark.parametrize("name", ALL_STEPS)
+    def test_a_step_accepts_exactly_the_attacks_it_mounts(self, name, attack):
+        text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{name} adversary={attack}\n"
+        if attack in scenario.STEPS[name].attacks:
+            assert scenario.parse_scenario(text)[-1].adversary == attack
+        else:
+            with pytest.raises(scenario.ParseError, match=f"^line 7: step '{name}' mounts no"):
+                scenario.parse_scenario(text)
+
+    def test_readme_names_the_attacks_of_each_step(self):
+        section = README.read_text(encoding="utf-8").split("## Scenario files")[1]
+        section = section.split("\n## ")[0]
+        listed = {
+            name: set(re.findall(r"`([a-z-]+)`", text)) & set(ALL_ATTACKS)
+            for name, text in re.findall(r"^- `([a-z-]+)`: (.*(?:\n  .*)*)", section, re.M)
+        }
+        mounted = {name: set(spec.attacks) for name, spec in scenario.STEPS.items() if spec.attacks}
+        assert listed == mounted
+
     def test_an_unknown_kernel_is_left_to_the_device(self):
         text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\ndeploy kernel=nosuch\n"
         scn = scenario.parse_scenario(text)
-        assert scn.steps[-1].args == {"ip": 1, "kernel": "nosuch", "params": b"\0"}
+        assert scn[-1].args == {"ip": 1, "kernel": "nosuch", "params": b"\0"}
         result = scenario.ScenarioRunner(scn, seed=5).run().results[-1]
         assert (result.outcome, result.detail) == ("bad-image", "unknown kernel 'nosuch'")
 
@@ -242,6 +296,18 @@ class TestAdversaries:
         report = scenario.ScenarioRunner(scenario.parse_scenario(text), seed=5).run()
         assert report.exit_code == 0, report.text()
         assert report.results[-1].outcome == "auth-failure"
+
+    @pytest.mark.parametrize(
+        "attack, outcome",
+        [("tamper-frame", "auth-failure"), ("replay-frame", "replay-detected"),
+         ("drop-frame", "timeout")],
+    )
+    @pytest.mark.parametrize("name", ["deploy", "invoke"])
+    def test_each_frame_attack_fails_the_step_that_mounts_it(self, name, attack, outcome):
+        line = XOR.rstrip() if name == "deploy" else XOR + "invoke ip=1 input=hex:" + "00" * 16
+        text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{line} adversary={attack}\n"
+        report = scenario.ScenarioRunner(scenario.parse_scenario(text), seed=5).run()
+        assert [r.outcome for r in report.results] == ["ok"] * (len(report.results) - 1) + [outcome]
 
     def test_a_value_without_hex_prefix_is_its_text(self):
         output = bytes(a ^ b for a, b in zip(b"abcdefghijklmnop", range(16)))

@@ -148,9 +148,9 @@ class TestOneReceiveBuffer:
             near.send_record(record)
         first = receiver.recv_record(5)
         first[:] = bytes(64)  # what an in-place open does to the record
-        tap.arm("tamper")
+        tap.arm("tamper-frame")
         tampered = receiver.recv_record(5)
-        tap.arm("replay")
+        tap.arm("replay-frame")
         replayed = receiver.recv_record(5)
         later = [bytes(receiver.recv_record(5)) for _ in range(3)]
         flipped = records[1][:-1] + bytes([records[1][-1] ^ 0x01])
@@ -233,7 +233,7 @@ class TestCopiesOutliveInPlaceOpen:
         assert channel.open_frame(tmm_end, record) == payload
         assert record != sealed  # opened in place
         assert log == [("sent", sealed), ("received", sealed)]
-        tap.arm("replay")
+        tap.arm("replay-frame")
         assert receiver.recv_record(5) == sealed
         with pytest.raises(channel.ReplayDetected):
             channel.open_frame(tmm_end, sealed)
