@@ -214,7 +214,8 @@ class UserNode:
     # -- session establishment -------------------------------------------------
 
     def connect(self, transport) -> None:
-        """Run the handshake over ``transport`` and absorb the boot report.
+        """Run the handshake over ``transport``; the session is established
+        once the boot report is absorbed, and a failed one closes the transport.
 
         A failure is the user's traced error (:meth:`_fail`).  A handshake
         message the vTPM rejects is also named to the device in an abort
@@ -236,24 +237,20 @@ class UserNode:
                 reply = handshake.on_message(record)
                 if reply is not None:
                     transport.send_record(reply)
+            session = handshake.session
+            endpoint = channel.ChannelEndpoint(session, transport, recv_timeout=self.recv_timeout)
+            measurements = messages.decode_boot_report(endpoint.recv())
         except TrcteeError as exc:
             self._fail(exc)
-            if isinstance(exc, channel.ChannelError) and not isinstance(exc, channel.Timeout):
+            if handshake.session is not None:
+                transport.close()
+            elif isinstance(exc, channel.ChannelError) and not isinstance(exc, channel.Timeout):
                 channel.send_abort(transport, exc)
-            raise
-        session = handshake.session
-        self.endpoint = channel.ChannelEndpoint(session, transport, recv_timeout=self.recv_timeout)
-        self.deploy_key = channel.derive_deploy_key(session.sess_key)
-        self._absorb_boot_report()
-
-    def _absorb_boot_report(self) -> None:
-        try:
-            measurements = messages.decode_boot_report(self.endpoint.recv())
-        except TrcteeError as exc:
-            self._fail(exc)
             raise
         for index, name, digest in measurements:
             self.vtpm.pcr_extend(index, digest, vtpm.EventKind.BOOT_COMPONENT, name)
+        self.endpoint = endpoint
+        self.deploy_key = channel.derive_deploy_key(session.sess_key)
 
     def _require_session(self) -> channel.ChannelEndpoint:
         if self.endpoint is None:

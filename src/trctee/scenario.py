@@ -13,8 +13,10 @@ Format (version header, then one step per line, ``#`` comments):
     update-key
     verify expect=clean
 
-Every step accepts ``adversary=<action>`` and ``expect=<outcome>``; a step
-expecting a failure counts as met when exactly that typed failure occurs.
+Every step accepts ``adversary=<action>`` and ``expect=<outcome>``, where an
+outcome is ``ok`` (alias ``clean``), ``expectation-failed``, or the ``token``
+of a :class:`TrcteeError` class, else ``error:<ClassName>``.  A step expecting
+a failure counts as met when exactly that typed failure occurs.
 Each step mounts only its own attacks (``STEPS``): ``boot``
 tamper-component, ``handshake`` swap-vtpm-cert, ``invoke`` tamper-frame,
 replay-frame and drop-frame, ``deploy`` those three and tamper-bitstream,
@@ -26,9 +28,9 @@ only ``verify`` may follow.
 
 Everything is checked up front against ``STEPS``: step order (provisioning
 needs both enrollments, the handshake needs provisioning and boot, runtime
-steps need the handshake), keys, values and attacks.  An unknown or repeated
-key, a value that does not convert or an attack the step does not mount is
-a :class:`ParseError` naming its line.
+steps need the handshake), keys, values, attacks and outcomes.  An unknown
+or repeated key, a value that does not convert, an attack the step does not
+mount or an outcome no step reports is a :class:`ParseError` naming its line.
 """
 
 from __future__ import annotations
@@ -119,6 +121,14 @@ class OperationFailed(TrcteeError):
     """An operation answered failure; its cause is the step's first traced error."""
 
 
+def _outcomes(cls: type[TrcteeError]) -> set[str]:
+    return {cls.token or f"error:{cls.__name__}"}.union(*map(_outcomes, cls.__subclasses__()))
+
+
+# Every outcome a step reports; the modules imported above define every error class.
+OUTCOMES = frozenset({"ok", "expectation-failed", *_outcomes(TrcteeError)})
+
+
 @dataclass(frozen=True)
 class Step:
     name: str
@@ -153,6 +163,8 @@ def parse_scenario(text: str) -> tuple[Step, ...]:
         expect = args.pop("expect", "ok")
         if expect == "clean":
             expect = "ok"
+        if expect not in OUTCOMES:
+            raise ParseError(f"line {lineno}: no step reports the outcome {expect!r}")
         values = {key: default for key, (_, default) in spec.keys.items()}
         for key, value in args.items():
             if key not in spec.keys:
@@ -256,10 +268,9 @@ class ScenarioRunner:
         else:
             user_side = device.DirectPair(dev)
         self.tap = transport.AdversaryTap(user_side)
-        recorder = transport.RecordingTransport(
+        return transport.RecordingTransport(
             self.tap, self.report.frame_transcript, "user->device", "device->user"
         )
-        return recorder
 
     # -- step execution ----------------------------------------------------------
 
@@ -374,14 +385,13 @@ class ScenarioRunner:
             blob = dev.file_store.get(ticket.blob_name)
             dev.file_store.put(ticket.blob_name, blob[:-1] + bytes([blob[-1] ^ 0x01]))
         if step.adversary in transport.AdversaryTap.ACTIONS:
-            self.tap.arm(step.adversary)
+            self.tap.schedule("recv", self.tap.received + 1, step.adversary)
         response, verdict = user.user_deploy(ticket)
         if response.response_code != 0 or verdict != "Verified":
             if step.adversary not in transport.AdversaryTap.ACTIONS:
                 # At-rest attacks must leave the device state untouched; frame
                 # attacks happen after the TMM already acted on a clean request.
-                after = dev.tmm.config_memory.snapshot()
-                if after != before:
+                if dev.tmm.config_memory.snapshot() != before:
                     raise ExpectationFailed("config memory changed on a failed deploy")
             raise OperationFailed("deploy failed")
         return f"ip {ip_num} deployed, hash {response.bin_hash.hex()[:16]}..., {verdict}"
@@ -390,7 +400,7 @@ class ScenarioRunner:
         user = self._require(self.user, "user node")
         ip_num = step.args["ip"]
         if step.adversary is not None:
-            self.tap.arm(step.adversary)
+            self.tap.schedule("recv", self.tap.received + 1, step.adversary)
         output, record = user.user_invoke(ip_num, step.args["input"], step.args["flag"])
         expected = step.args["expect-output"]
         if expected is not None and output != expected:

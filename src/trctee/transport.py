@@ -14,9 +14,9 @@ worlds.  Who owns a received record depends on the transport:
   frame is built in a ``bytearray``), and it then belongs to its receiver.
 
 Either way ``channel.open_frame`` may decrypt the record in place.  Wrappers
-add traffic recording and the adversary taps used by attack scenarios; both
-keep ``bytes`` copies, so what they hold stays the ciphertext.  A receive
-that no record reaches waits out its timeout, on either transport.
+add traffic recording and the adversary tap's scheduled faults; both keep
+``bytes`` copies, so what they hold stays the ciphertext.  A receive that no
+record reaches waits out its timeout, on either transport.
 """
 
 from __future__ import annotations
@@ -212,42 +212,55 @@ class RecordingTransport:
 
 
 class AdversaryTap:
-    """Wire-level attacker sitting on one endpoint's receive path.
+    """Wire-level attacker on one endpoint's connection, run from a schedule.
 
-    Attacks arm for the next incoming record only: ``tamper-frame`` flips a
-    bit, ``replay-frame`` re-delivers the last accepted record, ``drop-frame``
-    swallows one record.  Modeling the tap on the receive side keeps the
-    resulting typed failure observable at the endpoint under test.
-    """
+    A fault names its record by direction, ``send`` or ``recv``, and by the
+    record's 1-based index in that direction; ``sent`` and ``received`` count
+    the records so far.  Both ways, ``drop-frame`` loses record k,
+    ``tamper-frame`` flips its last byte, ``replay-frame`` delivers a copy of
+    record k-1 before it, and ``close`` closes the connection in its place:
+    that send or receive raises :class:`TransportClosed`."""
 
-    ACTIONS = ("tamper-frame", "replay-frame", "drop-frame")
+    ACTIONS = ("tamper-frame", "replay-frame", "drop-frame")  # a scenario step's attacks
 
     def __init__(self, inner):
         self._inner = inner
-        self._armed: str | None = None
-        self._last_received: bytes | None = None
+        self.sent = self.received = 0
+        self._faults: dict[tuple[str, int], str] = {}
+        self._last = {"send": b"", "recv": b""}  # copies: a record may be opened in place
 
-    def arm(self, action: str) -> None:
-        if action not in self.ACTIONS:
-            raise ValueError(f"unknown adversary action {action!r}")
-        self._armed = action
+    def schedule(self, direction: str, k: int, action: str) -> None:
+        if direction not in self._last or action not in (*self.ACTIONS, "close"):
+            raise ValueError(f"unknown fault {action!r} on {direction!r}")
+        self._faults[direction, k] = action
 
     def send_record(self, payload: bytes) -> None:
-        self._inner.send_record(payload)
+        self.sent += 1
+        for record in self._through("send", self.sent, payload):
+            self._inner.send_record(record)
 
     def recv_record(self, timeout: float | None = None) -> bytes:
-        if self._armed == "replay-frame" and self._last_received is not None:
-            self._armed = None
-            return self._last_received
+        key = ("recv", self.received + 1)
+        if self._faults.get(key) == "replay-frame" and self._last["recv"]:
+            del self._faults[key]
+            return self._last["recv"]  # record k stays unread until the next receive
         record = self._inner.recv_record(timeout)
-        if self._armed == "drop-frame":
-            self._armed = None
-            record = self._inner.recv_record(timeout)
-        elif self._armed == "tamper-frame":
-            self._armed = None
+        self.received += 1
+        arrived = self._through("recv", self.received, record)
+        return arrived[-1] if arrived else self.recv_record(timeout)  # past a dropped record
+
+    def _through(self, direction: str, k: int, record) -> list:
+        """What passes the tap in place of record k in ``direction``."""
+        fault = self._faults.pop((direction, k), None)
+        if fault == "close":
+            self._inner.close()
+            raise TransportClosed("peer closed the transport")
+        if fault == "drop-frame":
+            return []
+        if fault == "tamper-frame":
             record = record[:-1] + bytes([record[-1] ^ 0x01])
-        self._last_received = bytes(record)  # the receiver decrypts ``record`` in place
-        return record
+        previous, self._last[direction] = self._last[direction], bytes(record)
+        return [previous, record] if fault == "replay-frame" and previous else [record]
 
     def close(self) -> None:
         self._inner.close()

@@ -51,10 +51,6 @@ class UnknownDevice(TtpError):
     pass
 
 
-class NotFound(TtpError):
-    pass
-
-
 class BadIdentifier(TtpError, ValueError):
     """A name that cannot identify a user or device."""
 
@@ -100,7 +96,6 @@ def check_identifier(name: str) -> str:
 
 @dataclass
 class DeviceRecord:
-    device_id: str
     crp_store: puf.CrpStore
     golden_manifest: list[tuple[str, bytes]]
 
@@ -130,7 +125,7 @@ class TtpService:
         self._sk = Ed25519PrivateKey.from_private_bytes(self._rng.bytes(32))
         self._users: set[str] = set()
         self._devices: dict[str, DeviceRecord] = {}
-        self._certs: dict[bytes, Certificate] = {}  # security database, by PK_TPM
+        self._certs: list[Certificate] = []  # the security database
 
     @property
     def pk_ttp(self) -> bytes:
@@ -149,7 +144,6 @@ class TtpService:
         manifest = [(name, sha384(blob)) for name, blob in boot_image.items()]
         crps = puf.enroll(device, self._enroll_crps, self._rng.child(f"crps/{device_id}"))
         record = DeviceRecord(
-            device_id=device_id,
             crp_store=crps,
             golden_manifest=manifest,
         )
@@ -165,7 +159,7 @@ class TtpService:
         pk = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
         signature = self._sk.sign(Certificate.signed_payload(user_id, pk))
         cert = Certificate(user_id=user_id, pk_tpm=pk, signature=signature)
-        self._certs[pk] = cert
+        self._certs.append(cert)
         return VtpmBundle(
             user_id=user_id, sk_tpm=seed, pk_tpm=pk, cert=cert, pk_ttp=self.pk_ttp
         )
@@ -182,18 +176,6 @@ class TtpService:
         crp_slice = record.crp_store.split(slice_size, owner="user")
         return device_id, list(record.golden_manifest), crp_slice
 
-    def lookup_cert(self, pk_tpm: bytes) -> Certificate:
-        cert = self._certs.get(pk_tpm)
-        if cert is None:
-            raise NotFound("no certificate for that public key")
-        return cert
-
-    def device_record(self, device_id: str) -> DeviceRecord:
-        record = self._devices.get(device_id)
-        if record is None:
-            raise UnknownDevice(f"device {device_id} is not enrolled")
-        return record
-
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str) -> None:
@@ -204,7 +186,7 @@ class TtpService:
         for device_id, record in self._devices.items():
             lines.append(f"device {device_id} {statefile.encode_manifest(record.golden_manifest)}")
             record.crp_store.save(os.path.join(directory, f"crps_ttp_{device_id}.txt"))
-        lines += [f"cert {cert.encode().hex()}" for cert in self._certs.values()]
+        lines += [f"cert {cert.encode().hex()}" for cert in self._certs]
         statefile.write(path, REGISTRY_HEADER, lines)
 
     @classmethod
@@ -215,7 +197,7 @@ class TtpService:
         ttp = cls.__new__(cls)
         ttp._rng = rng or Rng()
         ttp._enroll_crps = DEFAULT_ENROLL_CRPS
-        ttp._sk, ttp._users, ttp._devices, ttp._certs = None, set(), {}, {}
+        ttp._sk, ttp._users, ttp._devices, ttp._certs = None, set(), {}, []
         for no, (kind, *values) in records:
             with statefile.located(path, no):
                 if kind == "ttpkey" and ttp._sk is None:
@@ -226,10 +208,9 @@ class TtpService:
                     ttp._users.add(check_identifier(user))
                 elif kind == "device":
                     device_id, manifest = values
-                    if device_id in ttp._devices:
+                    if check_identifier(device_id) in ttp._devices:
                         raise ValueError(f"second record for device {device_id}")
                     ttp._devices[device_id] = DeviceRecord(
-                        device_id=check_identifier(device_id),
                         golden_manifest=statefile.decode_manifest(manifest),
                         crp_store=puf.CrpStore.load(
                             os.path.join(directory, f"crps_ttp_{device_id}.txt"), owner="ttp"
@@ -237,8 +218,7 @@ class TtpService:
                     )
                 elif kind == "cert":
                     (cert_hex,) = values
-                    cert = Certificate.decode(statefile.hex_bytes(cert_hex))
-                    ttp._certs[cert.pk_tpm] = cert
+                    ttp._certs.append(Certificate.decode(statefile.hex_bytes(cert_hex)))
                 else:
                     raise ValueError(f"unexpected registry record {kind!r}")
         if ttp._sk is None:

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from trctee import device, puf, runtime, ttp
+from trctee import device, puf, runtime, transport, ttp
 from trctee.crypto import Rng
 
 
@@ -69,6 +69,14 @@ def connect_world(world: World) -> None:
     """Boot the device and run the handshake through a direct pair, with no thread."""
     world.device.boot()
     world.user.connect(device.DirectPair(world.device))
+
+
+def tapped(dev: device.FpgaSocDevice, direction: str, k: int, action: str):
+    """A direct pair with ``dev`` behind an adversary tap whose one fault is
+    ``action`` on the k-th record in ``direction``."""
+    tap = transport.AdversaryTap(device.DirectPair(dev))
+    tap.schedule(direction, k, action)
+    return tap
 
 
 @pytest.fixture

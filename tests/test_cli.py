@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_world
-from test_runtime import CloseOnNth
+from conftest import build_world, tapped
 from trctee import cli, device, puf, scenario, transport, vtpm
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -366,7 +365,7 @@ class TestConnectKeyUpdateFails:
         world.device.boot()
         # The device receives HS1, HS3, HS8, the upload, the deploy, two
         # invokes, then the update request: it closes on that 8th record.
-        conn = CloseOnNth(device.DirectPair(world.device), world.device, 8)
+        conn = tapped(world.device, "send", 8, "close")
         args = argparse.Namespace(user="alice")
         assert cli._baseline_flow(world.user, conn, str(tmp_path), args) == 1
         out = capsys.readouterr().out

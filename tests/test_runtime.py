@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_world, connect_world
+from conftest import build_world, connect_world, tapped
 from oracles import pcr_chain
 import trctee
 from trctee import channel, device, messages, puf, runtime, transport, vtpm, wire
@@ -263,64 +263,6 @@ class TestInvoke:
         assert response.bin_hash == user.vtpm.hash(image.encode(), "sha3-384")
 
 
-class DropNth:
-    """User-side wrapper on a direct pair: the device never gets the n-th
-    record sent to it."""
-
-    def __init__(self, inner, n):
-        self._inner, self._left = inner, n
-
-    def send_record(self, record):
-        self._left -= 1
-        if self._left == 0:
-            self._lose(record)
-        else:
-            self._inner.send_record(record)
-
-    def _lose(self, record):
-        pass
-
-    def recv_record(self, timeout=None):
-        return self._inner.recv_record(timeout)
-
-    def close(self):
-        self._inner.close()
-
-
-class CloseOnNth(DropNth):
-    """User-side wrapper on a direct pair: the device closes its end on the
-    n-th record sent to it, before it can answer it."""
-
-    def __init__(self, inner, dev, n):
-        super().__init__(inner, n)
-        self._device = dev
-
-    def _lose(self, record):
-        self._device.agent.close()
-
-
-class TamperNthReply:
-    """User-side wrapper on a direct pair: the n-th record received arrives
-    with its last byte flipped."""
-
-    def __init__(self, inner, n):
-        self._inner, self._left = inner, n
-
-    def send_record(self, record):
-        self._inner.send_record(record)
-
-    def recv_record(self, timeout=None):
-        record = self._inner.recv_record(timeout)
-        self._left -= 1
-        if self._left == 0:
-            record = bytearray(record)
-            record[-1] ^= 0x01
-        return record
-
-    def close(self):
-        self._inner.close()
-
-
 def spoil_next_crp(user):
     """Give the user's next unused CRP a response the device's PUF never gives."""
     record = next(r for r in user.crp_store.records() if not r.used)
@@ -334,14 +276,14 @@ class TestFailedExchangesAreTraced:
     def test_lost_vtpm_hello_is_a_traced_stall(self, world):
         world.device.boot()
         with pytest.raises(channel.Timeout, match="handshake stalled") as caught:
-            world.user.connect(DropNth(device.DirectPair(world.device), 1))
+            world.user.connect(tapped(world.device, "send", 1, "drop-frame"))
         assert world.user.trace.first_error() is caught.value
         assert world.device.trace.events == []  # no abort record follows a stall
 
     def test_tampered_upload_reply_is_a_traced_auth_failure(self, world):
         # The user receives HS2, HS5, HS9, the boot report, then the upload's reply.
         world.device.boot()
-        world.user.connect(TamperNthReply(device.DirectPair(world.device), 5))
+        world.user.connect(tapped(world.device, "recv", 5, "tamper-frame"))
         with pytest.raises(channel.AuthFailure) as caught:
             world.user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
         assert world.user.trace.first_error() is caught.value
@@ -376,6 +318,44 @@ class TestFailedExchangesAreTraced:
         user.close()
 
 
+class TestFailedBootReport:
+    """The session is established only once the boot report is absorbed: a
+    connect that fails on it closes the transport and leaves no session."""
+
+    def _assert_no_session(self, world, conn, error):
+        user = world.user
+        assert user.trace.first_error() is error
+        assert user.endpoint is None and user.deploy_key is None
+        assert user.vtpm.log == []  # no boot component was measured
+        with pytest.raises(transport.TransportClosed, match="transport is closed"):
+            conn.send_record(b"x")
+        with pytest.raises(runtime.NoSession):
+            user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+
+    @pytest.mark.parametrize("action, error", [
+        ("drop-frame", channel.Timeout),
+        ("tamper-frame", channel.AuthFailure),
+        ("replay-frame", channel.WrongEpoch),  # a copy of HS9, a handshake message
+    ])
+    def test_a_faulted_boot_report_leaves_no_session(self, world, action, error):
+        world.device.boot()
+        conn = tapped(world.device, "recv", 4, action)  # HS2, HS5, HS9, the boot report
+        with pytest.raises(error) as caught:
+            world.user.connect(conn)
+        self._assert_no_session(world, conn, caught.value)
+
+    def test_a_malformed_boot_report_leaves_no_session(self, world, monkeypatch):
+        encode = messages.encode_boot_report
+        monkeypatch.setattr(
+            messages, "encode_boot_report", lambda report: encode([(8, *report[0][1:])])
+        )
+        world.device.boot()
+        conn = device.DirectPair(world.device)
+        with pytest.raises(messages.MessageError, match="index 8 outside") as caught:
+            world.user.connect(conn)
+        self._assert_no_session(world, conn, caught.value)
+
+
 class TestDeviceClosesMidRequest:
     """A device that closes mid-request is a traced user error and an rc-1
     answer, not a bare TransportClosed out of ``vtpm.dispatch``."""
@@ -383,7 +363,7 @@ class TestDeviceClosesMidRequest:
     def _serve(self, world, n):
         # The device receives HS1, HS3, HS8, the upload, the deploy, the invoke.
         world.device.boot()
-        world.user.connect(CloseOnNth(device.DirectPair(world.device), world.device, n))
+        world.user.connect(tapped(world.device, "send", n, "close"))
 
     def test_invoke_names_the_cause_and_the_log_still_verifies(self, world):
         self._serve(world, 6)
@@ -501,7 +481,7 @@ class TestKeyUpdateFlow:
         # request, then UPDATE_CONFIRM_V: the 7th record, lost here.  The vTPM
         # switched once it sent V, so its next frame is of the new epoch.
         world.device.boot()
-        world.user.connect(DropNth(device.DirectPair(world.device), 7))
+        world.user.connect(tapped(world.device, "send", 7, "drop-frame"))
         deploy_xor(world.user)
         assert world.user.update_key() == 0
         output, record = world.user.user_invoke(1, bytes(16))
@@ -529,7 +509,7 @@ class TestKeyUpdateFlow:
         world.user.connect(tap)
         image = device.IpImage(kernel_id="xor", params=bytes(16))
         world.user.prepare_deploy(1, image)  # frame 1
-        tap.arm("tamper-frame")
+        tap.schedule("recv", tap.received + 1, "tamper-frame")
         if spoil_update:
             spoil_next_crp(world.user)
         return world, image
@@ -635,17 +615,26 @@ class TestKeyUpdateFlow:
         user.close()
 
 
-class TestLostRecordSweep:
-    """One script at rekey threshold 2 loses each record the user sends in
-    turn.  Unfaulted it sends 18: HS1, HS3, HS8, the upload, the deploy and
-    the update due after it, two invokes and an update, two more invokes and
-    an update, an explicit update, and one more invoke."""
+class TestSingleFaultSweep:
+    """One script at rekey threshold 2 under each single fault the tap
+    schedules: every fault on every record, either way.  Unfaulted, the user
+    sends 18 records: HS1, HS3, HS8, the upload, the deploy and the update
+    due after it (UPDATE_REQ, UPDATE_CONFIRM_V), two invokes and an update,
+    two more invokes and an update, an explicit update, and one more invoke.
+    It receives 15: HS2, HS5, HS9, the boot report, then one answer to each
+    upload, deploy, invoke and update."""
 
-    RECORDS = 18
+    SENT, RECEIVED = 18, 15
+    SINGLE_FAULTS = [
+        (direction, k, action)
+        for direction, records in (("send", SENT), ("recv", RECEIVED))
+        for k in range(1, records + 1)
+        for action in (*transport.AdversaryTap.ACTIONS, "close")
+    ]
 
-    def _run(self, n, monkeypatch):
-        """Run the script on a fresh world whose device never gets the n-th
-        record; every call returns or raises a TrcteeError."""
+    def _run(self, monkeypatch, *fault):
+        """Run the script on a fresh world through a tap with ``fault``, if
+        any; every call returns or raises a TrcteeError."""
         world = build_world(seed=11, rekey_threshold=2)
         user, answered = world.user, []
         respond = world.puf_device.respond
@@ -653,7 +642,9 @@ class TestLostRecordSweep:
             world.puf_device, "respond", lambda c: answered.append(bytes(c)) or respond(c)
         )
         world.device.boot()
-        tap = DropNth(device.DirectPair(world.device), n)
+        tap = transport.AdversaryTap(device.DirectPair(world.device))
+        if fault:
+            tap.schedule(*fault)
 
         def attempt(call, *args):
             try:
@@ -671,24 +662,28 @@ class TestLostRecordSweep:
             attempt(user.user_invoke, 1, bytes(16))
         return world, tap, answered
 
-    def test_an_unfaulted_run_sends_18_records(self, monkeypatch):
-        world, tap, _ = self._run(self.RECORDS + 1, monkeypatch)
-        assert tap._left == 1  # the 19th record was never sent
+    def test_an_unfaulted_run_sends_18_records_and_receives_15(self, monkeypatch):
+        world, tap, _ = self._run(monkeypatch)
+        assert (tap.sent, tap.received) == (self.SENT, self.RECEIVED)
         assert world.user.trace.events == []
         assert world.user.endpoint.session.epoch == world.device.session.epoch == 4
         world.user.close()
 
-    @pytest.mark.parametrize("k", range(1, RECORDS + 1))
-    def test_losing_record_k_leaves_both_ends_consistent(self, k, monkeypatch):
-        world, _, answered = self._run(k, monkeypatch)
+    @pytest.mark.parametrize("direction, k, action", SINGLE_FAULTS)
+    def test_each_run_ends_consistent_or_with_the_session_gone(
+        self, direction, k, action, monkeypatch
+    ):
+        world, _, answered = self._run(monkeypatch, direction, k, action)
         user = world.user
         errors = [e.error for e in user.trace.events]
         assert not any(isinstance(e, channel.RekeyRequired) for e in errors), errors
+        assert len(answered) == len(set(answered))  # no CRP challenge reached the PUF twice
         if user.endpoint is not None:
             assert user.endpoint.session.epoch == world.device.session.epoch
             assert user.verify().all_verified
-        assert len(answered) == len(set(answered))
-        user.close()
+            user.close()
+        else:
+            assert errors and all(isinstance(e, TrcteeError) for e in errors)
 
     @pytest.mark.parametrize("k", [6, 10])
     def test_a_lost_update_request_leaves_each_request_its_answer(self, k):
@@ -697,7 +692,7 @@ class TestLostRecordSweep:
         world = build_world(seed=11, rekey_threshold=2)
         user = world.user
         world.device.boot()
-        user.connect(DropNth(device.DirectPair(world.device), k))
+        user.connect(tapped(world.device, "send", k, "drop-frame"))
         ticket = user.prepare_deploy(1, device.IpImage("xor", bytes(16)))
         response, verdict = user.user_deploy(ticket)
         assert (response.response_code, verdict) == (0, "Verified")

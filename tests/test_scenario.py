@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import ERROR_TOKENS
 from trctee import cli, device, puf, scenario, ttp, wire
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -105,9 +106,14 @@ class TestParser:
             ("boot adversary=tamper-component component=nope",
              "component=nope: not one of fsbl, puf_bitstream, pmu_fw, atf, optee, uboot, linux,"
              " rootfs"),
+            *[(f"invoke ip=1 input=hex:010203 expect={token}",
+               f"no step reports the outcome {token!r}")
+              for token in ("auth-failur", "Timeout", "", "error:KeyError", "error:AuthFailure")],
         ],
         ids=["attack-not-mounted-by-handshake", "attack-not-mounted-by-verify", "ip-twice",
-             "adversary-twice", "expect-twice", "unknown-boot-component"],
+             "adversary-twice", "expect-twice", "unknown-boot-component", "misspelt-outcome",
+             "outcome-in-capitals", "empty-outcome", "error-outside-trctee",
+             "error-of-a-class-with-a-token"],
     )
     def test_a_line_no_step_runs_is_one_error_line(self, line, reason, tmp_path, capsys):
         text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{line}\n"
@@ -120,6 +126,15 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: ParseError: line 7: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "token",
+        ["ok", "clean", "expectation-failed", *ERROR_TOKENS.values(), "error:ChannelError",
+         "error:TransportClosed", "error:NoSession", "error:StaleNonce", "error:TrcteeError"],
+    )
+    def test_each_outcome_a_step_reports_parses(self, token):
+        text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\ninvoke expect={token}\n"
+        assert scenario.parse_scenario(text)[-1].expect == ("ok" if token == "clean" else token)
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     @pytest.mark.parametrize("name", ALL_STEPS)

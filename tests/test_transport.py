@@ -1,8 +1,10 @@
 """TCP record transport over loopback: large records, partial writes, a
 peer that closes or falls silent mid-record, and the length-prefix cap.
 The plain in-process pipe: a busy peer never fails a receive, a closed pipe
-stays closed, and a receive that no record reaches waits out its timeout."""
+stays closed, and a receive that no record reaches waits out its timeout.
+The adversary tap: each fault acts alike on either direction."""
 
+import contextlib
 import socket
 import struct
 import threading
@@ -148,9 +150,9 @@ class TestOneReceiveBuffer:
             near.send_record(record)
         first = receiver.recv_record(5)
         first[:] = bytes(64)  # what an in-place open does to the record
-        tap.arm("tamper-frame")
+        tap.schedule("recv", 2, "tamper-frame")
         tampered = receiver.recv_record(5)
-        tap.arm("replay-frame")
+        tap.schedule("recv", 3, "replay-frame")
         replayed = receiver.recv_record(5)
         later = [bytes(receiver.recv_record(5)) for _ in range(3)]
         flipped = records[1][:-1] + bytes([records[1][-1] ^ 0x01])
@@ -233,7 +235,7 @@ class TestCopiesOutliveInPlaceOpen:
         assert channel.open_frame(tmm_end, record) == payload
         assert record != sealed  # opened in place
         assert log == [("sent", sealed), ("received", sealed)]
-        tap.arm("replay-frame")
+        tap.schedule("recv", 2, "replay-frame")
         assert receiver.recv_record(5) == sealed
         with pytest.raises(channel.ReplayDetected):
             channel.open_frame(tmm_end, sealed)
@@ -303,6 +305,44 @@ class TestInProcPipe:
         assert near.recv_record(0.2) == b"x"
 
 
-def test_adversary_tap_refuses_an_unknown_attack():
-    with pytest.raises(ValueError, match="unknown adversary action 'flip'"):
-        transport.AdversaryTap(None).arm("flip")
+class TestAdversaryTap:
+    RECORDS = [b"one", b"two", b"six"]
+
+    @pytest.mark.parametrize("direction", ["send", "recv"])
+    @pytest.mark.parametrize("action, arrived", [
+        ("drop-frame", [b"one", b"six"]),
+        ("tamper-frame", [b"one", b"twn", b"six"]),
+        ("replay-frame", [b"one", b"one", b"two", b"six"]),
+        ("close", [b"one"]),
+    ])
+    def test_each_fault_acts_alike_either_way(self, direction, action, arrived):
+        near, far = transport.pipe_pair()
+        tap = transport.AdversaryTap(near if direction == "send" else far)
+        tap.schedule(direction, 2, action)
+        sender, receiver = (tap, far) if direction == "send" else (near, tap)
+        with contextlib.suppress(transport.TransportClosed):  # sent after a close
+            for record in self.RECORDS:
+                sender.send_record(record)
+        got = []
+        ends = transport.TransportClosed if action == "close" else transport.ReceiveTimeout
+        with pytest.raises(ends):
+            while True:
+                got.append(bytes(receiver.recv_record(0)))
+        assert got == arrived
+        counted = 2 if action == "close" else 3  # nothing passes the tap after a close
+        assert (tap.sent, tap.received) == ((counted, 0) if direction == "send" else (0, counted))
+
+    def test_a_replay_of_the_first_record_has_nothing_to_copy(self):
+        near, far = transport.pipe_pair()
+        tap = transport.AdversaryTap(far)
+        tap.schedule("recv", 1, "replay-frame")
+        near.send_record(b"one")
+        assert tap.recv_record(0) == b"one" and tap.received == 1
+
+
+@pytest.mark.parametrize("direction, action", [
+    ("recv", "flip"), ("send", "tamper-bitstream"), ("sideways", "drop-frame"),
+])
+def test_adversary_tap_refuses_an_unknown_attack(direction, action):
+    with pytest.raises(ValueError, match=f"unknown fault {action!r} on {direction!r}"):
+        transport.AdversaryTap(None).schedule(direction, 1, action)

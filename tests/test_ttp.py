@@ -60,11 +60,6 @@ class TestEnrollDevice:
         with pytest.raises(ttp.DuplicateDevice):
             service.enroll_device("dev1", puf_device, image)
 
-    def test_record_of_an_unknown_device(self, enrolled):
-        service = enrolled[0]
-        with pytest.raises(ttp.UnknownDevice, match="dev2 is not enrolled"):
-            service.device_record("dev2")
-
     def test_manifest_digests_match_hash_oracle(self, enrolled):
         _, _, image, record = enrolled
         for (name, digest), (_, blob) in zip(record.golden_manifest, image.items()):
@@ -136,30 +131,25 @@ class TestProvision:
             service.provision_user("alice", "dev1", slice_size=1000)
 
 
-class TestCertDatabase:
-    def test_lookup_enrolled(self, service):
-        service.register_user("alice")
-        bundle = service.enroll_vtpm("alice")
-        assert service.lookup_cert(bundle.pk_tpm) == bundle.cert
-
-    def test_lookup_unknown(self, service):
-        with pytest.raises(ttp.NotFound):
-            service.lookup_cert(bytes(32))
-
-
 class TestPersistence:
     def test_registry_round_trip(self, enrolled, tmp_path):
-        service, _, _, record = enrolled
+        service = enrolled[0]
         bundle = service.enroll_vtpm("alice")
         service.provision_user("alice", "dev1", slice_size=4)
-        path = str(tmp_path / "registry.txt")
-        service.save(path)
-        loaded = ttp.TtpService.load(path)
+        saved, resaved = tmp_path / "saved", tmp_path / "resaved"
+        saved.mkdir()
+        resaved.mkdir()
+        service.save(str(saved / "registry.txt"))
+        loaded = ttp.TtpService.load(str(saved / "registry.txt"))
         assert loaded.pk_ttp == service.pk_ttp
-        assert loaded.lookup_cert(bundle.pk_tpm) == bundle.cert
-        reloaded = loaded.device_record("dev1")
-        assert reloaded.golden_manifest == record.golden_manifest
-        assert reloaded.crp_store.challenges() == record.crp_store.challenges()
+        assert f"cert {bundle.cert.encode().hex()}\n" in (saved / "registry.txt").read_text()
+        # The registry file, its certificates and the CRP file, as they were.
+        loaded.save(str(resaved / "registry.txt"))
+        files = sorted(path.name for path in saved.iterdir())
+        assert files == ["crps_ttp_dev1.txt", "registry.txt"]
+        assert sorted(path.name for path in resaved.iterdir()) == files
+        for name in files:
+            assert (resaved / name).read_bytes() == (saved / name).read_bytes()
         # A freshly loaded registry can still provision.
         _, _, more = loaded.provision_user("alice", "dev1", slice_size=4)
         assert len(more) == 4
