@@ -20,12 +20,14 @@ Three pieces live here:
                      ikm=response || old_key,
                      info=b"trctee-rekey" || epoch)
 
-  Update messages ride inside the existing encrypted channel and both
-  ends switch epochs only after a key-confirmation MAC exchange.
-
-No frame is counted here against a rekey threshold: ``runtime.UserNode`` holds
-it, runs each key update that falls due, and alone refuses to seal a request
-while one is due.  The device never refuses to answer.
+  Its messages ride inside the channel.  Each end's half is two pure steps
+  that do no I/O: the vTPM's :func:`start_update` makes UPDATE_REQ and its
+  :func:`confirm_update` checks UPDATE_CONFIRM_D, seals UPDATE_CONFIRM_V in
+  the old epoch and switches; the device's :func:`respond_update` makes D
+  and its :func:`finish_update` checks V and switches, or, if V was lost,
+  the vTPM's next frame, of the new epoch, confirms.  :func:`initiate_update`
+  drives the vTPM's steps over an endpoint; ``runtime.UserNode`` alone
+  counts frames against the rekey threshold, and the device never refuses.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ TAG_LEN = 16
 FRAME_HEAD = struct.Struct(">IQ")  # epoch, counter: the first 12 bytes of a frame
 FRAME_OVERHEAD = FRAME_HEAD.size + NONCE_LEN + TAG_LEN  # 40
 HS_NONCE_LEN = 16
+Pending = tuple[bytes, bytes]  # a key update's new session key and its confirmation key
 
 _SESS_INFO = b"trctee-sess"
 _CONFIRM_INFO = b"trctee-confirm"
@@ -155,10 +158,6 @@ class Frame:
     record: bytearray
 
     @property
-    def nonce(self) -> bytes:
-        return bytes(self.record[FRAME_HEAD.size : _CIPHERTEXT_AT])
-
-    @property
     def ciphertext(self) -> bytes:
         """The ciphertext followed by the 16-byte GCM tag."""
         return bytes(self.record[_CIPHERTEXT_AT:])
@@ -226,8 +225,8 @@ def derive_deploy_key(sess_key: bytes) -> bytes:
 
 def derive_updated_key(
     state_hash: bytes, response: bytes, old_key: bytes, new_epoch: int
-) -> tuple[bytes, bytes]:
-    """New session key and its confirmation key for a key update."""
+) -> Pending:
+    """The pending keys of the update to ``new_epoch``."""
     info = _REKEY_INFO + struct.pack(">I", new_epoch)
     ikm = response + old_key
     new_key = hkdf_sha384(ikm, salt=state_hash, info=info, length=KEY_LEN)
@@ -507,10 +506,6 @@ class ChannelEndpoint:
         self.transport = transport
         self.recv_timeout = recv_timeout
 
-    def send(self, payload: bytes) -> None:
-        frame = seal(self.session, payload)
-        self.transport.send_record(frame.encode())
-
     def recv(self) -> memoryview:
         try:
             record = self.transport.recv_record(self.recv_timeout)
@@ -519,7 +514,7 @@ class ChannelEndpoint:
         return open_frame(self.session, record)
 
     def request(self, payload: bytes) -> memoryview:
-        self.send(payload)
+        self.transport.send_record(seal(self.session, payload).encode())
         return self.recv()
 
 
@@ -527,30 +522,38 @@ def _update_mac(confirm_key: bytes, side: bytes, new_epoch: int) -> bytes:
     return hmac_sha384(confirm_key, b"update-confirm-" + side + struct.pack(">I", new_epoch))
 
 
+def start_update(
+    session: SessionState, challenge: bytes, response: bytes, state_hash: bytes
+) -> tuple[bytes, Pending]:
+    """vTPM side, first: the UPDATE_REQ payload and the pending keys."""
+    new_epoch = session.epoch + 1
+    pending = derive_updated_key(state_hash, response, session.sess_key, new_epoch)
+    return messages.encode_update_req(challenge, state_hash, new_epoch), pending
+
+
+def confirm_update(session: SessionState, payload: bytes, pending: Pending) -> bytearray:
+    """vTPM side, on UPDATE_CONFIRM_D: the sealed UPDATE_CONFIRM_V record."""
+    new_key, confirm_key = pending
+    mac_d = messages.decode_update_confirm(payload, messages.UPDATE_CONFIRM_D)
+    if not constant_time_eq(mac_d, _update_mac(confirm_key, b"d", session.epoch + 1)):
+        raise ConfirmFailure("device confirmation of the updated key failed")
+    mac_v = _update_mac(confirm_key, b"v", session.epoch + 1)
+    frame = seal(session, messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, mac_v))
+    session.switch_epoch(new_key)
+    return frame.encode()
+
+
 def initiate_update(
     endpoint: ChannelEndpoint, challenge: bytes, response: bytes, state_hash: bytes
 ) -> None:
-    """vTPM side of the key update; switches the session epoch on success."""
-    session = endpoint.session
-    new_epoch = session.epoch + 1
-    new_key, confirm_key = derive_updated_key(
-        state_hash, response, session.sess_key, new_epoch
-    )
-    reply = endpoint.request(messages.encode_update_req(challenge, state_hash, new_epoch))
-    mac_d = messages.decode_update_confirm(reply, messages.UPDATE_CONFIRM_D)
-    if not constant_time_eq(mac_d, _update_mac(confirm_key, b"d", new_epoch)):
-        raise ConfirmFailure("device confirmation of the updated key failed")
-    mac_v = _update_mac(confirm_key, b"v", new_epoch)
-    endpoint.send(messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, mac_v))
-    session.switch_epoch(new_key)
+    """The vTPM's two update steps, driven over ``endpoint``."""
+    payload, pending = start_update(endpoint.session, challenge, response, state_hash)
+    reply = endpoint.request(payload)
+    endpoint.transport.send_record(confirm_update(endpoint.session, reply, pending))
 
 
-def respond_update(
-    session: SessionState, payload: bytes, puf: PufDevice
-) -> tuple[bytes, tuple[bytes, bytes]]:
-    """Device side of the key update, on an update request payload: the
-    UPDATE_CONFIRM_D payload to send, and the pending (new key, confirmation
-    key) that :func:`finish_update` switches to."""
+def respond_update(session: SessionState, payload: bytes, puf: PufDevice) -> tuple[bytes, Pending]:
+    """Device side, on UPDATE_REQ: the UPDATE_CONFIRM_D payload and the pending keys."""
     challenge, state_hash, new_epoch = messages.decode_update_req(payload)
     if new_epoch != session.epoch + 1:
         raise ConfirmFailure(f"update proposes epoch {new_epoch}, expected {session.epoch + 1}")
@@ -560,12 +563,10 @@ def respond_update(
     return messages.encode_update_confirm(messages.UPDATE_CONFIRM_D, mac_d), pending
 
 
-def finish_update(session: SessionState, payload: bytes, pending: tuple[bytes, bytes]) -> None:
-    """Device side, on the UPDATE_CONFIRM_V payload: check the vTPM's
-    confirmation and switch the session to the pending key."""
+def finish_update(session: SessionState, payload: bytes, pending: Pending) -> None:
+    """Device side, on UPDATE_CONFIRM_V: check it and switch to the pending key."""
     new_key, confirm_key = pending
     mac_v = messages.decode_update_confirm(payload, messages.UPDATE_CONFIRM_V)
     if not constant_time_eq(mac_v, _update_mac(confirm_key, b"v", session.epoch + 1)):
         raise ConfirmFailure("vTPM confirmation of the updated key failed")
     session.switch_epoch(new_key)
-

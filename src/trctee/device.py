@@ -365,18 +365,17 @@ class FpgaSocDevice:
         """The TTP key pre-stored in the FSBL image."""
         return self.boot_image.embedded_pk_ttp
 
-    def boot(self) -> list[tuple[int, str, bytes]]:
+    def boot(self) -> None:
         """Measured boot: queue the component measurements for reporting."""
         self._pending_measurements = measure_boot_image(self.boot_image)
         self.booted = True
-        return list(self._pending_measurements)
 
     def _start_session(self) -> None:
         self._handshake = channel.DeviceHandshake(
             pk_ttp=self.pk_ttp, device_id=self.device_id, puf=self.puf, rng=self.rng
         )
         self.session: channel.SessionState | None = None
-        self._pending: tuple[bytes, bytes] | None = None
+        self._pending: channel.Pending | None = None
 
     def attach(self, transport) -> TpmAgent:
         """Start a fresh session whose records go out through ``transport``."""

@@ -84,10 +84,7 @@ class CrpStore:
 
     def take_unused(self) -> CrpRecord:
         """Return the next unused record, atomically marking it used."""
-        for record in self._records.values():
-            if not record.used:
-                return self._consume(record)
-        raise CrpExhausted(f"no unused CRP left in {self.owner} store")
+        return self.take(self.peek_unused_challenge())
 
     def take(self, challenge: bytes) -> CrpRecord:
         """Consume the record for a specific challenge; it must be unused."""

@@ -18,6 +18,7 @@ built from the golden manifest and the recorded deploy/invoke history.
 from __future__ import annotations
 
 import struct
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -204,8 +205,9 @@ class UserNode:
         self.recv_timeout = recv_timeout
         self.trace = trace or Trace()
         self.vtpm = vtpm.Vtpm(rng=self.rng.child("vtpm-drbg"))
-        self.vtpm.update_handler = self._handle_update
-        self.vtpm.forward_handler = self._forward_to_tmm
+        node = weakref.proxy(self)  # hooks that hold the node weakly: no reference cycle
+        self.vtpm.update_handler = lambda challenge: node._handle_update(challenge)
+        self.vtpm.forward_handler = lambda command, raw: node._forward_to_tmm(command, raw)
         self.endpoint: channel.ChannelEndpoint | None = None
         self.deploy_key: bytes | None = None
         self.history = ExpectedHistory()

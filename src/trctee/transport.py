@@ -130,7 +130,7 @@ class TcpTransport:
                 try:
                     n = self._sock.recv_into(view[got:])
                 except socket.timeout:
-                    raise ReceiveTimeout("socket receive timed out") from None
+                    raise ReceiveTimeout(f"no record within {self._sock.gettimeout()}s") from None
                 except OSError as exc:
                     raise TransportClosed(str(exc)) from exc
                 if not n:

@@ -1,11 +1,11 @@
 import struct
-from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
-from oracles import reference_hkdf
-from trctee import channel, device, puf, transport, ttp, vtpm
-from trctee.crypto import Rng, hmac_sha384
+from oracles import bytewise_xor, reference_hkdf
+from trctee import channel, device, messages, puf, transport, ttp, vtpm, wire
+from trctee.crypto import Rng, hmac_sha384, sha3_384
 
 
 def make_session(key=None, peer=channel.Role.TMM):
@@ -42,7 +42,8 @@ class TestFraming:
     def test_tampered_counter_auth_failure_and_no_state_change(self):
         sender, receiver = session_pair()
         frame = channel.seal(sender, b"payload")
-        forged = struct.pack(">IQ", frame.epoch, frame.counter + 1) + frame.nonce + frame.ciphertext
+        head, nonce = struct.pack(">IQ", frame.epoch, frame.counter + 1), frame.record[12:24]
+        forged = head + nonce + frame.ciphertext
         with pytest.raises(channel.AuthFailure):
             channel.open_frame(receiver, forged)
         assert receiver.recv_counter == 0
@@ -394,71 +395,64 @@ class TestAbortRecord:
         assert isinstance(dev.trace.first_error(), channel.BadCert)
 
 
-class TmmEnd:
-    """The vTPM endpoint's transport, standing in for the TMM with no thread:
-    each record sent is answered at once by the device's two pure update steps."""
-
-    def __init__(self, session, puf):
-        self.session, self._puf = session, puf
-        self._replies, self._pending = deque(), None
-
-    def send_record(self, record):
-        payload = channel.open_frame(self.session, record)
-        if self._pending is None:
-            confirm, self._pending = channel.respond_update(self.session, payload, self._puf)
-            self._replies.append(channel.seal(self.session, confirm).encode())
-        else:
-            channel.finish_update(self.session, payload, self._pending)
-            self._pending = None
-
-    def recv_record(self, timeout=None):
-        return self._replies.popleft()
-
-
-def connected_endpoints():
-    """A live vTPM endpoint and its TMM, after a real handshake."""
+def connected_sessions():
+    """The vTPM's and the TMM's sessions after a real handshake, the device's
+    PUF and the vTPM's CRPs."""
     service, bundle, device_puf, crps, rng = handshake_fixtures()
     initiator, responder = run_handshake(bundle, crps, device_puf, service.pk_ttp, rng)
-    tmm_end = TmmEnd(responder.session, device_puf)
-    vtpm_end = channel.ChannelEndpoint(initiator.session, tmm_end, recv_timeout=2.0)
-    return vtpm_end, tmm_end, crps
+    return initiator.session, responder.session, device_puf, crps
+
+
+def carry(sender, receiver, payload):
+    """``payload`` as ``receiver`` opens it from ``sender``'s sealed frame."""
+    return bytes(channel.open_frame(receiver, channel.seal(sender, payload).encode()))
+
+
+def run_update(vtpm_side, tmm_side, device_puf, crps, bank=None):
+    """One key update by the four pure steps; the CRP and state hash it used,
+    and the request, D and V payloads as their receivers opened them."""
+    record = crps.take_unused()
+    state_hash = (bank or vtpm.PcrBank()).state_hash()
+    request, pending_v = channel.start_update(
+        vtpm_side, record.challenge, record.response, state_hash
+    )
+    request = carry(vtpm_side, tmm_side, request)
+    confirm_d, pending_d = channel.respond_update(tmm_side, request, device_puf)
+    confirm_d = carry(tmm_side, vtpm_side, confirm_d)
+    record_v = channel.confirm_update(vtpm_side, confirm_d, pending_v)
+    confirm_v = bytes(channel.open_frame(tmm_side, record_v))
+    channel.finish_update(tmm_side, confirm_v, pending_d)
+    return record, state_hash, (request, confirm_d, confirm_v)
 
 
 class TestKeyUpdate:
-    def _run_update(self, vtpm_end, crps, bank=None):
-        bank = bank or vtpm.PcrBank()
-        record = crps.take_unused()
-        state_hash = bank.state_hash()
-        channel.initiate_update(vtpm_end, record.challenge, record.response, state_hash)
-        return record, state_hash
-
     def test_honest_update_keys_equal(self):
-        vtpm_end, tmm_end, crps = connected_endpoints()
-        old_key = vtpm_end.session.sess_key
-        record, state_hash = self._run_update(vtpm_end, crps)
-        assert vtpm_end.session.sess_key == tmm_end.session.sess_key != old_key
-        assert vtpm_end.session.epoch == tmm_end.session.epoch == 1
-        assert vtpm_end.session.send_counter == 0
+        vtpm_side, tmm_side, device_puf, crps = connected_sessions()
+        old_key = vtpm_side.sess_key
+        run_update(vtpm_side, tmm_side, device_puf, crps)
+        assert vtpm_side.sess_key == tmm_side.sess_key != old_key
+        assert vtpm_side.epoch == tmm_side.epoch == 1
+        assert vtpm_side.send_counter == 0
 
     def test_derived_key_matches_reference_kdf(self):
-        vtpm_end, tmm_end, crps = connected_endpoints()
-        old_key = vtpm_end.session.sess_key
-        record, state_hash = self._run_update(vtpm_end, crps)
+        vtpm_side, tmm_side, device_puf, crps = connected_sessions()
+        old_key = vtpm_side.sess_key
+        record, state_hash, _ = run_update(vtpm_side, tmm_side, device_puf, crps)
         expected = reference_hkdf(
             ikm=record.response + old_key,
             salt=state_hash,
             info=b"trctee-rekey" + struct.pack(">I", 1),
             length=32,
         )
-        assert vtpm_end.session.sess_key == expected
+        assert vtpm_side.sess_key == expected
 
     def test_old_epoch_frame_rejected_after_update(self):
-        vtpm_end, tmm_end, crps = connected_endpoints()
-        stale = channel.seal(vtpm_end.session, b"stale").encode()
-        vtpm_end.session.send_counter -= 1  # pretend it was never sent
-        self._run_update(vtpm_end, crps)
+        vtpm_side, tmm_side, device_puf, crps = connected_sessions()
+        stale = channel.seal(vtpm_side, b"stale").encode()
+        vtpm_side.send_counter -= 1  # pretend it was never sent
+        run_update(vtpm_side, tmm_side, device_puf, crps)
         with pytest.raises(channel.WrongEpoch):
-            channel.open_frame(tmm_end.session, stale)
+            channel.open_frame(tmm_side, stale)
 
     def test_pcr_state_binds_key(self):
         # Identical response, old key, and epoch; only one PCR differs.
@@ -470,21 +464,117 @@ class TestKeyUpdate:
         assert key1 != key2
 
     def test_pcr_state_binds_key_end_to_end(self):
-        vtpm_end, tmm_end, crps = connected_endpoints()
+        vtpm_side, tmm_side, device_puf, crps = connected_sessions()
         bank = vtpm.PcrBank()
         bank.extend(1, bytes(range(48)))
-        record, state_hash = self._run_update(vtpm_end, crps, bank=bank)
+        record, state_hash, _ = run_update(vtpm_side, tmm_side, device_puf, crps, bank=bank)
         derived_with_reset_bank = channel.derive_updated_key(
             vtpm.PcrBank().state_hash(), record.response, bytes(32), 1
         )[0]
-        assert vtpm_end.session.sess_key == tmm_end.session.sess_key
-        assert vtpm_end.session.sess_key != derived_with_reset_bank
+        assert vtpm_side.sess_key == tmm_side.sess_key
+        assert vtpm_side.sess_key != derived_with_reset_bank
 
     def test_total_crps_consumed_equals_handshakes_plus_updates(self):
-        vtpm_end, tmm_end, crps = connected_endpoints()
+        vtpm_side, tmm_side, device_puf, crps = connected_sessions()
         total = len(crps)
         updates = 3
         for _ in range(updates):
-            self._run_update(vtpm_end, crps)
+            run_update(vtpm_side, tmm_side, device_puf, crps)
         consumed = total - crps.unused_count()
         assert consumed == 1 + updates  # one handshake + the updates
+
+    @pytest.mark.parametrize("replay", ["confirm-d", "confirm-v", "request"])
+    def test_a_payload_of_the_last_update_is_refused_in_the_next(self, replay):
+        # Each step keys its check to the epoch it would switch to, so a
+        # confirmation or request of update 1 confirms nothing in update 2.
+        vtpm_side, tmm_side, device_puf, crps = connected_sessions()
+        _, _, (request_1, confirm_d_1, confirm_v_1) = run_update(
+            vtpm_side, tmm_side, device_puf, crps
+        )
+        keys = vtpm_side.sess_key, tmm_side.sess_key
+        record = crps.take_unused()
+        request_2, pending_v = channel.start_update(
+            vtpm_side, record.challenge, record.response, vtpm.PcrBank().state_hash()
+        )
+        with pytest.raises(channel.ConfirmFailure):
+            if replay == "confirm-d":
+                channel.confirm_update(vtpm_side, confirm_d_1, pending_v)
+            elif replay == "confirm-v":
+                _, pending_d = channel.respond_update(tmm_side, request_2, device_puf)
+                channel.finish_update(tmm_side, confirm_v_1, pending_d)
+            else:
+                channel.respond_update(tmm_side, request_1, device_puf)
+        assert vtpm_side.epoch == tmm_side.epoch == 1
+        assert (vtpm_side.sess_key, tmm_side.sess_key) == keys
+
+
+def test_a_whole_session_by_handing_bytes_between_the_two_cores():
+    """Handshake, boot report, upload, deploy, invoke and two key updates, the
+    second with its UPDATE_CONFIRM_V lost: the vTPM's handshake and pure
+    channel steps on one side, the device core on the other, and each record
+    handed across by hand, with no transport and no thread."""
+    service, bundle, device_puf, crps, rng = handshake_fixtures()
+    dev = device.FpgaSocDevice(
+        device_id="dev1",
+        puf=device_puf,
+        boot_image=device.BootImage.synthetic("dev1", service.pk_ttp),
+        rng=rng.child("dev"),
+    )
+    dev.boot()
+    replies = []
+    out = SimpleNamespace(send_record=replies.append)
+
+    def to_device(record):
+        """The records the device core sends back for ``record``."""
+        assert dev.on_record(record, out)
+        sent = replies[:]
+        replies.clear()
+        return sent
+
+    handshake = channel.VtpmHandshake(
+        sk_tpm=bundle.sk_tpm, cert=bundle.cert, device_id="dev1", crp_store=crps,
+        rng=rng.child("hs-user"),
+    )
+    inbox = to_device(handshake.start())
+    while handshake.session is None:
+        message = handshake.on_message(inbox.pop(0))
+        if message is not None:
+            inbox += to_device(message)
+    session = handshake.session
+    (report,) = inbox
+    measurements = messages.decode_boot_report(channel.open_frame(session, report))
+    assert measurements == device.measure_boot_image(dev.boot_image)
+    bank = vtpm.PcrBank()
+    for index, _, digest in measurements:
+        bank.extend(index, digest)
+
+    def request(payload):
+        (reply,) = to_device(channel.seal(session, payload).encode())
+        return channel.open_frame(session, reply)
+
+    params, data = bytes(range(16)), bytes(range(100, 116))
+    image = device.IpImage(kernel_id="xor", params=params)
+    deploy_key = channel.derive_deploy_key(session.sess_key)
+    blob = device.encrypt_bitstream(image, 1, deploy_key, rng.child("bitstream")).encode()
+    stored = request(messages.encode_store_blob(device.blob_name(1), blob))
+    assert messages.kind_of(stored) == messages.STORE_OK
+    deployed = wire.decode_response(request(wire.encode(wire.DeployCmd(ip_num=1))), wire.CC_DEPLOY)
+    assert (deployed.response_code, deployed.bin_hash) == (0, sha3_384(image.encode()))
+
+    def invoke():
+        reply = request(wire.encode(wire.InvokeCmd(ip_num=1, input=data)))
+        return bytes(wire.decode_response(reply, wire.CC_INVOKE).output)
+
+    assert invoke() == bytewise_xor(params, data)
+    for lose_v in (False, True):
+        crp = crps.take_unused()
+        payload, pending = channel.start_update(
+            session, crp.challenge, crp.response, bank.state_hash()
+        )
+        record_v = channel.confirm_update(session, request(payload), pending)
+        if not lose_v:
+            assert to_device(record_v) == []
+    assert (session.epoch, dev.session.epoch) == (2, 1)
+    assert invoke() == bytewise_xor(params, data)  # its epoch-2 frame confirms the lost V
+    assert dev.session.epoch == 2 and dev.session.sess_key == session.sess_key
+    assert [event.kind for event in dev.trace.events] == ["rekey", "rekey"]

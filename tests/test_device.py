@@ -382,7 +382,8 @@ class TestSessionSurvivesBadPayloads:
         params = bytes(range(16))
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=params))
         user.user_deploy(ticket)
-        user.endpoint.send(payload)  # dropped unanswered
+        sealed = channel.seal(user.endpoint.session, payload).encode()
+        user.endpoint.transport.send_record(sealed)  # dropped unanswered
         output, _ = user.user_invoke(1, bytes(16))
         assert output == params
         assert isinstance(dev.trace.first_error(), (messages.MessageError, wire.WireError))

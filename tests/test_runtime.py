@@ -1,9 +1,11 @@
 import copy
+import gc
 import hashlib
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 try:
@@ -1151,3 +1153,26 @@ class TestOneDecodePerHop:
         # The vTPM and the TMM each decode the command once; the vTPM decodes
         # the response once and hands it to user_invoke.
         assert sorted(calls) == ["decode", "decode", "decode_response"]
+
+
+class TestClosedSessionIsFreed:
+    def test_a_closed_and_dropped_node_is_freed_without_the_cyclic_collector(self):
+        world = build_world()
+        connect_world(world)
+        user = world.user
+        deploy_xor(user)
+        user.user_invoke(1, bytes(16))
+        # While the node lives, the vTPM's hooks route a raw extended command to it.
+        challenge = user.crp_store.peek_unused_challenge()
+        reply = user.vtpm.dispatch(wire.encode(wire.UpdateCmd(challenge=challenge)))
+        assert wire.decode_response(reply, wire.CC_UPDATE).return_code == 0
+        assert user.endpoint.session.epoch == 1
+        user.close()
+        freed = weakref.ref(user)
+        gc.disable()
+        try:
+            del user
+            world.user = None
+            assert freed() is None
+        finally:
+            gc.enable()

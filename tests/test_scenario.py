@@ -429,6 +429,7 @@ class TestDeterminismAndTransport:
         assert inproc.exit_code == 0, inproc.text()
         assert over_tcp.exit_code == 0, over_tcp.text()
         assert inproc.frame_transcript == over_tcp.frame_transcript
+        assert inproc.text() == over_tcp.text()
 
     def test_no_plaintext_on_the_wire(self):
         # Markers that exist in sealed payloads of the baseline run.
