@@ -172,11 +172,16 @@ def _nonce(direction: Role, epoch: int, counter: int) -> bytes:
 
 
 def seal(session: SessionState, plaintext: bytes) -> Frame:
-    """Encrypt one payload as the session's next frame."""
+    """Encrypt one payload as the session's next frame.  Every record that can
+    be large is sealed, so one over ``transport.MAX_RECORD`` is refused here."""
+    size = FRAME_OVERHEAD + len(plaintext)
+    if size > _transport.MAX_RECORD:
+        cap = _transport.MAX_RECORD
+        raise _transport.RecordTooLarge(f"record of {size} bytes exceeds the {cap} cap")
     counter = session.send_counter + 1
     nonce = _nonce(session.my_role, session.epoch, counter)
     head = FRAME_HEAD.pack(session.epoch, counter)
-    record = bytearray(FRAME_OVERHEAD + len(plaintext))
+    record = bytearray(size)
     record[: FRAME_HEAD.size] = head
     record[FRAME_HEAD.size : _CIPHERTEXT_AT] = nonce
     with memoryview(record) as view:

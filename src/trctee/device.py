@@ -1,5 +1,5 @@
 """Simulated FPGA-SoC device: measured boot, encrypted-bitstream store,
-the privileged TMM, the keyless REE forwarding agent, and IP kernels.
+the privileged TMM, and IP kernels.
 
 The boot ROM acts as the measurement root: it hashes the eight boot
 components in their fixed order, one per PCR index 0..7.  Measurements
@@ -7,8 +7,10 @@ are queued at boot and reported to the vTPM over the secure channel once
 a session exists.
 
 Only the TMM can touch configuration memory.  Bitstreams arrive AEAD
-encrypted under the per-session deployment key; the REE file store and
-the TPM-Agent hold no keys and expose no deploy or invoke capability.
+encrypted under the per-session deployment key.  The REE file store and the
+TPM-Agent, the REE relay of sealed records that is the transport the device
+is attached to (:attr:`FpgaSocDevice.agent`), hold no keys and expose no
+deploy or invoke capability.
 
 Deploy and invoke reach the TMM as the vTPM's own TPM command bytes inside
 the sealed channel and are answered with TPM response bytes (see
@@ -309,26 +311,6 @@ class Tmm:
         return KERNELS[image.kernel_id](image.params, data)
 
 
-class TpmAgent:
-    """REE forwarder: relays opaque records in both directions, holds no keys.
-
-    It is the device's transport: every record the TMM sends or receives
-    passes through it unchanged.
-    """
-
-    def __init__(self, transport):
-        self._transport = transport
-
-    def send_record(self, record: bytes) -> None:
-        self._transport.send_record(record)
-
-    def recv_record(self, timeout: float | None = None) -> bytes:
-        return self._transport.recv_record(timeout)
-
-    def close(self) -> None:
-        self._transport.close()
-
-
 class FpgaSocDevice:
     """One simulated device serving one vTPM session at a time.  Its core,
     :meth:`on_record`, is handshaking (``session`` None), established, or
@@ -357,7 +339,7 @@ class FpgaSocDevice:
         self.tmm = Tmm(self.file_store)
         self.booted = False
         self._pending_measurements: list[tuple[int, str, bytes]] = []
-        self.agent: TpmAgent | None = None
+        self.agent = None  # the TPM-Agent: the transport of the session
         self._start_session()
 
     @property
@@ -377,19 +359,18 @@ class FpgaSocDevice:
         self.session: channel.SessionState | None = None
         self._pending: channel.Pending | None = None
 
-    def attach(self, transport) -> TpmAgent:
+    def attach(self, transport) -> None:
         """Start a fresh session whose records go out through ``transport``."""
-        self.agent = TpmAgent(transport)
+        self.agent = transport
         self._start_session()
-        return self.agent
 
     def serve(self, transport) -> None:
         """The one receive loop, pipe or TCP: records go to :meth:`feed` until
         the peer closes, a receive times out or the handshake fails."""
-        agent = self.attach(transport)
+        self.attach(transport)
         while True:
             try:
-                record = agent.recv_record(self.recv_timeout)
+                record = transport.recv_record(self.recv_timeout)
             except (_transport.TransportClosed, _transport.ReceiveTimeout) as exc:
                 self._peer_gone(exc)
                 return

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
-from . import channel, device, puf, runtime, transport, ttp, wire
+from . import channel, device, puf, runtime, transport, ttp, vtpm, wire
 from .crypto import Rng
 from .errors import TrcteeError
 from .trace import Trace
@@ -50,12 +50,12 @@ class ParseError(TrcteeError):
     exit_code = 2
 
 
-def _uint(size: int) -> Callable[[str], int]:
-    """A converter to a decimal integer that fits in ``size`` bytes."""
+def _below(limit: int) -> Callable[[str], int]:
+    """A converter to a decimal integer in 0..``limit`` - 1."""
 
     def convert(text: str) -> int:
-        if not text.isdecimal() or int(text) >> 8 * size:
-            raise ValueError(f"not an integer in 0..{(1 << 8 * size) - 1}")
+        if not text.isdecimal() or int(text) >= limit:
+            raise ValueError(f"not an integer in 0..{limit - 1}")
         return int(text)
 
     return convert
@@ -65,6 +65,14 @@ def _decode_bytes(value: str) -> bytes:
     if value.startswith("hex:"):
         return bytes.fromhex(value[4:])
     return value.encode()
+
+
+def _pcr_indices(text: str) -> list[int]:
+    """Distinct PCR indices, comma separated, in ascending order."""
+    indices = sorted(map(_below(vtpm.PCR_COUNT), text.split(",")))
+    if len(set(indices)) < len(indices):
+        raise ValueError("a PCR index given twice")
+    return indices
 
 
 def _boot_component(name: str) -> str:
@@ -95,21 +103,21 @@ STEPS = {
     "handshake": StepSpec(("provision", "boot"), attacks=("swap-vtpm-cert",)),
     "deploy": StepSpec(
         ("handshake",),
-        {"ip": (_uint(2), 1), "kernel": (str, "xor"), "params": (_decode_bytes, b"\0")},
+        {"ip": (_below(1 << 16), 1), "kernel": (str, "xor"), "params": (_decode_bytes, b"\0")},
         (*transport.AdversaryTap.ACTIONS, "tamper-bitstream"),
     ),
     "invoke": StepSpec(
         ("handshake",),
-        {"ip": (_uint(2), 1), "input": (_decode_bytes, b"\0"), "flag": (_uint(4), 0),
+        {"ip": (_below(1 << 16), 1), "input": (_decode_bytes, b"\0"), "flag": (_below(1 << 32), 0),
          "expect-output": (_decode_bytes, None)},
         transport.AdversaryTap.ACTIONS,
     ),
     "update-key": StepSpec(("handshake",), attacks=("reuse-crp",)),
     "verify": StepSpec(
         ("handshake",),
-        {"expect-mismatch": (lambda text: sorted(int(x) for x in text.split(",")), None)},
+        {"expect-mismatch": (_pcr_indices, None)},
     ),
-    "agent-deploy": StepSpec(("handshake",), {"ip": (_uint(2), 1)}),
+    "agent-deploy": StepSpec(("handshake",), {"ip": (_below(1 << 16), 1)}),
 }
 
 
@@ -241,6 +249,7 @@ class ScenarioRunner:
         self.device: device.FpgaSocDevice | None = None
         self.user: runtime.UserNode | None = None
         self.tap: transport.AdversaryTap | None = None
+        self._logs: list[list[tuple[str, bytes]]] = []  # of each tap in turn
         self.report = RunReport()
         self.trace = Trace()
         self._device_thread = None
@@ -254,10 +263,10 @@ class ScenarioRunner:
             raise ExpectationFailed(f"{what} not set up: the step that sets it up failed")
         return obj
 
-    def _make_transports(self, dev: device.FpgaSocDevice):
-        """The user-side transport, with recorder and adversary tap, attached to
-        ``dev``: over TCP served by a device thread, in process by a direct
-        pair that runs the device core on each record sent, with no thread."""
+    def _make_transports(self, dev: device.FpgaSocDevice) -> transport.AdversaryTap:
+        """The user's adversary tap, which logs its records, over a transport
+        attached to ``dev``: over TCP served by a device thread, in process by
+        a direct pair that runs the device core on each record sent."""
         if self.tcp:
             # The kernel completes the connection into the backlog, so one
             # thread can connect first and accept after.
@@ -268,9 +277,8 @@ class ScenarioRunner:
         else:
             user_side = device.DirectPair(dev)
         self.tap = transport.AdversaryTap(user_side)
-        return transport.RecordingTransport(
-            self.tap, self.report.frame_transcript, "user->device", "device->user"
-        )
+        self._logs.append(self.tap.log)
+        return self.tap
 
     # -- step execution ----------------------------------------------------------
 
@@ -289,6 +297,10 @@ class ScenarioRunner:
     def _teardown(self) -> None:
         if self.tap is not None:
             self.tap.close()
+        labels = {"send": "user->device", "recv": "device->user"}
+        self.report.frame_transcript = [
+            (labels[way], record) for log in self._logs for way, record in log
+        ]
         if self._device_thread is not None:
             self._device_thread.join(timeout=5.0)
 

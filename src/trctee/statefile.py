@@ -78,12 +78,18 @@ def read_keys(
 
 
 def write(path: str, header: str, lines: Iterable[str]) -> None:
-    """Replace ``path`` durably: write and ``fsync`` a temporary file,
-    ``os.replace`` it over ``path``, then ``fsync`` the directory."""
+    """Replace the state file ``path`` durably: its header, then its lines."""
+    replace(path, "\n".join([header, *lines]) + "\n")
+
+
+def replace(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` as UTF-8, durably (a state file or the
+    exported event log): write and ``fsync`` a temporary file, ``os.replace``
+    it over ``path``, then ``fsync`` the directory."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write("\n".join([header, *lines]).encode("utf-8") + b"\n")
+            fh.write(text.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

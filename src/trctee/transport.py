@@ -13,10 +13,12 @@ worlds.  Who owns a received record depends on the transport:
 * The in-process pipe hands over the sender's object unchanged (a sealed
   frame is built in a ``bytearray``), and it then belongs to its receiver.
 
-Either way ``channel.open_frame`` may decrypt the record in place.  Wrappers
-add traffic recording and the adversary tap's scheduled faults; both keep
-``bytes`` copies, so what they hold stays the ciphertext.  A receive that no
-record reaches waits out its timeout, on either transport.
+Either way ``channel.open_frame`` may decrypt the record in place.  The
+adversary tap, which faults scheduled records and logs every record that
+passes it, keeps ``bytes`` copies, so what it holds stays the ciphertext.  A
+receive that no record reaches waits out its timeout, on either transport.
+No record over :data:`MAX_RECORD` is sent on any of them: ``channel.seal``
+refuses it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,13 @@ from collections import deque
 
 from .errors import TrcteeError
 
-MAX_RECORD = 16 * 1024 * 1024  # sanity bound on the length prefix
+MAX_RECORD = 16 * 1024 * 1024  # the largest record sent, and the largest length prefix read
 _LENGTH = struct.Struct(">I")
+
+
+class RecordTooLarge(TrcteeError):
+    """A record over :data:`MAX_RECORD`, refused before any byte of it is
+    sent, so the connection and the session stay as they were."""
 
 
 class TransportError(TrcteeError):
@@ -188,29 +195,6 @@ def connect(host: str, port: int, timeout: float = 5.0) -> TcpTransport:
     return TcpTransport(sock)
 
 
-class RecordingTransport:
-    """Passthrough wrapper appending (direction, copy of payload) to a shared list."""
-
-    def __init__(self, inner, log: list[tuple[str, bytes]], sent_label: str = "sent",
-                 received_label: str = "received"):
-        self._inner = inner
-        self.log = log
-        self._sent = sent_label
-        self._received = received_label
-
-    def send_record(self, payload: bytes) -> None:
-        self.log.append((self._sent, bytes(payload)))
-        self._inner.send_record(payload)
-
-    def recv_record(self, timeout: float | None = None) -> bytes:
-        record = self._inner.recv_record(timeout)
-        self.log.append((self._received, bytes(record)))
-        return record
-
-    def close(self) -> None:
-        self._inner.close()
-
-
 class AdversaryTap:
     """Wire-level attacker on one endpoint's connection, run from a schedule.
 
@@ -219,13 +203,18 @@ class AdversaryTap:
     the records so far.  Both ways, ``drop-frame`` loses record k,
     ``tamper-frame`` flips its last byte, ``replay-frame`` delivers a copy of
     record k-1 before it, and ``close`` closes the connection in its place:
-    that send or receive raises :class:`TransportClosed`."""
+    that send or receive raises :class:`TransportClosed`.
+
+    ``log`` keeps the session's traffic as ``(direction, bytes)``: a record
+    sent as its user handed it over, before any fault, and a record received
+    as it is handed to its user, after any fault, replays included."""
 
     ACTIONS = ("tamper-frame", "replay-frame", "drop-frame")  # a scenario step's attacks
 
     def __init__(self, inner):
         self._inner = inner
         self.sent = self.received = 0
+        self.log: list[tuple[str, bytes]] = []
         self._faults: dict[tuple[str, int], str] = {}
         self._last = {"send": b"", "recv": b""}  # copies: a record may be opened in place
 
@@ -235,6 +224,7 @@ class AdversaryTap:
         self._faults[direction, k] = action
 
     def send_record(self, payload: bytes) -> None:
+        self.log.append(("send", bytes(payload)))
         self.sent += 1
         for record in self._through("send", self.sent, payload):
             self._inner.send_record(record)
@@ -243,11 +233,16 @@ class AdversaryTap:
         key = ("recv", self.received + 1)
         if self._faults.get(key) == "replay-frame" and self._last["recv"]:
             del self._faults[key]
-            return self._last["recv"]  # record k stays unread until the next receive
-        record = self._inner.recv_record(timeout)
-        self.received += 1
-        arrived = self._through("recv", self.received, record)
-        return arrived[-1] if arrived else self.recv_record(timeout)  # past a dropped record
+            record = self._last["recv"]  # record k stays unread until the next receive
+        else:
+            record = self._inner.recv_record(timeout)
+            self.received += 1
+            arrived = self._through("recv", self.received, record)
+            if not arrived:
+                return self.recv_record(timeout)  # past a dropped record
+            record = arrived[-1]
+        self.log.append(("recv", self._last["recv"]))  # the copy of ``record``
+        return record
 
     def _through(self, direction: str, k: int, record) -> list:
         """What passes the tap in place of record k in ``direction``."""

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import os
 import socket
@@ -327,6 +328,34 @@ class TestCrpsAcrossRuns:
         assert not runs[0] & runs[1]
         crps = puf.CrpStore.load(str(Path(store) / "crps_user_alice.txt"))
         assert {r.challenge for r in crps.records() if r.used} == runs[0] | runs[1]
+
+
+class TestEventLogWrite:
+    def test_the_log_is_replaced_durably_or_not_at_all(self, store, capsys, monkeypatch):
+        enroll_and_provision(store)
+        log_path = Path(store) / "eventlog_alice.txt"
+        exported, real_export, real_fsync = [], vtpm.export_log, os.fsync
+
+        def export_log(events):
+            exported.append(real_export(events))
+            return exported[-1]
+
+        monkeypatch.setattr(vtpm, "export_log", export_log)
+        assert serve_and_connect(store, capsys, monkeypatch)[0] == 0
+        assert log_path.read_bytes() == exported[0].encode("utf-8")  # no header line
+
+        def fsync(fd):  # every fsync after the second export fails
+            if len(exported) > 1:
+                raise OSError(errno.EIO, "simulated I/O error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        log_path.write_bytes(b"the last session's log\n")
+        rc, err, _, _ = serve_and_connect(store, capsys, monkeypatch)
+        assert log_path.read_bytes() == b"the last session's log\n"
+        assert (rc, err) == (
+            2, f"error: StateFileError: {log_path}: cannot write: simulated I/O error\n"
+        )
 
 
 class TestConnectKeyUpdateFails:

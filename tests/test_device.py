@@ -1,7 +1,6 @@
 import hashlib
 import random
 import struct
-from collections import deque
 
 import pytest
 from hypothesis import given
@@ -297,53 +296,47 @@ class TestTmmInvoke:
             tmm.invoke(1, bytes(4), 7)
 
 
+@pytest.fixture(params=["direct", "tcp"])
+def attached(request):
+    """A world whose user has a session with the device over a direct pair
+    or TCP: the device's agent is the transport it was attached to."""
+    world = build_world()
+    world.device.boot()
+    thread = None
+    if request.param == "direct":
+        pair = device.DirectPair(world.device)
+        world.user.connect(pair)
+        assert world.device.agent is pair._device_end
+    else:
+        with transport.listen("127.0.0.1", 0) as server:
+            user_side = transport.connect("127.0.0.1", server.getsockname()[1])
+            device_side = transport.accept_one(server, timeout=5.0)
+        thread = device.serve_in_thread(world.device, device_side)
+        world.user.connect(user_side)
+        assert world.device.agent is device_side
+    yield world
+    world.user.close()
+    if thread is not None:
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+
 class TestPrivilegeIsolation:
-    def test_agent_surface_has_no_privileged_capability(self):
-        class _Null:
-            def send_record(self, payload):
-                pass
-
-            def recv_record(self, timeout=None):
-                return b""
-
-        agent = device.TpmAgent(_Null())
+    def test_agent_surface_has_no_privileged_capability(self, attached):
+        agent = attached.device.agent
         public = [a for a in dir(agent) if not a.startswith("_")]
+        assert {"send_record", "close"} <= set(public)
         for attr in public:
             assert not any(
                 word in attr.lower() for word in ("deploy", "invoke", "decrypt", "key", "seal", "open")
             ), f"agent exposes {attr}"
 
-    def test_agent_holds_no_key_material(self):
-        class _Null:
-            pass
-
-        agent = device.TpmAgent(_Null())
-        state = vars(agent)
-        assert all(not isinstance(v, (bytes, bytearray)) for v in state.values())
-
-    def test_agent_forward_is_identity(self):
-        class Loopback:
-            def __init__(self):
-                self.records, self.closed = deque(), False
-
-            def send_record(self, record):
-                self.records.append(record)
-
-            def recv_record(self, timeout=None):
-                return self.records.popleft()
-
-            def close(self):
-                self.closed = True
-
-        loopback = Loopback()
-        agent = device.TpmAgent(loopback)
-        outbound, inbound = Rng(90).bytes(100), Rng(91).bytes(100)
-        agent.send_record(outbound)
-        assert loopback.records.popleft() is outbound
-        loopback.records.append(inbound)
-        assert agent.recv_record(timeout=1.0) is inbound
-        agent.close()
-        assert loopback.closed
+    def test_agent_holds_no_key_material(self, attached):
+        sess_key = attached.user.endpoint.session.sess_key
+        keys = {sess_key, channel.derive_deploy_key(sess_key)}
+        assert attached.device.tmm._deploy_key in keys
+        for value in vars(attached.device.agent).values():
+            assert not (isinstance(value, (bytes, bytearray)) and bytes(value) in keys)
 
     def test_file_store_surface_has_no_privileged_capability(self):
         store = device.FileStore()
@@ -353,14 +346,9 @@ class TestPrivilegeIsolation:
                 word in attr.lower() for word in ("deploy", "invoke", "decrypt", "key")
             ), f"file store exposes {attr}"
 
-    def test_config_memory_reachable_only_via_tmm(self):
-        # The REE-side types carry no reference to config memory or the TMM.
-        class _Null:
-            pass
-
-        agent = device.TpmAgent(_Null())
-        store = device.FileStore()
-        for obj in (agent, store):
+    def test_config_memory_reachable_only_via_tmm(self, attached):
+        # The REE-side objects carry no reference to config memory or the TMM.
+        for obj in (attached.device.agent, attached.device.file_store):
             for value in vars(obj).values():
                 assert not isinstance(value, (device.ConfigMemory, device.Tmm))
 
@@ -640,8 +628,8 @@ class TestPipeMatchesDirectPair:
             thread = device.serve_in_thread(dev, device_side)
         else:
             user_side = device.DirectPair(dev)
-        records = []
-        user.connect(transport.RecordingTransport(user_side, records))
+        tap = transport.AdversaryTap(user_side)
+        user.connect(tap)
         user.user_deploy(user.prepare_deploy(1, device.IpImage("xor", bytes(range(16)))))
         user.user_invoke(1, b"a" * 16)  # frame 3 of epoch 0
         assert user.update_key() == 0
@@ -654,7 +642,7 @@ class TestPipeMatchesDirectPair:
             thread.join(2.0)
             assert not thread.is_alive()
         pcrs = [user.vtpm.pcr_read(index) for index in range(vtpm.PCR_COUNT)]
-        return records, pcrs, [e.kind for e in dev.trace.events]
+        return tap.log, pcrs, [e.kind for e in dev.trace.events]
 
     def test_same_transcript_and_pcrs_on_the_pipe_and_the_direct_pair(self):
         piped = self._session(threaded=True)

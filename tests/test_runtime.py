@@ -736,9 +736,10 @@ class TestRekeyThreshold:
         with ``RekeyRequired`` traced, unsent and unmeasured."""
         world = build_world(rekey_threshold=2, crp_slice=1)
         world.device.boot()
-        records = []
         user = world.user
-        user.connect(transport.RecordingTransport(device.DirectPair(world.device), records))
+        tap = transport.AdversaryTap(device.DirectPair(world.device))
+        user.connect(tap)
+        records = tap.log
         deploy_xor(user)  # frames 1 and 2; the update due after them finds no CRP
         assert isinstance(user.trace.first_error(), CrpExhausted)
         session, sent = user.endpoint.session, len(records)
@@ -1028,6 +1029,60 @@ class TestLargeInvokeOverTcp:
         assert peak <= 7 * size, f"peak {peak / size:.2f}x the payload"
 
 
+class TestOversizeRecord:
+    """A record over ``transport.MAX_RECORD`` is refused before a byte of it is
+    sent: the same typed error over the direct pair and TCP, traced as the
+    user's, and the session goes on at both ends.  An oversize Invoke_CMD
+    was measured before it was refused: PCR9 and the history keep its input."""
+
+    def _session(self, world, tcp):
+        if not tcp:
+            connect_world(world)
+            return self._oversize(world)
+        server = tcp_connect_world(world)
+        try:
+            return self._oversize(world)
+        finally:
+            world.user.close()
+            world.thread.join(timeout=5)
+            world.device.agent.close()
+            server.close()
+            assert not world.thread.is_alive()
+
+    def _oversize(self, world):
+        user = world.user
+        deploy_xor(user)
+        with pytest.raises(transport.RecordTooLarge) as upload:
+            user.prepare_deploy(2, device.IpImage(kernel_id="xor", params=bytes(17 << 20)))
+        inputs = len(user.history.inputs)
+        with pytest.raises(runtime.OrchestrationError) as invoke:
+            user.user_invoke(1, bytes(transport.MAX_RECORD))
+        assert len(user.history.inputs) == inputs + 1 == len(user.history.outputs) + 1
+        user_end, device_end = user.endpoint.session, world.device.session
+        state = [
+            [(e.actor, type(e.error), str(e.error)) for e in user.trace.events],
+            [(s.epoch, s.send_counter, s.recv_counter) for s in (user_end, device_end)],
+            [user.vtpm.pcr_read(index) for index in range(vtpm.PCR_COUNT)],
+            copy.deepcopy(user.history),
+            user.user_invoke(1, bytes(16)),  # the session goes on
+            user.verify().all_verified,
+        ]
+        return upload.value, str(invoke.value), state
+
+    def test_the_same_refusal_and_session_on_every_transport(self):
+        direct = self._session(build_world(), tcp=False)
+        over_tcp = self._session(build_world(), tcp=True)
+        cap = f"exceeds the {transport.MAX_RECORD} cap"
+        upload, invoke, state = direct
+        assert str(upload) == f"record of 17825889 bytes {cap}"  # 17 MiB image + 97
+        assert invoke.endswith(f"record of {transport.MAX_RECORD + 60} bytes {cap}")
+        assert [event[:2] for event in state[0]] == [("user", transport.RecordTooLarge)] * 2
+        assert state[1] == [(0, 2, 3), (0, 3, 2)] and state[5]  # upload and deploy only
+        assert (type(over_tcp[0]), str(over_tcp[0]), *over_tcp[1:]) == (
+            type(upload), str(upload), invoke, state
+        )
+
+
 # Minor page faults per warm 256 KiB invoke over TCP, xor and add_const
 # alternating, results dropped at once: of the invoking thread, then of the
 # whole process, the device thread included.
@@ -1108,17 +1163,15 @@ class TestTmmSeesCommandBytes:
         monkeypatch.setattr(channel, "open_frame", open_frame)
         monkeypatch.setattr(channel, "seal", seal)
         world.device.boot()
-        records = []
-        world.user.connect(
-            transport.RecordingTransport(device.DirectPair(world.device), records)
-        )
-        return world.user, opened, sealed, records
+        tap = transport.AdversaryTap(device.DirectPair(world.device))
+        world.user.connect(tap)
+        return world.user, opened, sealed, tap.log
 
     def _check(self, user, opened, sealed, records, command):
         response = user.vtpm.dispatch(command)
         assert opened[-1] == command
         assert response == sealed[-1]
-        request = [record for label, record in records if label == "sent"][-1]
+        request = [record for label, record in records if label == "send"][-1]
         assert len(request) == len(command) + channel.FRAME_OVERHEAD
         return response
 

@@ -80,7 +80,7 @@ class TestParser:
             ("invoke ip=x", "ip=x: not an integer in 0..65535"),
             ("invoke ip=1 flag=4294967296", "flag=4294967296: not an integer in 0..4294967295"),
             ("invoke ip=1 inptu=hex:00", "step 'invoke' takes no key 'inptu'"),
-            ("verify expect-mismatch=4,x", "expect-mismatch=4,x: invalid literal"),
+            ("verify expect-mismatch=4,x", "expect-mismatch=4,x: not an integer in 0..23"),
         ],
         ids=["ip-too-large", "params-not-hex", "ip-not-a-number", "flag-too-large",
              "misspelt-key", "pcr-not-a-number"],
@@ -109,11 +109,14 @@ class TestParser:
             *[(f"invoke ip=1 input=hex:010203 expect={token}",
                f"no step reports the outcome {token!r}")
               for token in ("auth-failur", "Timeout", "", "error:KeyError", "error:AuthFailure")],
+            ("verify expect-mismatch=99", "expect-mismatch=99: not an integer in 0..23"),
+            ("verify expect-mismatch=-1", "expect-mismatch=-1: not an integer in 0..23"),
+            ("verify expect-mismatch=4,4", "expect-mismatch=4,4: a PCR index given twice"),
         ],
         ids=["attack-not-mounted-by-handshake", "attack-not-mounted-by-verify", "ip-twice",
              "adversary-twice", "expect-twice", "unknown-boot-component", "misspelt-outcome",
              "outcome-in-capitals", "empty-outcome", "error-outside-trctee",
-             "error-of-a-class-with-a-token"],
+             "error-of-a-class-with-a-token", "pcr-out-of-range", "pcr-negative", "pcr-twice"],
     )
     def test_a_line_no_step_runs_is_one_error_line(self, line, reason, tmp_path, capsys):
         text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{line}\n"

@@ -142,24 +142,22 @@ class TestOneReceiveBuffer:
     def test_recorded_tampered_and_replayed_bytes_outlive_later_receives(self, loopback):
         raw, far = loopback()
         near = transport.TcpTransport(raw)
-        log = []
         tap = transport.AdversaryTap(far)
-        receiver = transport.RecordingTransport(tap, log)
         records = [bytes([n]) * 64 for n in range(1, 6)]
         for record in records:
             near.send_record(record)
-        first = receiver.recv_record(5)
+        first = tap.recv_record(5)
         first[:] = bytes(64)  # what an in-place open does to the record
         tap.schedule("recv", 2, "tamper-frame")
-        tampered = receiver.recv_record(5)
+        tampered = tap.recv_record(5)
         tap.schedule("recv", 3, "replay-frame")
-        replayed = receiver.recv_record(5)
-        later = [bytes(receiver.recv_record(5)) for _ in range(3)]
+        replayed = tap.recv_record(5)
+        later = [bytes(tap.recv_record(5)) for _ in range(3)]
         flipped = records[1][:-1] + bytes([records[1][-1] ^ 0x01])
         assert tampered == replayed == flipped
         assert later == records[2:]
-        assert log == [("received", r) for r in [records[0], flipped, flipped, *records[2:]]]
-        assert all(type(r) is bytes for _, r in log)
+        assert tap.log == [("recv", r) for r in [records[0], flipped, flipped, *records[2:]]]
+        assert all(type(r) is bytes for _, r in tap.log)
 
 
 class TrickleSocket:
@@ -210,8 +208,8 @@ class TestPartialWrites:
 
 
 class TestCopiesOutliveInPlaceOpen:
-    """The receiver decrypts a record where it sits; the recorder and the
-    adversary tap must still hold the sealed bytes."""
+    """The receiver decrypts a record where it sits; the adversary tap's log
+    and its replay must still hold the sealed bytes."""
 
     @pytest.mark.parametrize("kind", ["inproc", "tcp"])
     def test_recorded_and_tapped_records_stay_sealed(self, loopback, kind):
@@ -220,10 +218,8 @@ class TestCopiesOutliveInPlaceOpen:
         else:
             raw, far = loopback()
             near = transport.TcpTransport(raw)
-        log = []
-        sender = transport.RecordingTransport(near, log)
-        tap = transport.AdversaryTap(far)
-        receiver = transport.RecordingTransport(tap, log)
+        sender = transport.AdversaryTap(near)
+        receiver = transport.AdversaryTap(far)
         key = bytes(range(32))
         vtpm_end = channel.SessionState(sess_key=key, peer_role=channel.Role.TMM)
         tmm_end = channel.SessionState(sess_key=key, peer_role=channel.Role.VTPM)
@@ -234,8 +230,8 @@ class TestCopiesOutliveInPlaceOpen:
         record = receiver.recv_record(5)
         assert channel.open_frame(tmm_end, record) == payload
         assert record != sealed  # opened in place
-        assert log == [("sent", sealed), ("received", sealed)]
-        tap.schedule("recv", 2, "replay-frame")
+        assert sender.log + receiver.log == [("send", sealed), ("recv", sealed)]
+        receiver.schedule("recv", 2, "replay-frame")
         assert receiver.recv_record(5) == sealed
         with pytest.raises(channel.ReplayDetected):
             channel.open_frame(tmm_end, sealed)
