@@ -441,10 +441,12 @@ class UserNode:
 
     def _fail(self, exc: TrcteeError) -> None:
         """Trace a failed exchange with the device as the user's error.  A
-        transport error also ends the session: the connection is gone, so no
+        transport error, or a received record the user end cannot open (fatal
+        in TLS 1.3 too, RFC 8446 5.2), also ends the session: no request or
         key update may follow on it, and later calls raise :class:`NoSession`."""
         self.trace.emit("user", "error", exc)
-        if isinstance(exc, _transport.TransportError):
+        if isinstance(exc, (_transport.TransportError, channel.AuthFailure,
+                            channel.ReplayDetected, channel.WrongEpoch)):
             self.close()
             self.endpoint = None
 

@@ -23,14 +23,16 @@ replay-frame and drop-frame, ``deploy`` those three and tamper-bitstream,
 ``update-key`` reuse-crp.  The ``agent-deploy`` step is itself an attack:
 the REE-resident agent forges a deployment request.  Attacks are mounted by
 wrapping transports or mutating at-rest state, never by changing the honest
-endpoints.  After a frame-level attack the channel is desynchronized, so
-only ``verify`` may follow.
+endpoints.  A tampered or replayed reply ends the session at the user end,
+so a later step that needs it reports ``error:NoSession``.
 
 Everything is checked up front against ``STEPS``: step order (provisioning
 needs both enrollments, the handshake needs provisioning and boot, runtime
-steps need the handshake), keys, values, attacks and outcomes.  An unknown
-or repeated key, a value that does not convert, an attack the step does not
-mount or an outcome no step reports is a :class:`ParseError` naming its line.
+steps need the handshake), keys, values, attacks and outcomes.  A step that
+another step requires sets up the one world a run builds, so it appears at
+most once.  A repeated set-up step, an unknown or repeated key, a value that
+does not convert, an attack the step does not mount or an outcome no step
+reports is a :class:`ParseError` naming its line.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ STEPS = {
     "agent-deploy": StepSpec(("handshake",), {"ip": (_below(1 << 16), 1)}),
 }
 
+# The steps that set up what a later step requires: each runs at most once.
+SET_UP = frozenset(req for spec in STEPS.values() for req in spec.requires)
+
 
 class ExpectationFailed(TrcteeError):
     pass
@@ -156,6 +161,8 @@ def parse_scenario(text: str) -> tuple[Step, ...]:
         name, *parts = line.split()
         if name not in STEPS:
             raise ParseError(f"line {lineno}: unknown step {name!r}")
+        if name in SET_UP and name in seen:
+            raise ParseError(f"line {lineno}: set-up step {name!r} given twice")
         spec = STEPS[name]
         args: dict[str, str] = {}
         for part in parts:
@@ -249,7 +256,6 @@ class ScenarioRunner:
         self.device: device.FpgaSocDevice | None = None
         self.user: runtime.UserNode | None = None
         self.tap: transport.AdversaryTap | None = None
-        self._logs: list[list[tuple[str, bytes]]] = []  # of each tap in turn
         self.report = RunReport()
         self.trace = Trace()
         self._device_thread = None
@@ -262,23 +268,6 @@ class ScenarioRunner:
         if obj is None:
             raise ExpectationFailed(f"{what} not set up: the step that sets it up failed")
         return obj
-
-    def _make_transports(self, dev: device.FpgaSocDevice) -> transport.AdversaryTap:
-        """The user's adversary tap, which logs its records, over a transport
-        attached to ``dev``: over TCP served by a device thread, in process by
-        a direct pair that runs the device core on each record sent."""
-        if self.tcp:
-            # The kernel completes the connection into the backlog, so one
-            # thread can connect first and accept after.
-            with transport.listen("127.0.0.1", 0) as server:
-                user_side = transport.connect("127.0.0.1", server.getsockname()[1])
-                device_side = transport.accept_one(server, timeout=5.0)
-            self._device_thread = device.serve_in_thread(dev, device_side)
-        else:
-            user_side = device.DirectPair(dev)
-        self.tap = transport.AdversaryTap(user_side)
-        self._logs.append(self.tap.log)
-        return self.tap
 
     # -- step execution ----------------------------------------------------------
 
@@ -297,10 +286,8 @@ class ScenarioRunner:
     def _teardown(self) -> None:
         if self.tap is not None:
             self.tap.close()
-        labels = {"send": "user->device", "recv": "device->user"}
-        self.report.frame_transcript = [
-            (labels[way], record) for log in self._logs for way, record in log
-        ]
+            labels = {"send": "user->device", "recv": "device->user"}
+            self.report.frame_transcript = [(labels[way], record) for way, record in self.tap.log]
         if self._device_thread is not None:
             self._device_thread.join(timeout=5.0)
 
@@ -380,10 +367,21 @@ class ScenarioRunner:
             self.ttp.register_user("mallory")
             other = self.ttp.enroll_vtpm("mallory")
             user.bundle = replace(user.bundle, cert=other.cert)
-        user_transport = self._make_transports(dev)
+        # The user's end is an adversary tap that logs the session's records:
+        # over TCP to a device thread, in process over a direct pair.
+        if self.tcp:
+            # The kernel completes the connection into the backlog, so one
+            # thread can connect first and accept after.
+            with transport.listen("127.0.0.1", 0) as server:
+                user_side = transport.connect("127.0.0.1", server.getsockname()[1])
+                device_side = transport.accept_one(server, timeout=5.0)
+            self._device_thread = device.serve_in_thread(dev, device_side)
+        else:
+            user_side = device.DirectPair(dev)
+        self.tap = transport.AdversaryTap(user_side)
         # On a failed handshake the device traces its typed error before it
         # sends its abort record and closes, so the step reports that error.
-        user.connect(user_transport)
+        user.connect(self.tap)
         return f"session established, epoch {user.endpoint.session.epoch}"
 
     def _step_deploy(self, step: Step) -> str:
@@ -421,13 +419,11 @@ class ScenarioRunner:
 
     def _step_update_key(self, step: Step) -> str:
         user = self._require(self.user, "user node")
+        session = user._require_session().session
         challenge = None
         if step.adversary == "reuse-crp":
-            used = [r for r in user.crp_store.records() if r.used]
-            if not used:
-                raise ExpectationFailed("no consumed CRP available to reuse")
-            challenge = used[0].challenge
-        session = user._require_session().session
+            # The handshake that established the session consumed one.
+            challenge = next(r.challenge for r in user.crp_store.records() if r.used)
         epoch_before = session.epoch
         rc = user.update_key(challenge)
         if rc != 0:

@@ -289,7 +289,10 @@ class TestFailedExchangesAreTraced:
         with pytest.raises(channel.AuthFailure) as caught:
             world.user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
         assert world.user.trace.first_error() is caught.value
-        assert world.user.endpoint is not None  # not a transport error: the session stays
+        # A reply the user end cannot open ends the session, as a transport error does.
+        assert world.user.endpoint is None
+        with pytest.raises(runtime.NoSession):
+            world.user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
 
     def test_upload_answered_with_another_kind_is_a_traced_orchestration_error(
         self, connected, monkeypatch
@@ -504,23 +507,23 @@ class TestKeyUpdateFlow:
         assert record.verdict == "Verified"
         user.close()
 
-    def _tamper_the_threshold_upload(self, spoil_update=False):
+    def _drop_the_threshold_upload_reply(self, spoil_update=False):
         world = build_world(rekey_threshold=2)
         world.device.boot()
         tap = transport.AdversaryTap(device.DirectPair(world.device))
         world.user.connect(tap)
         image = device.IpImage(kernel_id="xor", params=bytes(16))
         world.user.prepare_deploy(1, image)  # frame 1
-        tap.schedule("recv", tap.received + 1, "tamper-frame")
+        tap.schedule("recv", tap.received + 1, "drop-frame")
         if spoil_update:
             spoil_next_crp(world.user)
         return world, image
 
     def test_failed_upload_on_the_threshold_frame_still_updates_the_key(self):
-        world, image = self._tamper_the_threshold_upload()
+        world, image = self._drop_the_threshold_upload_reply()
         user = world.user
-        with pytest.raises(channel.AuthFailure):
-            user.prepare_deploy(2, image)  # frame 2, its reply tampered
+        with pytest.raises(channel.Timeout):
+            user.prepare_deploy(2, image)  # frame 2, its reply lost
         assert user.endpoint.session.epoch == world.device.session.epoch == 1
         user.prepare_deploy(3, image)
         user.prepare_deploy(4, image)
@@ -528,9 +531,9 @@ class TestKeyUpdateFlow:
         user.close()
 
     def test_failed_upload_and_update_raise_the_upload_error(self):
-        world, image = self._tamper_the_threshold_upload(spoil_update=True)
+        world, image = self._drop_the_threshold_upload_reply(spoil_update=True)
         user = world.user
-        with pytest.raises(channel.AuthFailure) as caught:
+        with pytest.raises(channel.Timeout) as caught:
             user.prepare_deploy(2, image)
         errors = [e.error for e in user.trace.events]
         assert errors[0] is caught.value and len(errors) == 2
@@ -624,7 +627,8 @@ class TestSingleFaultSweep:
     due after it (UPDATE_REQ, UPDATE_CONFIRM_V), two invokes and an update,
     two more invokes and an update, an explicit update, and one more invoke.
     It receives 15: HS2, HS5, HS9, the boot report, then one answer to each
-    upload, deploy, invoke and update."""
+    upload, deploy, invoke and update.  Each output delivered is its own
+    request's answer."""
 
     SENT, RECEIVED = 18, 15
     SINGLE_FAULTS = [
@@ -654,14 +658,19 @@ class TestSingleFaultSweep:
             except TrcteeError:
                 return None
 
+        def invoke(data):
+            answer = attempt(user.user_invoke, 1, data)
+            # The xor key is all zeros: a delivered output is its own request's input.
+            assert answer is None or answer[0] == data, f"{data.hex()} answered {answer[0].hex()}"
+
         attempt(user.connect, tap)
         if user.endpoint is not None:
             ticket = attempt(user.prepare_deploy, 1, device.IpImage("xor", bytes(16)))
             attempt(user.user_deploy, ticket or runtime.DeployTicket(1, b"", device.blob_name(1)))
             for i in range(4):
-                attempt(user.user_invoke, 1, bytes([i]) * 16)
+                invoke(bytes([i]) * 16)
             attempt(user.update_key)
-            attempt(user.user_invoke, 1, bytes(16))
+            invoke(bytes([4]) * 16)
         return world, tap, answered
 
     def test_an_unfaulted_run_sends_18_records_and_receives_15(self, monkeypatch):

@@ -28,6 +28,31 @@ def run_file(name, seed=5, tcp=False, timeout=0.6, **kwargs):
     return runner.run()
 
 
+def with_world(line):
+    """The scenario of ``WORLD`` with ``line`` as the only step of its name,
+    in place of the set-up step it names or else after them, and the line
+    number of ``line``."""
+    name = line.split()[0]
+    steps = [line if step.split()[0] == name else step for step in WORLD]
+    if line not in steps:
+        steps.append(line)
+    return "trctee-scenario v1\n" + "\n".join(steps) + "\n", steps.index(line) + 2
+
+
+def assert_one_error_line(text, message, tmp_path, capsys):
+    """``text`` is a ParseError with ``message``: ``trctee run`` prints that
+    line alone and exits 2."""
+    with pytest.raises(scenario.ParseError) as excinfo:
+        scenario.parse_scenario(text)
+    assert str(excinfo.value) == message
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ParseError: {message}\n"
+
+
 class TestParser:
     def test_missing_header(self):
         with pytest.raises(scenario.ParseError):
@@ -119,16 +144,21 @@ class TestParser:
              "error-of-a-class-with-a-token", "pcr-out-of-range", "pcr-negative", "pcr-twice"],
     )
     def test_a_line_no_step_runs_is_one_error_line(self, line, reason, tmp_path, capsys):
+        text, lineno = with_world(line)
+        assert_one_error_line(text, f"line {lineno}: {reason}", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["enroll-device id=dev2", "enroll-vtpm user=bob", "provision user=alice device=dev1",
+         "boot adversary=tamper-component", "handshake"],
+        ids=lambda line: line.split()[0],
+    )
+    def test_a_repeated_set_up_step_is_one_error_line(self, line, tmp_path, capsys):
+        # A run builds one world: a second device, vTPM, user node, boot or
+        # session would run over the first.
         text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{line}\n"
-        with pytest.raises(scenario.ParseError) as excinfo:
-            scenario.parse_scenario(text)
-        assert str(excinfo.value) == f"line 7: {reason}"
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        assert cli.main(["run", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: ParseError: line 7: {reason}\n"
+        message = f"line 7: set-up step {line.split()[0]!r} given twice"
+        assert_one_error_line(text, message, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "token",
@@ -142,11 +172,11 @@ class TestParser:
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     @pytest.mark.parametrize("name", ALL_STEPS)
     def test_a_step_accepts_exactly_the_attacks_it_mounts(self, name, attack):
-        text = f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{name} adversary={attack}\n"
+        text, lineno = with_world(f"{name} adversary={attack}")
         if attack in scenario.STEPS[name].attacks:
-            assert scenario.parse_scenario(text)[-1].adversary == attack
+            assert scenario.parse_scenario(text)[lineno - 2].adversary == attack
         else:
-            with pytest.raises(scenario.ParseError, match=f"^line 7: step '{name}' mounts no"):
+            with pytest.raises(scenario.ParseError, match=f"^line {lineno}: step '{name}' mounts"):
                 scenario.parse_scenario(text)
 
     def test_readme_names_the_attacks_of_each_step(self):
@@ -215,7 +245,9 @@ class TestStepsAfterAFailedHandshake:
         assert report.exit_code == 1
 
 
-SETUP = "enroll-device id=dev1\nenroll-vtpm user=alice\nprovision user=alice device=dev1\n"
+WORLD = ["enroll-device id=dev1", "enroll-vtpm user=alice", "provision user=alice device=dev1",
+         "boot", "handshake"]
+SETUP = "".join(f"{step}\n" for step in WORLD[:3])
 XOR = "deploy ip=1 kernel=xor params=hex:000102030405060708090a0b0c0d0e0f\n"
 
 # (case, steps after the header, detail of the last step)
@@ -236,13 +268,6 @@ UNMET = [
         SETUP + "boot adversary=tamper-component component=optee\nhandshake\n"
         "verify expect=clean\n",
         "unexpected PCR mismatches at [4]",
-    ),
-    (
-        "no consumed CRP to reuse",
-        # The vTPM refuses dev2's hello before it takes a CRP.
-        SETUP + "enroll-device id=dev2\nboot\nhandshake expect=error:ChannelError\n"
-        "update-key adversary=reuse-crp expect=crp-exhausted\n",
-        "no consumed CRP available to reuse",
     ),
     (
         "device not set up",
@@ -314,6 +339,26 @@ class TestAdversaries:
         report = scenario.ScenarioRunner(scenario.parse_scenario(text), seed=5).run()
         assert report.exit_code == 0, report.text()
         assert report.results[-1].outcome == "auth-failure"
+
+    @pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
+    def test_a_request_after_a_replayed_reply_finds_the_session_gone(self, tcp):
+        # The genuine reply to the replayed invoke was never read: were the
+        # session kept, the next invoke would take it as its own answer.
+        text = (
+            f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{XOR}"
+            f"invoke input=hex:{'ff' * 16} adversary=replay-frame expect=replay-detected\n"
+            f"invoke input=hex:{'00' * 16} expect-output=hex:{bytes(range(16)).hex()}\n"
+            "verify\n"
+        )
+        report = scenario.ScenarioRunner(
+            scenario.parse_scenario(text), seed=5, tcp=tcp, recv_timeout=0.6
+        ).run()
+        invoke, verify = report.results[-2:]
+        assert (invoke.outcome, invoke.detail) == (
+            "error:NoSession", "no established session with the device"
+        )
+        assert verify.met and report.verifier_report.all_verified
+        assert report.exit_code == 1
 
     @pytest.mark.parametrize(
         "attack, outcome",
