@@ -47,7 +47,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import messages
+from . import messages, wire
 from . import transport as _transport
 from .crypto import KEY_LEN, MAC_LEN, NONCE_LEN
 from .crypto import Rng, constant_time_eq, hkdf_sha384, hmac_sha384, sha384
@@ -192,11 +192,15 @@ def seal(session: SessionState, plaintext: bytes) -> Frame:
 
 def open_frame(session: SessionState, record: bytes | bytearray) -> memoryview:
     """Authenticate and decrypt one record, enforcing epoch and anti-replay.
+    The peer's abort record raises :class:`PeerAborted` naming its reason.
 
     The record is consumed: a ``bytearray`` is decrypted where it sits and
     the plaintext comes back as a view of it, so the caller must not use the
     record again.  A ``bytes`` record is decrypted into one fresh buffer."""
     if len(record) < FRAME_OVERHEAD:
+        if len(record) == 2 and record[:1] == _ABORT_TYPE:
+            peer = "device" if session.peer_role is Role.TMM else "vTPM"
+            raise _peer_aborted(record, f"{peer} aborted the session")
         raise AuthFailure("frame shorter than its fixed fields")
     epoch, counter = FRAME_HEAD.unpack_from(record)
     if epoch != session.epoch:
@@ -256,17 +260,21 @@ _DEVICE_CONFIRM = Layout("device confirmation", StaleNonce, b"\x19", REST)
 _ABORT_TYPE = b"\x1f"
 _ABORT = Layout("abort record", StaleNonce, _ABORT_TYPE, uint(1))
 
-# The errors an abort record may name, by reason code; 0 stands for any other.
-ABORT_REASONS = (ChannelError, BadCert, StaleNonce, ConfirmFailure, PufMismatch)
+# The errors an abort record may name, by reason code; 0 stands for any other
+# error, and MessageError for any refused payload, every WireError included.
+ABORT_REASONS = (ChannelError, BadCert, StaleNonce, ConfirmFailure, PufMismatch,
+                 AuthFailure, ReplayDetected, WrongEpoch, messages.MessageError)
 
 
-def abort_record(exc: ChannelError) -> bytes:
-    """The unsealed record either end sends before it closes on a failed
-    handshake.  It is unauthenticated, so it only names the cause to report."""
-    return _ABORT.encode(ABORT_REASONS.index(type(exc)) if type(exc) in ABORT_REASONS else 0)
+def abort_record(exc: Exception) -> bytes:
+    """The unsealed record an end sends before it closes on a record it
+    rejects: a handshake message, or the device's sealed record or its
+    payload.  It is unauthenticated, so it only names the cause to report."""
+    cause = messages.MessageError if isinstance(exc, wire.WireError) else type(exc)
+    return _ABORT.encode(ABORT_REASONS.index(cause) if cause in ABORT_REASONS else 0)
 
 
-def send_abort(transport, exc: ChannelError) -> None:
+def send_abort(transport, exc: Exception) -> None:
     """Name ``exc`` to the peer in an abort record, unless it is the peer's own
     abort, which is never answered.  A failed send is ignored: the peer may
     already be gone."""
@@ -278,11 +286,11 @@ def send_abort(transport, exc: ChannelError) -> None:
         pass
 
 
-def _peer_aborted(data: bytes, peer: str) -> PeerAborted:
+def _peer_aborted(data: bytes, aborted: str) -> PeerAborted:
     (code,) = _ABORT.decode(data)
     if code >= len(ABORT_REASONS):
-        return PeerAborted(f"{peer} aborted the handshake: unknown reason code {code}")
-    return PeerAborted(f"{peer} aborted the handshake: {ABORT_REASONS[code].__name__}")
+        return PeerAborted(f"{aborted}: unknown reason code {code}")
+    return PeerAborted(f"{aborted}: {ABORT_REASONS[code].__name__}")
 
 
 class _Transcript:
@@ -334,7 +342,7 @@ class _Handshake:
 
     def on_message(self, data: bytes | bytearray) -> bytes | None:
         if data[:1] == _ABORT_TYPE:
-            raise _peer_aborted(data, self._peer)
+            raise _peer_aborted(data, f"{self._peer} aborted the handshake")
         handle = getattr(self, f"_handle_{self._state}", None)
         if handle is None:
             raise StaleNonce(f"no handshake message expected in state {self._state}")

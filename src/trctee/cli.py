@@ -341,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve one device session over TCP")
     p.add_argument("--listen", required=True, metavar="HOST:PORT")
     p.add_argument("--device", required=True)
-    p.add_argument("--timeout", type=_seconds, default=60.0)
+    p.add_argument(
+        "--timeout", type=_seconds, default=60.0, help="seconds bounding the accept and the handshake"
+    )
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("connect", help="connect a user node and run the baseline flow")

@@ -15,8 +15,9 @@ deploy or invoke capability.
 Deploy and invoke reach the TMM as the vTPM's own TPM command bytes inside
 the sealed channel and are answered with TPM response bytes (see
 :mod:`trctee.wire`); everything else on the channel is a one-byte-typed
-:mod:`trctee.messages` payload.  A payload that fails to decode, and any
-TPM command other than deploy or invoke, is dropped unanswered.
+:mod:`trctee.messages` payload.  A record the device rejects (one that does
+not open, a payload that fails to decode, a TPM command other than deploy or
+invoke) is traced, named to the vTPM in an abort record, and ends the session.
 """
 
 from __future__ import annotations
@@ -366,11 +367,13 @@ class FpgaSocDevice:
 
     def serve(self, transport) -> None:
         """The one receive loop, pipe or TCP: records go to :meth:`feed` until
-        the peer closes, a receive times out or the handshake fails."""
+        the peer closes or the core rejects one.  ``recv_timeout`` bounds each
+        receive of the handshake only, so no device timer fires while the user
+        waits on a request."""
         self.attach(transport)
         while True:
             try:
-                record = transport.recv_record(self.recv_timeout)
+                record = transport.recv_record(self.recv_timeout if self.session is None else None)
             except (_transport.TransportClosed, _transport.ReceiveTimeout) as exc:
                 self._peer_gone(exc)
                 return
@@ -386,7 +389,7 @@ class FpgaSocDevice:
         try:
             if self.on_record(record, self.agent):
                 return True
-            error = None  # the core traced why the handshake failed
+            error = None  # the core traced why it rejected the record
         except Exception as exc:
             error = exc
         self._close(error)
@@ -403,26 +406,24 @@ class FpgaSocDevice:
 
     def on_record(self, record: bytes | bytearray, out) -> bool:
         """Handle one received record, each reply sent to ``out.send_record``
-        while the plaintext it was sealed from is alive.  False once the
-        handshake has failed: the cause is traced and named to the vTPM."""
-        if self.session is None:
-            try:
-                out.send_record(self._handshake.on_message(record))
-            except channel.ChannelError as exc:
-                self.trace.emit("device", "error", exc)  # before the vTPM hears
-                channel.send_abort(out, exc)
-                return False
-            if self._handshake.session is not None:
-                self.session = self._handshake.session
-                self.tmm.attach_session(self.session)
-                if self.booted:
-                    self._send(out, messages.encode_boot_report(self._pending_measurements))
-            return True
+        while the plaintext it was sealed from is alive.  False once it has
+        rejected a record, in the handshake or after: the cause is traced,
+        then named to the vTPM in an abort record (TLS 1.3 too ends the
+        session on ``bad_record_mac``, RFC 8446 6.2)."""
         try:
-            self._dispatch(self._open(record), out)
+            if self.session is not None:
+                self._dispatch(self._open(record), out)
+            else:
+                out.send_record(self._handshake.on_message(record))
+                if self._handshake.session is not None:
+                    self.session = self._handshake.session
+                    self.tmm.attach_session(self.session)
+                    if self.booted:
+                        self._send(out, messages.encode_boot_report(self._pending_measurements))
         except (channel.ChannelError, messages.MessageError, wire.WireError) as exc:
-            # Unauthenticated traffic and bad payloads are dropped, never answered.
-            self.trace.emit("device", "error", exc)
+            self.trace.emit("device", "error", exc)  # before the vTPM hears
+            channel.send_abort(out, exc)
+            return False
         return True
 
     def _open(self, record: bytes | bytearray) -> memoryview:

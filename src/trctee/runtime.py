@@ -441,12 +441,13 @@ class UserNode:
 
     def _fail(self, exc: TrcteeError) -> None:
         """Trace a failed exchange with the device as the user's error.  A
-        transport error, or a received record the user end cannot open (fatal
-        in TLS 1.3 too, RFC 8446 5.2), also ends the session: no request or
-        key update may follow on it, and later calls raise :class:`NoSession`."""
+        transport error, a received record the user end cannot open (fatal
+        in TLS 1.3 too, RFC 8446 5.2) or the device's abort also ends the
+        session: no request or key update may follow on it, and later calls
+        raise :class:`NoSession`."""
         self.trace.emit("user", "error", exc)
         if isinstance(exc, (_transport.TransportError, channel.AuthFailure,
-                            channel.ReplayDetected, channel.WrongEpoch)):
+                            channel.ReplayDetected, channel.WrongEpoch, channel.PeerAborted)):
             self.close()
             self.endpoint = None
 

@@ -23,8 +23,10 @@ replay-frame and drop-frame, ``deploy`` those three and tamper-bitstream,
 ``update-key`` reuse-crp.  The ``agent-deploy`` step is itself an attack:
 the REE-resident agent forges a deployment request.  Attacks are mounted by
 wrapping transports or mutating at-rest state, never by changing the honest
-endpoints.  A tampered or replayed reply ends the session at the user end,
-so a later step that needs it reports ``error:NoSession``.
+endpoints.  A record either end rejects ends the session: the user end
+closes on a tampered or replayed reply, and the device answers a record it
+refuses with an abort record and closes, so a later step that needs the
+session reports ``error:NoSession``.
 
 Everything is checked up front against ``STEPS``: step order (provisioning
 needs both enrollments, the handshake needs provisioning and boot, runtime
@@ -314,12 +316,6 @@ class ScenarioRunner:
             puf=puf_device,
             boot_image=image,
             rng=self.master.child(f"device-{device_id}"),
-            # Over TCP the device waits until teardown closes the user's end:
-            # both ends wait on real timers, and a device that timed out first
-            # would close the session under a user still waiting for a dropped
-            # frame, which must see its own timeout.  In process the device
-            # never waits; the direct pair runs it on each record sent.
-            recv_timeout=None,
             trace=self.trace,
         )
         return f"device {device_id} enrolled"
@@ -444,13 +440,13 @@ class ScenarioRunner:
                 raise ExpectationFailed(f"agent exposes privileged capability {attr!r}")
         before = dev.tmm.config_memory.snapshot()
         # Best effort without keys: inject a forged plaintext request framed
-        # as if it were sealed.  The TMM must reject it unopened.
+        # as if it were sealed.  The TMM must reject it unopened; it traces
+        # why before the abort record that ends the session comes back.
         forged = wire.encode(wire.DeployCmd(step.args["ip"]))
         head = channel.FRAME_HEAD.pack(endpoint.session.epoch, 1 << 40)
         fake_frame = head + bytes(channel.NONCE_LEN) + forged + bytes(channel.TAG_LEN)
-        mark = len(self.trace.events)
         endpoint.transport.send_record(fake_frame)
-        self.trace.first_error(mark, timeout=1.0)
+        endpoint.transport.recv_record(self.recv_timeout)
         if dev.tmm.config_memory.snapshot() != before:
             raise ExpectationFailed("config memory changed from an agent-forged request")
         raise OperationFailed("forged request")

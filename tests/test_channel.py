@@ -299,7 +299,12 @@ class TestAbortRecord:
             (channel.ConfirmFailure, "ConfirmFailure"),
             (channel.PufMismatch, "PufMismatch"),
             (channel.ChannelError, "ChannelError"),
-            (channel.AuthFailure, "ChannelError"),  # outside the table: code 0
+            (channel.AuthFailure, "AuthFailure"),
+            (channel.ReplayDetected, "ReplayDetected"),
+            (channel.WrongEpoch, "WrongEpoch"),
+            (messages.MessageError, "MessageError"),
+            (wire.BadTag, "MessageError"),  # every refused payload shares one code
+            (channel.Timeout, "ChannelError"),  # outside the table: code 0
         ],
     )
     def test_reason_reaches_the_vtpm(self, error, reason):
@@ -313,7 +318,11 @@ class TestAbortRecord:
         [
             (b"\x1f", channel.StaleNonce, "abort record of 1 bytes"),
             (b"\x1f\x01\x00", channel.StaleNonce, "abort record of 3 bytes"),
-            (b"\x1f\x05", channel.PeerAborted, "unknown reason code 5$"),
+            (
+                bytes([0x1F, len(channel.ABORT_REASONS)]),
+                channel.PeerAborted,
+                f"unknown reason code {len(channel.ABORT_REASONS)}$",
+            ),
             (b"\x1f\xff", channel.PeerAborted, "unknown reason code 255$"),
         ],
     )
@@ -328,10 +337,15 @@ class TestAbortRecord:
             channel.StaleNonce,
             channel.ConfirmFailure,
             channel.PufMismatch,
+            channel.AuthFailure,
+            channel.ReplayDetected,
+            channel.WrongEpoch,
+            messages.MessageError,
         )
         assert channel.abort_record(channel.PufMismatch("detail")) == b"\x1f\x04"
+        assert channel.abort_record(wire.Truncated("detail")) == b"\x1f\x08"
 
-    @pytest.mark.parametrize("reason", [cls.__name__ for cls in channel.ABORT_REASONS])
+    @pytest.mark.parametrize("reason", channel.ABORT_REASONS, ids=lambda cls: cls.__name__)
     @pytest.mark.parametrize("state", ["idle", "sent-share"])
     def test_reason_reaches_the_device(self, reason, state):
         # The responder takes an abort record in any state, like the initiator.
@@ -346,9 +360,9 @@ class TestAbortRecord:
         if state == "sent-share":
             message = initiator.on_message(responder.on_message(message))  # HS2, then HS3
             initiator.on_message(responder.on_message(message))  # HS5, then HS8
-        error = getattr(channel, reason)("detail")
-        with pytest.raises(channel.PeerAborted, match=f"^vTPM aborted the handshake: {reason}$"):
-            responder.on_message(channel.abort_record(error))
+        name = reason.__name__
+        with pytest.raises(channel.PeerAborted, match=f"^vTPM aborted the handshake: {name}$"):
+            responder.on_message(channel.abort_record(reason("detail")))
         assert responder.session is None
 
     def test_an_abort_is_never_answered(self):

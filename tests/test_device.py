@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_world
 from oracles import brute_matmul8, bytewise_add_const, bytewise_xor, pcr_chain
-from trctee import channel, device, messages, transport, vtpm, wire
+from trctee import channel, device, messages, runtime, transport, vtpm, wire
 from trctee.crypto import Rng, hmac_sha384
 
 
@@ -353,7 +353,7 @@ class TestPrivilegeIsolation:
                 assert not isinstance(value, (device.ConfigMemory, device.Tmm))
 
 
-class TestSessionSurvivesBadPayloads:
+class TestBadPayloadsEndTheSession:
     @pytest.mark.parametrize(
         "payload",
         [
@@ -365,18 +365,21 @@ class TestSessionSurvivesBadPayloads:
         ],
         ids=["non-utf8-name", "traversal-name", "tpm-update-cmd", "truncated-tpm", "empty"],
     )
-    def test_invoke_after_rejected_payload(self, connected, payload):
+    def test_rejected_payload_aborts_the_session(self, connected, payload):
         user, dev = connected.user, connected.device
         params = bytes(range(16))
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=params))
         user.user_deploy(ticket)
         sealed = channel.seal(user.endpoint.session, payload).encode()
-        user.endpoint.transport.send_record(sealed)  # dropped unanswered
-        output, _ = user.user_invoke(1, bytes(16))
-        assert output == params
+        user.endpoint.transport.send_record(sealed)  # answered by the device's abort
+        with pytest.raises(
+            runtime.OrchestrationError, match="device aborted the session: MessageError$"
+        ):
+            user.user_invoke(1, bytes(16))
+        assert isinstance(user.trace.first_error(), channel.PeerAborted)
+        assert user.endpoint is None
         assert isinstance(dev.trace.first_error(), (messages.MessageError, wire.WireError))
-        with pytest.raises(transport.ReceiveTimeout):  # not closed: the device end is open
-            user.endpoint.transport.recv_record()
+        assert dev.agent.closed  # the device end closed after its abort
 
 
 def drain(pair):
@@ -412,6 +415,13 @@ def core_handshake(world):
 def seal(session, payload):
     """The encoded vTPM frame of ``payload``."""
     return channel.seal(session, payload).encode()
+
+
+def assert_aborted(pair, error):
+    """The device's last reply is its abort record naming ``error``: its end is closed."""
+    assert pair.recv_record() == channel.abort_record(error("detail"))
+    with pytest.raises(transport.TransportClosed):
+        pair.recv_record()
 
 
 class TestDeviceCore:
@@ -468,29 +478,29 @@ class TestDeviceCore:
         assert (dev.session.epoch, dev.session.sess_key) == (1, new_key)
         assert [e.kind for e in dev.trace.events] == ["rekey"]
 
-    def test_bad_confirm_v_abandons_the_update(self, world):
+    def test_bad_confirm_v_aborts_the_update(self, world):
         session, pair, _ = core_handshake(world)
         dev = world.device
         new_key, confirm_v = self._update_to_epoch_1(world, session, pair)
         pair.send_record(seal(session, confirm_v[:-1] + bytes([confirm_v[-1] ^ 1])))
         assert isinstance(dev.trace.first_error(), channel.ConfirmFailure)
         ahead = channel.SessionState(sess_key=new_key, peer_role=channel.Role.TMM, epoch=1)
-        pair.send_record(seal(ahead, messages.encode_store_ok()))
-        assert [type(e.error) for e in dev.trace.events] == [
-            channel.ConfirmFailure, channel.WrongEpoch
-        ]
-        assert dev.session.epoch == 0 and drain(pair) == []
+        pair.send_record(seal(ahead, messages.encode_store_ok()))  # lost: the device end closed
+        assert [type(e.error) for e in dev.trace.events] == [channel.ConfirmFailure]
+        assert dev.session.epoch == 0
+        assert_aborted(pair, channel.ConfirmFailure)
 
-    def test_forged_next_epoch_record_leaves_the_update_pending(self, world):
+    def test_forged_next_epoch_record_aborts_the_update(self, world):
         session, pair, _ = core_handshake(world)
         dev = world.device
-        new_key, confirm_v = self._update_to_epoch_1(world, session, pair)
+        _, confirm_v = self._update_to_epoch_1(world, session, pair)
         forged = channel.SessionState(sess_key=bytes(32), peer_role=channel.Role.TMM, epoch=1)
         pair.send_record(seal(forged, confirm_v))
         assert isinstance(dev.trace.first_error(), channel.AuthFailure)
         assert dev.session.epoch == 0
-        pair.send_record(seal(session, confirm_v))
-        assert (dev.session.epoch, dev.session.sess_key) == (1, new_key)
+        pair.send_record(seal(session, confirm_v))  # lost: the device end closed
+        assert dev.session.epoch == 0
+        assert_aborted(pair, channel.AuthFailure)
 
     def test_record_of_the_old_epoch_abandons_the_update(self, world):
         # UPDATE_CONFIRM_D was lost and the vTPM gave the update up: its next
@@ -505,18 +515,16 @@ class TestDeviceCore:
         assert isinstance(dev.trace.first_error(), messages.MessageError)
         assert dev.session.epoch == 0
 
-    def test_update_to_a_skipped_epoch_is_refused_unanswered(self, world):
+    def test_update_to_a_skipped_epoch_is_refused_with_an_abort(self, world):
         session, pair, _ = core_handshake(world)
         dev = world.device
         crp = world.user.crp_store.take_unused()
         pair.send_record(seal(session, messages.encode_update_req(crp.challenge, bytes(48), 2)))
-        assert drain(pair) == []
         error = dev.trace.first_error()
         assert isinstance(error, channel.ConfirmFailure)
         assert str(error) == "update proposes epoch 2, expected 1"
-        pair.send_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")))
-        (reply,) = drain(pair)  # nothing pending: answered in epoch 0
-        assert messages.kind_of(channel.open_frame(session, reply)) == messages.STORE_OK
+        pair.send_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")))  # lost
+        assert_aborted(pair, channel.ConfirmFailure)
         assert dev.session.epoch == 0
 
     def test_next_epoch_record_after_a_lost_confirm_v_promotes_the_key(self, world):

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -696,6 +697,17 @@ class TestSingleFaultSweep:
         else:
             assert errors and all(isinstance(e, TrcteeError) for e in errors)
 
+    @pytest.mark.parametrize("action", ["tamper-frame", "replay-frame"])
+    @pytest.mark.parametrize("k", range(4, SENT + 1))  # each record sent after HS1, HS3, HS8
+    def test_a_rejected_request_is_named_by_the_devices_abort(self, k, action, monkeypatch):
+        world, _, _ = self._run(monkeypatch, "send", k, action)
+        errors = [e.error for e in world.user.trace.events]
+        cause = world.device.trace.first_error()
+        assert isinstance(errors[0], channel.PeerAborted)
+        assert str(errors[0]) == f"device aborted the session: {type(cause).__name__}"
+        assert not any(isinstance(e, channel.Timeout) for e in errors), errors
+        assert world.user.endpoint is None and world.device.agent.closed
+
     @pytest.mark.parametrize("k", [6, 10])
     def test_a_lost_update_request_leaves_each_request_its_answer(self, k):
         # Record 6 is the UPDATE_REQ due after the deploy, record 10 the one
@@ -998,14 +1010,75 @@ class TestHistoryPersistence:
             assert 0 <= ip_num <= 0xFFFF and len(bin_hash) == 48
 
 
-def tcp_connect_world(world):
-    """Like ``connect_world``, over TCP loopback; returns the listening socket."""
+def tcp_connect_world(world, *fault):
+    """Like ``connect_world``, over TCP loopback, through a tap whose one
+    fault is ``fault`` if one is given; returns the listening socket."""
     world.device.boot()
     server = transport.listen("127.0.0.1", 0)
     user_side = transport.connect("127.0.0.1", server.getsockname()[1])
     world.thread = device.serve_in_thread(world.device, transport.accept_one(server, 5))
+    if fault:
+        user_side = transport.AdversaryTap(user_side)
+        user_side.schedule(*fault)
     world.user.connect(user_side)
     return server
+
+
+class TestDeviceTimerStopsAtTheHandshake:
+    def test_a_dropped_request_over_tcp_is_the_users_own_timeout(self, world):
+        # The device's timer is the shorter, but it bounds only the handshake:
+        # the user, not the device, times out on the dropped invoke request.
+        world.device.recv_timeout, world.user.recv_timeout = 0.1, 0.5
+        server = tcp_connect_world(world, "send", 6, "drop-frame")
+        try:
+            deploy_xor(world.user)
+            with pytest.raises(runtime.OrchestrationError, match="no record within 0.5s"):
+                world.user.user_invoke(1, bytes(16))
+            assert isinstance(world.user.trace.first_error(), channel.Timeout)
+            assert world.user.endpoint is not None
+            _, record = world.user.user_invoke(1, bytes(16))
+            assert record.verdict == "Verified"
+        finally:
+            world.user.close()
+            world.thread.join(timeout=5)
+            server.close()
+        assert not world.thread.is_alive()
+        assert world.device.trace.events == []
+
+
+class TestDeviceAbortArrivesAtOnce:
+    """A request the device rejects is answered by its abort record, so the
+    step fails in milliseconds, well inside the world's 2 s timers."""
+
+    @pytest.mark.parametrize(
+        "action, cause",
+        [("tamper-frame", channel.AuthFailure), ("replay-frame", channel.ReplayDetected)],
+    )
+    @pytest.mark.parametrize("tcp", [False, True], ids=["direct", "tcp"])
+    def test_a_rejected_invoke_request_fails_with_peer_aborted(self, world, tcp, action, cause):
+        # The device receives HS1, HS3, HS8, the upload, the deploy, the invoke.
+        if tcp:
+            server = tcp_connect_world(world, "send", 6, action)
+        else:
+            world.device.boot()
+            world.user.connect(tapped(world.device, "send", 6, action))
+        try:
+            deploy_xor(world.user)
+            start = time.perf_counter()
+            with pytest.raises(
+                runtime.OrchestrationError, match=f"device aborted the session: {cause.__name__}$"
+            ):
+                world.user.user_invoke(1, bytes(16))
+            elapsed = time.perf_counter() - start
+        finally:
+            if tcp:
+                world.thread.join(timeout=5)
+                server.close()
+        assert elapsed < 0.1, f"{elapsed * 1000:.0f} ms"
+        assert isinstance(world.user.trace.first_error(), channel.PeerAborted)
+        assert world.user.endpoint is None
+        assert isinstance(world.device.trace.first_error(), cause)
+        assert world.thread is None or not world.thread.is_alive()
 
 
 class TestLargeInvokeOverTcp:
