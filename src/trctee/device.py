@@ -270,20 +270,17 @@ class ConfigMemory:
 
 
 class Tmm:
-    """Trusted management module: the only holder of deploy/invoke privilege."""
+    """Trusted management module: the only holder of deploy/invoke privilege.
+    One per session: built with the session's deploy key when the handshake
+    completes, dropped with that key and every IP it deployed when it ends."""
 
-    def __init__(self, file_store: FileStore):
+    def __init__(self, file_store: FileStore, deploy_key: bytes):
         self.file_store = file_store
         self.config_memory = ConfigMemory()
-        self._deploy_key: bytes | None = None
-
-    def attach_session(self, session: channel.SessionState) -> None:
-        self._deploy_key = channel.derive_deploy_key(session.sess_key)
+        self._deploy_key = deploy_key
 
     def deploy(self, ip_num: int) -> bytes:
         """Decrypt, validate, install, and hash the bitstream for ``ip_num``."""
-        if self._deploy_key is None:
-            raise DeviceError("no session; deployment key unavailable")
         blob = self.file_store.get(blob_name(ip_num))
         encrypted = EncryptedBitstream.decode(blob)
         if encrypted.ip_num != ip_num:
@@ -314,8 +311,9 @@ class Tmm:
 
 class FpgaSocDevice:
     """One simulated device serving one vTPM session at a time.  Its core,
-    :meth:`on_record`, is handshaking (``session`` None), established, or
-    awaiting UPDATE_CONFIRM_V (``_pending`` set).  It is fed in two ways:
+    :meth:`on_record`, goes idle -> handshaking (:meth:`attach`) -> established
+    (``session``, ``tmm``) or awaiting UPDATE_CONFIRM_V (``_pending``) -> idle
+    (:meth:`_close`): every key and deployed IP lasts one session.  It is fed:
     over TCP (and on the benchmark's threaded pipe), by the receive loop
     :meth:`serve` on a thread of its own; in process, by a
     :class:`DirectPair`, with no thread."""
@@ -337,39 +335,27 @@ class FpgaSocDevice:
         self.file_store = file_store or FileStore()
         self.recv_timeout = recv_timeout
         self.trace = trace or Trace()
-        self.tmm = Tmm(self.file_store)
-        self.booted = False
-        self._pending_measurements: list[tuple[int, str, bytes]] = []
+        self._pending_measurements: list[tuple[int, str, bytes]] = []  # none until booted
         self.agent = None  # the TPM-Agent: the transport of the session
-        self._start_session()
-
-    @property
-    def pk_ttp(self) -> bytes:
-        """The TTP key pre-stored in the FSBL image."""
-        return self.boot_image.embedded_pk_ttp
+        self._handshake = self.session = self._pending = self.tmm = None  # idle
 
     def boot(self) -> None:
         """Measured boot: queue the component measurements for reporting."""
         self._pending_measurements = measure_boot_image(self.boot_image)
-        self.booted = True
-
-    def _start_session(self) -> None:
-        self._handshake = channel.DeviceHandshake(
-            pk_ttp=self.pk_ttp, device_id=self.device_id, puf=self.puf, rng=self.rng
-        )
-        self.session: channel.SessionState | None = None
-        self._pending: channel.Pending | None = None
 
     def attach(self, transport) -> None:
-        """Start a fresh session whose records go out through ``transport``."""
+        """Start a handshake whose records go out through ``transport``."""
         self.agent = transport
-        self._start_session()
+        pk_ttp = self.boot_image.embedded_pk_ttp  # the TTP key pre-stored in the FSBL
+        self._handshake = channel.DeviceHandshake(
+            pk_ttp=pk_ttp, device_id=self.device_id, puf=self.puf, rng=self.rng
+        )
 
     def serve(self, transport) -> None:
         """The one receive loop, pipe or TCP: records go to :meth:`feed` until
         the peer closes or the core rejects one.  ``recv_timeout`` bounds each
         receive of the handshake only, so no device timer fires while the user
-        waits on a request."""
+        waits on a request; over TCP, keepalive ends it on a cut link."""
         self.attach(transport)
         while True:
             try:
@@ -400,9 +386,11 @@ class FpgaSocDevice:
         self._close(cause if self.session is None else None)
 
     def _close(self, error: Exception | None) -> None:
+        """Trace ``error``, if any, close the agent, and drop the session's state."""
         if error is not None:
             self.trace.emit("device", "error", error)
         self.agent.close()
+        self._handshake = self.session = self._pending = self.tmm = None
 
     def on_record(self, record: bytes | bytearray, out) -> bool:
         """Handle one received record, each reply sent to ``out.send_record``
@@ -415,10 +403,11 @@ class FpgaSocDevice:
                 self._dispatch(self._open(record), out)
             else:
                 out.send_record(self._handshake.on_message(record))
-                if self._handshake.session is not None:
-                    self.session = self._handshake.session
-                    self.tmm.attach_session(self.session)
-                    if self.booted:
+                session = self._handshake.session
+                if session is not None:
+                    self.session, self._handshake = session, None
+                    self.tmm = Tmm(self.file_store, channel.derive_deploy_key(session.sess_key))
+                    if self._pending_measurements:
                         self._send(out, messages.encode_boot_report(self._pending_measurements))
         except (channel.ChannelError, messages.MessageError, wire.WireError) as exc:
             self.trace.emit("device", "error", exc)  # before the vTPM hears

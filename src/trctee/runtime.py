@@ -449,7 +449,6 @@ class UserNode:
         if isinstance(exc, (_transport.TransportError, channel.AuthFailure,
                             channel.ReplayDetected, channel.WrongEpoch, channel.PeerAborted)):
             self.close()
-            self.endpoint = None
 
     # -- verification ----------------------------------------------------------
 
@@ -463,5 +462,8 @@ class UserNode:
         )
 
     def close(self) -> None:
-        if self.endpoint is not None:
-            self.endpoint.transport.close()
+        """The one end of a session, and of its keys: a later call raises
+        :class:`NoSession` before anything is measured."""
+        endpoint, self.endpoint, self.deploy_key = self.endpoint, None, None
+        if endpoint is not None:
+            endpoint.transport.close()

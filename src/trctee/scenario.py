@@ -385,8 +385,9 @@ class ScenarioRunner:
         dev = self._require(self.device, "device")
         ip_num = step.args["ip"]
         image = device.IpImage(kernel_id=step.args["kernel"], params=step.args["params"])
-        before = dev.tmm.config_memory.snapshot()
         ticket = user.prepare_deploy(ip_num, image)
+        tmm = dev.tmm  # the session's, dropped if the session ends in this step
+        before = tmm.config_memory.snapshot()
         if step.adversary == "tamper-bitstream":
             blob = dev.file_store.get(ticket.blob_name)
             dev.file_store.put(ticket.blob_name, blob[:-1] + bytes([blob[-1] ^ 0x01]))
@@ -397,7 +398,7 @@ class ScenarioRunner:
             if step.adversary not in transport.AdversaryTap.ACTIONS:
                 # At-rest attacks must leave the device state untouched; frame
                 # attacks happen after the TMM already acted on a clean request.
-                if dev.tmm.config_memory.snapshot() != before:
+                if tmm.config_memory.snapshot() != before:
                     raise ExpectationFailed("config memory changed on a failed deploy")
             raise OperationFailed("deploy failed")
         return f"ip {ip_num} deployed, hash {response.bin_hash.hex()[:16]}..., {verdict}"
@@ -432,13 +433,13 @@ class ScenarioRunner:
         """REE-resident adversary tries to drive a deployment itself."""
         endpoint = self._require(self.user, "user node")._require_session()
         dev = self._require(self.device, "device")
-        agent = dev.agent
-        for attr in dir(agent):
+        for attr in dir(dev.agent):
             if not attr.startswith("_") and any(
                 word in attr.lower() for word in ("deploy", "invoke", "decrypt", "key")
             ):
                 raise ExpectationFailed(f"agent exposes privileged capability {attr!r}")
-        before = dev.tmm.config_memory.snapshot()
+        tmm = dev.tmm  # the session's, dropped when the abort ends it
+        before = tmm.config_memory.snapshot()
         # Best effort without keys: inject a forged plaintext request framed
         # as if it were sealed.  The TMM must reject it unopened; it traces
         # why before the abort record that ends the session comes back.
@@ -447,7 +448,7 @@ class ScenarioRunner:
         fake_frame = head + bytes(channel.NONCE_LEN) + forged + bytes(channel.TAG_LEN)
         endpoint.transport.send_record(fake_frame)
         endpoint.transport.recv_record(self.recv_timeout)
-        if dev.tmm.config_memory.snapshot() != before:
+        if tmm.config_memory.snapshot() != before:
             raise ExpectationFailed("config memory changed from an agent-forged request")
         raise OperationFailed("forged request")
 

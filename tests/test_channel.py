@@ -537,6 +537,7 @@ def test_a_whole_session_by_handing_bytes_between_the_two_cores():
     dev.boot()
     replies = []
     out = SimpleNamespace(send_record=replies.append)
+    dev.attach(out)
 
     def to_device(record):
         """The records the device core sends back for ``record``."""

@@ -194,21 +194,11 @@ class TestFileStore:
 
 def make_tmm_with_session():
     rng = Rng(80)
-    tmm = device.Tmm(device.FileStore())
-    key = rng.child("sess").bytes(32)
-    session = channel.SessionState(sess_key=key, peer_role=channel.Role.VTPM)
-    tmm.attach_session(session)
-    deploy_key = channel.derive_deploy_key(key)
-    return tmm, deploy_key, rng
+    deploy_key = channel.derive_deploy_key(rng.child("sess").bytes(32))
+    return device.Tmm(device.FileStore(), deploy_key), deploy_key, rng
 
 
 class TestTmmDeploy:
-    def test_deploy_before_any_session_has_no_key(self):
-        tmm = device.Tmm(device.FileStore())
-        with pytest.raises(device.DeviceError, match="no session; deployment key unavailable"):
-            tmm.deploy(1)
-        assert tmm.config_memory.snapshot() == {}
-
     def test_deploy_returns_sha3_of_plaintext(self):
         tmm, deploy_key, rng = make_tmm_with_session()
         image = device.IpImage(kernel_id="xor", params=bytes(16))
@@ -443,6 +433,15 @@ class TestDeviceCore:
         mac_v = hmac_sha384(confirm, b"update-confirm-v" + struct.pack(">I", 1))
         return new_key, messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, mac_v)
 
+    def test_a_device_has_a_tmm_only_while_a_session_is_established(self, world):
+        dev = world.device
+        assert dev.session is None and dev.tmm is None  # no session: no TMM, no key
+        session, pair, _ = core_handshake(world)
+        assert dev.tmm._deploy_key == channel.derive_deploy_key(session.sess_key)
+        assert dev._handshake is None
+        pair.close()
+        assert (dev.session, dev._pending, dev._handshake, dev.tmm) == (None, None, None, None)
+
     def test_handshake_establishes_the_session_and_reports_boot(self, world):
         session, _, replies = core_handshake(world)
         assert world.device.session.sess_key == session.sess_key
@@ -487,7 +486,7 @@ class TestDeviceCore:
         ahead = channel.SessionState(sess_key=new_key, peer_role=channel.Role.TMM, epoch=1)
         pair.send_record(seal(ahead, messages.encode_store_ok()))  # lost: the device end closed
         assert [type(e.error) for e in dev.trace.events] == [channel.ConfirmFailure]
-        assert dev.session.epoch == 0
+        assert dev.session is None  # ended in epoch 0: no "rekey" was traced
         assert_aborted(pair, channel.ConfirmFailure)
 
     def test_forged_next_epoch_record_aborts_the_update(self, world):
@@ -496,10 +495,10 @@ class TestDeviceCore:
         _, confirm_v = self._update_to_epoch_1(world, session, pair)
         forged = channel.SessionState(sess_key=bytes(32), peer_role=channel.Role.TMM, epoch=1)
         pair.send_record(seal(forged, confirm_v))
-        assert isinstance(dev.trace.first_error(), channel.AuthFailure)
-        assert dev.session.epoch == 0
+        assert [type(e.error) for e in dev.trace.events] == [channel.AuthFailure]
+        assert dev.session is None  # ended in epoch 0: no "rekey" was traced
         pair.send_record(seal(session, confirm_v))  # lost: the device end closed
-        assert dev.session.epoch == 0
+        assert dev.session is None
         assert_aborted(pair, channel.AuthFailure)
 
     def test_record_of_the_old_epoch_abandons_the_update(self, world):
@@ -511,9 +510,10 @@ class TestDeviceCore:
         pair.send_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")))
         (reply,) = drain(pair)
         assert messages.kind_of(channel.open_frame(session, reply)) == messages.STORE_OK
+        assert dev.session.epoch == 0 and dev._pending is None
         pair.send_record(seal(session, confirm_v))  # a late V confirms nothing
         assert isinstance(dev.trace.first_error(), messages.MessageError)
-        assert dev.session.epoch == 0
+        assert dev.session is None
 
     def test_update_to_a_skipped_epoch_is_refused_with_an_abort(self, world):
         session, pair, _ = core_handshake(world)
@@ -525,7 +525,7 @@ class TestDeviceCore:
         assert str(error) == "update proposes epoch 2, expected 1"
         pair.send_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")))  # lost
         assert_aborted(pair, channel.ConfirmFailure)
-        assert dev.session.epoch == 0
+        assert dev.session is None and [e.kind for e in dev.trace.events] == ["error"]
 
     def test_next_epoch_record_after_a_lost_confirm_v_promotes_the_key(self, world):
         # V never arrives; the vTPM, switched once it sent V, seals in epoch 1.

@@ -412,7 +412,7 @@ class TestDeviceClosesMidRequest:
         self._serve(world, 4)
         assert world.user.update_key() == 1
         assert isinstance(world.user.trace.first_error(), transport.TransportClosed)
-        assert world.user.endpoint is None and world.device.session.epoch == 0
+        assert world.user.endpoint is None and world.device.session is None
         assert world.user.update_key() == 1
         assert isinstance(world.user.trace.events[-1].error, runtime.NoSession)
 
@@ -428,7 +428,7 @@ class TestDeviceClosesMidRequest:
         error = world.user.trace.first_error()
         assert isinstance(error, transport.TransportClosed)
         assert str(error) == "peer closed the transport"
-        assert world.user.endpoint is None and world.device.session.epoch == 0
+        assert world.user.endpoint is None and world.device.session is None
         with pytest.raises(runtime.NoSession):
             world.user.prepare_deploy(2, device.IpImage(kernel_id="xor", params=bytes(16)))
 
@@ -442,7 +442,7 @@ class TestDeviceClosesMidRequest:
         )
         response, verdict = world.user.user_deploy(ticket)
         assert (response.response_code, verdict) == (1, "Mismatch")
-        assert world.user.endpoint is None and world.device.session.epoch == 0
+        assert world.user.endpoint is None and world.device.session is None
         with pytest.raises(runtime.OrchestrationError, match="no established session"):
             world.user.user_invoke(1, bytes(16))
 
@@ -639,9 +639,10 @@ class TestSingleFaultSweep:
         for action in (*transport.AdversaryTap.ACTIONS, "close")
     ]
 
-    def _run(self, monkeypatch, *fault):
+    def _run(self, monkeypatch, *fault, tcp=False):
         """Run the script on a fresh world through a tap with ``fault``, if
-        any; every call returns or raises a TrcteeError."""
+        any, over a direct pair or TCP; every call returns or raises a
+        TrcteeError."""
         world = build_world(seed=11, rekey_threshold=2)
         user, answered = world.user, []
         respond = world.puf_device.respond
@@ -649,7 +650,13 @@ class TestSingleFaultSweep:
             world.puf_device, "respond", lambda c: answered.append(bytes(c)) or respond(c)
         )
         world.device.boot()
-        tap = transport.AdversaryTap(device.DirectPair(world.device))
+        if tcp:
+            with transport.listen("127.0.0.1", 0) as server:
+                user_side = transport.connect("127.0.0.1", server.getsockname()[1])
+                world.thread = device.serve_in_thread(world.device, transport.accept_one(server, 5))
+        else:
+            user_side = device.DirectPair(world.device)
+        tap = transport.AdversaryTap(user_side)
         if fault:
             tap.schedule(*fault)
 
@@ -674,18 +681,37 @@ class TestSingleFaultSweep:
             invoke(bytes([4]) * 16)
         return world, tap, answered
 
+    def _end(self, world, tap):
+        """Close the user end, and the tap a failed connect leaves open, then
+        check that nothing of the session outlives it at either end."""
+        world.user.close()
+        tap.close()
+        if world.thread is not None:
+            world.thread.join(5.0)
+            assert not world.thread.is_alive()
+        dev, user = world.device, world.user
+        assert (dev.session, dev._pending, dev._handshake, dev.tmm) == (None, None, None, None)
+        assert user.endpoint is None and user.deploy_key is None
+
     def test_an_unfaulted_run_sends_18_records_and_receives_15(self, monkeypatch):
         world, tap, _ = self._run(monkeypatch)
         assert (tap.sent, tap.received) == (self.SENT, self.RECEIVED)
         assert world.user.trace.events == []
         assert world.user.endpoint.session.epoch == world.device.session.epoch == 4
-        world.user.close()
+        self._end(world, tap)
+
+    def test_an_unfaulted_run_over_tcp_ends_with_its_serve_thread(self, monkeypatch):
+        world, tap, _ = self._run(monkeypatch, tcp=True)
+        assert (tap.sent, tap.received) == (self.SENT, self.RECEIVED)
+        assert world.user.trace.events == []
+        assert [e.kind for e in world.device.trace.events] == ["rekey"] * 4
+        self._end(world, tap)
 
     @pytest.mark.parametrize("direction, k, action", SINGLE_FAULTS)
     def test_each_run_ends_consistent_or_with_the_session_gone(
         self, direction, k, action, monkeypatch
     ):
-        world, _, answered = self._run(monkeypatch, direction, k, action)
+        world, tap, answered = self._run(monkeypatch, direction, k, action)
         user = world.user
         errors = [e.error for e in user.trace.events]
         assert not any(isinstance(e, channel.RekeyRequired) for e in errors), errors
@@ -693,9 +719,9 @@ class TestSingleFaultSweep:
         if user.endpoint is not None:
             assert user.endpoint.session.epoch == world.device.session.epoch
             assert user.verify().all_verified
-            user.close()
         else:
             assert errors and all(isinstance(e, TrcteeError) for e in errors)
+        self._end(world, tap)
 
     @pytest.mark.parametrize("action", ["tamper-frame", "replay-frame"])
     @pytest.mark.parametrize("k", range(4, SENT + 1))  # each record sent after HS1, HS3, HS8
@@ -1311,3 +1337,83 @@ class TestClosedSessionIsFreed:
             assert freed() is None
         finally:
             gc.enable()
+
+    def test_a_call_after_close_fails_with_no_session_before_anything_is_measured(
+        self, connected
+    ):
+        user = connected.user
+        deploy_xor(user)
+        user.user_invoke(1, bytes(16))
+        user.close()
+        assert user.endpoint is None and user.deploy_key is None
+        pcr9 = user.vtpm.pcr_read(vtpm.INPUT_PCR)
+        log, inputs = list(user.vtpm.log), list(user.history.inputs)
+        with pytest.raises(
+            runtime.OrchestrationError,
+            match="invocation of IP 1 failed: no established session with the device$",
+        ):
+            user.user_invoke(1, bytes(16))
+        assert isinstance(user.trace.first_error(), runtime.NoSession)
+        assert user.vtpm.pcr_read(vtpm.INPUT_PCR) == pcr9
+        assert (user.vtpm.log, user.history.inputs) == (log, inputs)
+        assert user.verify().all_verified
+
+
+class TestNoIpOutlivesItsSession:
+    """Each session has a TMM of its own: an IP deployed in one session cannot
+    be invoked from a later one on the same device, by another user or by the
+    same user reconnecting."""
+
+    SECRET = bytes(range(0xA0, 0xB0))  # the xor key: invoked on zeros, it comes back
+
+    def _connect(self, world, user, tcp):
+        if tcp:
+            with transport.listen("127.0.0.1", 0) as server:
+                user_side = transport.connect("127.0.0.1", server.getsockname()[1])
+                world.thread = device.serve_in_thread(world.device, transport.accept_one(server, 5))
+        else:
+            user_side = device.DirectPair(world.device)
+        user.connect(user_side)
+
+    def _close(self, world, user):
+        user.close()
+        if world.thread is not None:
+            world.thread.join(5.0)
+            assert not world.thread.is_alive()
+        assert world.device.session is None and world.device.tmm is None
+
+    def _another_user(self, world):
+        world.ttp.register_user("bob")
+        bundle = world.ttp.enroll_vtpm("bob")
+        device_id, manifest, crps = world.ttp.provision_user("bob", "dev1", 64)
+        return runtime.UserNode(
+            bundle=bundle,
+            device_id=device_id,
+            golden_manifest=manifest,
+            crp_store=crps,
+            rng=world.master.child("bob"),
+            recv_timeout=2.0,
+        )
+
+    @pytest.mark.parametrize("tcp", [False, True], ids=["direct", "tcp"])
+    @pytest.mark.parametrize("later", ["another-user", "same-user"])
+    def test_a_later_session_cannot_invoke_an_ip_an_earlier_one_deployed(
+        self, world, later, tcp
+    ):
+        world.device.boot()
+        alice = world.user
+        self._connect(world, alice, tcp)
+        deploy_xor(alice, params=self.SECRET)
+        assert alice.user_invoke(1, bytes(16))[0] == self.SECRET
+        self._close(world, alice)
+        user = alice if later == "same-user" else self._another_user(world)
+        self._connect(world, user, tcp)
+        outputs = list(user.history.outputs)
+        try:
+            with pytest.raises(runtime.OrchestrationError, match="invocation of IP 1 failed$"):
+                user.user_invoke(1, bytes(16))
+        finally:
+            self._close(world, user)
+        assert user.history.outputs == outputs  # no output came back
+        errors = [e.error for e in world.device.trace.events]
+        assert len(errors) == 1 and isinstance(errors[0], device.NotDeployed)

@@ -454,8 +454,8 @@ class TestAdversaries:
         scn = scenario.load_scenario(str(SCENARIOS / "adversary_agent_deploy.txt"))
         runner = scenario.ScenarioRunner(scn, seed=5, recv_timeout=0.6)
         report = runner.run()
-        assert report.exit_code == 0
-        assert runner.device.tmm.config_memory.snapshot() == {}
+        assert report.exit_code == 0  # the step found config memory unchanged
+        assert runner.device.tmm is None  # the abort ended the session and its TMM
 
 
 class TestDeterminismAndTransport:

@@ -5,6 +5,7 @@ stays closed, and a receive that no record reaches waits out its timeout.
 The adversary tap: each fault acts alike on either direction."""
 
 import contextlib
+import errno
 import socket
 import struct
 import threading
@@ -82,6 +83,14 @@ class TestTcpRecords:
         raw.sendall(struct.pack(">I", 1000) + bytes(10))
         with pytest.raises(transport.ReceiveTimeout):
             server_end.recv_record(timeout=0.2)
+
+    def test_an_accepted_connection_probes_a_silent_link(self, loopback):
+        _, server_end = loopback()
+        sock = server_end._sock
+        assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE) == 1
+        for name, value in transport.KEEPALIVE.items():
+            if hasattr(socket, name):
+                assert sock.getsockopt(socket.IPPROTO_TCP, getattr(socket, name)) == value
 
     def test_oversized_prefix_rejected_before_allocating(self, loopback):
         raw, server_end = loopback()
@@ -205,6 +214,19 @@ class TestPartialWrites:
 
         with pytest.raises(transport.TransportClosed, match="peer reset"):
             transport.TcpTransport(Broken()).recv_record(1.0)
+
+    def test_unanswered_keepalive_probes_are_transport_closed(self):
+        # The kernel fails the receive with ETIMEDOUT, a TimeoutError as a
+        # socket timeout is, but the link is gone: no later receive can work.
+        class Cut:
+            def settimeout(self, timeout):
+                pass
+
+            def recv_into(self, view):
+                raise OSError(errno.ETIMEDOUT, "Connection timed out")
+
+        with pytest.raises(transport.TransportClosed, match="timed out"):
+            transport.TcpTransport(Cut()).recv_record(None)
 
 
 class TestCopiesOutliveInPlaceOpen:
