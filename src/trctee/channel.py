@@ -85,10 +85,6 @@ class StaleNonce(ChannelError):
     pass
 
 
-class Timeout(ChannelError):
-    token = "timeout"
-
-
 class RekeyRequired(ChannelError):
     pass
 
@@ -520,11 +516,7 @@ class ChannelEndpoint:
         self.recv_timeout = recv_timeout
 
     def recv(self) -> memoryview:
-        try:
-            record = self.transport.recv_record(self.recv_timeout)
-        except _transport.ReceiveTimeout as exc:
-            raise Timeout(str(exc)) from None
-        return open_frame(self.session, record)
+        return open_frame(self.session, self.transport.recv_record(self.recv_timeout))
 
     def request(self, payload: bytes) -> memoryview:
         self.transport.send_record(seal(self.session, payload).encode())

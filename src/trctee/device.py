@@ -344,7 +344,10 @@ class FpgaSocDevice:
         self._pending_measurements = measure_boot_image(self.boot_image)
 
     def attach(self, transport) -> None:
-        """Start a handshake whose records go out through ``transport``."""
+        """Start a handshake whose records go out through ``transport``.  One
+        session at a time: the session or handshake held before ends first."""
+        if self._handshake is not None or self.session is not None:
+            self._close(None)
         self.agent = transport
         pk_ttp = self.boot_image.embedded_pk_ttp  # the TTP key pre-stored in the FSBL
         self._handshake = channel.DeviceHandshake(

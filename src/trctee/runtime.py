@@ -217,11 +217,9 @@ class UserNode:
 
     def connect(self, transport) -> None:
         """Run the handshake over ``transport``; the session is established
-        once the boot report is absorbed, and a failed one closes the transport.
-
-        A failure is the user's traced error (:meth:`_fail`).  A handshake
-        message the vTPM rejects is also named to the device in an abort
-        record before the error is raised; a stalled handshake is not."""
+        once the boot report is absorbed.  A failure is the user's traced
+        error (:meth:`_fail`) and closes the transport; a handshake message
+        the vTPM rejects is named to the device in an abort record first."""
         handshake = channel.VtpmHandshake(
             sk_tpm=self.bundle.sk_tpm,
             cert=self.bundle.cert,
@@ -232,11 +230,7 @@ class UserNode:
         try:
             transport.send_record(handshake.start())
             while handshake.session is None:
-                try:
-                    record = transport.recv_record(self.recv_timeout)
-                except _transport.ReceiveTimeout:
-                    raise channel.Timeout("handshake stalled") from None
-                reply = handshake.on_message(record)
+                reply = handshake.on_message(transport.recv_record(self.recv_timeout))
                 if reply is not None:
                     transport.send_record(reply)
             session = handshake.session
@@ -244,10 +238,9 @@ class UserNode:
             measurements = messages.decode_boot_report(endpoint.recv())
         except TrcteeError as exc:
             self._fail(exc)
-            if handshake.session is not None:
-                transport.close()
-            elif isinstance(exc, channel.ChannelError) and not isinstance(exc, channel.Timeout):
+            if handshake.session is None and isinstance(exc, channel.ChannelError):
                 channel.send_abort(transport, exc)
+            transport.close()
             raise
         for index, name, digest in measurements:
             self.vtpm.pcr_extend(index, digest, vtpm.EventKind.BOOT_COMPONENT, name)
@@ -413,10 +406,10 @@ class UserNode:
 
         A due update runs before the request; if it fails, the request is
         refused with the update's traced error, unsent and unmeasured.  A
-        failed request's error is traced (:meth:`_fail`).  Then the update its
-        frame made due runs, whatever the request's outcome, and never raises:
-        a failure is traced and the update stays due, so the caller gets its
-        own request's outcome."""
+        failed request's error is traced (:meth:`_fail`).  Then, unless that
+        ended the session, the update its frame made due runs, whatever the
+        request's outcome, and never raises: a failure is traced and the
+        update stays due, so the caller gets its own request's outcome."""
         mark = len(self.trace.events)
         if self._update_if_due():
             raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
@@ -441,10 +434,10 @@ class UserNode:
 
     def _fail(self, exc: TrcteeError) -> None:
         """Trace a failed exchange with the device as the user's error.  A
-        transport error, a received record the user end cannot open (fatal
-        in TLS 1.3 too, RFC 8446 5.2) or the device's abort also ends the
-        session: no request or key update may follow on it, and later calls
-        raise :class:`NoSession`."""
+        transport error (a receive timeout too), a received record the user
+        end cannot open (fatal in TLS 1.3 too, RFC 8446 5.2) or the device's
+        abort also ends the session: no request, late reply or key update may
+        follow on it, and later calls raise :class:`NoSession`."""
         self.trace.emit("user", "error", exc)
         if isinstance(exc, (_transport.TransportError, channel.AuthFailure,
                             channel.ReplayDetected, channel.WrongEpoch, channel.PeerAborted)):

@@ -16,9 +16,10 @@ worlds.  Who owns a received record depends on the transport:
 Either way ``channel.open_frame`` may decrypt the record in place.  The
 adversary tap, which faults scheduled records and logs every record that
 passes it, keeps ``bytes`` copies, so what it holds stays the ciphertext.  A
-receive that no record reaches waits out its timeout, on either transport.
-No record over :data:`MAX_RECORD` is sent on any of them: ``channel.seal``
-refuses it.
+receive that no record reaches waits out its timeout, on either transport,
+and raises :class:`ReceiveTimeout`, which ends the user's session as every
+:class:`TransportError` does.  No record over :data:`MAX_RECORD` is sent on
+any of them: ``channel.seal`` refuses it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class TransportClosed(TransportError):
 
 
 class ReceiveTimeout(TransportError):
-    pass
+    token = "timeout"
 
 
 class BindError(TransportError):
@@ -209,7 +210,9 @@ class AdversaryTap:
     the records so far.  Both ways, ``drop-frame`` loses record k,
     ``tamper-frame`` flips its last byte, ``replay-frame`` delivers a copy of
     record k-1 before it, and ``close`` closes the connection in its place:
-    that send or receive raises :class:`TransportClosed`.
+    that send or receive raises :class:`TransportClosed`.  On ``recv`` only,
+    ``delay-frame`` holds record k back: that receive raises
+    :class:`ReceiveTimeout`, as a wait would, and the next one hands it over.
 
     ``log`` keeps the session's traffic as ``(direction, bytes)``: a record
     sent as its user handed it over, before any fault, and a record received
@@ -223,9 +226,11 @@ class AdversaryTap:
         self.log: list[tuple[str, bytes]] = []
         self._faults: dict[tuple[str, int], str] = {}
         self._last = {"send": b"", "recv": b""}  # copies: a record may be opened in place
+        self._held: bytes | None = None  # a delayed record, not yet handed over
 
     def schedule(self, direction: str, k: int, action: str) -> None:
-        if direction not in self._last or action not in (*self.ACTIONS, "close"):
+        actions = (*self.ACTIONS, "close", *(("delay-frame",) if direction == "recv" else ()))
+        if direction not in self._last or action not in actions:
             raise ValueError(f"unknown fault {action!r} on {direction!r}")
         self._faults[direction, k] = action
 
@@ -237,12 +242,18 @@ class AdversaryTap:
 
     def recv_record(self, timeout: float | None = None) -> bytes:
         key = ("recv", self.received + 1)
-        if self._faults.get(key) == "replay-frame" and self._last["recv"]:
+        if self._held is not None:
+            record, self._held = self._held, None  # a delayed record comes first
+        elif self._faults.get(key) == "replay-frame" and self._last["recv"]:
             del self._faults[key]
             record = self._last["recv"]  # record k stays unread until the next receive
         else:
             record = self._inner.recv_record(timeout)
             self.received += 1
+            if self._faults.get(key) == "delay-frame":
+                del self._faults[key]
+                self._held = self._last["recv"] = bytes(record)
+                raise ReceiveTimeout(f"no record within {timeout}s")
             arrived = self._through("recv", self.received, record)
             if not arrived:
                 return self.recv_record(timeout)  # past a dropped record

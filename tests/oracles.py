@@ -100,7 +100,7 @@ ERROR_TOKENS = {
     "channel.AuthFailure": "auth-failure",
     "channel.ReplayDetected": "replay-detected",
     "channel.WrongEpoch": "wrong-epoch",
-    "channel.Timeout": "timeout",
+    "transport.ReceiveTimeout": "timeout",
     "channel.ConfirmFailure": "confirm-failure",
     "puf.CrpExhausted": "crp-exhausted",
     "device.NotDeployed": "not-deployed",

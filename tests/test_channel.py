@@ -304,7 +304,7 @@ class TestAbortRecord:
             (channel.WrongEpoch, "WrongEpoch"),
             (messages.MessageError, "MessageError"),
             (wire.BadTag, "MessageError"),  # every refused payload shares one code
-            (channel.Timeout, "ChannelError"),  # outside the table: code 0
+            (transport.ReceiveTimeout, "ChannelError"),  # outside the table: code 0
         ],
     )
     def test_reason_reaches_the_vtpm(self, error, reason):

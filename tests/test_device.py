@@ -621,6 +621,22 @@ class TestDirectPair:
         with pytest.raises(transport.TransportClosed, match="transport is closed"):
             world.device.agent.send_record(b"late")
 
+    def test_closing_an_earlier_pair_ends_nothing_of_a_later_session(self, world):
+        # The device serves one session at a time: attaching the later pair
+        # ended the earlier one's handshake, so its close finds it ended.
+        world.device.boot()
+        old = device.DirectPair(world.device)
+        world.user.connect(device.DirectPair(world.device))
+        old.close()
+        ticket = world.user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        assert world.user.user_deploy(ticket)[1] == "Verified"
+        output, record = world.user.user_invoke(1, b"\xaa" * 16)
+        assert (output, record.verdict) == (b"\xaa" * 16, "Verified")
+        assert world.device.trace.events == []
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            old.recv_record(2.0)
+        world.user.close()
+
 
 class TestPipeMatchesDirectPair:
     """The benchmark's worlds still serve the device on a thread over the

@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -100,10 +101,13 @@ class TestRejectedDevice:
             def recv_record(self, timeout=None):
                 return b"\x12" + bytes(16) + b"\x00\x02\xff\xfe"
 
+            def close(self):
+                sent.append(None)
+
         with pytest.raises(channel.StaleNonce):
             world.user.connect(BadHello())
         assert isinstance(world.user.trace.first_error(), channel.StaleNonce)
-        assert sent[1:] == [b"\x1f\x02"]  # after HS1, an abort naming StaleNonce
+        assert sent[1:] == [b"\x1f\x02", None]  # after HS1, an abort naming StaleNonce; closed
 
     def test_vtpm_hanging_up_mid_handshake_is_traced(self, world):
         user_side = self._serve(world)
@@ -276,12 +280,16 @@ class TestFailedExchangesAreTraced:
     """Each failed exchange with the device is raised as the user's first
     traced error."""
 
-    def test_lost_vtpm_hello_is_a_traced_stall(self, world):
+    def test_lost_vtpm_hello_is_a_traced_timeout_that_ends_the_handshake(self, world):
         world.device.boot()
-        with pytest.raises(channel.Timeout, match="handshake stalled") as caught:
+        with pytest.raises(transport.ReceiveTimeout, match="no record within 2.0s") as caught:
             world.user.connect(tapped(world.device, "send", 1, "drop-frame"))
         assert world.user.trace.first_error() is caught.value
-        assert world.device.trace.events == []  # no abort record follows a stall
+        # No abort record follows a timeout, but the connection is closed: the
+        # device sees the peer go mid-handshake and holds nothing of it.
+        errors = [e.error for e in world.device.trace.events]
+        assert len(errors) == 1 and isinstance(errors[0], transport.TransportClosed)
+        assert world.device._handshake is None and world.device.agent.closed
 
     def test_tampered_upload_reply_is_a_traced_auth_failure(self, world):
         # The user receives HS2, HS5, HS9, the boot report, then the upload's reply.
@@ -339,7 +347,7 @@ class TestFailedBootReport:
             user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
 
     @pytest.mark.parametrize("action, error", [
-        ("drop-frame", channel.Timeout),
+        ("drop-frame", transport.ReceiveTimeout),
         ("tamper-frame", channel.AuthFailure),
         ("replay-frame", channel.WrongEpoch),  # a copy of HS9, a handshake message
     ])
@@ -508,36 +516,35 @@ class TestKeyUpdateFlow:
         assert record.verdict == "Verified"
         user.close()
 
-    def _drop_the_threshold_upload_reply(self, spoil_update=False):
+    def _refuse_the_threshold_upload(self, monkeypatch, spoil_update=False):
+        """Frame 2, an upload, answered with another kind than STORE_OK: a
+        failure that leaves the session up.  Returns the refused upload's error."""
         world = build_world(rekey_threshold=2)
-        world.device.boot()
-        tap = transport.AdversaryTap(device.DirectPair(world.device))
-        world.user.connect(tap)
+        connect_world(world)
         image = device.IpImage(kernel_id="xor", params=bytes(16))
         world.user.prepare_deploy(1, image)  # frame 1
-        tap.schedule("recv", tap.received + 1, "drop-frame")
         if spoil_update:
             spoil_next_crp(world.user)
-        return world, image
+        with monkeypatch.context() as patch:
+            patch.setattr(messages, "encode_store_ok", lambda: bytes([messages.UPDATE_CONFIRM_D]))
+            with pytest.raises(runtime.OrchestrationError, match="not acknowledged") as caught:
+                world.user.prepare_deploy(2, image)
+        return world, image, caught.value
 
-    def test_failed_upload_on_the_threshold_frame_still_updates_the_key(self):
-        world, image = self._drop_the_threshold_upload_reply()
+    def test_failed_upload_on_the_threshold_frame_still_updates_the_key(self, monkeypatch):
+        world, image, _ = self._refuse_the_threshold_upload(monkeypatch)
         user = world.user
-        with pytest.raises(channel.Timeout):
-            user.prepare_deploy(2, image)  # frame 2, its reply lost
         assert user.endpoint.session.epoch == world.device.session.epoch == 1
         user.prepare_deploy(3, image)
         user.prepare_deploy(4, image)
         assert user.endpoint.session.epoch == world.device.session.epoch == 2
         user.close()
 
-    def test_failed_upload_and_update_raise_the_upload_error(self):
-        world, image = self._drop_the_threshold_upload_reply(spoil_update=True)
+    def test_failed_upload_and_update_raise_the_upload_error(self, monkeypatch):
+        world, image, error = self._refuse_the_threshold_upload(monkeypatch, spoil_update=True)
         user = world.user
-        with pytest.raises(channel.Timeout) as caught:
-            user.prepare_deploy(2, image)
         errors = [e.error for e in user.trace.events]
-        assert errors[0] is caught.value and len(errors) == 2
+        assert errors[0] is error and len(errors) == 2
         assert isinstance(errors[1], channel.ConfirmFailure)  # the update after it, traced
         assert user.endpoint.session.epoch == world.device.session.epoch == 0
         user.close()
@@ -623,9 +630,10 @@ class TestKeyUpdateFlow:
 
 class TestSingleFaultSweep:
     """One script at rekey threshold 2 under each single fault the tap
-    schedules: every fault on every record, either way.  Unfaulted, the user
-    sends 18 records: HS1, HS3, HS8, the upload, the deploy and the update
-    due after it (UPDATE_REQ, UPDATE_CONFIRM_V), two invokes and an update,
+    schedules: every fault on every record, either way, and ``delay-frame``
+    on every record received.  Unfaulted, the user sends 18 records: HS1,
+    HS3, HS8, the upload, the deploy and the update due after it
+    (UPDATE_REQ, UPDATE_CONFIRM_V), two invokes and an update,
     two more invokes and an update, an explicit update, and one more invoke.
     It receives 15: HS2, HS5, HS9, the boot report, then one answer to each
     upload, deploy, invoke and update.  Each output delivered is its own
@@ -637,14 +645,23 @@ class TestSingleFaultSweep:
         for direction, records in (("send", SENT), ("recv", RECEIVED))
         for k in range(1, records + 1)
         for action in (*transport.AdversaryTap.ACTIONS, "close")
-    ]
+    ] + [("recv", k, "delay-frame") for k in range(1, RECEIVED + 1)]
 
-    def _run(self, monkeypatch, *fault, tcp=False):
+    # One fault of each kind each way, on the first invoke: the 8th record
+    # sent is its request, the 8th received its reply.
+    TCP_TWINS = [
+        (direction, 8, action)
+        for direction in ("send", "recv")
+        for action in (*transport.AdversaryTap.ACTIONS, "close")
+    ] + [("recv", 8, "delay-frame")]
+
+    def _run(self, monkeypatch, *fault, tcp=False, user_timeout=2.0):
         """Run the script on a fresh world through a tap with ``fault``, if
         any, over a direct pair or TCP; every call returns or raises a
         TrcteeError."""
         world = build_world(seed=11, rekey_threshold=2)
         user, answered = world.user, []
+        user.recv_timeout = user_timeout
         respond = world.puf_device.respond
         monkeypatch.setattr(
             world.puf_device, "respond", lambda c: answered.append(bytes(c)) or respond(c)
@@ -653,7 +670,12 @@ class TestSingleFaultSweep:
         if tcp:
             with transport.listen("127.0.0.1", 0) as server:
                 user_side = transport.connect("127.0.0.1", server.getsockname()[1])
-                world.thread = device.serve_in_thread(world.device, transport.accept_one(server, 5))
+                device_side = transport.accept_one(server, 5)
+            # Nagle holds a record sent right after another until the peer's
+            # delayed ACK (40 ms on Linux), too near a 0.05 s user timeout.
+            for end in (user_side, device_side):
+                end._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            world.thread = device.serve_in_thread(world.device, device_side)
         else:
             user_side = device.DirectPair(world.device)
         tap = transport.AdversaryTap(user_side)
@@ -682,16 +704,27 @@ class TestSingleFaultSweep:
         return world, tap, answered
 
     def _end(self, world, tap):
-        """Close the user end, and the tap a failed connect leaves open, then
-        check that nothing of the session outlives it at either end."""
+        """Close the user end (a failed connect has closed the tap already),
+        then check that nothing of the session outlives it at either end."""
         world.user.close()
-        tap.close()
         if world.thread is not None:
             world.thread.join(5.0)
             assert not world.thread.is_alive()
         dev, user = world.device, world.user
         assert (dev.session, dev._pending, dev._handshake, dev.tmm) == (None, None, None, None)
         assert user.endpoint is None and user.deploy_key is None
+
+    def _twins(self, monkeypatch, fault):
+        """How the run with ``fault`` ends in process and over TCP, each at a
+        user timeout of 0.05 s: the user's error classes, whether its session
+        is alive, and the tap log."""
+        ends = []
+        for tcp in (False, True):
+            world, tap, _ = self._run(monkeypatch, *fault, tcp=tcp, user_timeout=0.05)
+            user = world.user
+            ends.append(([type(e.error) for e in user.trace.events], user.endpoint is not None, tap.log))
+            self._end(world, tap)
+        return ends
 
     def test_an_unfaulted_run_sends_18_records_and_receives_15(self, monkeypatch):
         world, tap, _ = self._run(monkeypatch)
@@ -723,6 +756,13 @@ class TestSingleFaultSweep:
             assert errors and all(isinstance(e, TrcteeError) for e in errors)
         self._end(world, tap)
 
+    @pytest.mark.parametrize("direction, k, action", TCP_TWINS)
+    def test_each_fault_ends_over_tcp_as_it_does_in_process(
+        self, direction, k, action, monkeypatch
+    ):
+        in_process, over_tcp = self._twins(monkeypatch, (direction, k, action))
+        assert over_tcp == in_process
+
     @pytest.mark.parametrize("action", ["tamper-frame", "replay-frame"])
     @pytest.mark.parametrize("k", range(4, SENT + 1))  # each record sent after HS1, HS3, HS8
     def test_a_rejected_request_is_named_by_the_devices_abort(self, k, action, monkeypatch):
@@ -731,13 +771,16 @@ class TestSingleFaultSweep:
         cause = world.device.trace.first_error()
         assert isinstance(errors[0], channel.PeerAborted)
         assert str(errors[0]) == f"device aborted the session: {type(cause).__name__}"
-        assert not any(isinstance(e, channel.Timeout) for e in errors), errors
+        assert not any(isinstance(e, transport.ReceiveTimeout) for e in errors), errors
         assert world.user.endpoint is None and world.device.agent.closed
 
-    @pytest.mark.parametrize("k", [6, 10])
-    def test_a_lost_update_request_leaves_each_request_its_answer(self, k):
+    @pytest.mark.parametrize("k, invokes", [(6, 0), (10, 2)])
+    def test_a_lost_update_request_ends_the_session_after_its_requests_answer(
+        self, k, invokes
+    ):
         # Record 6 is the UPDATE_REQ due after the deploy, record 10 the one
-        # due after the second invoke; the update is traced and stays due.
+        # due after the second invoke: the request that made it due keeps its
+        # answer, and the update's receive timeout ends the session.
         world = build_world(seed=11, rekey_threshold=2)
         user = world.user
         world.device.boot()
@@ -745,13 +788,16 @@ class TestSingleFaultSweep:
         ticket = user.prepare_deploy(1, device.IpImage("xor", bytes(16)))
         response, verdict = user.user_deploy(ticket)
         assert (response.response_code, verdict) == (0, "Verified")
-        for i in range(2):
+        for i in range(invokes):
             output, record = user.user_invoke(1, bytes([i]) * 16)
             assert output == bytes([i]) * 16 and record.verdict == "Verified"
-        assert [type(e.error) for e in user.trace.events] == [channel.Timeout]
-        assert user.endpoint.session.epoch == world.device.session.epoch
+        assert [type(e.error) for e in user.trace.events] == [transport.ReceiveTimeout]
+        assert user.endpoint is None and world.device.session is None
+        inputs = list(user.history.inputs)
+        with pytest.raises(runtime.OrchestrationError, match="no established session"):
+            user.user_invoke(1, bytes(16))
+        assert user.history.inputs == inputs  # refused before anything was measured
         assert user.verify().all_verified
-        user.close()
 
 
 class TestRekeyThreshold:
@@ -1053,17 +1099,18 @@ def tcp_connect_world(world, *fault):
 class TestDeviceTimerStopsAtTheHandshake:
     def test_a_dropped_request_over_tcp_is_the_users_own_timeout(self, world):
         # The device's timer is the shorter, but it bounds only the handshake:
-        # the user, not the device, times out on the dropped invoke request.
+        # the user, not the device, times out on the dropped invoke request,
+        # and its timeout ends the session.
         world.device.recv_timeout, world.user.recv_timeout = 0.1, 0.5
         server = tcp_connect_world(world, "send", 6, "drop-frame")
         try:
             deploy_xor(world.user)
             with pytest.raises(runtime.OrchestrationError, match="no record within 0.5s"):
                 world.user.user_invoke(1, bytes(16))
-            assert isinstance(world.user.trace.first_error(), channel.Timeout)
-            assert world.user.endpoint is not None
-            _, record = world.user.user_invoke(1, bytes(16))
-            assert record.verdict == "Verified"
+            assert isinstance(world.user.trace.first_error(), transport.ReceiveTimeout)
+            assert world.user.endpoint is None
+            with pytest.raises(runtime.OrchestrationError, match="no established session"):
+                world.user.user_invoke(1, bytes(16))
         finally:
             world.user.close()
             world.thread.join(timeout=5)

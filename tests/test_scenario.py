@@ -402,8 +402,8 @@ class TestAdversaries:
         "tcp,timeout", [(False, 2.0), (True, 0.6)], ids=["inproc", "tcp"]
     )
     def test_dropped_frame_waits_on_the_clock_only_over_tcp(self, tcp, timeout):
-        # In process the pipe sees both ends stalled and ends the wait at
-        # once; over TCP the user's receive waits out its real timer.
+        # In process the direct pair's inbox is empty and nothing can arrive
+        # later, so the wait ends at once; over TCP it waits out its timer.
         class TimedRunner(scenario.ScenarioRunner):
             def _step_invoke(self, step):
                 start = time.perf_counter()

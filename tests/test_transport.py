@@ -357,9 +357,23 @@ class TestAdversaryTap:
         near.send_record(b"one")
         assert tap.recv_record(0) == b"one" and tap.received == 1
 
+    def test_a_delayed_record_times_out_its_receive_and_comes_first_in_the_next(self):
+        near, far = transport.pipe_pair()
+        tap = transport.AdversaryTap(far)
+        tap.schedule("recv", 2, "delay-frame")
+        for record in self.RECORDS:
+            near.send_record(record)
+        assert tap.recv_record(0.5) == b"one"
+        with pytest.raises(transport.ReceiveTimeout, match=r"^no record within 0\.5s$"):
+            tap.recv_record(0.5)
+        assert [bytes(tap.recv_record(0.5)) for _ in range(2)] == [b"two", b"six"]
+        assert tap.log == [("recv", b"one"), ("recv", b"two"), ("recv", b"six")]
+        assert tap.received == 3
+
 
 @pytest.mark.parametrize("direction, action", [
     ("recv", "flip"), ("send", "tamper-bitstream"), ("sideways", "drop-frame"),
+    ("send", "delay-frame"),  # a receive-side fault only
 ])
 def test_adversary_tap_refuses_an_unknown_attack(direction, action):
     with pytest.raises(ValueError, match=f"unknown fault {action!r} on {direction!r}"):
