@@ -245,7 +245,7 @@ def _baseline_flow(user: runtime.UserNode, conn, root: str, args) -> int:
     print(f"invoke ip=1 again -> xor round-trip {roundtrip} ({record2.verdict})")
     mark = len(user.trace.events)
     rc = user.update_key()
-    # A transport error in the update ends the session (runtime.UserNode._fail).
+    # Only a CrpExhausted refusal leaves the session up (runtime.UserNode._fail).
     state = f"epoch {user.endpoint.session.epoch}" if user.endpoint else "session ended"
     cause = user.trace.first_error(mark)
     print(f"update-key rc={rc}, {state}" + (f": {type(cause).__name__}: {cause}" if cause else ""))

@@ -311,7 +311,7 @@ class Tmm:
 
 class FpgaSocDevice:
     """One simulated device serving one vTPM session at a time.  Its core,
-    :meth:`on_record`, goes idle -> handshaking (:meth:`attach`) -> established
+    :meth:`feed`, goes idle -> handshaking (:meth:`attach`) -> established
     (``session``, ``tmm``) or awaiting UPDATE_CONFIRM_V (``_pending``) -> idle
     (:meth:`_close`): every key and deployed IP lasts one session.  It is fed:
     over TCP (and on the benchmark's threaded pipe), by the receive loop
@@ -373,50 +373,40 @@ class FpgaSocDevice:
                 return
 
     def feed(self, record: bytes | bytearray) -> bool:
-        """Run the core on one record.  When it returns False or raises, the
-        error is traced and the device end closed; False then."""
+        """Handle one received record, each reply sent to the agent while the
+        plaintext it was sealed from is alive.  False once it has rejected a
+        record, in the handshake or after, or raised: that ends the session
+        (:meth:`_close`), as ``bad_record_mac`` does in TLS 1.3 (RFC 8446 6.2)."""
         try:
-            if self.on_record(record, self.agent):
-                return True
-            error = None  # the core traced why it rejected the record
+            if self.session is not None:
+                self._dispatch(self._open(record))
+            else:
+                self.agent.send_record(self._handshake.on_message(record))
+                session = self._handshake.session
+                if session is not None:
+                    self.session, self._handshake = session, None
+                    self.tmm = Tmm(self.file_store, channel.derive_deploy_key(session.sess_key))
+                    if self._pending_measurements:
+                        self._send(messages.encode_boot_report(self._pending_measurements))
         except Exception as exc:
-            error = exc
-        self._close(error)
-        return False
+            self._close(exc)
+            return False
+        return True
 
     def _peer_gone(self, cause: Exception) -> None:
         """The peer closed or went quiet: an error only if the session never came up."""
         self._close(cause if self.session is None else None)
 
     def _close(self, error: Exception | None) -> None:
-        """Trace ``error``, if any, close the agent, and drop the session's state."""
+        """The device's one failure rule: trace ``error``, if any, and name it
+        to the vTPM in an abort record when the protocol names it; then close
+        the agent and drop the session's state."""
         if error is not None:
-            self.trace.emit("device", "error", error)
+            self.trace.emit("device", "error", error)  # before the vTPM hears
+            if isinstance(error, (channel.ChannelError, messages.MessageError, wire.WireError)):
+                channel.send_abort(self.agent, error)
         self.agent.close()
         self._handshake = self.session = self._pending = self.tmm = None
-
-    def on_record(self, record: bytes | bytearray, out) -> bool:
-        """Handle one received record, each reply sent to ``out.send_record``
-        while the plaintext it was sealed from is alive.  False once it has
-        rejected a record, in the handshake or after: the cause is traced,
-        then named to the vTPM in an abort record (TLS 1.3 too ends the
-        session on ``bad_record_mac``, RFC 8446 6.2)."""
-        try:
-            if self.session is not None:
-                self._dispatch(self._open(record), out)
-            else:
-                out.send_record(self._handshake.on_message(record))
-                session = self._handshake.session
-                if session is not None:
-                    self.session, self._handshake = session, None
-                    self.tmm = Tmm(self.file_store, channel.derive_deploy_key(session.sess_key))
-                    if self._pending_measurements:
-                        self._send(out, messages.encode_boot_report(self._pending_measurements))
-        except (channel.ChannelError, messages.MessageError, wire.WireError) as exc:
-            self.trace.emit("device", "error", exc)  # before the vTPM hears
-            channel.send_abort(out, exc)
-            return False
-        return True
 
     def _open(self, record: bytes | bytearray) -> memoryview:
         """Awaiting V, a next-epoch record means V was lost (the vTPM switches on
@@ -430,26 +420,30 @@ class FpgaSocDevice:
         self.trace.emit("device", "rekey")
         return payload
 
-    def _dispatch(self, payload: memoryview, out) -> None:
+    def _dispatch(self, payload: memoryview) -> None:
+        """Awaiting V, only V is handled: the vTPM switched once it sent it,
+        so any other record of the old epoch is refused."""
         kind = messages.kind_of(payload)
-        pending, self._pending = self._pending, None  # any record but V ends the update
+        if (kind == messages.UPDATE_CONFIRM_V) != (self._pending is not None):
+            raise messages.MessageError(f"unexpected channel message type {kind}")
         if kind == TPM_TAG_BYTE:
-            self._send(out, wire.encode(self._execute(wire.decode(payload))))
+            self._send(wire.encode(self._execute(wire.decode(payload))))
         elif kind == messages.UPDATE_REQ:
             confirm, self._pending = channel.respond_update(self.session, payload, self.puf)
-            self._send(out, confirm)
-        elif kind == messages.UPDATE_CONFIRM_V and pending is not None:
-            channel.finish_update(self.session, payload, pending)
+            self._send(confirm)
+        elif kind == messages.UPDATE_CONFIRM_V:
+            channel.finish_update(self.session, payload, self._pending)
+            self._pending = None
             self.trace.emit("device", "rekey")
         elif kind == messages.STORE_BLOB:
             name, blob = messages.decode_store_blob(payload)
             self.file_store.put(name, blob)
-            self._send(out, messages.encode_store_ok())
+            self._send(messages.encode_store_ok())
         else:
             raise messages.MessageError(f"unexpected channel message type {kind}")
 
-    def _send(self, out, payload: bytes) -> None:
-        out.send_record(channel.seal(self.session, payload).encode())
+    def _send(self, payload: bytes) -> None:
+        self.agent.send_record(channel.seal(self.session, payload).encode())
 
     def _execute(self, command) -> wire.DeployResp | wire.InvokeResp:
         """Run one Deploy_CMD or Invoke_CMD on the TMM; a failure answers rc 1."""
@@ -512,7 +506,7 @@ class DirectPair:
     def send_record(self, record: bytes | bytearray) -> None:
         if self._closed:
             raise _transport.TransportClosed("transport is closed")
-        if not self._device_end.closed:  # otherwise lost, as on a pipe whose reader is gone
+        if not self._device_end.closed:  # otherwise lost, as on every transport
             self._device.feed(record)
 
     def recv_record(self, timeout: float | None = None) -> bytes | bytearray:

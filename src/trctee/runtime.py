@@ -217,9 +217,9 @@ class UserNode:
 
     def connect(self, transport) -> None:
         """Run the handshake over ``transport``; the session is established
-        once the boot report is absorbed.  A failure is the user's traced
-        error (:meth:`_fail`) and closes the transport; a handshake message
-        the vTPM rejects is named to the device in an abort record first."""
+        once the boot report is absorbed.  A failure or an interrupt
+        (:meth:`_fail`) closes the transport; a handshake message the vTPM
+        rejects is named to the device in an abort record first."""
         handshake = channel.VtpmHandshake(
             sk_tpm=self.bundle.sk_tpm,
             cert=self.bundle.cert,
@@ -236,7 +236,7 @@ class UserNode:
             session = handshake.session
             endpoint = channel.ChannelEndpoint(session, transport, recv_timeout=self.recv_timeout)
             measurements = messages.decode_boot_report(endpoint.recv())
-        except TrcteeError as exc:
+        except BaseException as exc:
             self._fail(exc)
             if handshake.session is None and isinstance(exc, channel.ChannelError):
                 channel.send_abort(transport, exc)
@@ -388,15 +388,18 @@ class UserNode:
         return wire.decode_response(response_bytes, wire.CC_UPDATE).return_code
 
     def _handle_update(self, challenge: bytes) -> int:
-        """vTPM-side Update_CMD handler: the challenge must be a held, unused CRP."""
+        """vTPM-side Update_CMD handler: the challenge must be a held, unused CRP.
+        A failure answers 1, an interrupt is re-raised (:meth:`_fail`)."""
         try:
             endpoint = self._require_session()
             record = self.crp_store.take(challenge)
             channel.initiate_update(
                 endpoint, record.challenge, record.response, self.vtpm.pcrs.state_hash()
             )
-        except TrcteeError as exc:
+        except BaseException as exc:
             self._fail(exc)
+            if not isinstance(exc, TrcteeError):
+                raise
             return 1
         return 0
 
@@ -404,23 +407,21 @@ class UserNode:
     def _exchange(self) -> Iterator[None]:
         """Run one request to the device, sealed while no key update is due.
 
-        A due update runs before the request; if it fails, the request is
-        refused with the update's traced error, unsent and unmeasured.  A
-        failed request's error is traced (:meth:`_fail`).  Then, unless that
-        ended the session, the update its frame made due runs, whatever the
-        request's outcome, and never raises: a failure is traced and the
-        update stays due, so the caller gets its own request's outcome."""
+        A due update runs first; if it fails, the request is refused with the
+        update's traced error, unsent and unmeasured.  The request gets its own
+        answer, or its failure or interrupt ends the session (:meth:`_fail`).
+        The update its frame made due then runs; its failure is traced, not
+        raised, so the caller gets its own request's outcome."""
         mark = len(self.trace.events)
-        if self._update_if_due():
+        if self.update_due and self.update_key():
             raise next(e.error for e in self.trace.events[mark:] if e.actor == "user")
-        # Not a ``finally``: after an interrupt, nothing more is sent.
         try:
             yield
-        except TrcteeError as exc:
+        except BaseException as exc:
             self._fail(exc)
-            self._update_if_due()
             raise
-        self._update_if_due()
+        if self.update_due:
+            self.update_key()
 
     @property
     def update_due(self) -> bool:
@@ -428,19 +429,17 @@ class UserNode:
         endpoint = self.endpoint
         return endpoint is not None and endpoint.session.send_counter >= self.rekey_threshold
 
-    def _update_if_due(self) -> int:
-        """Run a due key update as an Update_CMD; its return code, 0 if none was due."""
-        return self.update_key() if self.update_due else 0
-
-    def _fail(self, exc: TrcteeError) -> None:
-        """Trace a failed exchange with the device as the user's error.  A
-        transport error (a receive timeout too), a received record the user
-        end cannot open (fatal in TLS 1.3 too, RFC 8446 5.2) or the device's
-        abort also ends the session: no request, late reply or key update may
-        follow on it, and later calls raise :class:`NoSession`."""
-        self.trace.emit("user", "error", exc)
-        if isinstance(exc, (_transport.TransportError, channel.AuthFailure,
-                            channel.ReplayDetected, channel.WrongEpoch, channel.PeerAborted)):
+    def _fail(self, exc: BaseException) -> None:
+        """The one failure rule: once a request's record is sent, it gets its
+        own answer or the session ends, as TLS 1.3 treats every record-processing
+        error as fatal (RFC 8446 6.2); later calls raise :class:`NoSession`.  A
+        :class:`TrcteeError` is traced as the user's error, an interrupt (any
+        other exception) is not.  Only the refusals made before anything is
+        sent, listed below, leave the session up (a refused update stays due)."""
+        if isinstance(exc, TrcteeError):
+            self.trace.emit("user", "error", exc)
+        if not isinstance(exc, (NoSession, channel.RekeyRequired, CrpExhausted,
+                                _transport.RecordTooLarge)):
             self.close()
 
     # -- verification ----------------------------------------------------------

@@ -23,10 +23,10 @@ replay-frame and drop-frame, ``deploy`` those three and tamper-bitstream,
 ``update-key`` reuse-crp.  The ``agent-deploy`` step is itself an attack:
 the REE-resident agent forges a deployment request.  Attacks are mounted by
 wrapping transports or mutating at-rest state, never by changing the honest
-endpoints.  A record either end rejects ends the session: the user end
-closes on a tampered or replayed reply, and the device answers a record it
-refuses with an abort record and closes, so a later step that needs the
-session reports ``error:NoSession``.
+endpoints.  A request that gets no answer of its own ends the session: the
+user end closes on a reply it rejects or waits out, and the device answers a
+record it refuses with an abort record and closes, so a later step that needs
+the session reports ``error:NoSession``.
 
 Everything is checked up front against ``STEPS``: step order (provisioning
 needs both enrollments, the handshake needs provisioning and boot, runtime

@@ -18,8 +18,10 @@ adversary tap, which faults scheduled records and logs every record that
 passes it, keeps ``bytes`` copies, so what it holds stays the ciphertext.  A
 receive that no record reaches waits out its timeout, on either transport,
 and raises :class:`ReceiveTimeout`, which ends the user's session as every
-:class:`TransportError` does.  No record over :data:`MAX_RECORD` is sent on
-any of them: ``channel.seal`` refuses it.
+:class:`TransportError` does.  A record sent to a peer that has closed is
+lost, on every transport, and the next receive reports the close, after the
+peer's abort record if it sent one.  No record over :data:`MAX_RECORD` is
+sent on any of them: ``channel.seal`` refuses it.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class TcpTransport:
                     sent -= len(pending.pop(0))
                 if pending:
                     pending[0] = pending[0][sent:]
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the peer has closed: the record is lost (see the module docstring)
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
 

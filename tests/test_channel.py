@@ -541,7 +541,7 @@ def test_a_whole_session_by_handing_bytes_between_the_two_cores():
 
     def to_device(record):
         """The records the device core sends back for ``record``."""
-        assert dev.on_record(record, out)
+        assert dev.feed(record)
         sent = replies[:]
         replies.clear()
         return sent

@@ -360,7 +360,7 @@ class TestEventLogWrite:
 
 class TestConnectKeyUpdateFails:
     """`connect` exits 1 when its key update answers rc 1; the update's
-    failure is the user's, so the session and its log still verify."""
+    failure is the user's, so its log still verifies."""
 
     def test_a_spoiled_crp_is_exit_1(self, store, capsys, monkeypatch):
         enroll_and_provision(store)
@@ -372,7 +372,7 @@ class TestConnectKeyUpdateFails:
         path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
         rc, err, _, out = serve_and_connect(store, capsys, monkeypatch)
         assert (
-            "update-key rc=1, epoch 0: ConfirmFailure: "
+            "update-key rc=1, session ended: ConfirmFailure: "
             "device confirmation of the updated key failed\n"
         ) in out
         assert "overall: VERIFIED" in out

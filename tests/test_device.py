@@ -352,8 +352,11 @@ class TestBadPayloadsEndTheSession:
             wire.encode(wire.UpdateCmd(challenge=bytes(4))),
             b"\x80\x01",
             b"",
+            b"\x42",
+            messages.encode_update_confirm(messages.UPDATE_CONFIRM_V, bytes(48)),
         ],
-        ids=["non-utf8-name", "traversal-name", "tpm-update-cmd", "truncated-tpm", "empty"],
+        ids=["non-utf8-name", "traversal-name", "tpm-update-cmd", "truncated-tpm", "empty",
+             "unknown-kind", "v-with-no-update"],
     )
     def test_rejected_payload_aborts_the_session(self, connected, payload):
         user, dev = connected.user, connected.device
@@ -501,19 +504,18 @@ class TestDeviceCore:
         assert dev.session is None
         assert_aborted(pair, channel.AuthFailure)
 
-    def test_record_of_the_old_epoch_abandons_the_update(self, world):
-        # UPDATE_CONFIRM_D was lost and the vTPM gave the update up: its next
-        # request, still of epoch 0, is answered in epoch 0.
+    def test_a_record_of_the_old_epoch_other_than_v_is_refused_with_an_abort(self, world):
+        # Awaiting V, the device handles V or a record of the new epoch only:
+        # the vTPM switched once it sent V, so it sends nothing else in epoch 0.
         session, pair, _ = core_handshake(world)
         dev = world.device
-        _, confirm_v = self._update_to_epoch_1(world, session, pair)
+        self._update_to_epoch_1(world, session, pair)
         pair.send_record(seal(session, messages.encode_store_blob("ip_1.bin", b"blob")))
-        (reply,) = drain(pair)
-        assert messages.kind_of(channel.open_frame(session, reply)) == messages.STORE_OK
-        assert dev.session.epoch == 0 and dev._pending is None
-        pair.send_record(seal(session, confirm_v))  # a late V confirms nothing
-        assert isinstance(dev.trace.first_error(), messages.MessageError)
-        assert dev.session is None
+        assert_aborted(pair, messages.MessageError)
+        assert str(dev.trace.first_error()) == "unexpected channel message type 5"
+        assert (dev.session, dev._pending) == (None, None)
+        with pytest.raises(device.NotFound):
+            dev.file_store.get("ip_1.bin")
 
     def test_update_to_a_skipped_epoch_is_refused_with_an_abort(self, world):
         session, pair, _ = core_handshake(world)
@@ -568,13 +570,15 @@ class TestDirectPair:
             pair.recv_record(timeout)
 
     @pytest.mark.parametrize("fed_by", ["serve", "direct"])
-    def test_a_core_that_raises_is_traced_and_closes_the_device_end(self, world, fed_by):
+    def test_a_core_that_raises_is_traced_and_closes_the_device_end(
+        self, world, fed_by, monkeypatch
+    ):
         fault = RuntimeError("core fault")
 
-        def raising(record, out):
+        def raising(handshake, record):
             raise fault
 
-        world.device.on_record = raising
+        monkeypatch.setattr(channel.DeviceHandshake, "on_message", raising)
         if fed_by == "serve":
             user_side, device_side = transport.pipe_pair()
             thread = device.serve_in_thread(world.device, device_side)

@@ -24,7 +24,7 @@ from conftest import build_world, connect_world, tapped
 from oracles import pcr_chain
 import trctee
 from trctee import channel, device, messages, puf, runtime, transport, vtpm, wire
-from trctee.crypto import Rng
+from trctee.crypto import Rng, sha384
 from trctee.errors import TrcteeError
 from trctee.puf import CrpExhausted
 
@@ -276,6 +276,20 @@ def spoil_next_crp(user):
     record.response = bytes(len(record.response))
 
 
+def assert_session_ended(world, error_type):
+    """One traced user error, of ``error_type``; no session at either end; and
+    a later call refused with ``NoSession`` before anything is measured."""
+    user = world.user
+    errors = [e.error for e in user.trace.events]
+    assert len(errors) == 1 and isinstance(errors[0], error_type), errors
+    assert user.endpoint is None and world.device.session is None
+    log, history = list(user.vtpm.log), copy.deepcopy(user.history)
+    with pytest.raises(runtime.NoSession):
+        user.prepare_deploy(2, device.IpImage(kernel_id="xor", params=bytes(16)))
+    assert user.vtpm.log == log and user.history == history
+    assert user.verify().all_verified
+
+
 class TestFailedExchangesAreTraced:
     """Each failed exchange with the device is raised as the user's first
     traced error."""
@@ -321,15 +335,14 @@ class TestFailedExchangesAreTraced:
         user = world.user
         spoil_next_crp(user)
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
-        # The 2nd frame: the update due after it fails, and the deploy keeps its answer.
+        # The 2nd frame: the update due after it fails and ends the session,
+        # and the deploy keeps its answer.
         response, verdict = user.user_deploy(ticket)
         assert (response.response_code, verdict) == (0, "Verified")
         error = user.trace.first_error()
         assert isinstance(error, channel.ConfirmFailure)
         assert str(error) == "device confirmation of the updated key failed"
-        assert user.update_due
-        assert user.endpoint.session.epoch == world.device.session.epoch == 0
-        user.close()
+        assert not user.update_due and user.endpoint is None
 
 
 class TestFailedBootReport:
@@ -455,6 +468,126 @@ class TestDeviceClosesMidRequest:
             world.user.user_invoke(1, bytes(16))
 
 
+def interrupt_receive(user, monkeypatch, k=1):
+    """Raise ``KeyboardInterrupt`` from the user's k-th receive from now, in
+    place of reading the reply the device has sent."""
+    recv, received = user.endpoint.recv, []
+
+    def receive():
+        received.append(None)
+        if len(received) == k:
+            raise KeyboardInterrupt
+        return recv()
+
+    monkeypatch.setattr(user.endpoint, "recv", receive)
+
+
+class TestAnInterruptEndsTheSession:
+    """An interrupt, any exception not a TrcteeError, that escapes a request
+    ends the session untraced: the reply it left unread is never taken as a
+    later request's answer."""
+
+    def _connect(self, world, tcp):
+        if tcp:
+            tcp_connect_world(world).close()  # the listening socket; the connection stays
+        else:
+            connect_world(world)
+
+    def _assert_ended(self, world):
+        """Invoke B, after the interrupt, is refused unsent and unmeasured;
+        nothing of the session is left at either end; the log verifies."""
+        user, dev = world.user, world.device
+        assert user.trace.events == [] and user.endpoint is None
+        log, history, pcr9 = list(user.vtpm.log), copy.deepcopy(user.history), user.vtpm.pcr_read(9)
+        with pytest.raises(runtime.OrchestrationError, match="no established session"):
+            user.user_invoke(1, b"\xbb" * 16)
+        assert isinstance(user.trace.first_error(), runtime.NoSession)
+        assert (user.vtpm.log, user.history, user.vtpm.pcr_read(9)) == (log, history, pcr9)
+        if world.thread is not None:
+            world.thread.join(5.0)
+            assert not world.thread.is_alive()
+        assert (dev.session, dev._pending, dev.tmm) == (None, None, None)
+        assert dev.trace.events == []
+        assert user.verify().all_verified
+
+    @pytest.mark.parametrize("tcp", [False, True], ids=["direct", "tcp"])
+    def test_an_interrupted_invoke_leaves_its_reply_unread(self, world, tcp, monkeypatch):
+        self._connect(world, tcp)
+        deploy_xor(world.user, params=bytes(16))  # a zero xor key: an output is its input
+        interrupt_receive(world.user, monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            world.user.user_invoke(1, b"\xaa" * 16)
+        self._assert_ended(world)
+
+    @pytest.mark.parametrize("tcp", [False, True], ids=["direct", "tcp"])
+    @pytest.mark.parametrize("update", ["explicit", "automatic"])
+    def test_an_interrupted_key_update_ends_the_session(self, world, update, tcp, monkeypatch):
+        world.user.rekey_threshold = 3
+        self._connect(world, tcp)
+        user = world.user
+        deploy_xor(user, params=bytes(16))  # frames 1 and 2
+        if update == "explicit":
+            interrupt_receive(user, monkeypatch)  # UPDATE_CONFIRM_D's
+            with pytest.raises(KeyboardInterrupt):
+                user.update_key()
+        else:
+            interrupt_receive(user, monkeypatch, 2)  # the invoke's reply is read first
+            with pytest.raises(KeyboardInterrupt):
+                user.user_invoke(1, b"\xaa" * 16)  # frame 3: the update falls due
+            assert user.history.outputs == [sha384(b"\xaa" * 16)]
+        self._assert_ended(world)
+
+    def test_an_interrupted_handshake_closes_the_transport_untraced(self, world, monkeypatch):
+        world.device.boot()
+        pair = device.DirectPair(world.device)
+
+        def interrupted(timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pair, "recv_record", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            world.user.connect(pair)
+        assert world.user.trace.events == [] and world.user.endpoint is None
+        assert world.device._handshake is None and world.device.agent.closed
+        with pytest.raises(transport.TransportClosed, match="transport is closed"):
+            pair.send_record(b"x")
+
+
+class TestARejectedReplyEndsTheSession:
+    """A reply that opens but that the user end rejects ends the session, as
+    one it cannot open does: its request got no answer of its own."""
+
+    def test_an_update_confirm_d_of_another_kind(self, connected, monkeypatch):
+        respond = channel.respond_update
+        monkeypatch.setattr(
+            channel, "respond_update", lambda *args: (messages.encode_store_ok(), respond(*args)[1])
+        )
+        assert connected.user.update_key() == 1
+        assert_session_ended(connected, messages.MessageError)
+
+    def test_an_upload_answered_with_another_kind(self, connected, monkeypatch):
+        monkeypatch.setattr(messages, "encode_store_ok", lambda: bytes([messages.UPDATE_CONFIRM_D]))
+        with pytest.raises(runtime.OrchestrationError, match="not acknowledged"):
+            connected.user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        assert_session_ended(connected, runtime.OrchestrationError)
+
+    def test_a_deploy_response_that_does_not_decode(self, connected, monkeypatch):
+        ticket = connected.user.prepare_deploy(1, device.IpImage("xor", bytes(16)))
+        monkeypatch.setattr(connected.device, "_execute", lambda command: wire.InvokeResp(b"x"))
+        response, verdict = connected.user.user_deploy(ticket)
+        assert (response.response_code, verdict) == (1, "Mismatch")
+        assert_session_ended(connected, wire.WireError)
+
+    def test_an_invoke_response_that_does_not_decode(self, connected, monkeypatch):
+        deploy_xor(connected.user)
+        monkeypatch.setattr(
+            connected.device, "_execute", lambda command: wire.DeployResp(bytes(48))
+        )
+        with pytest.raises(runtime.OrchestrationError, match="invocation of IP 1 failed: "):
+            connected.user.user_invoke(1, bytes(16))
+        assert_session_ended(connected, wire.WireError)
+
+
 class TestKeyUpdateFlow:
     def test_command_triggered_update(self, connected):
         user = connected.user
@@ -468,20 +601,15 @@ class TestKeyUpdateFlow:
         assert user.update_key(used.challenge) == 1
         assert user.endpoint.session.epoch == epoch
 
-    def test_update_the_device_cannot_confirm_keeps_both_epochs(self, connected):
+    def test_an_update_the_device_cannot_confirm_ends_the_session(self, connected):
         # The vTPM derives its key from a wrong response, so UPDATE_CONFIRM_D
-        # does not verify; the vTPM sends no V and the device abandons the update.
-        user, dev = connected.user, connected.device
+        # does not verify; the vTPM sends no V and closes.
+        user = connected.user
         deploy_xor(user)
         spoil_next_crp(user)
         assert user.update_key() == 1
-        error = user.trace.first_error()
-        assert isinstance(error, channel.ConfirmFailure)
-        assert str(error) == "device confirmation of the updated key failed"
-        assert user.endpoint.session.epoch == dev.session.epoch == 0
-        output, record = user.user_invoke(1, bytes(16))
-        assert record.verdict == "Verified"
-        assert user.endpoint.session.epoch == dev.session.epoch == 0
+        assert str(user.trace.first_error()) == "device confirmation of the updated key failed"
+        assert_session_ended(connected, channel.ConfirmFailure)
 
     def test_channel_still_works_after_update(self, connected):
         user = connected.user
@@ -516,77 +644,57 @@ class TestKeyUpdateFlow:
         assert record.verdict == "Verified"
         user.close()
 
-    def _refuse_the_threshold_upload(self, monkeypatch, spoil_update=False):
+    def _refuse_the_threshold_upload(self, monkeypatch):
         """Frame 2, an upload, answered with another kind than STORE_OK: a
-        failure that leaves the session up.  Returns the refused upload's error."""
+        reply the user rejects.  Returns the refused upload's error."""
         world = build_world(rekey_threshold=2)
         connect_world(world)
         image = device.IpImage(kernel_id="xor", params=bytes(16))
         world.user.prepare_deploy(1, image)  # frame 1
-        if spoil_update:
-            spoil_next_crp(world.user)
         with monkeypatch.context() as patch:
             patch.setattr(messages, "encode_store_ok", lambda: bytes([messages.UPDATE_CONFIRM_D]))
             with pytest.raises(runtime.OrchestrationError, match="not acknowledged") as caught:
                 world.user.prepare_deploy(2, image)
-        return world, image, caught.value
+        return world, caught.value
 
-    def test_failed_upload_on_the_threshold_frame_still_updates_the_key(self, monkeypatch):
-        world, image, _ = self._refuse_the_threshold_upload(monkeypatch)
-        user = world.user
-        assert user.endpoint.session.epoch == world.device.session.epoch == 1
-        user.prepare_deploy(3, image)
-        user.prepare_deploy(4, image)
-        assert user.endpoint.session.epoch == world.device.session.epoch == 2
-        user.close()
+    def test_a_failed_upload_on_the_threshold_frame_ends_the_session(self, monkeypatch):
+        world, error = self._refuse_the_threshold_upload(monkeypatch)
+        assert world.user.trace.first_error() is error
+        assert_session_ended(world, runtime.OrchestrationError)
 
-    def test_failed_upload_and_update_raise_the_upload_error(self, monkeypatch):
-        world, image, error = self._refuse_the_threshold_upload(monkeypatch, spoil_update=True)
-        user = world.user
-        errors = [e.error for e in user.trace.events]
-        assert errors[0] is error and len(errors) == 2
-        assert isinstance(errors[1], channel.ConfirmFailure)  # the update after it, traced
-        assert user.endpoint.session.epoch == world.device.session.epoch == 0
-        user.close()
+    def test_a_failed_upload_on_the_threshold_frame_starts_no_update(self, monkeypatch):
+        world, _ = self._refuse_the_threshold_upload(monkeypatch)
+        # The handshake's CRP is the only one spent: no update request was sent.
+        assert [r.used for r in world.user.crp_store.records()].count(True) == 1
+        assert world.device.trace.events == []
 
-    def test_failed_automatic_update_runs_again_before_the_next_call(self):
+    def test_a_failed_automatic_update_ends_the_session_after_its_requests_answer(self):
         world = build_world(rekey_threshold=2)
         connect_world(world)
         user = world.user
         spoil_next_crp(user)
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
         response, verdict = user.user_deploy(ticket)  # the update after it fails
-        assert verdict == "Verified"
-        assert isinstance(user.trace.first_error(), channel.ConfirmFailure)
-        # The update runs again first and opens epoch 1; the invoke is sent in it.
-        output, record = user.user_invoke(1, bytes(16))
-        assert record.verdict == "Verified"
-        assert user.endpoint.session.epoch == world.device.session.epoch == 1
-        output, record = user.user_invoke(1, bytes(16))
-        assert record.verdict == "Verified"
-        assert user.verify().all_verified
-        user.close()
+        assert (response.response_code, verdict) == (0, "Verified")
+        assert user.history.deployments == [(1, response.bin_hash)]
+        assert_session_ended(world, channel.ConfirmFailure)
 
-    def test_failed_update_retried_before_a_request_refuses_it_unsent(self):
+    def test_a_failed_update_is_not_retried_before_the_next_request(self):
         world = build_world(rekey_threshold=2)
         connect_world(world)
         user = world.user
         for record in [r for r in user.crp_store.records() if not r.used][:2]:
             record.response = bytes(len(record.response))
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
-        response, verdict = user.user_deploy(ticket)  # the update after it fails
-        assert verdict == "Verified"
+        user.user_deploy(ticket)  # the update after it fails and ends the session
         log, history, pcr9 = list(user.vtpm.log), copy.deepcopy(user.history), user.vtpm.pcr_read(9)
-        # The update runs again before the invoke, fails again, and refuses it.
-        with pytest.raises(
-            channel.ConfirmFailure, match="device confirmation of the updated key failed"
-        ) as caught:
+        with pytest.raises(runtime.OrchestrationError, match="no established session"):
             user.user_invoke(1, bytes(16))
-        assert user.trace.events[-1].error is caught.value
+        assert isinstance(user.trace.events[-1].error, runtime.NoSession)
         assert user.vtpm.pcr_read(9) == pcr9
         assert user.history == history and user.vtpm.log == log
-        assert user.endpoint.session.epoch == world.device.session.epoch == 0
-        user.close()
+        # The handshake's CRP and the failed update's: the second spoiled one is unsent.
+        assert [r.used for r in user.crp_store.records()].count(True) == 2
 
     def test_update_with_no_unused_crp_answers_rc_1_traced(self):
         world = build_world(crp_slice=1)
@@ -611,8 +719,8 @@ class TestKeyUpdateFlow:
         with pytest.raises(KeyboardInterrupt):
             user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
         assert received == [None]  # the upload's reply only: no update was started
-        assert user.endpoint.session.epoch == 0 and user.trace.events == []
-        user.close()
+        assert user.trace.events == []  # an interrupt is not traced
+        assert user.endpoint is None and world.device.session is None
 
     def test_counter_triggered_update(self):
         world = build_world(seed=9, rekey_threshold=4)
@@ -648,12 +756,14 @@ class TestSingleFaultSweep:
     ] + [("recv", k, "delay-frame") for k in range(1, RECEIVED + 1)]
 
     # One fault of each kind each way, on the first invoke: the 8th record
-    # sent is its request, the 8th received its reply.
+    # sent is its request, the 8th received its reply.  Then the replayed
+    # UPDATE_REQ sent in place of V: the device aborts on it and closes, and
+    # V, sent to the closed peer, is lost, as it is in process.
     TCP_TWINS = [
         (direction, 8, action)
         for direction in ("send", "recv")
         for action in (*transport.AdversaryTap.ACTIONS, "close")
-    ] + [("recv", 8, "delay-frame")]
+    ] + [("recv", 8, "delay-frame"), ("send", 7, "replay-frame")]
 
     def _run(self, monkeypatch, *fault, tcp=False, user_timeout=2.0):
         """Run the script on a fresh world through a tap with ``fault``, if
@@ -810,18 +920,16 @@ class TestRekeyThreshold:
 
     @pytest.mark.parametrize("threshold", [1, 2, 4])
     def test_update_falls_due_after_exactly_threshold_frames(self, threshold):
-        world = build_world(rekey_threshold=threshold)
-        connect_world(world)
+        world = build_world(rekey_threshold=threshold, crp_slice=1)
+        connect_world(world)  # the handshake takes the only CRP
         user = world.user
-        spoil_next_crp(user)  # the automatic update fails, so it stays due
-        due = []
+        due = []  # the automatic update finds no CRP, so it stays due
         for ip_num in range(threshold):  # one frame each
             user.prepare_deploy(ip_num, device.IpImage(kernel_id="xor", params=bytes(16)))
             due.append(user.update_due)
         assert due == [False] * (threshold - 1) + [True]
-        assert isinstance(user.trace.first_error(), channel.ConfirmFailure)
-        assert user.update_key() == 0
-        assert not user.update_due and user.endpoint.session.epoch == 1
+        assert isinstance(user.trace.first_error(), CrpExhausted)
+        assert user.endpoint.session.epoch == 0
         user.close()
 
     def _refuse(self, command, command_code):

@@ -360,6 +360,31 @@ class TestAdversaries:
         assert verify.met and report.verifier_report.all_verified
         assert report.exit_code == 1
 
+    @pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
+    def test_a_reply_held_past_its_timeout_is_never_a_later_requests_answer(self, tcp):
+        # The tap holds the first invoke's reply back for one receive, as a
+        # slow network would, with no sleep: that invoke times out, and the
+        # reply, handed over next, would be the second invoke's answer were
+        # the session kept.
+        class HeldReply(scenario.ScenarioRunner):
+            held = False
+
+            def _step_invoke(self, step):
+                if not self.held:
+                    self.held = True
+                    self.tap.schedule("recv", self.tap.received + 1, "delay-frame")
+                return super()._step_invoke(step)
+
+        text = (
+            f"trctee-scenario v1\n{SETUP}boot\nhandshake\n{XOR}"
+            f"invoke input=hex:{'aa' * 16} expect=timeout\n"
+            f"invoke input=hex:{'bb' * 16} expect=error:NoSession\n"
+            "verify expect=clean\n"
+        )
+        report = HeldReply(scenario.parse_scenario(text), seed=5, tcp=tcp, recv_timeout=2.0).run()
+        assert report.exit_code == 0, report.text()
+        assert [r.outcome for r in report.results[-3:]] == ["timeout", "error:NoSession", "ok"]
+
     @pytest.mark.parametrize(
         "attack, outcome",
         [("tamper-frame", "auth-failure"), ("replay-frame", "replay-detected"),

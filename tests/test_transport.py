@@ -78,6 +78,19 @@ class TestTcpRecords:
         with pytest.raises(transport.TransportClosed):
             server_end.recv_record(timeout=5)
 
+    def test_records_sent_to_a_closed_peer_are_lost_after_its_last_record(self, loopback):
+        # The peer's reset fails a send after the first one: that record is
+        # lost, as the earlier one is, and the receives still read in order.
+        raw, server_end = loopback()
+        client_end = transport.TcpTransport(raw)
+        server_end.send_record(channel.abort_record(channel.AuthFailure("x")))
+        server_end.close()
+        for _ in range(10):
+            client_end.send_record(b"late request")
+        assert client_end.recv_record(5) == channel.abort_record(channel.AuthFailure("x"))
+        with pytest.raises(transport.TransportClosed):
+            client_end.recv_record(5)
+
     def test_silence_mid_record(self, loopback):
         raw, server_end = loopback()
         raw.sendall(struct.pack(">I", 1000) + bytes(10))
@@ -196,12 +209,20 @@ class TestPartialWrites:
         # writes offer exactly what the kernel has not taken yet.
         assert sock.offered == list(range(total, 0, -limit))
 
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    def test_a_write_to_a_closed_peer_loses_the_record(self, error):
+        class Closed:
+            def sendmsg(self, buffers):
+                raise error("peer went away")
+
+        transport.TcpTransport(Closed()).send_record(b"x")  # the next receive reports it
+
     def test_write_error_is_transport_closed(self):
         class Broken:
             def sendmsg(self, buffers):
-                raise BrokenPipeError("peer went away")
+                raise OSError(errno.EBADF, "Bad file descriptor")
 
-        with pytest.raises(transport.TransportClosed):
+        with pytest.raises(transport.TransportClosed, match="Bad file descriptor"):
             transport.TcpTransport(Broken()).send_record(b"x")
 
     def test_read_error_is_transport_closed(self):
