@@ -14,18 +14,14 @@ Three pieces live here:
   computations.
 
 * The 9-step dynamic key update.  The new key binds the current platform
-  state (hash over all 24 PCRs) and a fresh CRP response:
-
-      new_key = HKDF(salt=SHA-384(PCR0..PCR23),
-                     ikm=response || old_key,
-                     info=b"trctee-rekey" || epoch)
-
-  Its messages ride inside the channel.  Each end's half is two pure steps
-  that do no I/O: the vTPM's :func:`start_update` makes UPDATE_REQ and its
-  :func:`confirm_update` checks UPDATE_CONFIRM_D, seals UPDATE_CONFIRM_V in
-  the old epoch and switches; the device's :func:`respond_update` makes D
-  and its :func:`finish_update` checks V and switches, or, if V was lost,
-  the vTPM's next frame, of the new epoch, confirms.  :func:`initiate_update`
+  state (hash over all 24 PCRs) and a fresh CRP response; PROTOCOL.md
+  section 3 gives every derivation.  Its messages ride inside the channel.
+  Each end's half is two pure steps that do no I/O: the vTPM's
+  :func:`start_update` makes UPDATE_REQ and its :func:`confirm_update`
+  checks UPDATE_CONFIRM_D, seals UPDATE_CONFIRM_V in the old epoch and
+  switches; the device's :func:`respond_update` makes D and its
+  :func:`finish_update` checks V and switches, or, if V was lost, the
+  vTPM's next frame, of the new epoch, confirms.  :func:`initiate_update`
   drives the vTPM's steps over an endpoint; ``runtime.UserNode`` alone
   counts frames against the rekey threshold, and the device never refuses.
 """

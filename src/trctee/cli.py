@@ -253,7 +253,7 @@ def _baseline_flow(user: runtime.UserNode, conn, root: str, args) -> int:
     log_text = user.export_log()
     report = runtime.verify_attestation(log_text, user.golden_manifest, user.history)
     log_path = os.path.join(root, f"eventlog_{args.user}.txt")
-    statefile.replace(log_path, log_text)
+    statefile.replace(log_path, log_text.encode())
     user.history.save(os.path.join(root, f"history_{args.user}.txt"))
     print(f"event log exported to {log_path}")
     print(report.text(), end="")

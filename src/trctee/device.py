@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import channel, messages, wire
+from . import channel, messages, statefile, wire
 from . import transport as _transport
 from .crypto import NONCE_LEN, Rng, sha384, sha3_384
 from .errors import TrcteeError
@@ -234,10 +234,8 @@ class FileStore:
         path = self._path(name)
         if self._root is None:
             self._blobs[path] = blob
-            return
-        with open(path + ".tmp", "wb") as fh:
-            fh.write(blob)
-        os.replace(path + ".tmp", path)
+        else:
+            statefile.replace(path, blob)
 
     def get(self, name: str) -> bytes:
         path = self._path(name)

@@ -348,9 +348,9 @@ class UserNode:
         response = self._forward(command)
         if response.response_code != 0:
             cause = self.trace.first_error(mark)
-            raise OrchestrationError(
-                f"invocation of IP {ip_num} failed" + (f": {cause}" if cause else "")
-            )
+            failed = f"invocation of IP {ip_num} failed" + (f": {cause}" if cause else "")
+            del cause  # this frame is in the raised error's traceback: hold no error
+            raise OrchestrationError(failed)
         # _forward_to_tmm measured both into PCR9/PCR10 a moment ago.
         input_digest, output_digest = self.history.inputs[-1], self.history.outputs[-1]
         verdict = "Verified" if self._replays_against_log(input_digest, output_digest) else "Mismatch"

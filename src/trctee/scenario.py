@@ -17,16 +17,12 @@ Every step accepts ``adversary=<action>`` and ``expect=<outcome>``, where an
 outcome is ``ok`` (alias ``clean``), ``expectation-failed``, or the ``token``
 of a :class:`TrcteeError` class, else ``error:<ClassName>``.  A step expecting
 a failure counts as met when exactly that typed failure occurs.
-Each step mounts only its own attacks (``STEPS``): ``boot``
-tamper-component, ``handshake`` swap-vtpm-cert, ``invoke`` tamper-frame,
-replay-frame and drop-frame, ``deploy`` those three and tamper-bitstream,
-``update-key`` reuse-crp.  The ``agent-deploy`` step is itself an attack:
-the REE-resident agent forges a deployment request.  Attacks are mounted by
-wrapping transports or mutating at-rest state, never by changing the honest
-endpoints.  A request that gets no answer of its own ends the session: the
-user end closes on a reply it rejects or waits out, and the device answers a
-record it refuses with an abort record and closes, so a later step that needs
-the session reports ``error:NoSession``.
+Each step mounts only its own attacks (``STEPS``; PROTOCOL.md section 5.1
+states each one, with the check that stops it).  A request that gets no
+answer of its own ends the session: the user end closes on a reply it
+rejects or waits out, and the device answers a record it refuses with an
+abort record and closes, so a later step that needs the session reports
+``error:NoSession``.
 
 Everything is checked up front against ``STEPS``: step order (provisioning
 needs both enrollments, the handshake needs provisioning and boot, runtime
@@ -230,6 +226,14 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _reported(cause: Exception) -> tuple[str, str]:
+    """The outcome and detail of a step that failed with ``cause``.  No frame
+    that a traceback keeps holds ``cause``, so a run leaves no reference cycle."""
+    if isinstance(cause, OperationFailed):
+        return "expectation-failed", f"{cause} without a typed cause"
+    return getattr(cause, "token", None) or f"error:{type(cause).__name__}", str(cause)
+
+
 class ScenarioRunner:
     """Executes one scenario against an in-process or TCP-loopback world."""
 
@@ -292,6 +296,7 @@ class ScenarioRunner:
             self.report.frame_transcript = [(labels[way], record) for way, record in self.tap.log]
         if self._device_thread is not None:
             self._device_thread.join(timeout=5.0)
+        self.trace.events.clear()  # each traced error's traceback reaches the world
 
     def _run_step(self, step: Step) -> tuple[str, str]:
         handler = getattr(self, "_step_" + step.name.replace("-", "_"))
@@ -301,10 +306,7 @@ class ScenarioRunner:
         except ExpectationFailed as exc:
             return "expectation-failed", str(exc)
         except Exception as exc:
-            cause = self.trace.first_error(mark) or exc
-            if isinstance(cause, OperationFailed):
-                return "expectation-failed", f"{cause} without a typed cause"
-            return getattr(cause, "token", None) or f"error:{type(cause).__name__}", str(cause)
+            return _reported(self.trace.first_error(mark) or exc)
 
     def _step_enroll_device(self, step: Step) -> str:
         device_id = step.args["id"]

@@ -79,17 +79,17 @@ def read_keys(
 
 def write(path: str, header: str, lines: Iterable[str]) -> None:
     """Replace the state file ``path`` durably: its header, then its lines."""
-    replace(path, "\n".join([header, *lines]) + "\n")
+    replace(path, ("\n".join([header, *lines]) + "\n").encode())
 
 
-def replace(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` as UTF-8, durably (a state file or the
-    exported event log): write and ``fsync`` a temporary file, ``os.replace``
-    it over ``path``, then ``fsync`` the directory."""
+def replace(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data``, durably (a state file, the exported event
+    log or a blob of the device's file store): write and ``fsync`` a temporary
+    file, ``os.replace`` it over ``path``, then ``fsync`` the directory."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

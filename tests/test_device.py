@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_world
 from oracles import brute_matmul8, bytewise_add_const, bytewise_xor, pcr_chain
-from trctee import channel, device, messages, runtime, transport, vtpm, wire
+from trctee import channel, device, messages, runtime, statefile, transport, vtpm, wire
 from trctee.crypto import Rng, hmac_sha384
 
 
@@ -182,6 +182,20 @@ class TestFileStore:
         store.put("ip_2.bin", b"persisted")
         again = device.FileStore(root=str(tmp_path / "blobs"))
         assert again.get("ip_2.bin") == b"persisted"
+
+    def test_a_directory_put_is_one_durable_replace(self, tmp_path, monkeypatch):
+        root = tmp_path / "blobs"
+        store = device.FileStore(root=str(root))
+        replaced = []
+        replace = statefile.replace
+        monkeypatch.setattr(
+            statefile, "replace", lambda path, data: replaced.append(path) or replace(path, data)
+        )
+        store.put("ip_3.bin", b"old")
+        store.put("ip_3.bin", bytearray(b"new"))
+        assert replaced == [str(root / "ip_3.bin")] * 2
+        assert sorted(p.name for p in root.iterdir()) == ["ip_3.bin"]  # no .tmp behind
+        assert device.FileStore(root=str(root)).get("ip_3.bin") == b"new"
 
     def test_unsafe_names_rejected(self, tmp_path):
         for store in (device.FileStore(), device.FileStore(root=str(tmp_path / "blobs"))):

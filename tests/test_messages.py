@@ -164,19 +164,19 @@ class TestNames:
             messages.decode_store_blob(payload)
 
 
-README = Path(__file__).parent.parent / "README.md"
+PROTOCOL = Path(__file__).parent.parent / "PROTOCOL.md"
 # "  - `name` ...: `grammar`", then ", N bytes" where the format has one size.
-README_ENTRY = re.compile(r"^ +- `([^`]+)`[^`\n]*: `([^`]+)`(?:, (\d+) bytes)?", re.M)
+PROTOCOL_ENTRY = re.compile(r"^ +- `([^`]+)`[^`\n]*: `([^`]+)`(?:, (\d+) bytes)?", re.M)
 
 
-def readme_formats():
-    section = README.read_text(encoding="utf-8").split("## File and wire formats")[1]
+def protocol_formats():
+    section = PROTOCOL.read_text(encoding="utf-8").split("## 1. Message flow")[1]
     section = section.split("\n## ")[0]
-    return {name: (grammar, total) for name, grammar, total in README_ENTRY.findall(section)}
+    return {name: (grammar, total) for name, grammar, total in PROTOCOL_ENTRY.findall(section)}
 
 
 def stated_fields(grammar):
-    """Each field of a README grammar: its constant bytes (a type byte, a
+    """Each field of a PROTOCOL.md grammar: its constant bytes (a type byte, a
     TPM tag or command code, or a magic), or its size (None for a field
     without one)."""
     for token in grammar.split(" || "):
@@ -198,7 +198,10 @@ def encoded_formats():
     no_report = messages.encode_boot_report([])
     one_report = messages.encode_boot_report([(0, "fsbl", bytes(48))])
     cert_len = len(ttp.Certificate("alice", bytes(32), bytes(64)).encode())
+    session = channel.SessionState(bytes(32), channel.Role.TMM)
     return {
+        "sealed frame": (channel.seal(session, b"plaintext").encode(), len(b"plaintext")),
+        "store ok": (messages.encode_store_ok(), 0),
         "HS1": (hs[0], cert_len),
         "HS2": (hs[1], len("dev1")),
         "HS3": (hs[2], 0),
@@ -276,9 +279,9 @@ def decodes(layout, encoding):
     return True
 
 
-class TestReadmeFormats:
+class TestProtocolFormats:
     def test_every_stated_size_matches_the_encoding(self):
-        stated, encoded = readme_formats(), encoded_formats()
+        stated, encoded = protocol_formats(), encoded_formats()
         assert set(stated) == set(encoded)
         for name, (encoding, unsized) in encoded.items():
             grammar, total = stated[name]
@@ -291,7 +294,7 @@ class TestReadmeFormats:
                 assert len(encoding) == int(total), name
 
     def test_every_layout_decodes_a_listed_encoding(self):
-        """A format declared without its README entry fails here.  A TPM
+        """A format declared without its PROTOCOL.md entry fails here.  A TPM
         message's layout is that of its body, after the header."""
         encodings = []
         for encoding, _ in encoded_formats().values():
