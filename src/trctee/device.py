@@ -8,9 +8,9 @@ a session exists.
 
 Only the TMM can touch configuration memory.  Bitstreams arrive AEAD
 encrypted under the per-session deployment key.  The REE file store and the
-TPM-Agent, the REE relay of sealed records that is the transport the device
-is attached to (:attr:`FpgaSocDevice.agent`), hold no keys and expose no
-deploy or invoke capability.
+TPM-Agent, the REE relay of sealed records (the transport that
+:meth:`FpgaSocDevice.serve` or a :class:`DirectPair` relays over), hold no
+keys and expose no deploy or invoke capability.
 
 Deploy and invoke reach the TMM as the vTPM's own TPM command bytes inside
 the sealed channel and are answered with TPM response bytes (see
@@ -51,6 +51,7 @@ BOOT_COMPONENTS = (
 )
 
 TPM_TAG_BYTE = wire.TAG_NO_SESSIONS >> 8  # 0x80, first byte of every TPM tag
+_NAMED = (channel.ChannelError, messages.MessageError, wire.WireError)  # in an abort record
 
 
 class DeviceError(TrcteeError):
@@ -309,11 +310,12 @@ class Tmm:
 
 class FpgaSocDevice:
     """One simulated device serving one vTPM session at a time.  Its core,
-    :meth:`feed`, goes idle -> handshaking (:meth:`attach`) -> established
-    (``session``, ``tmm``) or awaiting UPDATE_CONFIRM_V (``_pending``) -> idle
-    (:meth:`_close`): every key and deployed IP lasts one session.  It is fed:
-    over TCP (and on the benchmark's threaded pipe), by the receive loop
-    :meth:`serve` on a thread of its own; in process, by a
+    :meth:`feed`, is sans-I/O: one record in, the records to send out.  It goes
+    idle -> handshaking (:meth:`attach`) -> established (``session``, ``tmm``)
+    or awaiting UPDATE_CONFIRM_V (``_pending``) -> idle (:meth:`_close`): every
+    key and deployed IP lasts one session.  The core holds no transport: the
+    keyless REE agent is what relays its records, :meth:`serve` on a thread of
+    its own over TCP (and the benchmark's threaded pipe), or in process a
     :class:`DirectPair`, with no thread."""
 
     def __init__(
@@ -334,52 +336,65 @@ class FpgaSocDevice:
         self.recv_timeout = recv_timeout
         self.trace = trace or Trace()
         self._pending_measurements: list[tuple[int, str, bytes]] = []  # none until booted
-        self.agent = None  # the TPM-Agent: the transport of the session
+        self._out, self._attached = [], None  # feed's records; attach's marker of the session
         self._handshake = self.session = self._pending = self.tmm = None  # idle
 
     def boot(self) -> None:
         """Measured boot: queue the component measurements for reporting."""
         self._pending_measurements = measure_boot_image(self.boot_image)
 
-    def attach(self, transport) -> None:
-        """Start a handshake whose records go out through ``transport``.  One
-        session at a time: the session or handshake held before ends first."""
-        if self._handshake is not None or self.session is not None:
+    def attach(self) -> object:
+        """Start a handshake, and return a marker that stays ``_attached`` until
+        that session ends.  One session at a time: the session or handshake
+        held before ends first, so its relay finds its marker gone."""
+        if self._attached is not None:
             self._close(None)
-        self.agent = transport
         pk_ttp = self.boot_image.embedded_pk_ttp  # the TTP key pre-stored in the FSBL
         self._handshake = channel.DeviceHandshake(
             pk_ttp=pk_ttp, device_id=self.device_id, puf=self.puf, rng=self.rng
         )
+        self._attached = object()
+        return self._attached
 
     def serve(self, transport) -> None:
-        """The one receive loop, pipe or TCP: records go to :meth:`feed` until
-        the peer closes or the core rejects one.  ``recv_timeout`` bounds each
-        receive of the handshake only, so no device timer fires while the user
-        waits on a request; over TCP, keepalive ends it on a cut link."""
-        self.attach(transport)
-        while True:
-            try:
-                record = transport.recv_record(self.recv_timeout if self.session is None else None)
-            except (_transport.TransportClosed, _transport.ReceiveTimeout) as exc:
-                self._peer_gone(exc)
-                return
-            except Exception as exc:  # the loop must not end the thread silently
+        """The one receive loop, pipe or TCP: records go to :meth:`feed`, each
+        record it returns out in a send of its own, until the peer closes or
+        the session ends; then ``transport`` is closed.  ``recv_timeout`` bounds
+        each receive of the handshake only, so no device timer fires while the
+        user waits on a request; over TCP, keepalive ends it on a cut link."""
+        attached, ended = self.attach(), False
+        try:
+            while not ended:
+                try:
+                    record = transport.recv_record(None if self.session else self.recv_timeout)
+                except (_transport.TransportClosed, _transport.ReceiveTimeout) as exc:
+                    if self._attached is attached:
+                        self._peer_gone(exc)
+                    return
+                if self._attached is not attached:  # a later attach ended this session
+                    return
+                records, ended = self.feed(record)
+                while records:  # no reply held past its send (TestWarmInvokeFaults)
+                    transport.send_record(records.pop(0))
+        except Exception as exc:  # the loop must not end the thread silently
+            if self._attached is attached:
                 self._close(exc)
-                return
-            if not self.feed(record):
-                return
+        finally:
+            transport.close()
 
-    def feed(self, record: bytes | bytearray) -> bool:
-        """Handle one received record, each reply sent to the agent while the
-        plaintext it was sealed from is alive.  False once it has rejected a
-        record, in the handshake or after, or raised: that ends the session
-        (:meth:`_close`), as ``bad_record_mac`` does in TLS 1.3 (RFC 8446 6.2)."""
+    def feed(self, record: bytes | bytearray) -> tuple[list, bool]:
+        """Handle one received record: the records to send, in order, and
+        whether the session ended.  It ends once the core has rejected a
+        record, in the handshake or after, or raised (:meth:`_close`), as
+        ``bad_record_mac`` does in TLS 1.3 (RFC 8446 6.2).  An idle core
+        refuses every record."""
         try:
             if self.session is not None:
                 self._dispatch(self._open(record))
+            elif self._handshake is None:
+                raise DeviceError("no session: the device is idle")
             else:
-                self.agent.send_record(self._handshake.on_message(record))
+                self._out.append(self._handshake.on_message(record))
                 session = self._handshake.session
                 if session is not None:
                     self.session, self._handshake = session, None
@@ -388,23 +403,22 @@ class FpgaSocDevice:
                         self._send(messages.encode_boot_report(self._pending_measurements))
         except Exception as exc:
             self._close(exc)
-            return False
-        return True
+        out, self._out = self._out, []
+        return out, self._attached is None
 
     def _peer_gone(self, cause: Exception) -> None:
         """The peer closed or went quiet: an error only if the session never came up."""
         self._close(cause if self.session is None else None)
 
     def _close(self, error: Exception | None) -> None:
-        """The device's one failure rule: trace ``error``, if any, and name it
-        to the vTPM in an abort record when the protocol names it; then close
-        the agent and drop the session's state."""
+        """The device's one failure rule: trace ``error``, if any, and when the
+        protocol names it, add the abort record naming it to the records
+        :meth:`feed` returns; then drop the session's state."""
         if error is not None:
             self.trace.emit("device", "error", error)  # before the vTPM hears
-            if isinstance(error, (channel.ChannelError, messages.MessageError, wire.WireError)):
-                channel.send_abort(self.agent, error)
-        self.agent.close()
-        self._handshake = self.session = self._pending = self.tmm = None
+            if isinstance(error, _NAMED) and not isinstance(error, channel.PeerAborted):
+                self._out.append(channel.abort_record(error))
+        self._attached = self._handshake = self.session = self._pending = self.tmm = None
 
     def _open(self, record: bytes | bytearray) -> memoryview:
         """Awaiting V, a next-epoch record means V was lost (the vTPM switches on
@@ -441,7 +455,7 @@ class FpgaSocDevice:
             raise messages.MessageError(f"unexpected channel message type {kind}")
 
     def _send(self, payload: bytes) -> None:
-        self.agent.send_record(channel.seal(self.session, payload).encode())
+        self._out.append(channel.seal(self.session, payload).encode())
 
     def _execute(self, command) -> wire.DeployResp | wire.InvokeResp:
         """Run one Deploy_CMD or Invoke_CMD on the TMM; a failure answers rc 1."""
@@ -466,30 +480,15 @@ def serve_in_thread(device: FpgaSocDevice, transport) -> threading.Thread:
     return thread
 
 
-class _DeviceEnd:
-    """The device's end of a :class:`DirectPair`: what it sends waits in the
-    user end's inbox."""
-
-    def __init__(self, inbox: deque):
-        self._inbox = inbox
-        self.closed = False
-
-    def send_record(self, record: bytes | bytearray) -> None:
-        if self.closed:
-            raise _transport.TransportClosed("transport is closed")
-        self._inbox.append(record)
-
-    def close(self) -> None:
-        self.closed = True
-
-
 class DirectPair:
     """The user's end of a thread-free pair with ``device``: a record sent runs
-    the device core at once (:meth:`FpgaSocDevice.feed`), and its replies wait
-    here for :meth:`recv_record`, handed over as the device built them.
+    the device core at once (:meth:`FpgaSocDevice.feed`), and the records it
+    returns wait here for :meth:`recv_record`, handed over as the device built
+    them.  Once the core, or a later attach, has ended the pair's session, a
+    record sent is lost, as on every transport.
 
     No other thread can send, so a receive on an empty inbox fails at once:
-    :class:`~trctee.transport.TransportClosed` once the device end is closed,
+    :class:`~trctee.transport.TransportClosed` once the session has ended,
     otherwise :class:`~trctee.transport.ReceiveTimeout`, whose text for a
     finite ``timeout`` is the one a receive that waited it out has.
     """
@@ -497,20 +496,19 @@ class DirectPair:
     def __init__(self, device: FpgaSocDevice):
         self._device = device
         self._inbox: deque = deque()
-        self._device_end = _DeviceEnd(self._inbox)
         self._closed = False
-        device.attach(self._device_end)
+        self._attached = device.attach()  # the device keeps it until the session ends
 
     def send_record(self, record: bytes | bytearray) -> None:
         if self._closed:
             raise _transport.TransportClosed("transport is closed")
-        if not self._device_end.closed:  # otherwise lost, as on every transport
-            self._device.feed(record)
+        if self._device._attached is self._attached:  # otherwise lost
+            self._inbox += self._device.feed(record)[0]
 
     def recv_record(self, timeout: float | None = None) -> bytes | bytearray:
         if self._inbox:
             return self._inbox.popleft()
-        if self._device_end.closed:
+        if self._device._attached is not self._attached:
             raise _transport.TransportClosed("peer closed the transport")
         raise _transport.ReceiveTimeout(
             "no record waiting" if timeout is None else f"no record within {timeout}s"
@@ -519,5 +517,5 @@ class DirectPair:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            if not self._device_end.closed:
+            if self._device._attached is self._attached:
                 self._device._peer_gone(_transport.TransportClosed("peer closed the transport"))

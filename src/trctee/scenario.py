@@ -264,7 +264,7 @@ class ScenarioRunner:
         self.tap: transport.AdversaryTap | None = None
         self.report = RunReport()
         self.trace = Trace()
-        self._device_thread = None
+        self._device_thread = self._agent = None  # the agent: the device's relay
 
     # -- world construction ------------------------------------------------------
 
@@ -372,10 +372,10 @@ class ScenarioRunner:
             # thread can connect first and accept after.
             with transport.listen("127.0.0.1", 0) as server:
                 user_side = transport.connect("127.0.0.1", server.getsockname()[1])
-                device_side = transport.accept_one(server, timeout=5.0)
-            self._device_thread = device.serve_in_thread(dev, device_side)
+                self._agent = transport.accept_one(server, timeout=5.0)
+            self._device_thread = device.serve_in_thread(dev, self._agent)
         else:
-            user_side = device.DirectPair(dev)
+            user_side = self._agent = device.DirectPair(dev)
         self.tap = transport.AdversaryTap(user_side)
         # On a failed handshake the device traces its typed error before it
         # sends its abort record and closes, so the step reports that error.
@@ -435,7 +435,7 @@ class ScenarioRunner:
         """REE-resident adversary tries to drive a deployment itself."""
         endpoint = self._require(self.user, "user node")._require_session()
         dev = self._require(self.device, "device")
-        for attr in dir(dev.agent):
+        for attr in dir(self._agent):
             if not attr.startswith("_") and any(
                 word in attr.lower() for word in ("deploy", "invoke", "decrypt", "key")
             ):

@@ -22,6 +22,7 @@ class World:
     device: device.FpgaSocDevice
     user: runtime.UserNode
     thread: object = None  # the device's ``serve`` thread, in the tests that run one
+    agent: object = None  # the transport the device's records are relayed over, where named
 
 
 def build_world(

@@ -1,5 +1,4 @@
 import struct
-from types import SimpleNamespace
 
 import pytest
 
@@ -526,7 +525,8 @@ def test_a_whole_session_by_handing_bytes_between_the_two_cores():
     """Handshake, boot report, upload, deploy, invoke and two key updates, the
     second with its UPDATE_CONFIRM_V lost: the vTPM's handshake and pure
     channel steps on one side, the device core on the other, and each record
-    handed across by hand, with no transport and no thread."""
+    handed across by hand from what ``feed`` returns, with no transport
+    object and no thread."""
     service, bundle, device_puf, crps, rng = handshake_fixtures()
     dev = device.FpgaSocDevice(
         device_id="dev1",
@@ -535,16 +535,13 @@ def test_a_whole_session_by_handing_bytes_between_the_two_cores():
         rng=rng.child("dev"),
     )
     dev.boot()
-    replies = []
-    out = SimpleNamespace(send_record=replies.append)
-    dev.attach(out)
+    dev.attach()
 
     def to_device(record):
-        """The records the device core sends back for ``record``."""
-        assert dev.feed(record)
-        sent = replies[:]
-        replies.clear()
-        return sent
+        """The records the device core returns for ``record``; the session goes on."""
+        records, ended = dev.feed(record)
+        assert not ended
+        return records
 
     handshake = channel.VtpmHandshake(
         sk_tpm=bundle.sk_tpm, cert=bundle.cert, device_id="dev1", crp_store=crps,
@@ -586,7 +583,9 @@ def test_a_whole_session_by_handing_bytes_between_the_two_cores():
         payload, pending = channel.start_update(
             session, crp.challenge, crp.response, bank.state_hash()
         )
-        record_v = channel.confirm_update(session, request(payload), pending)
+        confirm_d = request(payload)
+        assert messages.kind_of(confirm_d) == messages.UPDATE_CONFIRM_D
+        record_v = channel.confirm_update(session, confirm_d, pending)
         if not lose_v:
             assert to_device(record_v) == []
     assert (session.epoch, dev.session.epoch) == (2, 1)

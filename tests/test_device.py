@@ -303,21 +303,20 @@ class TestTmmInvoke:
 @pytest.fixture(params=["direct", "tcp"])
 def attached(request):
     """A world whose user has a session with the device over a direct pair
-    or TCP: the device's agent is the transport it was attached to."""
+    or TCP: its agent is the transport the device's records are relayed
+    over, the pair itself or the device's end that ``serve`` relays over."""
     world = build_world()
     world.device.boot()
     thread = None
     if request.param == "direct":
-        pair = device.DirectPair(world.device)
-        world.user.connect(pair)
-        assert world.device.agent is pair._device_end
+        world.agent = device.DirectPair(world.device)
+        world.user.connect(world.agent)
     else:
         with transport.listen("127.0.0.1", 0) as server:
             user_side = transport.connect("127.0.0.1", server.getsockname()[1])
-            device_side = transport.accept_one(server, timeout=5.0)
-        thread = device.serve_in_thread(world.device, device_side)
+            world.agent = transport.accept_one(server, timeout=5.0)
+        thread = device.serve_in_thread(world.device, world.agent)
         world.user.connect(user_side)
-        assert world.device.agent is device_side
     yield world
     world.user.close()
     if thread is not None:
@@ -327,7 +326,7 @@ def attached(request):
 
 class TestPrivilegeIsolation:
     def test_agent_surface_has_no_privileged_capability(self, attached):
-        agent = attached.device.agent
+        agent = attached.agent
         public = [a for a in dir(agent) if not a.startswith("_")]
         assert {"send_record", "close"} <= set(public)
         for attr in public:
@@ -339,8 +338,14 @@ class TestPrivilegeIsolation:
         sess_key = attached.user.endpoint.session.sess_key
         keys = {sess_key, channel.derive_deploy_key(sess_key)}
         assert attached.device.tmm._deploy_key in keys
-        for value in vars(attached.device.agent).values():
+        for value in vars(attached.agent).values():
             assert not (isinstance(value, (bytes, bytearray)) and bytes(value) in keys)
+
+    def test_the_device_core_holds_no_transport(self, attached):
+        # The core is sans-I/O: the agent relays its records, and no attribute
+        # of the core is something records could be sent through.
+        assert not [name for name, value in vars(attached.device).items()
+                    if hasattr(value, "send_record")]
 
     def test_file_store_surface_has_no_privileged_capability(self):
         store = device.FileStore()
@@ -352,7 +357,7 @@ class TestPrivilegeIsolation:
 
     def test_config_memory_reachable_only_via_tmm(self, attached):
         # The REE-side objects carry no reference to config memory or the TMM.
-        for obj in (attached.device.agent, attached.device.file_store):
+        for obj in (attached.agent, attached.device.file_store):
             for value in vars(obj).values():
                 assert not isinstance(value, (device.ConfigMemory, device.Tmm))
 
@@ -374,6 +379,7 @@ class TestBadPayloadsEndTheSession:
     )
     def test_rejected_payload_aborts_the_session(self, connected, payload):
         user, dev = connected.user, connected.device
+        agent = user.endpoint.transport  # the direct pair the device's records are relayed over
         params = bytes(range(16))
         ticket = user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=params))
         user.user_deploy(ticket)
@@ -386,7 +392,8 @@ class TestBadPayloadsEndTheSession:
         assert isinstance(user.trace.first_error(), channel.PeerAborted)
         assert user.endpoint is None
         assert isinstance(dev.trace.first_error(), (messages.MessageError, wire.WireError))
-        assert dev.agent.closed  # the device end closed after its abort
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            agent.recv_record()  # the device ended the session after its abort
 
 
 def drain(pair):
@@ -635,9 +642,11 @@ class TestDirectPair:
     def test_closing_an_established_session_is_no_error(self, world):
         _, pair, _ = core_handshake(world)
         pair.close()
-        assert world.device.trace.events == []
+        assert world.device.trace.events == [] and world.device.session is None
         with pytest.raises(transport.TransportClosed, match="transport is closed"):
-            world.device.agent.send_record(b"late")
+            pair.send_record(b"late")
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            pair.recv_record()  # the session it relayed has ended at the device
 
     def test_closing_an_earlier_pair_ends_nothing_of_a_later_session(self, world):
         # The device serves one session at a time: attaching the later pair
@@ -654,6 +663,41 @@ class TestDirectPair:
         with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
             old.recv_record(2.0)
         world.user.close()
+
+    def test_a_later_attach_ends_a_served_session_at_its_next_record(self, world):
+        # A serve loop whose session a later pair ended feeds nothing more: it
+        # closes its transport on the next record, and the later session goes on.
+        world.device.boot()
+        user_side, device_side = transport.pipe_pair()
+        thread = device.serve_in_thread(world.device, device_side)
+        handshake = channel.VtpmHandshake(
+            sk_tpm=world.user.bundle.sk_tpm, cert=world.user.bundle.cert,
+            device_id="dev1", crp_store=world.user.crp_store, rng=Rng(61),
+        )
+        user_side.send_record(handshake.start())
+        user_side.recv_record(2.0)  # the device hello: serve has attached
+        world.user.connect(device.DirectPair(world.device))
+        user_side.send_record(b"\x13late")
+        thread.join(2.0)
+        assert not thread.is_alive()
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            user_side.recv_record(2.0)
+        ticket = world.user.prepare_deploy(1, device.IpImage(kernel_id="xor", params=bytes(16)))
+        assert world.user.user_deploy(ticket)[1] == "Verified"
+        assert world.device.trace.events == []
+        world.user.close()
+
+
+@pytest.mark.parametrize("before", ["never-attached", "after-a-session"])
+def test_an_idle_core_refuses_a_record_with_one_traced_error(world, before):
+    # No handshake or session to hand the record to: the core traces a typed
+    # error, returns no record, and reports the session ended.
+    if before == "after-a-session":
+        core_handshake(world)[1].close()
+    assert world.device.feed(b"x") == ([], True)
+    (event,) = world.device.trace.events
+    assert (event.actor, type(event.error)) == ("device", device.DeviceError)
+    assert str(event.error) == "no session: the device is idle"
 
 
 class TestPipeMatchesDirectPair:

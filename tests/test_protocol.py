@@ -357,6 +357,7 @@ def test_every_dotted_trctee_name_in_the_documents_resolves(document):
 
 
 def test_a_deleted_name_does_not_resolve():
-    assert resolves("FpgaSocDevice.agent") and resolves("channel.SessionState.switch_epoch")
+    assert resolves("FpgaSocDevice.trace") and resolves("channel.SessionState.switch_epoch")
     assert not resolves("ChannelEndpoint.send") and not resolves("device.TpmAgent")
+    assert not resolves("FpgaSocDevice.agent")
     assert not resolves("runtime.UserNode.no_such_attribute")

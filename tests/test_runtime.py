@@ -296,14 +296,17 @@ class TestFailedExchangesAreTraced:
 
     def test_lost_vtpm_hello_is_a_traced_timeout_that_ends_the_handshake(self, world):
         world.device.boot()
+        tap = tapped(world.device, "send", 1, "drop-frame")
         with pytest.raises(transport.ReceiveTimeout, match="no record within 2.0s") as caught:
-            world.user.connect(tapped(world.device, "send", 1, "drop-frame"))
+            world.user.connect(tap)
         assert world.user.trace.first_error() is caught.value
         # No abort record follows a timeout, but the connection is closed: the
         # device sees the peer go mid-handshake and holds nothing of it.
         errors = [e.error for e in world.device.trace.events]
         assert len(errors) == 1 and isinstance(errors[0], transport.TransportClosed)
-        assert world.device._handshake is None and world.device.agent.closed
+        assert world.device._handshake is None
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            tap.recv_record()  # the direct pair under the tap relays no session
 
     def test_tampered_upload_reply_is_a_traced_auth_failure(self, world):
         # The user receives HS2, HS5, HS9, the boot report, then the upload's reply.
@@ -548,9 +551,13 @@ class TestAnInterruptEndsTheSession:
         with pytest.raises(KeyboardInterrupt):
             world.user.connect(pair)
         assert world.user.trace.events == [] and world.user.endpoint is None
-        assert world.device._handshake is None and world.device.agent.closed
+        assert world.device._handshake is None
         with pytest.raises(transport.TransportClosed, match="transport is closed"):
             pair.send_record(b"x")
+        monkeypatch.undo()
+        assert pair.recv_record()[0] == 0x12  # the device hello the interrupt left unread
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            pair.recv_record()  # and then the pair relays no session
 
 
 class TestARejectedReplyEndsTheSession:
@@ -876,13 +883,15 @@ class TestSingleFaultSweep:
     @pytest.mark.parametrize("action", ["tamper-frame", "replay-frame"])
     @pytest.mark.parametrize("k", range(4, SENT + 1))  # each record sent after HS1, HS3, HS8
     def test_a_rejected_request_is_named_by_the_devices_abort(self, k, action, monkeypatch):
-        world, _, _ = self._run(monkeypatch, "send", k, action)
+        world, tap, _ = self._run(monkeypatch, "send", k, action)
         errors = [e.error for e in world.user.trace.events]
         cause = world.device.trace.first_error()
         assert isinstance(errors[0], channel.PeerAborted)
         assert str(errors[0]) == f"device aborted the session: {type(cause).__name__}"
         assert not any(isinstance(e, transport.ReceiveTimeout) for e in errors), errors
-        assert world.user.endpoint is None and world.device.agent.closed
+        assert world.user.endpoint is None
+        with pytest.raises(transport.TransportClosed, match="peer closed the transport"):
+            tap.recv_record()  # the device ended the session the pair relayed
 
     @pytest.mark.parametrize("k, invokes", [(6, 0), (10, 2)])
     def test_a_lost_update_request_ends_the_session_after_its_requests_answer(
@@ -1281,8 +1290,7 @@ class TestLargeInvokeOverTcp:
                 tracemalloc.stop()
         finally:
             world.user.close()
-            world.thread.join(timeout=5)
-            world.device.agent.close()  # the device leaves its end open
+            world.thread.join(timeout=5)  # serve closes the device's end
             server.close()
         assert not world.thread.is_alive()
         assert output == (int.from_bytes(params, "big") ^ int.from_bytes(data, "big")).to_bytes(
@@ -1308,7 +1316,6 @@ class TestOversizeRecord:
         finally:
             world.user.close()
             world.thread.join(timeout=5)
-            world.device.agent.close()
             server.close()
             assert not world.thread.is_alive()
 
@@ -1377,7 +1384,6 @@ after = [resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_THREAD, r
 print(*((a - b) / 100 for a, b in zip(after, before)))
 user.close()
 world.thread.join(5)
-world.device.agent.close()
 server.close()
 """
 
@@ -1390,8 +1396,8 @@ class TestWarmInvokeFaults:
         # a large mapped block is freed), and this process's history hides
         # the faults a fresh process takes.  A receive buffer allocated per
         # record made each warm invoke fault about 160 pages back in.  A device
-        # that sent its replies only after it had handled the record, its
-        # plaintexts freed, took about 39 across the process and none on the
+        # receive loop that still held its last reply while it handled the
+        # next record took about 39 across the process and none on the
         # invoking thread.
         path = [str(Path(trctee.__file__).parent.parent), str(Path(__file__).parent)]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
