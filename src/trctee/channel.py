@@ -258,24 +258,19 @@ ABORT_REASONS = (ChannelError, BadCert, StaleNonce, ConfirmFailure, PufMismatch,
                  AuthFailure, ReplayDetected, WrongEpoch, messages.MessageError)
 
 
-def abort_record(exc: Exception) -> bytes:
+def abort_record(exc: Exception) -> bytes | None:
     """The unsealed record an end sends before it closes on a record it
     rejects: a handshake message, or the device's sealed record or its
-    payload.  It is unauthenticated, so it only names the cause to report."""
+    payload.  It is unauthenticated, so it only names the cause to report.
+    ``None`` for an error no abort names: one that is not a ChannelError,
+    MessageError or WireError, or the peer's own abort, which is never
+    answered."""
+    if isinstance(exc, PeerAborted) or not isinstance(
+        exc, (ChannelError, messages.MessageError, wire.WireError)
+    ):
+        return None
     cause = messages.MessageError if isinstance(exc, wire.WireError) else type(exc)
     return _ABORT.encode(ABORT_REASONS.index(cause) if cause in ABORT_REASONS else 0)
-
-
-def send_abort(transport, exc: Exception) -> None:
-    """Name ``exc`` to the peer in an abort record, unless it is the peer's own
-    abort, which is never answered.  A failed send is ignored: the peer may
-    already be gone."""
-    if isinstance(exc, PeerAborted):
-        return
-    try:
-        transport.send_record(abort_record(exc))
-    except _transport.TransportError:
-        pass
 
 
 def _peer_aborted(data: bytes, aborted: str) -> PeerAborted:

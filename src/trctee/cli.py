@@ -201,11 +201,7 @@ def cmd_serve(args) -> int:
     server = transport.listen(host, port)
     print(f"device {fields['id']} booted, listening on {host}:{server.getsockname()[1]}")
     try:
-        conn = transport.accept_one(server, timeout=args.timeout)
-        try:
-            dev.serve(conn)
-        finally:
-            conn.close()
+        dev.serve(transport.accept_one(server, timeout=args.timeout))
     finally:
         server.close()
     error = dev.trace.first_error()

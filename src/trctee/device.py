@@ -51,7 +51,6 @@ BOOT_COMPONENTS = (
 )
 
 TPM_TAG_BYTE = wire.TAG_NO_SESSIONS >> 8  # 0x80, first byte of every TPM tag
-_NAMED = (channel.ChannelError, messages.MessageError, wire.WireError)  # in an abort record
 
 
 class DeviceError(TrcteeError):
@@ -313,10 +312,10 @@ class FpgaSocDevice:
     :meth:`feed`, is sans-I/O: one record in, the records to send out.  It goes
     idle -> handshaking (:meth:`attach`) -> established (``session``, ``tmm``)
     or awaiting UPDATE_CONFIRM_V (``_pending``) -> idle (:meth:`_close`): every
-    key and deployed IP lasts one session.  The core holds no transport: the
-    keyless REE agent is what relays its records, :meth:`serve` on a thread of
-    its own over TCP (and the benchmark's threaded pipe), or in process a
-    :class:`DirectPair`, with no thread."""
+    key and deployed IP lasts one session.  The core holds no transport: its
+    one relay is a :class:`DirectPair`, run in process with no thread, or
+    pumped by :meth:`serve` through the keyless REE agent's transport on a
+    thread of its own (TCP, and the benchmark's threaded pipe)."""
 
     def __init__(
         self,
@@ -346,7 +345,7 @@ class FpgaSocDevice:
     def attach(self) -> object:
         """Start a handshake, and return a marker that stays ``_attached`` until
         that session ends.  One session at a time: the session or handshake
-        held before ends first, so its relay finds its marker gone."""
+        held before ends first, so its pair is no longer live."""
         if self._attached is not None:
             self._close(None)
         pk_ttp = self.boot_image.embedded_pk_ttp  # the TTP key pre-stored in the FSBL
@@ -357,37 +356,35 @@ class FpgaSocDevice:
         return self._attached
 
     def serve(self, transport) -> None:
-        """The one receive loop, pipe or TCP: records go to :meth:`feed`, each
-        record it returns out in a send of its own, until the peer closes or
-        the session ends; then ``transport`` is closed.  ``recv_timeout`` bounds
+        """The one receive loop, pipe or TCP: it pumps ``transport`` through a
+        :class:`DirectPair`, each record received into the pair and each record
+        the pair queues out in a send of its own, until the peer closes or the
+        session ends; then ``transport`` is closed.  ``recv_timeout`` bounds
         each receive of the handshake only, so no device timer fires while the
         user waits on a request; over TCP, keepalive ends it on a cut link."""
-        attached, ended = self.attach(), False
+        pair = DirectPair(self)
         try:
-            while not ended:
+            while pair.live:
                 try:
                     record = transport.recv_record(None if self.session else self.recv_timeout)
                 except (_transport.TransportClosed, _transport.ReceiveTimeout) as exc:
-                    if self._attached is attached:
+                    if pair.live:
                         self._peer_gone(exc)
                     return
-                if self._attached is not attached:  # a later attach ended this session
-                    return
-                records, ended = self.feed(record)
-                while records:  # no reply held past its send (TestWarmInvokeFaults)
-                    transport.send_record(records.pop(0))
+                pair.send_record(record)
+                while pair._inbox:  # no reply held past its send (TestWarmInvokeFaults)
+                    transport.send_record(pair._inbox.popleft())
         except Exception as exc:  # the loop must not end the thread silently
-            if self._attached is attached:
+            if pair.live:
                 self._close(exc)
         finally:
             transport.close()
 
-    def feed(self, record: bytes | bytearray) -> tuple[list, bool]:
-        """Handle one received record: the records to send, in order, and
-        whether the session ended.  It ends once the core has rejected a
-        record, in the handshake or after, or raised (:meth:`_close`), as
-        ``bad_record_mac`` does in TLS 1.3 (RFC 8446 6.2).  An idle core
-        refuses every record."""
+    def feed(self, record: bytes | bytearray) -> list:
+        """Handle one received record: the records to send, in order.  The
+        session ends once the core has rejected a record, in the handshake or
+        after, or raised (:meth:`_close`), as ``bad_record_mac`` does in TLS 1.3
+        (RFC 8446 6.2).  An idle core refuses every record."""
         try:
             if self.session is not None:
                 self._dispatch(self._open(record))
@@ -404,7 +401,7 @@ class FpgaSocDevice:
         except Exception as exc:
             self._close(exc)
         out, self._out = self._out, []
-        return out, self._attached is None
+        return out
 
     def _peer_gone(self, cause: Exception) -> None:
         """The peer closed or went quiet: an error only if the session never came up."""
@@ -416,8 +413,9 @@ class FpgaSocDevice:
         :meth:`feed` returns; then drop the session's state."""
         if error is not None:
             self.trace.emit("device", "error", error)  # before the vTPM hears
-            if isinstance(error, _NAMED) and not isinstance(error, channel.PeerAborted):
-                self._out.append(channel.abort_record(error))
+            abort = channel.abort_record(error)
+            if abort is not None:
+                self._out.append(abort)
         self._attached = self._handshake = self.session = self._pending = self.tmm = None
 
     def _open(self, record: bytes | bytearray) -> memoryview:
@@ -484,8 +482,9 @@ class DirectPair:
     """The user's end of a thread-free pair with ``device``: a record sent runs
     the device core at once (:meth:`FpgaSocDevice.feed`), and the records it
     returns wait here for :meth:`recv_record`, handed over as the device built
-    them.  Once the core, or a later attach, has ended the pair's session, a
-    record sent is lost, as on every transport.
+    them.  It is the core's one relay: :meth:`FpgaSocDevice.serve` pumps a
+    transport through one.  Once the pair is no longer :attr:`live`, a record
+    sent is lost, as on every transport.
 
     No other thread can send, so a receive on an empty inbox fails at once:
     :class:`~trctee.transport.TransportClosed` once the session has ended,
@@ -499,16 +498,22 @@ class DirectPair:
         self._closed = False
         self._attached = device.attach()  # the device keeps it until the session ends
 
+    @property
+    def live(self) -> bool:
+        """True until the pair's session ends: the core rejected a record or
+        raised, the peer closed, or a later attach started another session."""
+        return self._device._attached is self._attached
+
     def send_record(self, record: bytes | bytearray) -> None:
         if self._closed:
             raise _transport.TransportClosed("transport is closed")
-        if self._device._attached is self._attached:  # otherwise lost
-            self._inbox += self._device.feed(record)[0]
+        if self.live:  # otherwise lost
+            self._inbox += self._device.feed(record)
 
     def recv_record(self, timeout: float | None = None) -> bytes | bytearray:
         if self._inbox:
             return self._inbox.popleft()
-        if self._device._attached is not self._attached:
+        if not self.live:
             raise _transport.TransportClosed("peer closed the transport")
         raise _transport.ReceiveTimeout(
             "no record waiting" if timeout is None else f"no record within {timeout}s"
@@ -517,5 +522,5 @@ class DirectPair:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            if self._device._attached is self._attached:
+            if self.live:
                 self._device._peer_gone(_transport.TransportClosed("peer closed the transport"))

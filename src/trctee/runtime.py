@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -238,8 +238,10 @@ class UserNode:
             measurements = messages.decode_boot_report(endpoint.recv())
         except BaseException as exc:
             self._fail(exc)
-            if handshake.session is None and isinstance(exc, channel.ChannelError):
-                channel.send_abort(transport, exc)
+            abort = channel.abort_record(exc) if handshake.session is None else None
+            if abort is not None:
+                with suppress(_transport.TransportError):  # the device may be gone
+                    transport.send_record(abort)
             transport.close()
             raise
         for index, name, digest in measurements:
@@ -292,13 +294,15 @@ class UserNode:
 
     def _forward_to_tmm(self, command: wire.DeployCmd | wire.InvokeCmd, raw: bytes) -> bytes:
         """vTPM-side Deploy_CMD/Invoke_CMD hook: refuse the command while a key
-        update is due, else measure the input, forward the command bytes to the
-        TMM, measure its result, return its response bytes.
+        update is due, else seal the command bytes, measure the input, forward
+        the sealed record to the TMM, measure its result, return its response
+        bytes.
 
-        The refusal comes first, so a refused command leaves PCR8/9/10, the
-        history and the log as they were.  The decoded response, or the failure
-        response when none came back, is left for :meth:`_forward`, so that each
-        payload is decoded once on this hop."""
+        The refusals come first (a due update, a record over the cap), so a
+        refused command leaves PCR8/9/10, the history and the log as they were.
+        The decoded response, or the failure response when none came back, is
+        left for :meth:`_forward`, so that each payload is decoded once on this
+        hop."""
         ip_num = command.ip_num
         invoke = isinstance(command, wire.InvokeCmd)
         try:
@@ -306,13 +310,16 @@ class UserNode:
             if self.update_due:
                 sent = endpoint.session.send_counter
                 raise channel.RekeyRequired(f"{sent} frames sent this epoch; update the key first")
+            record = channel.seal(endpoint.session, raw).encode()
             if invoke:
                 input_digest = sha384(command.input)
                 self.vtpm.pcr_extend(
                     INPUT_PCR, input_digest, vtpm.EventKind.IP_INPUT, f"invoke-ip{ip_num}-input"
                 )
                 self.history.inputs.append(input_digest)
-            reply = endpoint.request(raw)
+            endpoint.transport.send_record(record)
+            del record  # not held while the reply is awaited
+            reply = endpoint.recv()
             response = wire.decode_response(reply, wire.CC_INVOKE if invoke else wire.CC_DEPLOY)
         except TrcteeError as exc:
             self._fail(exc)

@@ -49,6 +49,9 @@ RC_COMMAND_CODE = 0x143
 ALG_SHA256 = 0x000B
 ALG_SHA384 = 0x000C
 ALG_SHA3_384 = 0x0028
+_HASH_BY_ALG = {
+    ALG_SHA256: hashlib.sha256, ALG_SHA384: hashlib.sha384, ALG_SHA3_384: hashlib.sha3_384
+}
 
 
 class VtpmError(TrcteeError):
@@ -109,24 +112,6 @@ class MeasurementEvent:
     def __post_init__(self):
         if "\n" in self.label or "\r" in self.label:
             raise ValueError("event label must be a single line")
-
-
-_HASHES = {
-    "sha256": hashlib.sha256,
-    "sha384": hashlib.sha384,
-    "sha3-384": hashlib.sha3_384,
-}
-
-_ALG_IDS = {ALG_SHA256: "sha256", ALG_SHA384: "sha384", ALG_SHA3_384: "sha3-384"}
-
-
-def hash_data(data: bytes, alg: str) -> bytes:
-    """Digest ``data`` under one of sha256 / sha384 / sha3-384."""
-    name = alg.lower().replace("_", "-").replace("sha-", "sha")
-    try:
-        return _HASHES[name](data).digest()
-    except KeyError:
-        raise UnsupportedAlg(f"unsupported hash algorithm {alg!r}") from None
 
 
 class PcrBank:
@@ -294,8 +279,11 @@ class Vtpm:
             raise BadLength(f"byte count must be in 1..{MAX_RANDOM}, got {n}")
         return self._rng.bytes(n)
 
-    def hash(self, data: bytes, alg: str) -> bytes:
-        return hash_data(data, alg)
+    def hash(self, data: bytes, alg_id: int) -> bytes:
+        """Digest ``data`` under the TPM_ALG id ``alg_id``."""
+        if alg_id not in _HASH_BY_ALG:
+            raise UnsupportedAlg(f"unsupported hash algorithm {alg_id:#06x}")
+        return _HASH_BY_ALG[alg_id](data).digest()
 
     def export_log(self) -> str:
         return export_log(self.log)
@@ -364,8 +352,7 @@ STANDARD = {
     ),
     wire.CC_HASH: (
         Layout("Hash command", wire.LengthMismatch, uint(2), REST),
-        # An unknown algorithm id is an unknown algorithm name.
-        lambda tpm, alg_id, data: tpm.hash(data, _ALG_IDS.get(alg_id, hex(alg_id))),
+        lambda tpm, alg_id, data: tpm.hash(data, alg_id),
         Layout("Hash response", wire.LengthMismatch, blob(2)),
     ),
 }

@@ -303,7 +303,6 @@ class TestAbortRecord:
             (channel.WrongEpoch, "WrongEpoch"),
             (messages.MessageError, "MessageError"),
             (wire.BadTag, "MessageError"),  # every refused payload shares one code
-            (transport.ReceiveTimeout, "ChannelError"),  # outside the table: code 0
         ],
     )
     def test_reason_reaches_the_vtpm(self, error, reason):
@@ -364,23 +363,14 @@ class TestAbortRecord:
             responder.on_message(channel.abort_record(reason("detail")))
         assert responder.session is None
 
-    def test_an_abort_is_never_answered(self):
-        sent = []
-
-        class Recorder:
-            def send_record(self, record):
-                sent.append(bytes(record))
-
-        channel.send_abort(Recorder(), channel.PeerAborted("vTPM aborted the handshake"))
-        channel.send_abort(Recorder(), channel.PufMismatch("detail"))
-        assert sent == [b"\x1f\x04"]
-
-    def test_an_abort_to_a_peer_already_gone_is_dropped(self):
-        class Gone:
-            def send_record(self, record):
-                raise transport.TransportClosed("peer closed the transport")
-
-        channel.send_abort(Gone(), channel.PufMismatch("detail"))  # raises nothing
+    @pytest.mark.parametrize(
+        "error",
+        [channel.PeerAborted, transport.ReceiveTimeout, puf.CrpExhausted, RuntimeError],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_no_abort_names_an_error_outside_the_table_or_the_peers_own_abort(self, error):
+        # An abort is never answered, and only a refused record is named.
+        assert channel.abort_record(error("detail")) is None
 
     def test_device_aborts_with_the_cause_before_closing(self):
         service, bundle, device_puf, crps, rng = handshake_fixtures()
@@ -539,8 +529,8 @@ def test_a_whole_session_by_handing_bytes_between_the_two_cores():
 
     def to_device(record):
         """The records the device core returns for ``record``; the session goes on."""
-        records, ended = dev.feed(record)
-        assert not ended
+        records = dev.feed(record)
+        assert dev.session is not None or dev._handshake is not None
         return records
 
     handshake = channel.VtpmHandshake(

@@ -691,10 +691,10 @@ class TestDirectPair:
 @pytest.mark.parametrize("before", ["never-attached", "after-a-session"])
 def test_an_idle_core_refuses_a_record_with_one_traced_error(world, before):
     # No handshake or session to hand the record to: the core traces a typed
-    # error, returns no record, and reports the session ended.
+    # error and returns no record.
     if before == "after-a-session":
         core_handshake(world)[1].close()
-    assert world.device.feed(b"x") == ([], True)
+    assert world.device.feed(b"x") == []
     (event,) = world.device.trace.events
     assert (event.actor, type(event.error)) == ("device", device.DeviceError)
     assert str(event.error) == "no session: the device is idle"

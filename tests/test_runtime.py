@@ -109,6 +109,21 @@ class TestRejectedDevice:
         assert isinstance(world.user.trace.first_error(), channel.StaleNonce)
         assert sent[1:] == [b"\x1f\x02", None]  # after HS1, an abort naming StaleNonce; closed
 
+    def test_an_abort_the_device_can_no_longer_take_is_dropped(self, world):
+        # HS5, the 2nd record received, fails its MAC; the abort naming that,
+        # the 3rd record sent, finds the connection closed.  The connect still
+        # fails with its own rejection, and closes.
+        world.device.boot()
+        tap = tapped(world.device, "recv", 2, "tamper-frame")
+        tap.schedule("send", 3, "close")
+        with pytest.raises(channel.PufMismatch) as caught:
+            world.user.connect(tap)
+        assert world.user.trace.first_error() is caught.value
+        assert world.user.endpoint is None and tap.sent == 3
+        with pytest.raises(transport.TransportClosed, match="transport is closed"):
+            tap.send_record(b"x")
+        assert isinstance(world.device.trace.first_error(), transport.TransportClosed)
+
     def test_vtpm_hanging_up_mid_handshake_is_traced(self, world):
         user_side = self._serve(world)
         handshake = channel.VtpmHandshake(
@@ -267,7 +282,7 @@ class TestInvoke:
         image = device.IpImage(kernel_id="xor", params=bytes(range(16)))
         ticket = user.prepare_deploy(1, image)
         response, _ = user.user_deploy(ticket)
-        assert response.bin_hash == user.vtpm.hash(image.encode(), "sha3-384")
+        assert response.bin_hash == user.vtpm.hash(image.encode(), vtpm.ALG_SHA3_384)
 
 
 def spoil_next_crp(user):
@@ -1303,8 +1318,8 @@ class TestLargeInvokeOverTcp:
 class TestOversizeRecord:
     """A record over ``transport.MAX_RECORD`` is refused before a byte of it is
     sent: the same typed error over the direct pair and TCP, traced as the
-    user's, and the session goes on at both ends.  An oversize Invoke_CMD
-    was measured before it was refused: PCR9 and the history keep its input."""
+    user's, and the session goes on at both ends.  An oversize Invoke_CMD is
+    refused before it is measured: PCR9 and the history are as they were."""
 
     def _session(self, world, tcp):
         if not tcp:
@@ -1324,10 +1339,11 @@ class TestOversizeRecord:
         deploy_xor(user)
         with pytest.raises(transport.RecordTooLarge) as upload:
             user.prepare_deploy(2, device.IpImage(kernel_id="xor", params=bytes(17 << 20)))
-        inputs = len(user.history.inputs)
+        inputs, pcr9 = len(user.history.inputs), user.vtpm.pcr_read(vtpm.INPUT_PCR)
         with pytest.raises(runtime.OrchestrationError) as invoke:
             user.user_invoke(1, bytes(transport.MAX_RECORD))
-        assert len(user.history.inputs) == inputs + 1 == len(user.history.outputs) + 1
+        assert len(user.history.inputs) == inputs == len(user.history.outputs)
+        assert user.vtpm.pcr_read(vtpm.INPUT_PCR) == pcr9
         user_end, device_end = user.endpoint.session, world.device.session
         state = [
             [(e.actor, type(e.error), str(e.error)) for e in user.trace.events],
